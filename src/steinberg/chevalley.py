@@ -11,7 +11,6 @@ representation over Z[t, u], never from closed-form coefficient formulas.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 
 from . import rings
@@ -69,7 +68,7 @@ class ChevalleyBasis:
 
     def _special_pair_constant(self, a, b, a1, b1, gamma) -> int:
         sys = self.system
-        total = Fraction(0)
+        total = 0
         xi = _vec_sub(b, a1)
         if xi in sys:
             total += self._n_resolve(b, _vec_scale(-1, a1)) * self._n_resolve(xi, a)
@@ -77,17 +76,14 @@ class ChevalleyBasis:
         if eta in sys:
             total += self._n_resolve(_vec_scale(-1, a1), a) * self._n_resolve(eta, b)
         denom = self._n_resolve(gamma, _vec_scale(-1, a1))
-        value = -total / denom
-        if value.denominator != 1:
-            raise ValueError("non-integral structure constant")
-        return int(value)
+        return _exact_div(-total, denom, "non-integral structure constant")
 
-    def _n_resolve(self, x, y) -> Fraction:
+    def _n_resolve(self, x, y) -> int:
         """N(x, y) for arbitrary sign patterns, reduced to the positive table."""
         sys = self.system
         xpos, ypos = sys.positive(x), sys.positive(y)
         if xpos and ypos:
-            return Fraction(self._n[(x, y)] if (x, y) in self._n else -self._n[(y, x)])
+            return self._n[(x, y)] if (x, y) in self._n else -self._n[(y, x)]
         if not xpos and not ypos:
             return -self._n_resolve(_vec_scale(-1, x), _vec_scale(-1, y))
         if not xpos:
@@ -95,16 +91,10 @@ class ChevalleyBasis:
         z = _vec_add(x, y)
         # x positive, y negative, z = x + y a root
         if sys.positive(z):
-            value = (
-                -self._n_resolve(_vec_scale(-1, y), z) * sys.norm(z) / sys.norm(x)
-            )
+            num, den = -self._n_resolve(_vec_scale(-1, y), z) * sys.norm(z), sys.norm(x)
         else:
-            value = (
-                self._n_resolve(_vec_scale(-1, z), x) * sys.norm(z) / sys.norm(y)
-            )
-        if value.denominator != 1:
-            raise ValueError("non-integral structure constant")
-        return value
+            num, den = self._n_resolve(_vec_scale(-1, z), x) * sys.norm(z), sys.norm(y)
+        return _exact_div(num, den, "non-integral structure constant")
 
     def _complete_table(self):
         sys = self.system
@@ -112,7 +102,7 @@ class ChevalleyBasis:
         for x in self.roots_order:
             for y in self.roots_order:
                 if _vec_add(x, y) in sys:
-                    table[(x, y)] = int(self._n_resolve(x, y))
+                    table[(x, y)] = self._n_resolve(x, y)
         self._n = table
 
     # -- queries -----------------------------------------------------------
@@ -124,13 +114,11 @@ class ChevalleyBasis:
     def coroot_vector(self, gamma) -> tuple[int, ...]:
         """Coefficients of gamma^vee in the simple coroots."""
         sys = self.system
-        out = []
-        for i, a in enumerate(gamma):
-            c = Fraction(a) * sys.norm(sys.simple(i)) / sys.norm(gamma)
-            if c.denominator != 1:
-                raise ValueError("non-integral coroot expansion")
-            out.append(int(c))
-        return tuple(out)
+        norm = sys.norm(gamma)
+        return tuple(
+            _exact_div(a * sys.norm(sys.simple(i)), norm, "non-integral coroot expansion")
+            for i, a in enumerate(gamma)
+        )
 
     def pairing(self, x, y) -> int:
         return self.system.pairing(x, y)
@@ -176,7 +164,8 @@ class ChevalleyBasis:
             k += 1
             nxt = _int_mat_mul(current, ad)
             nxt = tuple(
-                tuple(_exact_int_div(x, k) for x in row) for row in nxt
+                tuple(_exact_div(x, k, "divided power is not integral") for x in row)
+                for row in nxt
             )
             if all(all(x == 0 for x in row) for row in nxt):
                 break
@@ -283,10 +272,12 @@ def _int_mat_mul(a, b):
     )
 
 
-def _exact_int_div(x: int, k: int) -> int:
-    if x % k:
-        raise ValueError("divided power is not integral")
-    return x // k
+def _exact_div(num: int, den: int, error: str) -> int:
+    """num / den, raising ValueError(error) unless it is an integer."""
+    quotient, remainder = divmod(num, den)
+    if remainder:
+        raise ValueError(error)
+    return quotient
 
 
 def _mat_mul(a, b):

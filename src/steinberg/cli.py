@@ -281,7 +281,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.fn(args)
-    except loopmodel.UnsupportedModelError as exc:
+    except rings.UnsupportedModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

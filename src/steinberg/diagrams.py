@@ -2,9 +2,12 @@
 
 Recognition works by graph-isomorphism against a generated catalog of the
 finite and affine diagrams (the affine ones are produced from their
-simple-root recipes, so the catalog is self-checking).  Also houses the
-Coxeter edge orders, the affine naming table, and the hypothesis checks for
-finite presentability.
+simple-root recipes, so the catalog is self-checking).  It is rank-local:
+only catalog entries with as many nodes as the input are built, one at a
+time in catalog order until one matches, so the first match and its node
+permutation are those of a scan over the full catalog.  The tests still
+build and check the full catalog.  Also houses the Coxeter edge orders, the
+affine naming table, and the hypothesis checks for finite presentability.
 """
 
 from __future__ import annotations
@@ -241,33 +244,40 @@ def affine_cartan(cls: DiagramClass) -> GeneralizedCartanMatrix:
 
 
 @lru_cache(maxsize=None)
-def catalog(max_rank: int = 12) -> tuple[tuple[DiagramClass, GeneralizedCartanMatrix], ...]:
-    """All irreducible finite and affine diagrams up to the given node count."""
-    entries: list[tuple[DiagramClass, GeneralizedCartanMatrix]] = []
+def _catalog_classes(max_rank: int) -> tuple[DiagramClass, ...]:
+    """Labels of the catalog in recognition order: finite, then affine."""
+    labels = []
     for family, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
-        for n in range(lo, max_rank + 1):
-            if (family, n, None, False) in _SKIP_IN_CATALOG:
-                continue
-            entries.append((parse_label(f"{family}{n}"), finite_cartan(family, n)))
-    for family, n in (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)):
-        if n <= max_rank:
-            entries.append((parse_label(f"{family}{n}"), finite_cartan(family, n)))
-
-    affine: list[str] = []
+        labels += [f"{family}{n}" for n in range(lo, max_rank + 1)]
+    labels += ["E6", "E7", "E8", "F4", "G2"]
     for family, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
-        affine += [f"{family}~{n}" for n in range(lo, max_rank)]
-    affine += ["E~6", "E~7", "E~8", "F~4", "G~2"]
-    affine += [f"B~{n}^even" for n in range(2, max_rank)]
-    affine += [f"C~{n}^even" for n in range(2, max_rank)]
-    affine += [f"BC~{n}^odd" for n in range(1, max_rank)]
-    affine += ["F~4^even", "G~2^0mod3"]
-    for text in affine:
+        labels += [f"{family}~{n}" for n in range(lo, max_rank)]
+    labels += ["E~6", "E~7", "E~8", "F~4", "G~2"]
+    labels += [f"B~{n}^even" for n in range(2, max_rank)]
+    labels += [f"C~{n}^even" for n in range(2, max_rank)]
+    labels += [f"BC~{n}^odd" for n in range(1, max_rank)]
+    labels += ["F~4^even", "G~2^0mod3"]
+    out = []
+    for text in labels:
         cls = parse_label(text)
-        if (cls.family, cls.n, cls.superscript, True) in _SKIP_IN_CATALOG:
+        if (cls.family, cls.n, cls.superscript, cls.is_affine) in _SKIP_IN_CATALOG:
             continue
         if cls.rank <= max_rank:
-            entries.append((cls, affine_cartan(cls)))
-    return tuple(entries)
+            out.append(cls)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _catalog_matrix(cls: DiagramClass) -> GeneralizedCartanMatrix:
+    if cls.is_affine:
+        return affine_cartan(cls)
+    return finite_cartan(cls.family, cls.n)
+
+
+@lru_cache(maxsize=None)
+def catalog(max_rank: int = 12) -> tuple[tuple[DiagramClass, GeneralizedCartanMatrix], ...]:
+    """All irreducible finite and affine diagrams up to the given node count."""
+    return tuple((cls, _catalog_matrix(cls)) for cls in _catalog_classes(max_rank))
 
 
 def _node_invariants(a: GeneralizedCartanMatrix) -> list:
@@ -317,10 +327,10 @@ def isomorphism(a: GeneralizedCartanMatrix, b: GeneralizedCartanMatrix):
 def classify_with_map(a: GeneralizedCartanMatrix, max_rank: int = 12):
     """Recognize a diagram; returns (DiagramClass, perm) where perm sends
     catalog node positions to positions in `a` (None for Other)."""
-    for cls, reference in catalog(max_rank):
-        if reference.rank != a.rank:
+    for cls in _catalog_classes(max_rank):
+        if cls.rank != a.rank:
             continue
-        perm = isomorphism(reference, a)
+        perm = isomorphism(_catalog_matrix(cls), a)
         if perm is not None:
             return cls, perm
     return DiagramClass("other", rank=a.rank), None

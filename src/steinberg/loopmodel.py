@@ -20,11 +20,8 @@ import numpy as np
 
 from . import chevalley, diagrams, presentation, rings
 from . import roots as R
+from .rings import UnsupportedModelError
 from .roots import AffineRoot
-
-
-class UnsupportedModelError(ValueError):
-    """Raised for configurations the loop realization does not cover."""
 
 
 @dataclass(frozen=True)
@@ -108,6 +105,12 @@ class LoopModel:
         self.node_map = node_map
         self.basis = chevalley.build_chevalley_basis(ars.finite)
         self.dim = self.basis.dim
+        if self.dim * (self.n - 1) ** 2 >= 2**63:
+            # a block product sums dim terms below n^2 each in int64
+            raise UnsupportedModelError(
+                f"unsupported model: {ring} is too large for exact int64 "
+                f"products of {self.dim}-dimensional matrices"
+            )
         simples = R.simple_affine_roots(ars)
         self.simple_of_node = {i: simples[node_map[i]] for i in range(a.rank)}
         self._powers_cache: dict = {}

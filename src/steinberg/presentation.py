@@ -252,7 +252,9 @@ def _family_instances(a, ring, symbolic, nodes, include_torus, include_km_torus)
             m = diagrams.coxeter_order(a, i, j)
             if m is diagrams.INFINITE:
                 if not symbolic:
-                    raise ValueError("no relation family exists for an m = infinity edge")
+                    raise rings.UnsupportedModelError(
+                        "no relation family exists for an m = infinity edge"
+                    )
                 continue
             yield from _edge_families(a, ops, symbolic, i, j, m, t_values, tu_values)
 

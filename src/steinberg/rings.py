@@ -18,6 +18,10 @@ from dataclasses import dataclass
 from typing import Iterator
 
 
+class UnsupportedModelError(ValueError):
+    """A configuration the toolkit does not cover exactly (CLI exit code 3)."""
+
+
 # --------------------------------------------------------------------------
 # descriptors
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from . import diagrams
@@ -55,31 +55,53 @@ class FiniteRootSystem:
         return tuple(1 if j == i else 0 for j in range(self.rank))
 
     def __contains__(self, coords) -> bool:
-        return tuple(coords) in self._root_set
+        return tuple(coords) in self._length_of
 
-    @property
-    def _root_set(self) -> frozenset:
-        return _root_set_cache(self)
+    @cached_property
+    def _gram(self) -> tuple[tuple[int, ...], ...]:
+        """(alpha_i, alpha_j) = d_i A_ij, an integer matrix."""
+        return tuple(
+            tuple(di * aij for aij in row) for di, row in zip(self.d, self.cartan.rows)
+        )
 
-    def form(self, x, y) -> Fraction:
-        a = self.cartan.rows
-        total = Fraction(0)
-        for i, xi in enumerate(x):
+    @cached_property
+    def _norm_names(self) -> dict[int, str]:
+        """Root norm -> length class name."""
+        norms = sorted({self.norm(r) for r in self.roots})
+        if len(norms) == 1:
+            names = ["long"]
+        elif len(norms) == 2:
+            names = ["short", "long"]
+        elif len(norms) == 3:
+            names = ["short", "middling", "long"]
+        else:
+            raise ValueError("more than three root lengths")
+        return dict(zip(norms, names))
+
+    @cached_property
+    def _length_of(self) -> dict[tuple[int, ...], str]:
+        """Root coords -> length class name; also the membership table."""
+        names = self._norm_names
+        return {r: names[self.norm(r)] for r in self.roots}
+
+    def form(self, x, y) -> int:
+        total = 0
+        for xi, row in zip(x, self._gram):
             if xi:
-                for j, yj in enumerate(y):
+                for yj, bij in zip(y, row):
                     if yj:
-                        total += xi * yj * self.d[i] * a[i][j]
+                        total += xi * yj * bij
         return total
 
-    def norm(self, x) -> Fraction:
+    def norm(self, x) -> int:
         return self.form(x, x)
 
     def pairing(self, x, y) -> int:
         """<x^vee, y> = 2 (x,y) / (x,x); always an integer for roots x."""
-        value = 2 * self.form(x, y) / self.norm(x)
-        if value.denominator != 1:
+        value, remainder = divmod(2 * self.form(x, y), self.norm(x))
+        if remainder:
             raise ValueError(f"non-integral pairing of {x} and {y}")
-        return int(value)
+        return value
 
     def reflect(self, x, in_root) -> tuple[int, ...]:
         return _vec_sub(x, _vec_scale(self.pairing(in_root, x), in_root))
@@ -97,43 +119,21 @@ class FiniteRootSystem:
         )
 
     def length_class(self, x) -> str:
-        return _length_classes(self)[self.norm(x)]
+        name = self._length_of.get(tuple(x))
+        return name if name is not None else self._norm_names[self.norm(x)]
 
     def length_classes(self) -> dict:
-        return dict(_length_classes(self))
+        return dict(self._norm_names)
 
     def highest_root(self) -> tuple[int, ...]:
         return max(self.roots, key=lambda r: (self.height(r), r))
 
     def highest_short_root(self) -> tuple[int, ...]:
-        shortest = min(self.norm(r) for r in self.roots)
+        shortest = self._norm_names[min(self._norm_names)]
         return max(
-            (r for r in self.roots if self.norm(r) == shortest),
+            (r for r, name in self._length_of.items() if name == shortest),
             key=lambda r: (self.height(r), r),
         )
-
-
-@lru_cache(maxsize=None)
-def _root_set_cache(frs: FiniteRootSystem) -> frozenset:
-    return frozenset(frs.roots)
-
-
-@lru_cache(maxsize=None)
-def _length_classes_cached(frs: FiniteRootSystem) -> tuple:
-    norms = sorted({frs.norm(r) for r in frs.roots})
-    if len(norms) == 1:
-        names = ["long"]
-    elif len(norms) == 2:
-        names = ["short", "long"]
-    elif len(norms) == 3:
-        names = ["short", "middling", "long"]
-    else:
-        raise ValueError("more than three root lengths")
-    return tuple(zip(norms, names))
-
-
-def _length_classes(frs: FiniteRootSystem) -> dict:
-    return dict(_length_classes_cached(frs))
 
 
 def _symmetrizer(a: GeneralizedCartanMatrix) -> tuple[int, ...]:
@@ -193,6 +193,7 @@ def enumerate_finite_roots(a: GeneralizedCartanMatrix, family: str | None = None
     return FiniteRootSystem(a, family, tuple(sorted(roots)), d)
 
 
+@lru_cache(maxsize=None)
 def _finite_system(family: str, n: int) -> FiniteRootSystem:
     return enumerate_finite_roots(diagrams.finite_cartan(family, n), family)
 
@@ -204,6 +205,7 @@ def _b_or_a1(n: int) -> FiniteRootSystem:
     return _finite_system("B", n)
 
 
+@lru_cache(maxsize=None)
 def _bc_system(n: int) -> FiniteRootSystem:
     """Non-reduced BC_n: the B_n roots plus the doubles of the short roots."""
     b = _b_or_a1(n)
@@ -227,9 +229,8 @@ class AffineRootSystem:
     def superscript(self) -> str | None:
         return self.cls.superscript
 
-    def level_condition(self, coords, level: int) -> bool:
-        if self.finite.length_class(coords) != "long":
-            return True
+    def _long_level_ok(self, level: int) -> bool:
+        """Whether a long root of the finite part has a lift at this level."""
         if self.superscript is None:
             return True
         if self.superscript == "even":
@@ -238,10 +239,12 @@ class AffineRootSystem:
             return level % 2 == 1
         return level % 3 == 0  # 0mod3
 
+    def level_condition(self, coords, level: int) -> bool:
+        return self.finite.length_class(coords) != "long" or self._long_level_ok(level)
+
     def __contains__(self, root: AffineRoot) -> bool:
-        return tuple(root.coords) in self.finite and self.level_condition(
-            root.coords, root.level
-        )
+        name = self.finite._length_of.get(tuple(root.coords))
+        return name is not None and (name != "long" or self._long_level_ok(root.level))
 
     def positive(self, root: AffineRoot) -> bool:
         if root.level != 0:

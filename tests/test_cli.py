@@ -1,6 +1,6 @@
 import json
 
-from steinberg import cli
+from steinberg import cli, presentation
 
 
 def run(capsys, *argv):
@@ -103,6 +103,24 @@ def test_verify_twisted_unsupported(capsys):
     code, _, err = run(capsys, "verify", "--diagram", "BC~2^odd", "--ring", "Z/5")
     assert code == 3
     assert "error:" in err
+
+
+def test_verify_infinite_edge_unsupported(capsys):
+    code, out, err = run(capsys, "verify", "--diagram", "A~1", "--ring", "Z/3")
+    assert code == 3 and out == ""
+    assert "m = infinity" in err
+
+
+def test_verify_int64_overflow_unsupported(capsys, monkeypatch):
+    # Z/4294967311 would overflow the int64 products of the G~2 model, which
+    # must be rejected before any of its 4294967311 parameters is enumerated
+    def unreachable(*args, **kwargs):
+        raise AssertionError("relators enumerated for an unsupported model")
+
+    monkeypatch.setattr(presentation, "relators_for", unreachable)
+    code, out, err = run(capsys, "verify", "--diagram", "G~2", "--ring", "Z/4294967311")
+    assert code == 3 and out == ""
+    assert "too large" in err
 
 
 def test_usage_errors(capsys):

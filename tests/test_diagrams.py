@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -50,6 +51,27 @@ def test_classify_permutation_invariant():
 def test_catalog_round_trip():
     for cls, matrix in D.catalog(9):
         assert D.classify(matrix).label() == cls.label()
+
+
+def _reference_scan(a, entries):
+    """Recognition as a plain scan over the full, prebuilt catalog."""
+    for cls, reference in entries:
+        if reference.rank == a.rank:
+            perm = D.isomorphism(reference, a)
+            if perm is not None:
+                return cls, perm
+    return D.DiagramClass("other", rank=a.rank), None
+
+
+def test_rank_local_recognition_matches_full_catalog_scan():
+    entries = D.catalog(12)
+    rng = random.Random(12)
+    for _, matrix in entries:
+        perm = list(range(matrix.rank))
+        rng.shuffle(perm)
+        rows = [[matrix.rows[p][q] for q in perm] for p in perm]
+        for a in (matrix, D.gcm(rows)):
+            assert D.classify_with_map(a) == _reference_scan(a, entries)
 
 
 def test_duplicate_names_canonicalized():

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -219,3 +220,21 @@ def test_verify_family_census():
         "chevalley-6-distant-short", "chevalley-6-distant",
     }
     assert rep["all_passed"]
+
+
+def test_int64_guard_on_both_sides_of_the_bound():
+    # G~2 has a 14-dimensional adjoint module; a block product sums 14 terms
+    # below (n - 1)^2 each in int64
+    largest = math.isqrt((2**63 - 1) // 14) + 1
+    assert 14 * (largest - 1) ** 2 < 2**63 <= 14 * largest**2
+    model = L.build_model("G~2", rings.integers_mod(largest))
+    assert model.dim == 14
+    for i in range(3):
+        assert (model.s_matrix(i) * model.s_inverse(i)).is_identity()
+    with pytest.raises(L.UnsupportedModelError, match="too large"):
+        L.build_model("G~2", rings.integers_mod(largest + 1))
+
+
+def test_unsupported_model_error_is_shared():
+    assert L.UnsupportedModelError is rings.UnsupportedModelError
+    assert issubclass(L.UnsupportedModelError, ValueError)

@@ -68,6 +68,30 @@ def test_finite_root_counts_against_euclidean_oracles():
     assert len(shorts) == 6
 
 
+def test_form_and_norm_are_int_on_every_catalog_system():
+    systems = [
+        R.enumerate_finite_roots(matrix, cls.family)
+        for cls, matrix in D.catalog(12) if cls.kind == "finite"
+    ]
+    systems += [
+        R.affine_system(cls).finite for cls, _ in D.catalog(12) if cls.is_affine
+    ]
+    for phi in systems:
+        simples = [phi.simple(i) for i in range(phi.rank)]
+        for r in phi.roots:
+            assert type(phi.norm(r)) is int
+            assert all(type(phi.form(r, s)) is int for s in simples)
+            assert all(type(phi.pairing(r, s)) is int for s in simples)
+
+
+def test_pairing_rejects_non_integral_pair():
+    a2 = R.enumerate_finite_roots(D.finite_cartan("A", 2))
+    # (2a_1, 2a_1) = 8 and (2a_1, a_2) = -2: the pairing would be -1/2
+    assert a2.pairing((2, 0), (1, 0)) == 1
+    with pytest.raises(ValueError, match="non-integral pairing"):
+        a2.pairing((2, 0), (0, 1))
+
+
 def test_nonfinite_type_rejected():
     with pytest.raises(ValueError):
         R.enumerate_finite_roots(D.gcm([[2, -2], [-2, 2]]))
