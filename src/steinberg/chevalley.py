@@ -14,7 +14,9 @@ from __future__ import annotations
 from itertools import product
 
 from . import rings
-from .roots import FiniteRootSystem, _vec_add, _vec_scale, _vec_sub
+from .roots import (
+    FiniteRootSystem, _vec_add, _vec_scale, _vec_sub, root_combinations, string_length,
+)
 
 
 class ChevalleyBasis:
@@ -37,15 +39,6 @@ class ChevalleyBasis:
 
     # -- construction ------------------------------------------------------
 
-    def _string_down(self, a, b) -> int:
-        """p = max k with b - k a a root."""
-        p = 0
-        cur = _vec_sub(b, a)
-        while cur in self.system:
-            p += 1
-            cur = _vec_sub(cur, a)
-        return p
-
     def _build_positive_table(self):
         sys = self.system
         order_pos = {r: k for k, r in enumerate(self.positive_roots)}
@@ -60,7 +53,7 @@ class ChevalleyBasis:
             if not decomps:
                 continue
             a1, b1 = min(decomps, key=lambda ab: order_pos[ab[0]])
-            self._n[(a1, b1)] = self._string_down(a1, b1) + 1
+            self._n[(a1, b1)] = string_length(sys, a1, b1) + 1
             for a, b in decomps:
                 if (a, b) == (a1, b1):
                     continue
@@ -194,16 +187,6 @@ class ChevalleyBasis:
                         mat[i][j] = mat[i][j] + term.scale(row[j])
         return mat
 
-    def interior_roots(self, a, b, bound: int = 4) -> list[tuple[int, int, tuple]]:
-        """(i, j, gamma) with gamma = i a + j b a root, i, j >= 1."""
-        out = []
-        for i in range(1, bound + 1):
-            for j in range(1, bound + 1):
-                gamma = _vec_add(_vec_scale(i, a), _vec_scale(j, b))
-                if gamma in self.system:
-                    out.append((i, j, gamma))
-        return out
-
     def commutator_table(self, a, b, order=None):
         """Coefficients of [x_a(t), x_b(u)] = prod_gamma x_gamma(N t^i u^j).
 
@@ -217,7 +200,7 @@ class ChevalleyBasis:
         cached = self._table_cache.get(key)
         if cached is not None:
             return cached
-        interiors = self.interior_roots(a, b)
+        interiors = root_combinations(self.system, a, b)
         by_root = {gamma: (i, j) for i, j, gamma in interiors}
         if order is None:
             ordered = [g for _, _, g in sorted(interiors, key=lambda t: (t[0] + t[1], t[0]))]
@@ -326,14 +309,6 @@ def build_chevalley_basis(system: FiniteRootSystem) -> ChevalleyBasis:
     return ChevalleyBasis(system)
 
 
-def adjoint_matrix(basis: ChevalleyBasis, gamma):
-    return basis.adjoint_matrix(gamma)
-
-
-def commutator_table(basis: ChevalleyBasis, a, b, order=None):
-    return basis.commutator_table(a, b, order)
-
-
 # ---------------------------------------------------------------------------
 # sign choices
 
@@ -348,26 +323,28 @@ def apply_signs(entries, signs: dict, a, b):
     return out
 
 
-def solve_orientation(tables: dict, targets: dict):
-    """Find per-root signs making every table match its target.
+def solve_orientation(tables: dict, targets: dict) -> list[dict]:
+    """Every choice of per-root signs making each table match its target.
 
     `tables` and `targets` map ordered pairs (a, b) to entry lists in the same
-    interior order.  Returns a dict root -> +-1, or raises ValueError when no
-    sign choice achieves the displayed constants.
+    interior order; the roots may be finite coordinate tuples or affine roots.
+    Returns the dicts root -> +-1 in `product((1, -1), ...)` order over the
+    sorted roots involved, or raises ValueError when no sign choice achieves
+    the displayed constants.
     """
-    involved: list = sorted(
+    involved = sorted(
         {r for pair in tables for r in pair}
-        | {tuple(g) for pair in tables for g, _, _ in tables[pair]}
+        | {g for entries in tables.values() for g, _, _ in entries}
     )
+    wanted = {pair: [(tuple(g), n) for g, n, _ in want] for pair, want in targets.items()}
+    solutions = []
     for bits in product((1, -1), repeat=len(involved)):
         signs = dict(zip(involved, bits))
-        ok = True
-        for pair, entries in tables.items():
-            want = targets[pair]
-            got = apply_signs(entries, signs, *pair)
-            if [(g, n) for g, n, _ in got] != [(tuple(g), n) for g, n, _ in want]:
-                ok = False
-                break
-        if ok:
-            return signs
-    raise ValueError("no sign choice achieves the displayed constants")
+        if all(
+            [(g, n) for g, n, _ in apply_signs(entries, signs, *pair)] == wanted[pair]
+            for pair, entries in tables.items()
+        ):
+            solutions.append(signs)
+    if not solutions:
+        raise ValueError("no sign choice achieves the displayed constants")
+    return solutions

@@ -147,10 +147,10 @@ def _cmd_replay(args) -> int:
 def _cmd_verify(args) -> int:
     a = _read_diagram(args.diagram)
     ring = rings.parse_descriptor(args.ring)
-    report = loopmodel.verify_presentation(
-        a, ring, presentation.PresentationOptions(include_torus_action=True)
-    )
     model = loopmodel.LoopModel(a, ring)
+    report = loopmodel.verify_presentation(
+        model, presentation.PresentationOptions(include_torus_action=True)
+    )
     mr = loopmodel.verify_morita_rehmann(model, args.level_bound)
     report["families"] += mr["families"]
     report["level_bound"] = args.level_bound
@@ -278,6 +278,9 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     if args.jobs < 1:
         print("error: --jobs must be at least 1", file=sys.stderr)
+        return 2
+    if getattr(args, "level_bound", 0) < 0:
+        print("error: --level-bound must be at least 0", file=sys.stderr)
         return 2
     try:
         return args.fn(args)

@@ -159,34 +159,8 @@ def commutator(nrs: NilpotentRootSet, a: NormalProduct, b: NormalProduct) -> Nor
 # configuration scaffolding
 
 
-def _pair_interiors(ars, x: AffineRoot, y: AffineRoot, bound: int = 4):
-    out = []
-    for i in range(1, bound + 1):
-        for j in range(1, bound + 1):
-            cand = AffineRoot(
-                tuple(i * a + j * b for a, b in zip(x.coords, y.coords)),
-                i * x.level + j * y.level,
-            )
-            if cand in ars:
-                out.append((i, j, cand))
-    return out
-
-
-def _affine_string_p(ars, x: AffineRoot, y: AffineRoot) -> int:
-    p = 0
-    cur = AffineRoot(tuple(b - a for a, b in zip(x.coords, y.coords)), y.level - x.level)
-    while cur in ars:
-        p += 1
-        cur = AffineRoot(tuple(c - a for a, c in zip(x.coords, cur.coords)), cur.level - x.level)
-    return p
-
-
 def _mag11(ars, x, y) -> int:
-    return _affine_string_p(ars, x, y) + 1
-
-
-def _add_root(x: AffineRoot, y: AffineRoot) -> AffineRoot:
-    return AffineRoot(tuple(a + b for a, b in zip(x.coords, y.coords)), x.level + y.level)
+    return R.string_length(ars, x, y) + 1
 
 
 def _build_nrs(ars, decomp, tables, names, excluded_pairs):
@@ -197,7 +171,7 @@ def _build_nrs(ars, decomp, tables, names, excluded_pairs):
     for x in ordered:
         for y in ordered:
             if x != y:
-                s = _add_root(x, y)
+                s = ars.combine(1, x, 1, y)
                 if s in ars and s not in rootset:
                     raise ConfigurationError(f"set is not closed: missing {s}")
     for pair, entries in tables.items():
@@ -210,7 +184,7 @@ def _build_nrs(ars, decomp, tables, names, excluded_pairs):
             key = frozenset((a, b))
             if (a, b) in tables or (b, a) in tables or key in excluded_pairs:
                 continue
-            if _pair_interiors(ars, a, b):
+            if R.root_combinations(ars, a, b):
                 raise ConfigurationError(f"no table for interacting pair {a}, {b}")
             commuting.add(key)
     return NilpotentRootSet(ars, ordered, dict(tables), frozenset(commuting), dict(names))
@@ -266,59 +240,33 @@ def _untwisted_tables(ars, basis, decomp, signs, epsilon_factors, excluded_pairs
         for b in ordered[ai + 1 :]:
             if frozenset((a, b)) in excluded_pairs:
                 continue
-            interiors = _pair_interiors(ars, a, b)
+            interiors = sorted(
+                (g for _, _, g in R.root_combinations(ars, a, b)),
+                key=lambda g: (sum(decomp[g]), decomp[g]),
+            )
             if not interiors:
                 continue
-            interiors.sort(key=lambda t: (sum(decomp[t[2]]), decomp[t[2]]))
-            raw = _chevalley_affine_table(ars, basis, a, b, [g for _, _, g in interiors])
+            raw = _chevalley_affine_table(ars, basis, a, b, interiors)
             factor = epsilon_factors.get((a, b), 1)
-            entries = tuple(
-                (
-                    g,
-                    factor
-                    * signs.get(a, 1) ** i
-                    * signs.get(b, 1) ** j
-                    * signs.get(g, 1)
-                    * n,
-                    (i, j),
-                )
-                for g, n, (i, j) in raw
+            tables[(a, b)] = tuple(
+                (g, factor * n, ij) for g, n, ij in chevalley.apply_signs(raw, signs, a, b)
             )
-            tables[(a, b)] = entries
     return tables
 
 
-def _solve_display_orientation(ars, basis, targets, decomp):
-    """Signs per affine root achieving the displayed tables.
+def _solve_display_orientation(ars, basis, targets):
+    """Every choice of signs per affine root achieving the displayed tables.
 
     `targets`: dict pair -> list of (root, coeff, (i, j)) in display order.
     """
-    raw_tables = {}
-    for (a, b), want in targets.items():
-        raw_tables[(a, b)] = tuple(
-            _chevalley_affine_table(ars, basis, a, b, [g for g, _, _ in want])
-        )
-    involved = sorted(
-        {r for pair in targets for r in pair}
-        | {g for pair in targets for g, _, _ in targets[pair]}
-    )
-    solutions = []
-    for bits in product((1, -1), repeat=len(involved)):
-        signs = dict(zip(involved, bits))
-        ok = True
-        for (a, b), want in targets.items():
-            got = [
-                (g, signs.get(a, 1) ** i * signs.get(b, 1) ** j * signs.get(g, 1) * n)
-                for g, n, (i, j) in raw_tables[(a, b)]
-            ]
-            if got != [(g, n) for g, n, _ in want]:
-                ok = False
-                break
-        if ok:
-            solutions.append(signs)
-    if not solutions:
-        raise ConfigurationError("no sign choice achieves the displayed constants")
-    return solutions
+    raw_tables = {
+        (a, b): _chevalley_affine_table(ars, basis, a, b, [g for g, _, _ in want])
+        for (a, b), want in targets.items()
+    }
+    try:
+        return chevalley.solve_orientation(raw_tables, targets)
+    except ValueError as exc:
+        raise ConfigurationError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +454,7 @@ def _case_untwisted(case_id: int):
 
 def _case_config_untwisted(case_id: int, eps: int, eps_prime: int) -> CaseData:
     ars, basis, alpha, beta, decomp, names, targets, expansion, eps_pairs = _case_untwisted(case_id)
-    solutions = _solve_display_orientation(ars, basis, targets, decomp)
-    signs = solutions[0]
+    signs = _solve_display_orientation(ars, basis, targets)[0]
     factors = {}
     if eps_pairs:
         factors[eps_pairs["eps"]] = eps

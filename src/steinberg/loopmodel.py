@@ -224,18 +224,14 @@ def model_for_system(ars: R.AffineRootSystem, ring: rings.RingDescriptor) -> Loo
 
 
 def verify_presentation(
-    a,
-    ring: rings.RingDescriptor,
-    options: presentation.PresentationOptions | None = None,
+    model: LoopModel, options: presentation.PresentationOptions | None = None
 ) -> dict:
-    """Run verify_relator over every instance; per-family pass counts with
-    counterexample parameter bindings."""
-    if isinstance(a, str):
-        a = diagrams.parse_diagram(a)
+    """Run verify_relator over every instance of the presentation of the
+    model's diagram; per-family pass counts with counterexample parameter
+    bindings."""
     if options is None:
         options = presentation.PresentationOptions(include_torus_action=True)
-    model = LoopModel(a, ring)
-    pres = presentation.relators_for(a, ring, options)
+    pres = presentation.relators_for(model.gcm, model.ring, options)
     families: dict[str, dict] = {}
     for rel in pres.relators:
         entry = families.setdefault(
@@ -253,8 +249,8 @@ def verify_presentation(
                 binding[name] = rings.render_element(value)
             entry["counterexamples"].append(binding)
     report = {
-        "diagram": diagrams.classify(a).label(),
-        "ring": str(ring),
+        "diagram": model.ars.cls.label(),
+        "ring": str(model.ring),
         "families": [families[k] for k in sorted(families, key=presentation.FAMILY_ORDER.index)],
     }
     report["all_passed"] = all(f["failed"] == 0 for f in report["families"])

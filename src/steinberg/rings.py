@@ -310,14 +310,6 @@ def units(desc: RingDescriptor) -> list[RingElement]:
     raise ValueError(f"units({desc}): ring is not finite")
 
 
-def is_unit(a: RingElement) -> bool:
-    try:
-        inverse(a)
-        return True
-    except ValueError:
-        return False
-
-
 def inverse(a: RingElement) -> RingElement:
     """Multiplicative inverse; raises ValueError on non-units."""
     desc = a.desc
@@ -467,9 +459,6 @@ def render_element(a: RingElement) -> str:
 
 # --------------------------------------------------------------------------
 # element parsing (grammar documented in the README)
-
-_TERM_SPLIT_RE = re.compile(r"(?<![\^*])([+-])")
-
 
 def parse_element(desc: RingDescriptor, text: str) -> RingElement:
     """Parse an element per the file/CLI grammar, e.g. ``3*t^2*u - t + 1``."""

@@ -103,8 +103,12 @@ class FiniteRootSystem:
             raise ValueError(f"non-integral pairing of {x} and {y}")
         return value
 
+    def combine(self, i: int, x, j: int, y) -> tuple[int, ...]:
+        """i x + j y."""
+        return tuple(i * a + j * b for a, b in zip(x, y))
+
     def reflect(self, x, in_root) -> tuple[int, ...]:
-        return _vec_sub(x, _vec_scale(self.pairing(in_root, x), in_root))
+        return self.combine(1, x, -self.pairing(in_root, x), in_root)
 
     def positive(self, x) -> bool:
         return any(c > 0 for c in x)
@@ -254,6 +258,10 @@ class AffineRootSystem:
     def pairing(self, x: AffineRoot, y: AffineRoot) -> int:
         return self.finite.pairing(x.coords, y.coords)
 
+    def combine(self, i: int, x: AffineRoot, j: int, y: AffineRoot) -> AffineRoot:
+        """i x + j y."""
+        return AffineRoot(self.finite.combine(i, x.coords, j, y.coords), i * x.level + j * y.level)
+
     def length_class(self, root: AffineRoot) -> str:
         return self.finite.length_class(root.coords)
 
@@ -315,11 +323,7 @@ def reflect(ars: AffineRootSystem, x: AffineRoot, in_root: AffineRoot) -> Affine
     """Image of x under the reflection in `in_root` (affine action)."""
     if x not in ars or in_root not in ars:
         raise ValueError("reflect requires roots of the system")
-    pair = ars.finite.pairing(in_root.coords, x.coords)
-    image = AffineRoot(
-        _vec_sub(x.coords, _vec_scale(pair, in_root.coords)),
-        x.level - pair * in_root.level,
-    )
+    image = ars.combine(1, x, -ars.pairing(in_root, x), in_root)
     assert image in ars
     return image
 
@@ -396,8 +400,7 @@ def classify_pair(ars: AffineRootSystem, a: AffineRoot, b: AffineRoot) -> PairCl
             return PairClassification("nonclassical", 2, _witness(ars, _witness_case2, a, b))
         if length == "middling":
             return PairClassification("nonclassical", 3, _witness(ars, _witness_case3, a, b))
-        summed = AffineRoot(_vec_add(a.coords, b.coords), a.level + b.level)
-        case = 6 if summed in ars else 7
+        case = 6 if ars.combine(1, a, 1, b) in ars else 7
         return PairClassification("nonclassical", case, _witness(ars, _witness_case67, a, b))
     raise ValueError(f"unsupported family {family!r}")
 
@@ -424,7 +427,7 @@ def _lift(ars, beta: AffineRoot, xbar, ybar, cx: int):
         x = AffineRoot(xbar, k)
         if x not in ars:
             continue
-        y = AffineRoot(_vec_sub(beta.coords, _vec_scale(cx, xbar)), beta.level - cx * k)
+        y = ars.combine(1, beta, -cx, x)
         if y in ars:
             return x, y
     # second attempt: choose the y lift first and divide for x
@@ -573,7 +576,27 @@ def _witness_case67(ars, alpha, beta):
 # root strings
 
 
-_THETA_BOUND = 4  # longest finite root string (G_2) has coefficients <= 3
+_COMBINATION_BOUND = 4  # longest finite root string (G_2) has coefficients <= 3
+
+
+def root_combinations(system, x, y, lowest: int = 1):
+    """(i, j, i x + j y) for lowest <= i, j <= 4, (i, j) != (0, 0), with
+    i x + j y a root of `system` (a finite or an affine root system).  With
+    lowest = 1 these are the roots of a commutator [x_x(t), x_y(u)]."""
+    return [
+        (i, j, gamma)
+        for i in range(lowest, _COMBINATION_BOUND + 1)
+        for j in range(lowest, _COMBINATION_BOUND + 1)
+        if (i or j) and (gamma := system.combine(i, x, j, y)) in system
+    ]
+
+
+def string_length(system, x, y) -> int:
+    """p = max k with y - k x a root of `system`; |N(x, y)| = p + 1."""
+    p = 0
+    while system.combine(1, y, -(p + 1), x) in system:
+        p += 1
+    return p
 
 
 def theta(ars: AffineRootSystem, a: AffineRoot, b: AffineRoot) -> set[AffineRoot]:
@@ -582,18 +605,7 @@ def theta(ars: AffineRootSystem, a: AffineRoot, b: AffineRoot) -> set[AffineRoot
     kind = classify_pair(ars, a, b).kind
     if kind == "not-prenilpotent":
         raise ValueError("theta is infinite for this pair")
-    out = set()
-    for i in range(_THETA_BOUND + 1):
-        for j in range(_THETA_BOUND + 1):
-            if i == 0 and j == 0:
-                continue
-            cand = AffineRoot(
-                _vec_add(_vec_scale(i, a.coords), _vec_scale(j, b.coords)),
-                i * a.level + j * b.level,
-            )
-            if cand in ars:
-                out.add(cand)
-    return out
+    return {gamma for _, _, gamma in root_combinations(ars, a, b, lowest=0)}
 
 
 def prenilpotent_by_weyl_search(
@@ -601,8 +613,8 @@ def prenilpotent_by_weyl_search(
 ):
     """Search the affine Weyl group for witnesses making both roots positive
     and both negative.  Returns True when both witnesses are found within the
-    word-length bound, False if provably impossible stays undetected: None
-    means inconclusive (the bound was reached first)."""
+    word-length bound and None otherwise (inconclusive: the bound was reached
+    first); it never returns False."""
     simples = simple_affine_roots(ars)
     seen = {(a, b)}
     frontier = [(a, b)]

@@ -24,7 +24,7 @@ def test_criterion_1_full_relation_verification():
     z5 = rings.integers_mod(5)
     opts = presentation.PresentationOptions(include_torus_action=True)
     for label in ("A~2", "C~2", "G~2"):
-        report = loopmodel.verify_presentation(label, z5, opts)
+        report = loopmodel.verify_presentation(loopmodel.build_model(label, z5), opts)
         assert report["all_passed"], (label, [f for f in report["families"] if f["failed"]])
         assert sum(f["instances"] for f in report["families"]) > 0
         assert any(f["family"] == "torus-action-1" for f in report["families"])
@@ -260,7 +260,7 @@ def test_criterion_9_structure_constants():
     s, l = (0, 1), (1, 0)
     table = b2.commutator_table(s, l)
     target = [((1, 1), -1, (1, 1)), ((1, 2), 1, (2, 1))]
-    signs = chevalley.solve_orientation({(s, l): table}, {(s, l): target})
+    signs = chevalley.solve_orientation({(s, l): table}, {(s, l): target})[0]
     assert [
         (g, v) for g, v, _ in chevalley.apply_signs(table, signs, s, l)
     ] == [(g, v) for g, v, _ in target]
@@ -277,7 +277,7 @@ def test_criterion_9_structure_constants():
         ((3, 1), 1, (3, 1)),
         ((3, 2), -1, (3, 2)),
     ]
-    signs = chevalley.solve_orientation({(sig, lam): table}, {(sig, lam): target})
+    signs = chevalley.solve_orientation({(sig, lam): table}, {(sig, lam): target})[0]
     assert [
         (g, v) for g, v, _ in chevalley.apply_signs(table, signs, sig, lam)
     ] == [(g, v) for g, v, _ in target]

@@ -195,9 +195,15 @@ def test_commutator_table_b2():
     assert mags == [1, 1]
     # orientation adjustment reaches the displayed forms -tu, +t^2u
     target = [((1, 1), -1, (1, 1)), ((1, 2), 1, (2, 1))]
-    signs = C.solve_orientation({(s, l): table}, {(s, l): target})
-    adjusted = C.apply_signs(table, signs, s, l)
-    assert [(g, n) for g, n, _ in adjusted] == [(g, n) for g, n, _ in target]
+    solutions = C.solve_orientation({(s, l): table}, {(s, l): target})
+    # two constraints on the four signs of s, l, s+l, 2s+l
+    assert len(solutions) == 4 and len({tuple(sorted(d.items())) for d in solutions}) == 4
+    for signs in solutions:
+        adjusted = C.apply_signs(table, signs, s, l)
+        assert [(g, n) for g, n, _ in adjusted] == [(g, n) for g, n, _ in target]
+    # negative control: no sign choice turns a magnitude 1 into 2
+    with pytest.raises(ValueError):
+        C.solve_orientation({(s, l): table}, {(s, l): [target[0], ((1, 2), 2, (2, 1))]})
 
 
 def test_commutator_table_g2_display_order():
@@ -213,7 +219,7 @@ def test_commutator_table_g2_display_order():
         ((3, 1), 1, (3, 1)),
         ((3, 2), -1, (3, 2)),
     ]
-    signs = C.solve_orientation({(sig, lam): table}, {(sig, lam): target})
+    signs = C.solve_orientation({(sig, lam): table}, {(sig, lam): target})[0]
     adjusted = C.apply_signs(table, signs, sig, lam)
     assert [(g, n) for g, n, _ in adjusted] == [(g, n) for g, n, _ in target]
 

@@ -157,3 +157,35 @@ def test_amalgam_emits(capsys):
     assert code == 0
     assert out.startswith("ring Z/2")
     assert "torus-action" not in out
+
+
+def test_negative_level_bound_rejected(capsys):
+    for argv in (
+        ("verify", "--diagram", "A~2", "--ring", "Z/2", "--level-bound", "-1"),
+        ("roots", "--diagram", "A~2", "--level-bound", "-1"),
+        ("pairs", "--diagram", "A~2", "--level-bound", "-1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "--level-bound" in err
+
+
+def test_verify_builds_one_model(capsys, monkeypatch):
+    from steinberg import chevalley, loopmodel
+
+    calls = []
+
+    def count_inits(cls):
+        init = cls.__init__
+
+        def counted(self, *args, **kwargs):
+            calls.append(cls.__name__)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+
+    count_inits(loopmodel.LoopModel)
+    count_inits(chevalley.ChevalleyBasis)
+    code, _, _ = run(capsys, "verify", "--diagram", "A~2", "--ring", "Z/3", "--level-bound", "1")
+    assert code == 0
+    assert sorted(calls) == ["ChevalleyBasis", "LoopModel"]

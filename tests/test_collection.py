@@ -175,7 +175,7 @@ def test_case4_orientation_pins_epsilons():
     # every sign solution reaching the three displayed relations leaves the
     # two remaining constants at +3 and +1 (the argument's conclusion)
     ars, basis, alpha, beta, decomp, names, targets, _, eps_pairs = C._case_untwisted(4)
-    solutions = C._solve_display_orientation(ars, basis, targets, decomp)
+    solutions = C._solve_display_orientation(ars, basis, targets)
     assert solutions
     for signs in solutions:
         tables = C._untwisted_tables(
@@ -206,3 +206,14 @@ def test_unknown_case_rejected():
 def test_sign_parameters_rejected_outside_case4():
     with pytest.raises(ValueError):
         C.case_configuration(6, eps=-1)
+
+
+def test_display_orientation_rejects_unreachable_target():
+    # case 2 displays [x_sigma(t), x_lambda(u)] = x_{s+l}(-tu) x_{2s+l}(t^2 u);
+    # magnitude 2 on the second factor is out of reach of any sign choice
+    ars, basis, *_, targets, _, _ = C._case_untwisted(2)
+    assert C._solve_display_orientation(ars, basis, targets)
+    ((pair, (first, (g, n, ij))),) = targets.items()
+    assert abs(n) == 1
+    with pytest.raises(C.ConfigurationError):
+        C._solve_display_orientation(ars, basis, {pair: [first, (g, 2 * n, ij)]})

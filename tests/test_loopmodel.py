@@ -82,7 +82,7 @@ def test_x_at_zero_is_identity():
 
 
 def test_verify_presentation_small():
-    rep = L.verify_presentation("A~2", rings.prime_field(3))
+    rep = L.verify_presentation(L.build_model("A~2", rings.prime_field(3)))
     assert rep["all_passed"]
     fams = {f["family"] for f in rep["families"]}
     assert "torus-action-1" in fams and "additivity" in fams
@@ -201,7 +201,7 @@ def test_verify_family_census():
     # nine, on top of the four per-node/ordered-pair families and the two
     # torus actions
     z3 = rings.integers_mod(3)
-    rep = L.verify_presentation("C~2", z3)
+    rep = L.verify_presentation(L.build_model("C~2", z3))
     fams = {f["family"] for f in rep["families"]}
     assert {f for f in fams if "-4" in f} == {
         "artin-4", "interaction-4", "chevalley-4-close",
@@ -211,7 +211,7 @@ def test_verify_family_census():
     assert rep["all_passed"]
 
     gf2 = rings.prime_field(2)
-    rep = L.verify_presentation("G~2", gf2)
+    rep = L.verify_presentation(L.build_model("G~2", gf2))
     fams = {f["family"] for f in rep["families"]}
     assert {f for f in fams if "-6" in f} == {
         "artin-6", "interaction-6", "chevalley-6-close-long",

@@ -359,3 +359,38 @@ def test_root_json():
     ars = R.affine_system("BC~2^odd")
     j = R.root_json(ars, AffineRoot((2, 2), 1))
     assert j == {"coords": [2, 2], "level": 1, "length": "long"}
+
+
+@pytest.mark.parametrize("label", ["A~2", "C~2", "G~2", "BC~2^odd"])
+def test_root_combinations_and_strings_match_brute_force(label):
+    ars = R.affine_system(label)
+    roots = R.real_roots_up_to_level(ars, 1)
+    # every i x + j y with i, j <= 4 has |level| <= 8
+    known = set(R.real_roots_up_to_level(ars, 8))
+
+    def lin(i, x, j, y):
+        return AffineRoot(
+            tuple(i * a + j * b for a, b in zip(x.coords, y.coords)), i * x.level + j * y.level
+        )
+
+    for x in roots:
+        for y in roots:
+            brute = [
+                (i, j, lin(i, x, j, y))
+                for i in range(1, 5)
+                for j in range(1, 5)
+                if lin(i, x, j, y) in known
+            ]
+            assert R.root_combinations(ars, x, y) == brute, (x, y)
+            p = 0
+            while lin(1, y, -(p + 1), x) in known:
+                p += 1
+            assert R.string_length(ars, x, y) == p, (x, y)
+
+
+def test_root_combinations_finite_coordinates():
+    g2 = R.enumerate_finite_roots(D.finite_cartan("G", 2), "G")
+    got = R.root_combinations(g2, (1, 0), (0, 1))
+    assert got == [(1, 1, (1, 1)), (2, 1, (2, 1)), (3, 1, (3, 1)), (3, 2, (3, 2))]
+    assert R.string_length(g2, (1, 0), (3, 1)) == 3
+    assert R.string_length(g2, (1, 0), (0, 1)) == 0
