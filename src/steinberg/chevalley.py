@@ -5,15 +5,20 @@ deterministically: positive roots are ordered by (height, lex), each
 non-simple positive root gets a positive constant on its extraspecial pair,
 and every other constant follows from the Jacobi identity, antisymmetry and
 the zero-sum-triple proportionality.  Commutator tables for root-group pairs
-are then extracted from exact exponential computations in the adjoint
-representation over Z[t, u], never from closed-form coefficient formulas.
+are then peeled off the exact commutator of exponentials in the adjoint
+representation, never taken from closed-form coefficient formulas.  The
+peeling runs on integer matrices at t = u = 1: the adjoint representation is
+graded by the root lattice, so every entry of a matrix formed along the way
+is a single monomial t^i u^j whose exponents its position already fixes
+(see `ChevalleyBasis.commutator_table`).
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from . import rings
+import numpy as np
+
 from .roots import (
     FiniteRootSystem, _vec_add, _vec_scale, _vec_sub, root_combinations, string_length,
 )
@@ -141,61 +146,63 @@ class ChevalleyBasis:
         self._adjoint_cache[gamma] = frozen
         return frozen
 
-    def divided_powers(self, gamma) -> list[tuple[tuple[int, ...], ...]]:
-        """(ad e_gamma)^k / k! for k = 0.. until zero; all integral."""
+    def divided_powers(self, gamma) -> list[np.ndarray]:
+        """(ad e_gamma)^k / k! for k = 0.. until zero, as int64 arrays.
+
+        Each division is checked to be exact.  int64 is exact here: ad e_gamma
+        has entries of absolute value at most 6 (|N| and the Cartan pairings
+        are at most 3, coroot coefficients at most 6, reached in E8), and it
+        is nilpotent with (ad e_gamma)^4 = 0, because the sl_2 of gamma acts
+        on the adjoint representation with strings of at most four weights.
+        So every product formed below has entries under (6 dim)^4, which is
+        below 2^63 for every dim under 9,000.
+        """
         gamma = tuple(gamma)
         cached = self._powers_cache.get(gamma)
         if cached is not None:
             return cached
-        n = self.dim
-        ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        ad = self.adjoint_matrix(gamma)
-        out = [ident]
-        current = ident
-        k = 0
+        ad = np.array(self.adjoint_matrix(gamma), dtype=np.int64)
+        out = [np.eye(self.dim, dtype=np.int64)]
         while True:
-            k += 1
-            nxt = _int_mat_mul(current, ad)
-            nxt = tuple(
-                tuple(_exact_div(x, k, "divided power is not integral") for x in row)
-                for row in nxt
-            )
-            if all(all(x == 0 for x in row) for row in nxt):
+            power, remainder = np.divmod(out[-1] @ ad, len(out))
+            if remainder.any():
+                raise ValueError("divided power is not integral")
+            if not power.any():
                 break
-            out.append(nxt)
-            current = nxt
+            out.append(power)
         self._powers_cache[gamma] = out
         return out
 
     # -- commutator tables via exact peeling -------------------------------
 
-    def exp_matrix(self, gamma, coeff: rings.RingElement):
-        """exp(coeff * ad e_gamma) over the coefficient's ring."""
-        desc = coeff.desc
-        powers = self.divided_powers(gamma)
-        n = self.dim
-        zero = rings.zero(desc)
-        mat = [[zero for _ in range(n)] for _ in range(n)]
-        term = rings.one(desc)
-        for k, dk in enumerate(powers):
-            if k:
-                term = term * coeff
-            for i in range(n):
-                row = dk[i]
-                for j in range(n):
-                    if row[j]:
-                        mat[i][j] = mat[i][j] + term.scale(row[j])
-        return mat
+    def exp_matrix(self, gamma, c: int) -> np.ndarray:
+        """exp(c ad e_gamma) = sum_k c^k (ad e_gamma)^k / k!, over Python ints."""
+        out = np.zeros((self.dim, self.dim), dtype=object)
+        for k, dk in enumerate(self.divided_powers(gamma)):
+            out += c**k * dk.astype(object)
+        return out
 
     def commutator_table(self, a, b, order=None):
         """Coefficients of [x_a(t), x_b(u)] = prod_gamma x_gamma(N t^i u^j).
 
         The product is taken in ascending (i+j, i) order unless an explicit
         interior-root order is supplied.  Extraction is by peeling exponentials
-        off the exact adjoint-representation commutator; the final residue is
+        off the exact adjoint-representation commutator
+        exp(ad e_a) exp(ad e_b) exp(-ad e_a) exp(-ad e_b); the final residue is
         asserted to be the identity matrix.
+
+        Working at t = u = 1 is exact.  Over Z[t, u], a term t^i u^j of any of
+        these matrices maps the weight space of lambda into that of
+        lambda + i a + j b.  For independent a and b, an entry therefore is a
+        single monomial whose exponents its position fixes, and setting
+        t = u = 1 keeps its integer coefficient: each peeled coefficient is
+        N t^i u^j with gamma = i a + j b, and the residue is the identity over
+        Z[t, u] exactly when it is at t = u = 1.  For a = b the commutator is
+        the identity and the table is empty.  Opposite roots are rejected.
         """
         a, b = tuple(a), tuple(b)
+        if a == _vec_scale(-1, b):
+            raise ValueError("commutator tables need non-opposite roots")
         key = (a, b, tuple(order) if order else None)
         cached = self._table_cache.get(key)
         if cached is not None:
@@ -208,51 +215,35 @@ class ChevalleyBasis:
             ordered = [tuple(g) for g in order]
             if set(ordered) != set(by_root):
                 raise ValueError("order must list exactly the interior roots")
-        desc = rings.polynomial_ring(rings.integers(), ("t", "u"))
-        t = rings.variable(desc, "t")
-        u = rings.variable(desc, "u")
-        amat = self.exp_matrix(a, t)
-        bmat = self.exp_matrix(b, u)
-        ainv = self.exp_matrix(a, -t)
-        binv = self.exp_matrix(b, -u)
-        m = _mat_mul(_mat_mul(amat, bmat), _mat_mul(ainv, binv))
+        m = (
+            self.exp_matrix(a, 1) @ self.exp_matrix(b, 1)
+            @ self.exp_matrix(a, -1) @ self.exp_matrix(b, -1)
+        )
         entries = []
         for gamma in ordered:
-            coeff = self._peel_coefficient(m, gamma)
-            if not coeff.is_zero():
-                m = _mat_mul(self.exp_matrix(gamma, -coeff), m)
-                i, j = by_root[gamma]
-                n_int = _monomial_int(coeff, (i, j))
-                entries.append((gamma, n_int, (i, j)))
-        if not _is_identity(m):
+            n = self._peel_coefficient(m, gamma)
+            if n:
+                m = self.exp_matrix(gamma, -n) @ m
+                entries.append((gamma, n, by_root[gamma]))
+        if not np.array_equal(m, np.eye(self.dim, dtype=np.int64)):
             raise ValueError("unipotent factorization failed in the given order")
         self._table_cache[key] = entries
         return entries
 
-    def _peel_coefficient(self, m, gamma):
+    def _peel_coefficient(self, m, gamma) -> int:
         """Coefficient of e_gamma in the leading factor, via the Cartan part
         of the image of e_{-gamma}."""
         col = self._root_index[_vec_scale(-1, gamma)]
         hvec = self.coroot_vector(gamma)
         pivot = next(i for i, c in enumerate(hvec) if c)
-        coeff = rings.exact_div_int(m[pivot][col], hvec[pivot])
-        for i, c in enumerate(hvec):
-            expected = coeff.scale(c)
-            if m[i][col] != expected:
-                raise ValueError("inconsistent Cartan component while peeling")
+        coeff = _exact_div(m[pivot, col], hvec[pivot], "non-integral coefficient while peeling")
+        if any(m[i, col] != coeff * c for i, c in enumerate(hvec)):
+            raise ValueError("inconsistent Cartan component while peeling")
         return coeff
 
 
 # ---------------------------------------------------------------------------
 # helpers
-
-
-def _int_mat_mul(a, b):
-    n = len(a)
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
 
 
 def _exact_div(num: int, den: int, error: str) -> int:
@@ -261,46 +252,6 @@ def _exact_div(num: int, den: int, error: str) -> int:
     if remainder:
         raise ValueError(error)
     return quotient
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    out = []
-    for i in range(n):
-        row_a = a[i]
-        row = []
-        for j in range(n):
-            acc = None
-            for k in range(n):
-                x = row_a[k]
-                if x.is_zero():
-                    continue
-                y = b[k][j]
-                if y.is_zero():
-                    continue
-                term = x * y
-                acc = term if acc is None else acc + term
-            row.append(acc if acc is not None else rings.zero(row_a[0].desc))
-        out.append(row)
-    return out
-
-
-def _is_identity(m) -> bool:
-    for i, row in enumerate(m):
-        for j, x in enumerate(row):
-            if i == j:
-                if not x.is_one():
-                    return False
-            elif not x.is_zero():
-                return False
-    return True
-
-
-def _monomial_int(coeff: rings.RingElement, exps: tuple[int, int]) -> int:
-    data = coeff.data
-    if len(data) != 1 or data[0][0] != exps:
-        raise ValueError(f"expected a monomial t^{exps[0]} u^{exps[1]}, got {coeff}")
-    return data[0][1]
 
 
 def build_chevalley_basis(system: FiniteRootSystem) -> ChevalleyBasis:

@@ -122,10 +122,7 @@ class LoopModel:
     def _divided_powers(self, coords) -> list[np.ndarray]:
         cached = self._powers_cache.get(coords)
         if cached is None:
-            cached = [
-                np.array(mat, dtype=np.int64) % self.n
-                for mat in self.basis.divided_powers(coords)
-            ]
+            cached = [dk % self.n for dk in self.basis.divided_powers(coords)]
             self._powers_cache[coords] = cached
         return cached
 
@@ -153,29 +150,27 @@ class LoopModel:
     def _half_exp(self, root: AffineRoot, c: int) -> LoopMatrix:
         return self.root_element(root, rings.from_int(self.ring, c))
 
-    def s_matrix(self, i: int) -> LoopMatrix:
-        """Image of S_i: the Weyl representative exp(e) exp(-f) exp(e) built
-        from the affine simple root of node i."""
-        cached = self._s_cache.get(i)
+    def _s_letter(self, i: int, c: int) -> LoopMatrix:
+        """exp(c e) exp(-c f) exp(c e) built from the affine simple root of
+        node i: the Weyl representative S_i for c = 1, its inverse for c = -1."""
+        key = (i, c)
+        cached = self._s_cache.get(key)
         if cached is None:
             root = self.simple_of_node[i]
-            neg = AffineRoot(tuple(-c for c in root.coords), -root.level)
+            neg = AffineRoot(tuple(-x for x in root.coords), -root.level)
             cached = (
-                self._half_exp(root, 1)
-                * self._half_exp(neg, -1)
-                * self._half_exp(root, 1)
+                self._half_exp(root, c)
+                * self._half_exp(neg, -c)
+                * self._half_exp(root, c)
             )
-            self._s_cache[i] = cached
+            self._s_cache[key] = cached
         return cached
 
+    def s_matrix(self, i: int) -> LoopMatrix:
+        return self._s_letter(i, 1)
+
     def s_inverse(self, i: int) -> LoopMatrix:
-        root = self.simple_of_node[i]
-        neg = AffineRoot(tuple(-c for c in root.coords), -root.level)
-        return (
-            self._half_exp(root, -1)
-            * self._half_exp(neg, 1)
-            * self._half_exp(root, -1)
-        )
+        return self._s_letter(i, -1)
 
     def x_matrix(self, i: int, u: rings.RingElement) -> LoopMatrix:
         key = (i, u.data)

@@ -360,26 +360,6 @@ def elements(desc: RingDescriptor) -> Iterator[RingElement]:
         raise ValueError(f"cannot enumerate elements of {desc}")
 
 
-def exact_div_int(a: RingElement, k: int) -> RingElement:
-    """Divide by a nonzero integer, asserting exactness (used over Z-based rings)."""
-    if k == 0:
-        raise ZeroDivisionError
-    desc = a.desc
-
-    def div(d: RingDescriptor, data):
-        if d.kind == "Z":
-            if data % k != 0:
-                raise ValueError(f"{data} not divisible by {k}")
-            return data // k
-        if d.kind in ("Zmod", "GF"):
-            n = d.params[0]
-            return (data * pow(k, -1, n)) % n
-        base = d.params[0]
-        return tuple((m, div(base, c)) for m, c in data)
-
-    return RingElement(desc, div(desc, a.data))
-
-
 def substitute(a: RingElement, assignment: dict) -> RingElement:
     """Evaluate a polynomial by substituting ring elements for variables.
 

@@ -254,3 +254,14 @@ def test_nonreduced_rejected():
     bc = R._bc_system(2)
     with pytest.raises(ValueError):
         C.build_chevalley_basis(bc)
+
+
+def test_commutator_table_rejects_opposite_roots(monkeypatch):
+    bs = basis("A", 2)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a product was formed for opposite roots")
+
+    monkeypatch.setattr(bs, "exp_matrix", unreachable)
+    with pytest.raises(ValueError, match="non-opposite"):
+        bs.commutator_table((1, 0), (-1, 0))

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from steinberg import cli, presentation
 
 
@@ -189,3 +191,13 @@ def test_verify_builds_one_model(capsys, monkeypatch):
     code, _, _ = run(capsys, "verify", "--diagram", "A~2", "--ring", "Z/3", "--level-bound", "1")
     assert code == 0
     assert sorted(calls) == ["ChevalleyBasis", "LoopModel"]
+
+
+@pytest.mark.parametrize("diagram,ring", [("A~2", "Z/4"), ("C~2", "Z/6"), ("G~2", "Z/4")])
+def test_verify_over_composite_rings(capsys, diagram, ring):
+    # divided powers reduced mod a non-prime n: no division ever happens mod n
+    code, out, _ = run(capsys, "verify", "--diagram", diagram, "--ring", ring, "--level-bound", "1")
+    assert code == 0
+    report = json.loads(out)
+    assert report["all_passed"] is True
+    assert all(f["instances"] == f["passed"] > 0 for f in report["families"])

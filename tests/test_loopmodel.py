@@ -238,3 +238,50 @@ def test_int64_guard_on_both_sides_of_the_bound():
 def test_unsupported_model_error_is_shared():
     assert L.UnsupportedModelError is rings.UnsupportedModelError
     assert issubclass(L.UnsupportedModelError, ValueError)
+
+
+def _commutator_identity_holds(model, a, b, table) -> bool:
+    """[x_a(t), x_b(u)] == prod_gamma x_gamma(N t^i u^j) in the model for
+    every t, u in Z/n, on the level-0 root groups of the finite roots."""
+    n = model.n
+    letters = {}
+
+    def x(coords, c):
+        key = (coords, c % n)
+        if key not in letters:
+            letters[key] = model.root_element(AffineRoot(coords, 0), rings.from_int(model.ring, c))
+        return letters[key]
+
+    for t in range(n):
+        for u in range(n):
+            lhs = x(a, t) * x(b, u) * x(a, -t) * x(b, -u)
+            rhs = L.identity_matrix(n, model.dim)
+            for gamma, coeff, (i, j) in table:
+                rhs = rhs * x(gamma, coeff * t**i * u**j)
+            if lhs != rhs:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("diagram", ["A~2", "C~2", "G~2"])
+def test_commutator_tables_are_group_identities(diagram):
+    # an oracle independent of the peeling: every ordered non-opposite pair
+    # of finite roots, ascending interior order, checked as matrices over Z/5
+    model = L.build_model(diagram, Z5)
+    basis = model.basis
+    for a in basis.roots_order:
+        for b in basis.roots_order:
+            if a == tuple(-c for c in b):
+                continue
+            assert _commutator_identity_holds(model, a, b, basis.commutator_table(a, b)), (a, b)
+
+
+def test_g2_display_order_table_is_a_group_identity():
+    model = L.build_model("G~2", Z5)
+    sig, lam = (1, 0), (0, 1)
+    table = model.basis.commutator_table(sig, lam, order=[(2, 1), (1, 1), (3, 1), (3, 2)])
+    assert [g for g, _, _ in table] == [(2, 1), (1, 1), (3, 1), (3, 2)]
+    assert _commutator_identity_holds(model, sig, lam, table)
+    # negative control: one changed constant breaks the identity
+    gamma, coeff, ij = table[-1]
+    assert not _commutator_identity_holds(model, sig, lam, table[:-1] + [(gamma, coeff + 1, ij)])

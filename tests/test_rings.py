@@ -147,11 +147,3 @@ def test_power_with_negative_exponent():
     a = R.from_int(z7, 3)
     assert R.power(a, -2) == R.inverse(a) * R.inverse(a)
     assert R.power(a, 0).is_one()
-
-
-def test_exact_div_int():
-    ztu = R.polynomial_ring(R.integers(), ("t",))
-    t = R.variable(ztu, "t")
-    assert R.exact_div_int(t.scale(6), 3) == t.scale(2)
-    with pytest.raises(ValueError):
-        R.exact_div_int(t.scale(5), 3)
