@@ -1,20 +1,32 @@
 """Exact matrix realization of untwisted affine root groups inside the
 adjoint Chevalley group over Laurent polynomials.
 
-Matrices live over (Z/n)[t, t^-1] and are stored t-graded: a map from the
-exponent of t to an integer matrix mod n.  All arithmetic is exact; matrix
-exponentials use the integral divided powers of the adjoint basis, so no
-division mod n ever happens.  The realization sends the root group of the
-affine root (beta, m) to exp(u t^m ad e_beta); this verifies relations in a
-quotient of the group by a central kernel, so every check here is a
-soundness check (a relation that fails in the model fails in the group, and
-every presentation relation must pass).
+A LoopMatrix is a stack of B matrices over (Z/n)[t, t^-1]: one int64 array
+of shape (B, K, dim, dim) whose slice [b, k] is the coefficient of
+t^(low + k) in the b-th matrix, with the degrees that are zero in every
+instance trimmed from both ends.  One matrix is the stack with B = 1.  The
+relators of one family and letter shape are evaluated as stacks.
+
+The product is the only kernel.  It splits the identity off the degree-0
+block of the right factor, B = I + N, and forms A + A N on the entries of N
+that are nonzero in some instance: root-group letters are I plus a sparse
+nilpotent part, Weyl letters are signed permutations on most of the basis.
+Each entry of a block product sums at most dim terms below n^2 and is
+reduced mod n before it is added to the accumulator, which so stays below a
+few multiples of n; the model refuses rings with dim (n - 1)^2 >= 2^63, so
+int64 is exact.  Exponentials use the integral divided powers of the
+adjoint basis, so no division mod n ever happens.
+
+The root group of (beta, m) goes to exp(u t^m ad e_beta), a quotient by a
+central kernel: a relation that fails in the model fails in the group, and
+every presentation relation must pass.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -24,59 +36,101 @@ from .rings import UnsupportedModelError
 from .roots import AffineRoot
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LoopMatrix:
-    """Square matrix over (Z/n)[t^(+-1)], graded by powers of t."""
+    """A stack of B square matrices over (Z/n)[t^(+-1)]: ``data[b, k]`` is
+    the coefficient of t^(low + k) in the b-th matrix."""
 
-    blocks: tuple  # ((exponent, ndarray), ...) sorted, no zero blocks
+    data: np.ndarray  # int64, shape (B, K, dim, dim), zero end degrees trimmed
+    low: int
     n: int
-    dim: int
+
+    @property
+    def dim(self) -> int:
+        return self.data.shape[-1]
+
+    @property
+    def blocks(self) -> tuple:
+        """((exponent, block), ...) of the nonzero degrees; a block is (B, dim, dim) if B > 1."""
+        graded = self.data[0] if len(self.data) == 1 else self.data.swapaxes(0, 1)
+        return tuple((self.low + k, m) for k, m in enumerate(graded) if m.any())
+
+    @cached_property
+    def _nilpotent(self) -> list:
+        """(k, rows, values, cols, starts) per nonzero degree k of N, where
+        self = I + N with I in degree 0 (or N = self): the entries nonzero in
+        some instance, by column; cols[c] holds entries starts[c] onwards."""
+        nil, zero = self.data, -self.low
+        if 0 <= zero < nil.shape[1]:
+            nil, diag = nil.copy(), np.arange(self.dim)
+            nil[:, zero, diag, diag] = (nil[:, zero, diag, diag] - 1) % self.n
+        out = []
+        for k in range(nil.shape[1]):
+            col_of, rows = np.nonzero(nil[:, k].any(axis=0).T)
+            if len(rows):
+                cols, starts = np.unique(col_of, return_index=True)
+                out.append((k, rows, nil[:, k][..., rows, col_of][:, None, None], cols, starts))
+        return out
 
     def __mul__(self, other: "LoopMatrix") -> "LoopMatrix":
-        acc: dict = {}
-        for k1, m1 in self.blocks:
-            for k2, m2 in other.blocks:
-                k = k1 + k2
-                prod = (m1 @ m2) % self.n
-                if k in acc:
-                    acc[k] = (acc[k] + prod) % self.n
-                else:
-                    acc[k] = prod
-        return _from_dict(acc, self.n, self.dim)
+        n, a = self.n, self.data
+        ka, kb = a.shape[1], other.data.shape[1]
+        out = np.zeros((max(len(a), len(other.data)), max(ka + kb - 1, 0)) + a.shape[2:], np.int64)
+        zero = -other.low
+        if 0 <= zero < kb:  # A (I + N) = A + A N, A landing on its own degrees
+            out[:, zero:zero + ka] = a
+        for k, rows, values, cols, starts in other._nilpotent:
+            # at most dim terms below n^2 per entry before the reduction
+            out[:, k:k + ka, :, cols] += np.add.reduceat(a[..., rows] * values, starts, axis=-1) % n
+        out %= n
+        return _trimmed(out, self.low + other.low, n)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LoopMatrix):
             return NotImplemented
-        if len(self.blocks) != len(other.blocks):
-            return False
-        return all(
-            k1 == k2 and np.array_equal(m1, m2)
-            for (k1, m1), (k2, m2) in zip(self.blocks, other.blocks)
-        )
+        key, other_key = (self.n, self.low, self.data.shape), (other.n, other.low, other.data.shape)
+        return key == other_key and np.array_equal(self.data, other.data)
 
     def __hash__(self):
-        return hash((self.n, self.dim, tuple(k for k, _ in self.blocks)))
+        return hash((self.n, self.low, self.data.shape))
+
+    def equal_each(self, other: "LoopMatrix") -> np.ndarray:
+        """Instance-wise equality of two stacks, broadcast over B."""
+        low = min(self.low, other.low)
+        k = max(self.low + self.data.shape[1], other.low + other.data.shape[1]) - low
+        return (self._padded(low, k) == other._padded(low, k)).all(axis=(1, 2, 3))
+
+    def _padded(self, low: int, k: int) -> np.ndarray:
+        if (self.low, self.data.shape[1]) == (low, k):
+            return self.data
+        out = np.zeros((len(self.data), k) + self.data.shape[2:], np.int64)
+        out[:, self.low - low:self.low - low + self.data.shape[1]] = self.data
+        return out
 
     def is_identity(self) -> bool:
         return self == identity_matrix(self.n, self.dim)
 
     def is_diagonal(self) -> bool:
-        return all(
-            k == 0 and np.array_equal(m, np.diag(np.diagonal(m)))
-            for k, m in self.blocks
-        )
+        return all(k == 0 and not (m * (1 - np.eye(self.dim))).any() for k, m in self.blocks)
 
 
-def _from_dict(acc: dict, n: int, dim: int) -> LoopMatrix:
-    blocks = tuple(
-        (k, acc[k]) for k in sorted(acc) if acc[k].any()
-    )
-    return LoopMatrix(blocks, n, dim)
+def _trimmed(data: np.ndarray, low: int, n: int) -> LoopMatrix:
+    nonzero = np.flatnonzero(data.any(axis=(0, 2, 3)))
+    if not len(nonzero):
+        return LoopMatrix(data[:, :0], 0, n)
+    return LoopMatrix(data[:, nonzero[0]:nonzero[-1] + 1], low + int(nonzero[0]), n)
+
+
+def stack(mats) -> LoopMatrix:
+    """One stack of the given single matrices, in order."""
+    low = min(m.low for m in mats)
+    k = max(m.low + m.data.shape[1] for m in mats) - low
+    return LoopMatrix(np.concatenate([m._padded(low, k) for m in mats]), low, mats[0].n)
 
 
 @lru_cache(maxsize=None)
 def identity_matrix(n: int, dim: int) -> LoopMatrix:
-    return LoopMatrix(((0, np.eye(dim, dtype=np.int64)),), n, dim)
+    return LoopMatrix(np.eye(dim, dtype=np.int64)[None, None], 0, n)
 
 
 class LoopModel:
@@ -119,36 +173,35 @@ class LoopModel:
 
     # -- elementary matrices ------------------------------------------------
 
-    def _divided_powers(self, coords) -> list[np.ndarray]:
+    def _divided_powers(self, coords) -> tuple:
+        """(k, rows, cols, values) of the nonzero entries of (ad e)^k / k! mod n, k >= 1."""
         cached = self._powers_cache.get(coords)
         if cached is None:
-            cached = [dk % self.n for dk in self.basis.divided_powers(coords)]
+            powers = np.stack(self.basis.divided_powers(coords)[1:]) % self.n
+            k, rows, cols = np.nonzero(powers)
+            cached = (k + 1, rows, cols, powers[k, rows, cols])
             self._powers_cache[coords] = cached
         return cached
 
-    def root_element(self, root: AffineRoot, u: rings.RingElement) -> LoopMatrix:
-        """exp(u t^m ad e_beta) for the affine real root (beta, m)."""
+    def root_elements(self, root: AffineRoot, values) -> LoopMatrix:
+        """The stack of exp(u t^m ad e_beta) over u in values, for the real root (beta, m)."""
         if root not in self.ars:
             raise ValueError(f"{root} is not a real root of {self.ars.cls}")
-        if u.desc != self.ring:
+        if any(u.desc != self.ring for u in values):
             raise ValueError("coefficient lies in the wrong ring")
-        acc: dict = {}
-        uk = 1
-        for k, dk in enumerate(self._divided_powers(root.coords)):
-            if k:
-                uk = (uk * u.data) % self.n
-                if uk == 0:
-                    break
-            block = (dk * uk) % self.n
-            key = k * root.level
-            if key in acc:
-                acc[key] = (acc[key] + block) % self.n
-            else:
-                acc[key] = block.copy()
-        return _from_dict(acc, self.n, self.dim)
+        k, rows, cols, entries = self._divided_powers(root.coords)
+        top, m, diag = int(k[-1]), root.level, np.arange(self.dim)
+        low = min(0, top * m)
+        coeffs = np.array([[pow(u.data, e, self.n) for e in range(top + 1)] for u in values])
+        data = np.zeros((len(values), abs(top * m) + 1, self.dim, self.dim), np.int64)
+        data[:, -low, diag, diag] = 1
+        # D_k raises weights by k beta, so no two entries share a position
+        data[:, k * m - low, rows, cols] = coeffs[:, k] * entries % self.n
+        return _trimmed(data, low, self.n)
 
-    def _half_exp(self, root: AffineRoot, c: int) -> LoopMatrix:
-        return self.root_element(root, rings.from_int(self.ring, c))
+    def root_element(self, root: AffineRoot, u: rings.RingElement) -> LoopMatrix:
+        """exp(u t^m ad e_beta) for the affine real root (beta, m)."""
+        return self.root_elements(root, [u])
 
     def _s_letter(self, i: int, c: int) -> LoopMatrix:
         """exp(c e) exp(-c f) exp(c e) built from the affine simple root of
@@ -158,11 +211,8 @@ class LoopModel:
         if cached is None:
             root = self.simple_of_node[i]
             neg = AffineRoot(tuple(-x for x in root.coords), -root.level)
-            cached = (
-                self._half_exp(root, c)
-                * self._half_exp(neg, -c)
-                * self._half_exp(root, c)
-            )
+            e = self.root_element(root, rings.from_int(self.ring, c))
+            cached = e * self.root_element(neg, rings.from_int(self.ring, -c)) * e
             self._s_cache[key] = cached
         return cached
 
@@ -188,11 +238,17 @@ class LoopModel:
         u = gen.param if exp > 0 else -gen.param
         return self.x_matrix(gen.node, u)
 
-    def evaluate_word(self, w) -> LoopMatrix:
+    def evaluate_words(self, words) -> LoopMatrix:
+        """The stack of the values of words of one letter shape."""
         out = identity_matrix(self.n, self.dim)
-        for gen, exp in w:
-            out = out * self.letter(gen, exp)
+        for column in zip(*words):
+            letters = [self.letter(gen, exp) for gen, exp in column]
+            same = all(x is letters[0] for x in letters)
+            out = out * (letters[0] if same else stack(letters))
         return out
+
+    def evaluate_word(self, w) -> LoopMatrix:
+        return self.evaluate_words([w])
 
     def verify_relator(self, rel: presentation.Relator) -> bool:
         return self.evaluate_word(rel.left) == self.evaluate_word(rel.right)
@@ -218,24 +274,51 @@ def model_for_system(ars: R.AffineRootSystem, ring: rings.RingDescriptor) -> Loo
 # reports
 
 
+_BATCH, _STACK_ENTRIES = 16, 1 << 13  # caps on a stack's instances and entries per degree
+
+
+def _chunks(items: list, dim: int) -> list:
+    size = min(_BATCH, max(1, _STACK_ENTRIES // dim**2))
+    return [items[k:k + size] for k in range(0, len(items), size)]
+
+
+def _group_key(rel: presentation.Relator) -> tuple:
+    shapes = (tuple((g.kind, g.node, e) for g, e in w) for w in (rel.left, rel.right))
+    return (rel.family, rel.nodes, *shapes)
+
+
+def verify_relators(model: LoopModel, relators) -> np.ndarray:
+    """verify_relator of every relator, in order.  A run of relators with one
+    family, nodes and letter shape is evaluated as stacks (relators_for sorts
+    by family and nodes, which fix the shape, so there a run is a group)."""
+    passed, start = np.zeros(len(relators), dtype=bool), 0
+    for _, run in itertools.groupby(relators, _group_key):
+        for chunk in _chunks(list(run), model.dim):
+            left = model.evaluate_words([rel.left for rel in chunk])
+            right = model.evaluate_words([rel.right for rel in chunk])
+            passed[start:start + len(chunk)] = left.equal_each(right)
+            start += len(chunk)
+    return passed
+
+
 def verify_presentation(
     model: LoopModel, options: presentation.PresentationOptions | None = None
 ) -> dict:
-    """Run verify_relator over every instance of the presentation of the
+    """Run verify_relators over every instance of the presentation of the
     model's diagram; per-family pass counts with counterexample parameter
-    bindings."""
+    bindings in relator order."""
     if options is None:
         options = presentation.PresentationOptions(include_torus_action=True)
     pres = presentation.relators_for(model.gcm, model.ring, options)
     families: dict[str, dict] = {}
-    for rel in pres.relators:
+    for rel, ok in zip(pres.relators, verify_relators(model, pres.relators)):
         entry = families.setdefault(
             rel.family,
             {"family": rel.family, "instances": 0, "passed": 0, "failed": 0,
              "counterexamples": []},
         )
         entry["instances"] += 1
-        if model.verify_relator(rel):
+        if ok:
             entry["passed"] += 1
         else:
             entry["failed"] += 1
@@ -257,14 +340,17 @@ def verify_morita_rehmann(model: LoopModel, level_bound: int) -> dict:
     |level| <= level_bound:
 
     * conjugation by the evaluated stilde_i(1) sends the root group of beta to
-      the root group of s_i(beta), with a sign independent of the parameter;
+      the root group of s_i(beta), with a sign independent of the parameter
+      (fixed by the first nonzero parameter);
     * conjugation by htilde_i(r) scales the parameter by r^<alpha_i^vee, beta>.
-    """
+
+    The root elements of one root are conjugated as stacks over the nonzero
+    parameters."""
     ars = model.ars
     ring = model.ring
     all_roots = R.real_roots_up_to_level(ars, level_bound)
     units = rings.units(ring)
-    elements = [x for x in rings.elements(ring) if not x.is_zero()]
+    chunks = _chunks([x for x in rings.elements(ring) if not x.is_zero()], model.dim)
     weyl = {"family": "weyl-conjugation", "instances": 0, "passed": 0, "failed": 0,
             "counterexamples": []}
     torus = {"family": "torus-scaling", "instances": 0, "passed": 0, "failed": 0,
@@ -276,20 +362,17 @@ def verify_morita_rehmann(model: LoopModel, level_bound: int) -> dict:
         s_inv = model.evaluate_word(presentation.winv(s_word))
         for beta in all_roots:
             image = R.reflect(ars, beta, simple)
-            sign = None
-            ok = True
-            for u in elements:
-                conj = s_mat * model.root_element(beta, u) * s_inv
-                if sign is None:
-                    if conj == model.root_element(image, u):
-                        sign = 1
-                    elif conj == model.root_element(image, -u):
-                        sign = -1
-                    else:
-                        ok = False
+            sign, ok = None, True
+            for values in chunks:
+                conj = s_mat * model.root_elements(beta, values) * s_inv
+                for trial in (1, -1) if sign is None else (sign,):
+                    images = model.root_elements(image, [u.scale(trial) for u in values])
+                    same = conj.equal_each(images)
+                    if same[0]:
+                        sign = trial
                         break
-                elif conj != model.root_element(image, u.scale(sign)):
-                    ok = False
+                ok = sign is not None and bool(same.all())
+                if not ok:
                     break
             weyl["instances"] += 1
             weyl["passed" if ok else "failed"] += 1
@@ -305,13 +388,10 @@ def verify_morita_rehmann(model: LoopModel, level_bound: int) -> dict:
                 torus["counterexamples"].append({"i": i, "r": str(r), "reason": "not diagonal"})
                 continue
             for beta in all_roots:
-                exponent = ars.finite.pairing(simple.coords, beta.coords)
-                scale = rings.power(r, exponent)
-                ok = all(
-                    h_mat * model.root_element(beta, u) * h_inv
-                    == model.root_element(beta, scale * u)
-                    for u in elements
-                )
+                scale = rings.power(r, ars.finite.pairing(simple.coords, beta.coords))
+                ok = all((h_mat * model.root_elements(beta, values) * h_inv).equal_each(
+                    model.root_elements(beta, [scale * u for u in values])).all()
+                    for values in chunks)
                 torus["instances"] += 1
                 torus["passed" if ok else "failed"] += 1
                 if not ok:

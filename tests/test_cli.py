@@ -193,7 +193,10 @@ def test_verify_builds_one_model(capsys, monkeypatch):
     assert sorted(calls) == ["ChevalleyBasis", "LoopModel"]
 
 
-@pytest.mark.parametrize("diagram,ring", [("A~2", "Z/4"), ("C~2", "Z/6"), ("G~2", "Z/4")])
+@pytest.mark.parametrize(
+    "diagram,ring",
+    [("A~2", "Z/4"), ("C~2", "Z/6"), ("G~2", "Z/4"), ("A~2", "Z/8"), ("C~2", "Z/9"), ("G~2", "Z/9")],
+)
 def test_verify_over_composite_rings(capsys, diagram, ring):
     # divided powers reduced mod a non-prime n: no division ever happens mod n
     code, out, _ = run(capsys, "verify", "--diagram", diagram, "--ring", ring, "--level-bound", "1")

@@ -1,12 +1,15 @@
+import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 
 from steinberg import collection as C
 from steinberg import loopmodel as L
 from steinberg import presentation as P
 from steinberg import rings
+from steinberg import roots as R
 from steinberg.roots import AffineRoot
 
 Z5 = rings.integers_mod(5)
@@ -285,3 +288,226 @@ def test_g2_display_order_table_is_a_group_identity():
     # negative control: one changed constant breaks the identity
     gamma, coeff, ij = table[-1]
     assert not _commutator_identity_holds(model, sig, lam, table[:-1] + [(gamma, coeff + 1, ij)])
+
+
+def test_equality_compares_modulus_and_dimension():
+    assert L.identity_matrix(5, 8) != L.identity_matrix(7, 8)
+    assert L.identity_matrix(5, 8) != L.identity_matrix(5, 10)
+    model = L.build_model("A~2", Z5)
+    one = model.root_element(AffineRoot((1, 0), 0), rings.zero(Z5))
+    assert one == L.identity_matrix(5, 8) and hash(one) == hash(L.identity_matrix(5, 8))
+
+
+def test_root_element_stack_matches_single_elements():
+    model = L.build_model("C~2", rings.integers_mod(4))
+    beta = next(root for root in model.simple_of_node.values() if root.level)
+    values = list(rings.elements(model.ring))
+    stacked = model.root_elements(beta, values)
+    singles = [model.root_element(beta, u) for u in values]
+    assert stacked.equal_each(L.stack(singles)).all()
+    # 2^2 = 0 truncates the exponential, so the supports differ
+    assert [tuple(k for k, _ in x.blocks) for x in singles] == [(0,), (0, 1, 2), (0, 1), (0, 1, 2)]
+    assert all(block.shape == (len(values), 10, 10) for _, block in stacked.blocks)
+    # instances whose degree ranges differ keep their own exponents in a stack
+    neg = AffineRoot(tuple(-c for c in beta.coords), -beta.level)
+    mixed = [model.root_element(neg, u) for u in values] + singles
+    for single, inst in zip(mixed, _instances(L.stack(mixed))):
+        assert [k for k, _ in inst.blocks] == [k for k, _ in single.blocks]
+        assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(inst.blocks, single.blocks))
+
+
+def _instances(stacked):
+    return [
+        L.LoopMatrix(stacked.data[b:b + 1], stacked.low, stacked.n)
+        for b in range(len(stacked.data))
+    ]
+
+
+def _exact(m):
+    """Each instance of a stack as {exponent: matrix of Python ints}."""
+    return [
+        {m.low + k: block.astype(object) for k, block in enumerate(inst) if block.any()}
+        for inst in m.data
+    ]
+
+
+@pytest.mark.parametrize("right_low", [-1, 0, 1])
+@pytest.mark.parametrize("left_b,right_b", [(4, 1), (1, 4), (4, 4)])
+def test_product_matches_exact_reference_at_the_int64_bound(left_b, right_b, right_low):
+    # dense entries just below the largest n the guard accepts for dim 3:
+    # every block product nearly reaches 2^63, so each must be reduced mod n
+    # before it is accumulated
+    dim = 3
+    n = math.isqrt((2**63 - 1) // dim) + 1
+    rng = np.random.default_rng(right_low + 7 * left_b + 11 * right_b)
+    left = L.LoopMatrix(n - 1 - rng.integers(0, 1000, (left_b, 2, dim, dim)), -1, n)
+    data = n - 1 - rng.integers(0, 1000, (right_b, 2, dim, dim))
+    data[:, :, 1, :] = 0  # a zero row, so the support is not everything
+    right = L.LoopMatrix(data, right_low, n)
+    product = left * right
+    assert len(product.data) == max(left_b, right_b)
+    pairs = zip(_exact(left) * (right_b // left_b), _exact(right) * (left_b // right_b))
+    for got, (x, y) in zip(_exact(product), pairs):
+        expected = {}
+        for e1, p in x.items():
+            for e2, q in y.items():
+                expected[e1 + e2] = (expected.get(e1 + e2, 0) + p.dot(q)) % n
+        assert got.keys() == expected.keys()
+        assert all(np.array_equal(got[e], expected[e]) for e in got)
+
+
+def _perturbed(rel, ring):
+    """rel with the parameter of its first right-hand X letter shifted by one."""
+    right = list(rel.right)
+    for k, (gen, exp) in enumerate(right):
+        if gen.kind == "X":
+            right[k] = (P.X(gen.node, gen.param + rings.one(ring)), exp)
+            return dataclasses.replace(rel, right=tuple(right))
+    return None
+
+
+@pytest.mark.parametrize("diagram,n", [("A~2", 5), ("C~2", 6), ("G~2", 4)])
+def test_batched_verdicts_match_single_words(diagram, n):
+    ring = rings.integers_mod(n)
+    model = L.build_model(diagram, ring)
+    options = P.PresentationOptions(include_torus_action=True)
+    # every third instance is followed by a copy with a shifted right-hand
+    # parameter, so one batch mixes true and false instances, and another by
+    # a copy whose right word is one letter shorter, a new letter shape
+    rels = []
+    for k, rel in enumerate(P.relators_for(model.gcm, ring, options).relators):
+        rels.append(rel)
+        if k % 3 == 0 and (bad := _perturbed(rel, ring)) is not None:
+            rels.append(bad)
+        if k % 3 == 1:
+            rels.append(dataclasses.replace(rel, right=rel.right[:-1]))
+    batched = L.verify_relators(model, rels)
+    assert list(batched) == [model.verify_relator(rel) for rel in rels]
+    assert batched.any() and not batched.all()
+
+
+def _reference_morita_rehmann(model, level_bound):
+    """The Weyl/torus check of verify_morita_rehmann, one parameter at a time."""
+    ars, ring = model.ars, model.ring
+    all_roots = R.real_roots_up_to_level(ars, level_bound)
+    elements = [x for x in rings.elements(ring) if not x.is_zero()]
+    weyl = {"family": "weyl-conjugation", "instances": 0, "passed": 0, "failed": 0,
+            "counterexamples": []}
+    torus = {"family": "torus-scaling", "instances": 0, "passed": 0, "failed": 0,
+             "counterexamples": []}
+    for i in range(model.gcm.rank):
+        simple = model.simple_of_node[i]
+        s_word = P.stilde(i, rings.one(ring))
+        s_mat, s_inv = model.evaluate_word(s_word), model.evaluate_word(P.winv(s_word))
+        for beta in all_roots:
+            image = R.reflect(ars, beta, simple)
+            sign, ok = None, True
+            for u in elements:
+                conj = s_mat * model.root_element(beta, u) * s_inv
+                if sign is None:
+                    if conj == model.root_element(image, u):
+                        sign = 1
+                    elif conj == model.root_element(image, -u):
+                        sign = -1
+                    else:
+                        ok = False
+                        break
+                elif conj != model.root_element(image, u.scale(sign)):
+                    ok = False
+                    break
+            weyl["instances"] += 1
+            weyl["passed" if ok else "failed"] += 1
+            if not ok:
+                weyl["counterexamples"].append({"i": i, "beta": R.root_json(ars, beta)})
+        for r in rings.units(ring):
+            h_word = P.htilde(i, r)
+            h_mat, h_inv = model.evaluate_word(h_word), model.evaluate_word(P.winv(h_word))
+            assert h_mat.is_diagonal()
+            for beta in all_roots:
+                scale = rings.power(r, ars.finite.pairing(simple.coords, beta.coords))
+                ok = all(
+                    h_mat * model.root_element(beta, u) * h_inv
+                    == model.root_element(beta, scale * u)
+                    for u in elements
+                )
+                torus["instances"] += 1
+                torus["passed" if ok else "failed"] += 1
+                if not ok:
+                    torus["counterexamples"].append(
+                        {"i": i, "r": str(r), "beta": R.root_json(ars, beta)}
+                    )
+    return {
+        "diagram": ars.cls.label(), "ring": str(ring), "level_bound": level_bound,
+        "families": [weyl, torus],
+        "all_passed": weyl["failed"] == 0 and torus["failed"] == 0,
+    }
+
+
+@pytest.mark.parametrize("diagram,n", [("A~2", 7), ("G~2", 4)])
+def test_morita_rehmann_matches_reference_loop(diagram, n):
+    model = L.build_model(diagram, rings.integers_mod(n))
+    report = L.verify_morita_rehmann(model, 1)
+    assert report["all_passed"]
+    assert report == _reference_morita_rehmann(model, 1)
+
+
+def test_weyl_control_reports_exactly_the_patched_root(monkeypatch):
+    model = L.build_model("A~2", Z7)
+    target = R.real_roots_up_to_level(model.ars, 1)[5]
+    reflect = R.reflect
+
+    def wrong_for_target(ars, beta, simple):
+        image = reflect(ars, beta, simple)
+        if beta != target:
+            return image
+        return AffineRoot(tuple(-c for c in image.coords), -image.level)
+
+    monkeypatch.setattr(R, "reflect", wrong_for_target)
+    report = L.verify_morita_rehmann(model, 1)
+    weyl, torus = report["families"]
+    assert weyl["counterexamples"] == [
+        {"i": i, "beta": R.root_json(model.ars, target)} for i in range(model.gcm.rank)
+    ]
+    assert torus["failed"] == 0 and not report["all_passed"]
+    assert report == _reference_morita_rehmann(model, 1)
+
+
+def _binding(rel):
+    binding = dict(zip(("i", "j"), rel.nodes))
+    binding.update((name, rings.render_element(value)) for name, value in rel.params)
+    return binding
+
+
+@pytest.mark.parametrize(
+    "diagram,n,family,perturb,changed",
+    [
+        # -2 t u -> -t u: unchanged only where t u = 0, 16 of 25 on each of
+        # the two m = 4 edges
+        ("C~2", 5, "chevalley-4-orthogonal-short",
+         lambda k, f: (-1 if k == -2 else k, *f), 32),
+        ("G~2", 5, "chevalley-6-close-short", lambda k, f: (1 if k == 3 else k, *f), 16),
+        # the sign of s2-on-x, the only one-factor monomial of A~2
+        ("A~2", 5, "s2-on-x", lambda k, f: (-k if len(f) == 1 else k, *f), 36),
+    ],
+    ids=["C~2-orthogonal-short", "G~2-close-short", "A~2-s2-on-x"],
+)
+def test_negative_control_fails_only_the_perturbed_instances(
+    monkeypatch, diagram, n, family, perturb, changed
+):
+    ring = rings.integers_mod(n)
+    model = L.build_model(diagram, ring)
+    options = P.PresentationOptions(include_torus_action=True)
+    clean = P.relators_for(model.gcm, ring, options).relators
+    mono = P._ConcreteOps.mono
+    monkeypatch.setattr(P._ConcreteOps, "mono", lambda self, k, *f: mono(self, *perturb(k, f)))
+    patched = P.relators_for(model.gcm, ring, options).relators
+    assert [(r.family, r.nodes, r.params) for r in patched] == [
+        (r.family, r.nodes, r.params) for r in clean
+    ]
+    moved = [rel for rel, old in zip(patched, clean) if rel.right != old.right]
+    assert len(moved) == changed and {rel.family for rel in moved} == {family}
+    report = L.verify_presentation(model, options)
+    failing = [f for f in report["families"] if f["failed"]]
+    assert [f["family"] for f in failing] == [family]
+    assert failing[0]["failed"] == changed
+    assert failing[0]["counterexamples"] == [_binding(rel) for rel in moved]
