@@ -156,29 +156,34 @@ class ChevalleyBasis:
         on the adjoint representation with strings of at most four weights.
         So every product formed below has entries under (6 dim)^4, which is
         below 2^63 for every dim under 9,000.
+
+        Not cached: exp_matrix keeps the dense powers that commutator tables
+        reuse, and the loop model keeps only their nonzero entries mod n.
         """
-        gamma = tuple(gamma)
-        cached = self._powers_cache.get(gamma)
-        if cached is not None:
-            return cached
-        ad = np.array(self.adjoint_matrix(gamma), dtype=np.int64)
+        ad = np.array(self.adjoint_matrix(tuple(gamma)), dtype=np.int64)
+        rows, cols = np.nonzero(ad)  # about dim of the dim^2 entries
         out = [np.eye(self.dim, dtype=np.int64)]
         while True:
-            power, remainder = np.divmod(out[-1] @ ad, len(out))
+            product = np.zeros_like(ad)
+            np.add.at(product, (slice(None), cols), out[-1][:, rows] * ad[rows, cols])
+            power, remainder = np.divmod(product, len(out))
             if remainder.any():
                 raise ValueError("divided power is not integral")
             if not power.any():
                 break
             out.append(power)
-        self._powers_cache[gamma] = out
         return out
 
     # -- commutator tables via exact peeling -------------------------------
 
     def exp_matrix(self, gamma, c: int) -> np.ndarray:
         """exp(c ad e_gamma) = sum_k c^k (ad e_gamma)^k / k!, over Python ints."""
+        gamma = tuple(gamma)
+        powers = self._powers_cache.get(gamma)
+        if powers is None:
+            powers = self._powers_cache[gamma] = self.divided_powers(gamma)
         out = np.zeros((self.dim, self.dim), dtype=object)
-        for k, dk in enumerate(self.divided_powers(gamma)):
+        for k, dk in enumerate(powers):
             out += c**k * dk.astype(object)
         return out
 

@@ -5,16 +5,19 @@ A LoopMatrix is a stack of B matrices over (Z/n)[t, t^-1]: one int64 array
 of shape (B, K, dim, dim) whose slice [b, k] is the coefficient of
 t^(low + k) in the b-th matrix, with the degrees that are zero in every
 instance trimmed from both ends.  One matrix is the stack with B = 1.  The
-relators of one family and letter shape are evaluated as stacks.
+relators of one family and letter shape are evaluated as stacks.  The Weyl
+and torus actions on root groups are proved on the coefficients of u, by one
+sparse conjugation of the divided powers of every root (see
+verify_morita_rehmann).
 
-The product is the only kernel.  It splits the identity off the degree-0
-block of the right factor, B = I + N, and forms A + A N on the entries of N
-that are nonzero in some instance: root-group letters are I plus a sparse
-nilpotent part, Weyl letters are signed permutations on most of the basis.
-Each entry of a block product sums at most dim terms below n^2 and is
-reduced mod n before it is added to the accumulator, which so stays below a
-few multiples of n; the model refuses rings with dim (n - 1)^2 >= 2^63, so
-int64 is exact.  Exponentials use the integral divided powers of the
+The product is the only kernel of word evaluation.  It splits the identity
+off the degree-0 block of the right factor, B = I + N, and forms A + A N on
+the entries of N that are nonzero in some instance: root-group letters are I
+plus a sparse nilpotent part, Weyl letters are signed permutations on most of
+the basis.  Each entry of a block product sums at most dim terms below n^2
+and is reduced mod n before it is added to the accumulator, which so stays
+below a few multiples of n; the model refuses rings with dim (n - 1)^2 >=
+2^63, so int64 is exact.  Exponentials use the integral divided powers of the
 adjoint basis, so no division mod n ever happens.
 
 The root group of (beta, m) goes to exp(u t^m ad e_beta), a quotient by a
@@ -341,16 +344,28 @@ def verify_morita_rehmann(model: LoopModel, level_bound: int) -> dict:
 
     * conjugation by the evaluated stilde_i(1) sends the root group of beta to
       the root group of s_i(beta), with a sign independent of the parameter
-      (fixed by the first nonzero parameter);
+      (fixed by the first nonzero parameter, u = 1);
     * conjugation by htilde_i(r) scales the parameter by r^<alpha_i^vee, beta>.
 
-    The root elements of one root are conjugated as stacks over the nonzero
-    parameters."""
+    The checks are proved on coefficients in u.  X_beta(u) = I + sum_k u^k
+    t^(k m) D_k, so g X_beta(u) g^-1 = g g^-1 + sum_k u^k g t^(k m) D_k g^-1.
+    Once g g^-1 = I (the identity term), g t^(k m) D_k g^-1 = c^k t^(k m') D'_k
+    for every k gives g X_beta(u) g^-1 = X_image(c u) for every u, with
+    c = +1 or -1 for the Weyl check and c = r^<alpha_i^vee, beta> for the torus
+    check.  A root proven for one sign passes the per-parameter rule too:
+    were the other sign tried first and to fit at u = 1, then
+    c^k D'_k = c'^k D'_k for every k, since the D'_k of different k never
+    share a position, and the two signs agree at every u.  So a proven root
+    passes, and every root the proof leaves open, including all of them when
+    g g^-1 != I, is decided by enumerating u.  Only that enumeration reports
+    failures, so the counterexamples are exactly those of the per-parameter
+    check."""
     ars = model.ars
     ring = model.ring
     all_roots = R.real_roots_up_to_level(ars, level_bound)
     units = rings.units(ring)
-    chunks = _chunks([x for x in rings.elements(ring) if not x.is_zero()], model.dim)
+    elements = [x for x in rings.elements(ring) if not x.is_zero()]
+    signs = [rings.one(ring), -rings.one(ring)]
     weyl = {"family": "weyl-conjugation", "instances": 0, "passed": 0, "failed": 0,
             "counterexamples": []}
     torus = {"family": "torus-scaling", "instances": 0, "passed": 0, "failed": 0,
@@ -360,20 +375,10 @@ def verify_morita_rehmann(model: LoopModel, level_bound: int) -> dict:
         s_word = presentation.stilde(i, rings.one(ring))
         s_mat = model.evaluate_word(s_word)
         s_inv = model.evaluate_word(presentation.winv(s_word))
-        for beta in all_roots:
-            image = R.reflect(ars, beta, simple)
-            sign, ok = None, True
-            for values in chunks:
-                conj = s_mat * model.root_elements(beta, values) * s_inv
-                for trial in (1, -1) if sign is None else (sign,):
-                    images = model.root_elements(image, [u.scale(trial) for u in values])
-                    same = conj.equal_each(images)
-                    if same[0]:
-                        sign = trial
-                        break
-                ok = sign is not None and bool(same.all())
-                if not ok:
-                    break
+        images = [R.reflect(ars, beta, simple) for beta in all_roots]
+        proven = _proven(model, s_mat, s_inv, all_roots, images, [signs] * len(all_roots))
+        for beta, image, ok in zip(all_roots, images, proven):
+            ok = ok or _enumerated(model, s_mat, s_inv, beta, image, signs, elements)
             weyl["instances"] += 1
             weyl["passed" if ok else "failed"] += 1
             if not ok:
@@ -387,11 +392,11 @@ def verify_morita_rehmann(model: LoopModel, level_bound: int) -> dict:
                 torus["instances"] += 1
                 torus["counterexamples"].append({"i": i, "r": str(r), "reason": "not diagonal"})
                 continue
-            for beta in all_roots:
-                scale = rings.power(r, ars.finite.pairing(simple.coords, beta.coords))
-                ok = all((h_mat * model.root_elements(beta, values) * h_inv).equal_each(
-                    model.root_elements(beta, [scale * u for u in values])).all()
-                    for values in chunks)
+            scales = [[rings.power(r, ars.finite.pairing(simple.coords, beta.coords))]
+                      for beta in all_roots]
+            proven = _proven(model, h_mat, h_inv, all_roots, all_roots, scales)
+            for beta, scale, ok in zip(all_roots, scales, proven):
+                ok = ok or _enumerated(model, h_mat, h_inv, beta, beta, scale, elements)
                 torus["instances"] += 1
                 torus["passed" if ok else "failed"] += 1
                 if not ok:
@@ -405,3 +410,101 @@ def verify_morita_rehmann(model: LoopModel, level_bound: int) -> dict:
         "families": [weyl, torus],
         "all_passed": weyl["failed"] == 0 and torus["failed"] == 0,
     }
+
+
+def _proven(model: LoopModel, g: LoopMatrix, g_inv: LoopMatrix, roots, images,
+            candidates) -> np.ndarray:
+    """Per root: whether g g_inv = I and, for some c in its candidates (each
+    root has as many), g t^(k m) D_k g_inv = c^k t^(k m') D'_k for every k,
+    where D_k and D'_k are the divided powers of the root and its image."""
+    if not (g * g_inv).is_identity():
+        return np.zeros(len(roots), dtype=bool)
+    width = len(candidates[0])
+    sources = [beta for beta in roots for _ in range(width)]
+    targets = [image for image in images for _ in range(width)]
+    coeffs = [c.data for cs in candidates for c in cs]
+    holds = _conjugates_match(
+        g, g_inv, _root_entries(model, sources), _root_entries(model, targets, coeffs),
+        len(sources),
+    )
+    return holds.reshape(len(roots), width).any(axis=1)
+
+
+def _root_entries(model: LoopModel, roots, coeffs=None) -> np.ndarray:
+    """Rows (owner, k, degree, row, col, value): the nonzero entries of
+    t^(k m) D_k for every k and every root (beta, m), owner being the root's
+    position; the values are scaled by coeffs[owner]^k if coeffs is given."""
+    parts = [model._divided_powers(root.coords) for root in roots]
+    counts = [len(part[0]) for part in parts]
+    owner = np.repeat(np.arange(len(roots)), counts)
+    k, rows, cols, values = (np.concatenate(column) for column in zip(*parts))
+    if coeffs is not None:
+        powers = np.array([[pow(c, e, model.n) for e in range(int(k.max()) + 1)]
+                           for c in coeffs], dtype=np.int64)
+        values = values * powers[owner, k] % model.n
+    degree = k * np.repeat([root.level for root in roots], counts)
+    return np.stack([owner, k, degree, rows, cols, values])
+
+
+def _entries(m: LoopMatrix, axis: int) -> tuple:
+    """(degree, row, col, value) of the nonzero entries of a single matrix,
+    sorted by row (axis 0) or by column (axis 1)."""
+    k, rows, cols = np.nonzero(m.data[0])
+    values = m.data[0][k, rows, cols]
+    order = np.argsort((rows, cols)[axis], kind="stable")
+    return k[order] + m.low, rows[order], cols[order], values[order]
+
+
+def _pairs(lookup: np.ndarray, wanted: np.ndarray) -> tuple:
+    """(i, j) for every i and every j with lookup[j] == wanted[i]; lookup is sorted."""
+    lo = np.searchsorted(lookup, wanted)
+    counts = np.searchsorted(lookup, wanted, side="right") - lo
+    i = np.repeat(np.arange(len(wanted)), counts)
+    return i, np.arange(len(i)) + np.repeat(lo + counts - np.cumsum(counts), counts)
+
+
+def _conjugates_match(g: LoopMatrix, g_inv: LoopMatrix, terms: np.ndarray,
+                      targets: np.ndarray, count: int) -> np.ndarray:
+    """Whether g T g_inv = U for every owner below count and every k, where T
+    and U are the Laurent matrices sum value t^degree E_(row, col) over the
+    rows (owner, k, degree, row, col, value) of terms and of targets.
+
+    Each entry of T meets only the entries of g in its row's column and of
+    g_inv in its column's row.  Every pairwise product is reduced mod n, so
+    each summand is below n, and a position sums at most one per entry of T
+    and degree of g: far below 2^63 for every n with dim (n - 1)^2 < 2^63."""
+    n, dim = g.n, g.dim
+    owner, k, degree, row, col, value = terms
+    g_degree, g_row, g_col, g_value = _entries(g, 1)
+    i, j = _pairs(g_col, row)
+    owner, k, degree, row, col, value = (
+        owner[i], k[i], degree[i] + g_degree[j], g_row[j], col[i], value[i] * g_value[j] % n)
+    inv_degree, inv_row, inv_col, inv_value = _entries(g_inv, 0)
+    i, j = _pairs(inv_row, col)
+    conjugates = np.stack([owner[i], k[i], degree[i] + inv_degree[j], row[i], inv_col[j],
+                           value[i] * inv_value[j] % n])
+    differences = np.concatenate([conjugates, targets], axis=1)
+    differences[5, conjugates.shape[1]:] = (n - targets[5]) % n
+    owner, k, degree, row, col, value = differences
+    degree = degree - degree.min()
+    key = np.ravel_multi_index(
+        (owner, k, degree, row, col), (count, k.max() + 1, degree.max() + 1, dim, dim))
+    order = np.argsort(key)
+    key = key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    residues = np.add.reduceat(value[order], starts) % n
+    return np.bincount(owner[order][starts[residues != 0]], minlength=count) == 0
+
+
+def _enumerated(model: LoopModel, g: LoopMatrix, g_inv: LoopMatrix, beta: AffineRoot,
+                image: AffineRoot, candidates, elements) -> bool:
+    """The per-parameter check: g X_beta(u) g_inv = X_image(c u) for every u
+    in elements, with c the first candidate that fits the first u."""
+    fits = candidates
+    for u in elements:
+        conj = g * model.root_element(beta, u) * g_inv
+        # the first u keeps only the first candidate that fits it
+        fits = [c for c in fits if conj == model.root_element(image, c * u)][:1]
+        if not fits:
+            return False
+    return True

@@ -10,6 +10,7 @@ schema per family, with formal parameter names in place of ring elements.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import groupby
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -441,6 +442,19 @@ def _relator_sort_key(rel: Relator):
     )
 
 
+def _sorted_relators(rels) -> list:
+    """rels sorted by _relator_sort_key.  Words are rendered only within runs
+    that agree on family, nodes and parameters, which the families hardly
+    ever produce: rendering every word was most of the cost of the sort."""
+    rels = list(rels)
+    heads = [(_FAMILY_INDEX[r.family], r.nodes, tuple(r.render_params())) for r in rels]
+    out = []
+    for _, run in groupby(sorted(range(len(rels)), key=heads.__getitem__), heads.__getitem__):
+        run = [rels[k] for k in run]
+        out += sorted(run, key=_relator_sort_key) if len(run) > 1 else run
+    return out
+
+
 def _generators(ring, symbolic, nodes):
     gens = [S(i) for i in nodes]
     if symbolic:
@@ -470,11 +484,10 @@ def relators_for(
     symbolic = not _is_finite_ring(ring)
     include_torus = _resolve_torus_flag(a, options)
     nodes = range(a.rank)
-    rels = sorted(
+    rels = _sorted_relators(
         _family_instances(
             a, ring, symbolic, nodes, include_torus, options.include_kacmoody_torus
-        ),
-        key=_relator_sort_key,
+        )
     )
     return Presentation(a, ring, symbolic, _generators(ring, symbolic, nodes), tuple(rels), options)
 
@@ -500,7 +513,7 @@ def amalgam(
             if rel not in seen:
                 seen.add(rel)
                 rels.append(rel)
-    rels.sort(key=_relator_sort_key)
+    rels = _sorted_relators(rels)
     return Presentation(
         a, ring, symbolic, _generators(ring, symbolic, range(a.rank)), tuple(rels), options
     )

@@ -443,7 +443,9 @@ def _reference_morita_rehmann(model, level_bound):
     }
 
 
-@pytest.mark.parametrize("diagram,n", [("A~2", 7), ("G~2", 4)])
+@pytest.mark.parametrize(
+    "diagram,n", [("A~2", 7), ("G~2", 4), ("C~2", 6), ("B~3", 3), ("D~4", 2)]
+)
 def test_morita_rehmann_matches_reference_loop(diagram, n):
     model = L.build_model(diagram, rings.integers_mod(n))
     report = L.verify_morita_rehmann(model, 1)
@@ -451,16 +453,123 @@ def test_morita_rehmann_matches_reference_loop(diagram, n):
     assert report == _reference_morita_rehmann(model, 1)
 
 
-def test_weyl_control_reports_exactly_the_patched_root(monkeypatch):
+def _record_enumerations(monkeypatch) -> list:
+    """Every root left to the per-parameter check, in order."""
+    calls, enumerated = [], L._enumerated
+
+    def recorded(model, g, g_inv, beta, *rest):
+        calls.append(beta)
+        return enumerated(model, g, g_inv, beta, *rest)
+
+    monkeypatch.setattr(L, "_enumerated", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("diagram,n", [("A~2", 7), ("F~4", 2)])
+def test_correct_inputs_never_reach_the_enumeration(monkeypatch, diagram, n):
+    def unreachable(*args):
+        raise AssertionError("a correct input was left to the per-parameter check")
+
+    monkeypatch.setattr(L, "_enumerated", unreachable)
+    assert L.verify_morita_rehmann(L.build_model(diagram, rings.integers_mod(n)), 1)["all_passed"]
+
+
+def test_forced_enumeration_matches_reference_loop(monkeypatch):
+    model = L.build_model("A~2", Z7)
+    monkeypatch.setattr(L, "_proven", lambda model, g, g_inv, roots, *rest: [False] * len(roots))
+    calls = _record_enumerations(monkeypatch)
+    report = L.verify_morita_rehmann(model, 1)
+    roots = R.real_roots_up_to_level(model.ars, 1)
+    assert len(calls) == len(roots) * model.gcm.rank * (1 + len(rings.units(Z7)))
+    assert report["all_passed"]
+    assert report == _reference_morita_rehmann(model, 1)
+
+
+def test_torus_control_matches_reference_loop(monkeypatch):
+    model = L.build_model("A~2", Z7)
+    bad, power = rings.from_int(Z7, 3), rings.power
+    monkeypatch.setattr(rings, "power", lambda r, k: power(r, k + 1 if r == bad else k))
+    report = L.verify_morita_rehmann(model, 1)
+    weyl, torus = report["families"]
+    assert weyl["failed"] == 0 and torus["failed"] > 0
+    assert {c["r"] for c in torus["counterexamples"]} == {"3"}
+    assert report == _reference_morita_rehmann(model, 1)
+
+
+def test_identity_term_control_proves_no_root(monkeypatch):
+    # one extra entry in each evaluated stilde_i(1)^-1 breaks S S^-1 = I; it
+    # sits in the column of e_(-theta), which ad e_beta kills for every
+    # negative beta, so only the identity term shows it for those roots
+    model = L.build_model("A~2", Z7)
+    one = rings.one(Z7)
+    inverses = {P.winv(P.stilde(i, one)) for i in range(model.gcm.rank)}
+    evaluate = model.evaluate_word
+
+    def with_extra_entry(w):
+        m = evaluate(w)
+        if w not in inverses:
+            return m
+        assert m.low <= 0 < m.low + m.data.shape[1]
+        data = m.data.copy()
+        data[0, -m.low, -1, -1] = (data[0, -m.low, -1, -1] + 1) % m.n
+        return L.LoopMatrix(data, m.low, m.n)
+
+    monkeypatch.setattr(model, "evaluate_word", with_extra_entry)
+    calls = _record_enumerations(monkeypatch)
+    report = L.verify_morita_rehmann(model, 1)
+    roots = R.real_roots_up_to_level(model.ars, 1)
+    # every Weyl instance, and no torus instance, is left to the enumeration
+    assert calls == roots * model.gcm.rank
+    assert report["families"][0]["failed"] == len(calls)
+    assert report == _reference_morita_rehmann(model, 1)
+
+
+def test_sparse_conjugation_is_exact_at_the_int64_bound():
+    # dense g and g_inv with entries mod an n near the largest the guard
+    # accepts for dim 8: each pairwise product must be reduced mod n before
+    # the next one, and each summand before the 64 or more of one position
+    # are added.  That largest n is 2^30, where int64 wrap-around would agree
+    # mod n, so n is 2^30 - 1.
+    dim = 8
+    n = math.isqrt((2**63 - 1) // dim)
+    assert dim * (n - 1) ** 2 < 2**63 and n % 2
+    rng = np.random.default_rng(3)
+    g = L.LoopMatrix(rng.integers(0, n, (1, 2, dim, dim)), -1, n)
+    g_inv = L.LoopMatrix(rng.integers(0, n, (1, 2, dim, dim)), 0, n)
+    rows, cols = (x.ravel() for x in np.indices((dim, dim)))
+    terms, targets = [], []
+    for owner, k, degree in [(0, 1, 0), (0, 2, 1), (1, 1, -1), (1, 2, 2)]:
+        values = rng.integers(1, n, dim * dim)
+        terms += [(owner, k, degree, r, c, v) for r, c, v in zip(rows, cols, values)]
+        conjugate = {}
+        for a, left in enumerate(g.data[0].astype(object)):
+            for b, right in enumerate(g_inv.data[0].astype(object)):
+                t = np.zeros((dim, dim), dtype=object)
+                t[rows, cols] = [int(v) for v in values]
+                e = g.low + a + degree + g_inv.low + b
+                conjugate[e] = (conjugate.get(e, 0) + left.dot(t).dot(right)) % n
+        targets += [(owner, k, e, r, c, int(m[r, c]))
+                    for e, m in conjugate.items() for r, c in zip(*np.nonzero(m))]
+    terms, targets = np.array(terms, dtype=np.int64).T, np.array(targets, dtype=np.int64).T
+    assert list(L._conjugates_match(g, g_inv, terms, targets, 2)) == [True, True]
+    wrong_value, wrong_degree = targets.copy(), targets.copy()
+    last = np.flatnonzero(targets[0] == 1)[-1]
+    wrong_value[5, last] = (wrong_value[5, last] + 1) % n
+    wrong_degree[2, last] += 1
+    for wrong in (wrong_value, wrong_degree):
+        assert list(L._conjugates_match(g, g_inv, terms, wrong, 2)) == [True, False]
+
+
+def _check_weyl_control(monkeypatch, wrong):
+    """Patch reflect to send one root to wrong(its image): the Weyl check must
+    report exactly that root, at every node, as the reference loop does."""
     model = L.build_model("A~2", Z7)
     target = R.real_roots_up_to_level(model.ars, 1)[5]
     reflect = R.reflect
 
     def wrong_for_target(ars, beta, simple):
         image = reflect(ars, beta, simple)
-        if beta != target:
-            return image
-        return AffineRoot(tuple(-c for c in image.coords), -image.level)
+        return wrong(image) if beta == target else image
 
     monkeypatch.setattr(R, "reflect", wrong_for_target)
     report = L.verify_morita_rehmann(model, 1)
@@ -470,6 +579,17 @@ def test_weyl_control_reports_exactly_the_patched_root(monkeypatch):
     ]
     assert torus["failed"] == 0 and not report["all_passed"]
     assert report == _reference_morita_rehmann(model, 1)
+
+
+def test_weyl_control_reports_exactly_the_patched_root(monkeypatch):
+    _check_weyl_control(
+        monkeypatch, lambda image: AffineRoot(tuple(-c for c in image.coords), -image.level)
+    )
+
+
+def test_weyl_control_reports_exactly_the_level_shifted_root(monkeypatch):
+    # the right matrices one power of t off: only the degree tells them apart
+    _check_weyl_control(monkeypatch, lambda image: AffineRoot(image.coords, image.level + 1))
 
 
 def _binding(rel):

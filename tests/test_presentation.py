@@ -1,3 +1,6 @@
+import dataclasses
+import random
+
 import pytest
 
 from steinberg import diagrams as D
@@ -163,3 +166,14 @@ def test_symbolic_torus_words_round_trip():
     assert "X0(r^-1)" in P.render_word(torus1[0].left)
     text = P.emit(p, "native")
     assert P.parse_native(text).relators == p.relators
+
+
+@pytest.mark.parametrize("ring", [rings.integers_mod(13), rings.integers()], ids=["Z/13", "Z"])
+def test_sorted_relators_match_the_rendered_key(ring):
+    # shuffled, with copies that tie on family, nodes and parameters and
+    # differ only in their words, so the rendered words decide
+    rels = list(P.relators_for(A2, ring, P.PresentationOptions(include_torus_action=True)).relators)
+    rels += [dataclasses.replace(r, right=r.right[:-1]) for r in rels[::7]]
+    rels += [dataclasses.replace(r, left=r.right, right=r.left) for r in rels[::11]]
+    random.Random(5).shuffle(rels)
+    assert P._sorted_relators(rels) == sorted(rels, key=P._relator_sort_key)
