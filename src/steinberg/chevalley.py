@@ -161,7 +161,7 @@ class ChevalleyBasis:
         reuse, and the loop model keeps only their nonzero entries mod n.
         """
         ad = np.array(self.adjoint_matrix(tuple(gamma)), dtype=np.int64)
-        rows, cols = np.nonzero(ad)  # about dim of the dim^2 entries
+        rows, cols = np.nonzero(ad)  # about dim entries: multiply on those only
         out = [np.eye(self.dim, dtype=np.int64)]
         while True:
             product = np.zeros_like(ad)

@@ -10,8 +10,8 @@ schema per family, with formal parameter names in place of ring elements.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import groupby
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import NamedTuple
 
 from . import diagrams, rings
