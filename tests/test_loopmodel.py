@@ -541,11 +541,10 @@ def test_sparse_conjugation_is_exact_at_the_int64_bound():
     for owner, k, degree in [(0, 1, 0), (0, 2, 1), (1, 1, -1), (1, 2, 2)]:
         values = rng.integers(1, n, dim * dim)
         terms += [(owner, k, degree, r, c, v) for r, c, v in zip(rows, cols, values)]
+        t = np.array([int(v) for v in values], dtype=object).reshape(dim, dim)
         conjugate = {}
         for a, left in enumerate(g.data[0].astype(object)):
             for b, right in enumerate(g_inv.data[0].astype(object)):
-                t = np.zeros((dim, dim), dtype=object)
-                t[rows, cols] = [int(v) for v in values]
                 e = g.low + a + degree + g_inv.low + b
                 conjugate[e] = (conjugate.get(e, 0) + left.dot(t).dot(right)) % n
         targets += [(owner, k, e, r, c, int(m[r, c]))
