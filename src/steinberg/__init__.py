@@ -5,9 +5,12 @@ computes Chevalley structure constants, emits the defining relation families
 (and their rank-at-most-two amalgam) as files, replays the commutation
 arguments for the non-classical pairs symbolically, and verifies every
 relation as an exact matrix identity in a Laurent-polynomial loop model.
+
+Submodules load on first use (``steinberg.loopmodel`` imports it then), so a
+command pays at start-up only for the modules it reaches.
 """
 
-from . import chevalley, collection, diagrams, loopmodel, presentation, rings, roots
+from importlib import import_module
 
 __all__ = [
     "chevalley",
@@ -18,3 +21,9 @@ __all__ = [
     "rings",
     "roots",
 ]
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

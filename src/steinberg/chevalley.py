@@ -16,12 +16,14 @@ is a single monomial t^i u^j whose exponents its position already fixes
 from __future__ import annotations
 
 from itertools import product
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .roots import (
     FiniteRootSystem, _vec_add, _vec_scale, _vec_sub, root_combinations, string_length,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ChevalleyBasis:
@@ -160,6 +162,8 @@ class ChevalleyBasis:
         Not cached: exp_matrix keeps the dense powers that commutator tables
         reuse, and the loop model keeps only their nonzero entries mod n.
         """
+        import numpy as np
+
         ad = np.array(self.adjoint_matrix(tuple(gamma)), dtype=np.int64)
         rows, cols = np.nonzero(ad)  # about dim entries: multiply on those only
         out = [np.eye(self.dim, dtype=np.int64)]
@@ -178,6 +182,8 @@ class ChevalleyBasis:
 
     def exp_matrix(self, gamma, c: int) -> np.ndarray:
         """exp(c ad e_gamma) = sum_k c^k (ad e_gamma)^k / k!, over Python ints."""
+        import numpy as np
+
         gamma = tuple(gamma)
         powers = self._powers_cache.get(gamma)
         if powers is None:
@@ -205,6 +211,8 @@ class ChevalleyBasis:
         Z[t, u] exactly when it is at t = u = 1.  For a = b the commutator is
         the identity and the table is empty.  Opposite roots are rejected.
         """
+        import numpy as np
+
         a, b = tuple(a), tuple(b)
         if a == _vec_scale(-1, b):
             raise ValueError("commutator tables need non-opposite roots")

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from . import collection, diagrams, loopmodel, presentation, rings
+from . import collection, diagrams, presentation, rings
 from . import roots as R
 from .roots import AffineRoot
 
@@ -145,6 +145,8 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import loopmodel
+
     a = _read_diagram(args.diagram)
     ring = rings.parse_descriptor(args.ring)
     model = loopmodel.LoopModel(a, ring)

@@ -186,25 +186,21 @@ class LoopModel:
             self._powers_cache[coords] = cached
         return cached
 
-    def root_elements(self, root: AffineRoot, values) -> LoopMatrix:
-        """The stack of exp(u t^m ad e_beta) over u in values, for the real root (beta, m)."""
+    def root_element(self, root: AffineRoot, u: rings.RingElement) -> LoopMatrix:
+        """exp(u t^m ad e_beta) for the affine real root (beta, m)."""
         if root not in self.ars:
             raise ValueError(f"{root} is not a real root of {self.ars.cls}")
-        if any(u.desc != self.ring for u in values):
+        if u.desc != self.ring:
             raise ValueError("coefficient lies in the wrong ring")
         k, rows, cols, entries = self._divided_powers(root.coords)
         top, m, diag = int(k[-1]), root.level, np.arange(self.dim)
         low = min(0, top * m)
-        coeffs = np.array([[pow(u.data, e, self.n) for e in range(top + 1)] for u in values])
-        data = np.zeros((len(values), abs(top * m) + 1, self.dim, self.dim), np.int64)
-        data[:, -low, diag, diag] = 1
+        coeffs = np.array([pow(u.data, e, self.n) for e in range(top + 1)])
+        data = np.zeros((1, abs(top * m) + 1, self.dim, self.dim), np.int64)
+        data[0, -low, diag, diag] = 1
         # D_k raises weights by k beta, so no two entries share a position
-        data[:, k * m - low, rows, cols] = coeffs[:, k] * entries % self.n
+        data[0, k * m - low, rows, cols] = coeffs[k] * entries % self.n
         return _trimmed(data, low, self.n)
-
-    def root_element(self, root: AffineRoot, u: rings.RingElement) -> LoopMatrix:
-        """exp(u t^m ad e_beta) for the affine real root (beta, m)."""
-        return self.root_elements(root, [u])
 
     def _s_letter(self, i: int, c: int) -> LoopMatrix:
         """exp(c e) exp(-c f) exp(c e) built from the affine simple root of

@@ -204,3 +204,31 @@ def test_verify_over_composite_rings(capsys, diagram, ring):
     report = json.loads(out)
     assert report["all_passed"] is True
     assert all(f["instances"] == f["passed"] > 0 for f in report["families"])
+
+
+@pytest.mark.parametrize(
+    "code,argv",
+    [
+        # 2: usage errors
+        (2, "classify --diagram H9"),
+        (2, "classify --diagram not-a-label-or-file"),
+        (2, "roots --diagram A2"),
+        (2, "pairs --diagram B3"),
+        (2, "theta --diagram G2 --alpha 1,0@0 --beta 0,1@0"),
+        (2, "constants --diagram A~2"),
+        (2, "constants --diagram BC~2^odd"),
+        (2, "present --diagram A~2 --ring Q/5"),
+        (2, "amalgam --diagram A~2 --ring Z[t"),
+        (2, "verify --diagram A~2 --ring Z/1"),
+        (2, "theta --diagram A~2 --alpha x --beta 0,1@0"),
+        (2, "theta --diagram A~2 --alpha 1,0@y --beta 0,1@0"),
+        # 3: configurations the loop model does not cover
+        (3, "verify --diagram BC~2^odd --ring Z/5"),
+        (3, "verify --diagram A~2 --ring Z"),
+        (3, "verify --diagram A~1 --ring Z/3"),
+    ],
+)
+def test_error_exit_codes(capsys, code, argv):
+    got, out, err = run(capsys, *argv.split())
+    assert (got, out) == (code, "")
+    assert err.startswith("error:")

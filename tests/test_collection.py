@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -132,8 +133,38 @@ def test_replay_case6_negative_control():
     perturbed = C.override_coefficient(cfg, ("mu", "alpha+sigma"), -1)
     result = C.replay(perturbed)
     good = C.replay_case(6)
-    assert result != good
+    assert result.factors != good.factors
     assert result.factors[0][1] != good.factors[0][1]
+
+
+@pytest.mark.parametrize(
+    "cid,pair",
+    [(4, ("alpha", "2*sigma+lambda")), (8, ("sigma", "2*sigma+lambda"))],
+)
+def test_replay_negative_control(cid, pair):
+    # a sign error in one table coefficient the replay consults must show;
+    # the factors are compared, since a NormalProduct also carries its tables
+    cfg = C.case_configuration(cid)
+    good = C.replay_case(cid)
+    by_name = {cfg.nrs.name(r): r for r in cfg.nrs.roots}
+    ((_, n, _),) = cfg.nrs.tables[by_name[pair[0]], by_name[pair[1]]]
+    assert C.replay(C.override_coefficient(cfg, pair, n)).factors == good.factors
+    assert C.replay(C.override_coefficient(cfg, pair, -n)).factors != good.factors
+
+
+@pytest.mark.parametrize("cid", [1, 2, 3, 5, 7])
+def test_commuting_replays_hold_for_every_table_coefficient(cid):
+    # these verdicts follow from which pairs commute, not from any coefficient
+    # value, so no table perturbation can serve as their negative control
+    cfg = C.case_configuration(cid)
+    good = C.replay_case(cid)
+    assert good.is_empty()
+    for key, entries in cfg.nrs.tables.items():
+        for k, (g, n, ij) in enumerate(entries):
+            tables = dict(cfg.nrs.tables)
+            tables[key] = entries[:k] + ((g, n + 1, ij),) + entries[k + 1:]
+            perturbed = replace(cfg, nrs=replace(cfg.nrs, tables=tables))
+            assert C.replay(perturbed).is_empty(), (key, g)
 
 
 def test_case4_constants():

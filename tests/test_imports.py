@@ -1,0 +1,86 @@
+"""Start-up budget: which modules a command loads, each in a fresh interpreter.
+
+numpy and the loop model cost most of a cold import, so only `verify` and the
+replays that build commutator tables may load them.
+"""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import steinberg
+
+SRC = str(pathlib.Path(steinberg.__file__).resolve().parents[1])
+
+CALL = """
+import contextlib, io, json, sys
+from steinberg import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main({argv!r})
+print(json.dumps([code, "numpy" in sys.modules]))
+"""
+
+
+def _run(source: str) -> str:
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", source], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout
+
+
+def _numpy_loaded_by(argv: str) -> bool:
+    code, loaded = json.loads(_run(CALL.format(argv=argv.split())))
+    assert code == 0, argv
+    return loaded
+
+
+def test_cli_import_loads_neither_numpy_nor_the_loop_model():
+    out = _run(
+        "import sys, steinberg.cli\n"
+        "print(sorted({'numpy', 'steinberg.loopmodel'} & set(sys.modules)))"
+    )
+    assert out.split() == ["[]"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "classify --diagram A~2",
+        "names --diagram BC~3^odd",
+        "roots --diagram A~2 --level-bound 1",
+        "pairs --diagram B~2^even --level-bound 1",
+        "theta --diagram G~2 --alpha 1,0@0 --beta 0,1@0",
+        "constants --diagram E8",
+        "present --diagram A~2 --ring Z/2 --format gap",
+        "amalgam --diagram A~2 --ring Z/3 --format gap",
+        "hypotheses --diagram A~4 --fg-ring",
+        "replay --case 5",
+    ],
+)
+def test_command_runs_without_numpy(argv):
+    assert not _numpy_loaded_by(argv)
+
+
+@pytest.mark.parametrize(
+    "argv", ["verify --diagram A~2 --ring Z/2 --level-bound 0", "replay --case 1"]
+)
+def test_command_loads_numpy(argv):
+    assert _numpy_loaded_by(argv)
+
+
+def test_submodules_resolve_on_first_use():
+    out = _run(
+        "import steinberg\n"
+        "print(steinberg.loopmodel.LoopModel.__name__)\n"
+        "try:\n"
+        "    steinberg.nope\n"
+        "except AttributeError:\n"
+        "    print('AttributeError')\n"
+    )
+    assert out.split() == ["LoopModel", "AttributeError"]
