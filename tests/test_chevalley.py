@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from steinberg import chevalley as C
@@ -265,3 +267,51 @@ def test_commutator_table_rejects_opposite_roots(monkeypatch):
     monkeypatch.setattr(bs, "exp_matrix", unreachable)
     with pytest.raises(ValueError, match="non-opposite"):
         bs.commutator_table((1, 0), (-1, 0))
+
+
+# ---------------------------------------------------------------------------
+# pinned commutator tables
+
+
+PINNED_SYSTEMS = [("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3)]
+ALL_PAIRS_SHA256 = "933096b4f95391b9ba90704eb839921b873bd79abb85f8258756a1769905d3c8"
+
+# the explicit interior orders the replay configurations of cases 1-4 ask for
+DISPLAY_CALLS = [
+    ("A", 2, (0, 1), (1, 0), [(1, 1)]),
+    ("A", 2, (1, 0), (0, 1), [(1, 1)]),
+    ("B", 2, (-1, 0), (1, 1), [(0, 1), (1, 2)]),
+    ("B", 2, (1, 1), (-1, 0), [(0, 1), (1, 2)]),
+    ("B", 2, (1, 1), (0, 1), [(1, 2)]),
+    ("G", 2, (0, 1), (1, 0), [(1, 1), (2, 1), (3, 1), (3, 2)]),
+    ("G", 2, (0, 1), (3, 1), [(3, 2)]),
+    ("G", 2, (1, 0), (0, 1), [(2, 1), (1, 1), (3, 1), (3, 2)]),
+    ("G", 2, (1, 0), (1, 1), [(2, 1), (3, 1), (3, 2)]),
+    ("G", 2, (1, 0), (2, 1), [(3, 1)]),
+    ("G", 2, (1, 1), (2, 1), [(3, 2)]),
+]
+DISPLAY_SHA256 = "6f5da21715d1933f4f20acc3dd71efb4e3ed97f30dbe5eee742852ead4e4c123"
+
+
+def _table_digest(calls) -> str:
+    digest = hashlib.sha256()
+    for family, n, a, b, order in calls:
+        table = basis(family, n).commutator_table(a, b, order=order)
+        digest.update(repr((family, n, a, b, [(g, int(c), ij) for g, c, ij in table])).encode())
+    return digest.hexdigest()
+
+
+def test_commutator_tables_are_pinned():
+    # every ordered non-opposite pair, ascending interior order
+    calls = [
+        (family, n, a, b, None)
+        for family, n in PINNED_SYSTEMS
+        for a in system(family, n).roots
+        for b in system(family, n).roots
+        if a != tuple(-c for c in b)
+    ]
+    assert _table_digest(calls) == ALL_PAIRS_SHA256
+
+
+def test_display_order_tables_are_pinned():
+    assert _table_digest(DISPLAY_CALLS) == DISPLAY_SHA256
