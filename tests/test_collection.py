@@ -248,3 +248,104 @@ def test_display_orientation_rejects_unreachable_target():
     assert abs(n) == 1
     with pytest.raises(C.ConfigurationError):
         C._solve_display_orientation(ars, basis, {pair: [first, (g, 2 * n, ij)]})
+
+
+# ---------------------------------------------------------------------------
+# collect against the restart-from-0 reference
+
+
+def _collect_from_start(nrs, letters) -> tuple:
+    """Collection that rescans the word from position 0 after every rewrite:
+    the reference for `collect`, which resumes next to the rewrite."""
+    word = list(letters)
+    pos = {r: k for k, r in enumerate(nrs.roots)}
+    steps = 0
+    while True:
+        steps += 1
+        if steps > C._COLLECT_CAP:
+            raise C.ConfigurationError("collection did not terminate")
+        changed = False
+        k = 0
+        while k < len(word):
+            root, c = word[k]
+            if c.is_zero():
+                del word[k]
+                changed = True
+                break
+            if k + 1 < len(word):
+                r2, c2 = word[k + 1]
+                if r2 == root:
+                    word[k] = (root, c + c2)
+                    del word[k + 1]
+                    changed = True
+                    break
+                if pos[root] > pos[r2]:
+                    corr = nrs.commutator_word(root, c, r2, c2)
+                    word[k : k + 2] = corr + [(r2, c2), (root, c)]
+                    changed = True
+                    break
+            k += 1
+        if not changed:
+            return tuple(word)
+
+
+def _outcome(collector, nrs, letters):
+    try:
+        return collector(nrs, letters)
+    except C.ConfigurationError as exc:
+        return ("ConfigurationError", str(exc))
+
+
+def _random_words(rng, nrs, count):
+    pool = [rings.from_int(TU, k) for k in (-2, -1, 0, 1, 3)] + [T, U, -T, T * U, U * U]
+    for _ in range(count):
+        yield [(rng.choice(nrs.roots), rng.choice(pool)) for _ in range(rng.randint(2, 6))]
+
+
+def _sign_search_sets(monkeypatch, case_id) -> list:
+    """Every root set the sign search of a twisted case tries, inconsistent
+    ones included."""
+    seen = {}
+    holds = C._associativity_holds
+
+    def recorded(nrs, triples, coeffs):
+        seen.setdefault(id(nrs), nrs)
+        return holds(nrs, triples, coeffs)
+
+    monkeypatch.setattr(C, "_associativity_holds", recorded)
+    C._case_config_twisted(case_id)
+    monkeypatch.setattr(C, "_associativity_holds", holds)
+    return list(seen.values())
+
+
+CONFIGURATIONS = [(c, 1, 1) for c in C.CASE_IDS] + [(4, 1, -1), (4, -1, 1), (4, -1, -1)]
+
+
+@pytest.mark.parametrize("cid,eps,eps_prime", CONFIGURATIONS)
+def test_collect_matches_restart_reference(cid, eps, eps_prime):
+    nrs = C.case_configuration(cid, eps, eps_prime).nrs
+    rng = random.Random(f"collect:{cid}:{eps}:{eps_prime}")
+    for letters in _random_words(rng, nrs, 60):
+        assert _outcome(C.collect, nrs, letters) == _outcome(_collect_from_start, nrs, letters)
+
+
+@pytest.mark.parametrize("cid,assignments", [(5, 2), (6, 2), (7, 2), (8, 64)])
+def test_collect_matches_reference_on_every_sign_assignment(monkeypatch, cid, assignments):
+    candidates = _sign_search_sets(monkeypatch, cid)
+    assert len(candidates) == assignments
+    rng = random.Random(f"signs:{cid}")
+    for nrs in candidates:
+        for letters in _random_words(rng, nrs, 8):
+            assert _outcome(C.collect, nrs, letters) == _outcome(_collect_from_start, nrs, letters)
+
+
+def test_collect_matches_reference_under_a_small_step_cap(monkeypatch):
+    # the cap counts rewrites the same way, so both stop at the same word
+    nrs = C.case_configuration(8).nrs
+    rng = random.Random("cap")
+    words = list(_random_words(rng, nrs, 40))
+    monkeypatch.setattr(C, "_COLLECT_CAP", 6)
+    outcomes = [_outcome(C.collect, nrs, w) for w in words]
+    assert outcomes == [_outcome(_collect_from_start, nrs, w) for w in words]
+    stopped = ("ConfigurationError", "collection did not terminate")
+    assert stopped in outcomes and any(o != stopped for o in outcomes)
