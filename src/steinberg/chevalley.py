@@ -6,24 +6,24 @@ non-simple positive root gets a positive constant on its extraspecial pair,
 and every other constant follows from the Jacobi identity, antisymmetry and
 the zero-sum-triple proportionality.  Commutator tables for root-group pairs
 are then peeled off the exact commutator of exponentials in the adjoint
-representation, never taken from closed-form coefficient formulas.  The
-peeling runs on integer matrices at t = u = 1: the adjoint representation is
-graded by the root lattice, so every entry of a matrix formed along the way
-is a single monomial t^i u^j whose exponents its position already fixes
-(see `ChevalleyBasis.commutator_table`).
+representation, never taken from closed-form coefficient formulas.
+
+Everything here is exact over Python ints.  Matrices are sparse: a dict
+{(row, col): value} of the nonzero entries.  ad e_gamma has about dim of
+them and is nilpotent, so its divided powers and exponentials stay sparse.
+The peeling runs at t = u = 1: the adjoint representation is graded by the
+root lattice, so every entry of a matrix formed along the way is a single
+monomial t^i u^j whose exponents its position already fixes (see
+`ChevalleyBasis.commutator_table`).
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import TYPE_CHECKING
 
 from .roots import (
     FiniteRootSystem, _vec_add, _vec_scale, _vec_sub, root_combinations, string_length,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class ChevalleyBasis:
@@ -40,7 +40,6 @@ class ChevalleyBasis:
         self._n: dict = {}
         self._build_positive_table()
         self._complete_table()
-        self._adjoint_cache: dict = {}
         self._powers_cache: dict = {}
         self._table_cache: dict = {}
 
@@ -97,12 +96,19 @@ class ChevalleyBasis:
         return _exact_div(num, den, "non-integral structure constant")
 
     def _complete_table(self):
+        """N(x, y) for every pair of roots with x + y a root.  Each pair with
+        x positive is resolved once; N(y, x) = N(-x, -y) = -N(x, y) and
+        N(-y, -x) = N(x, y) fill in its three partners."""
         sys = self.system
         table = {}
-        for x in self.roots_order:
+        for x in self.positive_roots:
             for y in self.roots_order:
-                if _vec_add(x, y) in sys:
-                    table[(x, y)] = self._n_resolve(x, y)
+                if (x, y) in table or _vec_add(x, y) not in sys:
+                    continue
+                n = self._n_resolve(x, y)
+                neg_x, neg_y = _vec_scale(-1, x), _vec_scale(-1, y)
+                table[x, y], table[y, x] = n, -n
+                table[neg_x, neg_y], table[neg_y, neg_x] = -n, n
         self._n = table
 
     # -- queries -----------------------------------------------------------
@@ -110,6 +116,10 @@ class ChevalleyBasis:
     def n(self, x, y) -> int:
         """Structure constant N(x, y); zero when x + y is not a root."""
         return self._n.get((tuple(x), tuple(y)), 0)
+
+    def constants(self) -> list:
+        """((x, y), N(x, y)) for every pair of roots with x + y a root, sorted."""
+        return sorted(self._n.items())
 
     def coroot_vector(self, gamma) -> tuple[int, ...]:
         """Coefficients of gamma^vee in the simple coroots."""
@@ -123,75 +133,69 @@ class ChevalleyBasis:
     def pairing(self, x, y) -> int:
         return self.system.pairing(x, y)
 
-    def adjoint_matrix(self, gamma) -> tuple[tuple[int, ...], ...]:
-        """Matrix of ad e_gamma on (h_1..h_r, e_delta...); columns act on basis."""
-        gamma = tuple(gamma)
-        cached = self._adjoint_cache.get(gamma)
-        if cached is not None:
-            return cached
+    def _adjoint_entries(self, gamma) -> dict:
+        """ad e_gamma on (h_1..h_r, e_delta...) as the sparse matrix
+        {(row, col): value}; columns act on the basis."""
         sys = self.system
-        n = self.dim
-        mat = [[0] * n for _ in range(n)]
+        row = self._root_index[gamma]
+        out = {}
         for i in range(self.rank):
             # [e_gamma, h_i] = -<alpha_i^vee, gamma> e_gamma
-            mat[self._root_index[gamma]][i] = -sys.pairing(sys.simple(i), gamma)
+            c = -sys.pairing(sys.simple(i), gamma)
+            if c:
+                out[row, i] = c
+        col = self._root_index[_vec_scale(-1, gamma)]
+        for i, c in enumerate(self.coroot_vector(gamma)):
+            if c:
+                out[i, col] = c
         for delta in self.roots_order:
-            col = self._root_index[delta]
-            if delta == _vec_scale(-1, gamma):
-                for i, c in enumerate(self.coroot_vector(gamma)):
-                    mat[i][col] = c
-                continue
-            total = _vec_add(gamma, delta)
-            if total in sys:
-                mat[self._root_index[total]][col] = self._n[(gamma, delta)]
-        frozen = tuple(tuple(row) for row in mat)
-        self._adjoint_cache[gamma] = frozen
-        return frozen
-
-    def divided_powers(self, gamma) -> list[np.ndarray]:
-        """(ad e_gamma)^k / k! for k = 0.. until zero, as int64 arrays.
-
-        Each division is checked to be exact.  int64 is exact here: ad e_gamma
-        has entries of absolute value at most 6 (|N| and the Cartan pairings
-        are at most 3, coroot coefficients at most 6, reached in E8), and it
-        is nilpotent with (ad e_gamma)^4 = 0, because the sl_2 of gamma acts
-        on the adjoint representation with strings of at most four weights.
-        So every product formed below has entries under (6 dim)^4, which is
-        below 2^63 for every dim under 9,000.
-
-        Not cached: exp_matrix keeps the dense powers that commutator tables
-        reuse, and the loop model keeps only their nonzero entries mod n.
-        """
-        import numpy as np
-
-        ad = np.array(self.adjoint_matrix(tuple(gamma)), dtype=np.int64)
-        rows, cols = np.nonzero(ad)  # about dim entries: multiply on those only
-        out = [np.eye(self.dim, dtype=np.int64)]
-        while True:
-            product = np.zeros_like(ad)
-            np.add.at(product, (slice(None), cols), out[-1][:, rows] * ad[rows, cols])
-            power, remainder = np.divmod(product, len(out))
-            if remainder.any():
-                raise ValueError("divided power is not integral")
-            if not power.any():
-                break
-            out.append(power)
+            n = self._n.get((gamma, delta))
+            if n:
+                out[self._root_index[_vec_add(gamma, delta)], self._root_index[delta]] = n
         return out
+
+    def adjoint_matrix(self, gamma) -> tuple[tuple[int, ...], ...]:
+        """Matrix of ad e_gamma on (h_1..h_r, e_delta...); columns act on basis."""
+        mat = [[0] * self.dim for _ in range(self.dim)]
+        for (row, col), value in self._adjoint_entries(tuple(gamma)).items():
+            mat[row][col] = value
+        return tuple(tuple(row) for row in mat)
+
+    def divided_powers(self, gamma) -> list[dict]:
+        """(ad e_gamma)^k / k! for k = 0.. until zero, each as the sparse
+        matrix {(row, col): value} of its nonzero entries.
+
+        Each division is checked to be exact.  ad e_gamma is nilpotent with
+        (ad e_gamma)^4 = 0, because the sl_2 of gamma acts on the adjoint
+        representation with strings of at most four weights.
+
+        Not cached: exp_matrix keeps the powers that commutator tables reuse,
+        and the loop model keeps only their nonzero entries mod n.
+        """
+        ad = self._adjoint_entries(tuple(gamma))
+        out = [_identity(self.dim)]
+        while True:
+            power = {
+                key: _exact_div(value, len(out), "divided power is not integral")
+                for key, value in _matmul(out[-1], ad).items()
+            }
+            if not power:
+                return out
+            out.append(power)
 
     # -- commutator tables via exact peeling -------------------------------
 
-    def exp_matrix(self, gamma, c: int) -> np.ndarray:
-        """exp(c ad e_gamma) = sum_k c^k (ad e_gamma)^k / k!, over Python ints."""
-        import numpy as np
-
+    def exp_matrix(self, gamma, c: int) -> dict:
+        """exp(c ad e_gamma) = sum_k c^k (ad e_gamma)^k / k!, as a sparse matrix."""
         gamma = tuple(gamma)
         powers = self._powers_cache.get(gamma)
         if powers is None:
             powers = self._powers_cache[gamma] = self.divided_powers(gamma)
-        out = np.zeros((self.dim, self.dim), dtype=object)
-        for k, dk in enumerate(powers):
-            out += c**k * dk.astype(object)
-        return out
+        out = {}
+        for k, power in enumerate(powers):
+            for key, value in power.items():
+                out[key] = out.get(key, 0) + c**k * value
+        return {key: value for key, value in out.items() if value}
 
     def commutator_table(self, a, b, order=None):
         """Coefficients of [x_a(t), x_b(u)] = prod_gamma x_gamma(N t^i u^j).
@@ -211,8 +215,6 @@ class ChevalleyBasis:
         Z[t, u] exactly when it is at t = u = 1.  For a = b the commutator is
         the identity and the table is empty.  Opposite roots are rejected.
         """
-        import numpy as np
-
         a, b = tuple(a), tuple(b)
         if a == _vec_scale(-1, b):
             raise ValueError("commutator tables need non-opposite roots")
@@ -228,17 +230,16 @@ class ChevalleyBasis:
             ordered = [tuple(g) for g in order]
             if set(ordered) != set(by_root):
                 raise ValueError("order must list exactly the interior roots")
-        m = (
-            self.exp_matrix(a, 1) @ self.exp_matrix(b, 1)
-            @ self.exp_matrix(a, -1) @ self.exp_matrix(b, -1)
-        )
+        m = self.exp_matrix(a, 1)
+        for factor in (self.exp_matrix(b, 1), self.exp_matrix(a, -1), self.exp_matrix(b, -1)):
+            m = _matmul(m, factor)
         entries = []
         for gamma in ordered:
             n = self._peel_coefficient(m, gamma)
             if n:
-                m = self.exp_matrix(gamma, -n) @ m
+                m = _matmul(self.exp_matrix(gamma, -n), m)
                 entries.append((gamma, n, by_root[gamma]))
-        if not np.array_equal(m, np.eye(self.dim, dtype=np.int64)):
+        if m != _identity(self.dim):
             raise ValueError("unipotent factorization failed in the given order")
         self._table_cache[key] = entries
         return entries
@@ -249,8 +250,10 @@ class ChevalleyBasis:
         col = self._root_index[_vec_scale(-1, gamma)]
         hvec = self.coroot_vector(gamma)
         pivot = next(i for i, c in enumerate(hvec) if c)
-        coeff = _exact_div(m[pivot, col], hvec[pivot], "non-integral coefficient while peeling")
-        if any(m[i, col] != coeff * c for i, c in enumerate(hvec)):
+        coeff = _exact_div(
+            m.get((pivot, col), 0), hvec[pivot], "non-integral coefficient while peeling"
+        )
+        if any(m.get((i, col), 0) != coeff * c for i, c in enumerate(hvec)):
             raise ValueError("inconsistent Cartan component while peeling")
         return coeff
 
@@ -265,6 +268,22 @@ def _exact_div(num: int, den: int, error: str) -> int:
     if remainder:
         raise ValueError(error)
     return quotient
+
+
+def _identity(dim: int) -> dict:
+    return {(i, i): 1 for i in range(dim)}
+
+
+def _matmul(a: dict, b: dict) -> dict:
+    """The product of two sparse matrices {(row, col): value}, zeros dropped."""
+    b_rows: dict = {}
+    for (mid, col), value in b.items():
+        b_rows.setdefault(mid, []).append((col, value))
+    out: dict = {}
+    for (row, mid), value in a.items():
+        for col, other in b_rows.get(mid, ()):
+            out[row, col] = out.get((row, col), 0) + value * other
+    return {key: value for key, value in out.items() if value}
 
 
 def build_chevalley_basis(system: FiniteRootSystem) -> ChevalleyBasis:

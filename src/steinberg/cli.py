@@ -98,14 +98,8 @@ def _cmd_constants(args) -> int:
         raise ValueError("structure constants are computed for finite diagrams")
     system = R.enumerate_finite_roots(a, cls.family)
     basis = chevalley.build_chevalley_basis(system)
-    lines = []
-    for x in system.roots:
-        for y in system.roots:
-            n = basis.n(x, y)
-            if n:
-                lines.append(
-                    f"N {','.join(map(str, x))} {','.join(map(str, y))} {n}"
-                )
+    label = {r: ",".join(map(str, r)) for r in system.roots}
+    lines = [f"N {label[x]} {label[y]} {n}" for (x, y), n in basis.constants() if n]
     _emit(args, "\n".join(lines) + "\n")
     return 0
 

@@ -18,7 +18,7 @@ never receives a table entry: its relation is exactly what a replay derives.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 from . import chevalley, diagrams, rings
@@ -45,6 +45,11 @@ class NilpotentRootSet:
     tables: dict  # (x, y) -> ((root, int, (i, j)), ...)
     commuting: frozenset  # frozensets {x, y} with empty commutator
     names: dict
+
+    @cached_property
+    def positions(self) -> dict:
+        """Root -> its place in the collection order."""
+        return {r: k for k, r in enumerate(self.roots)}
 
     def order(self, root: AffineRoot) -> int:
         return self.roots.index(root)
@@ -76,37 +81,40 @@ class NilpotentRootSet:
 
 
 def collect(nrs: NilpotentRootSet, letters) -> tuple:
-    """Deterministic collection of a word to the ordered normal form."""
+    """Deterministic collection of a word to the ordered normal form.
+
+    Each step applies the first applicable rewrite: drop a zero letter, merge
+    two letters of one root, or swap an out-of-order pair with its commutator
+    correction.  A rewrite at position k leaves the letters before k alone,
+    and none of the pairs before k - 1 had one to apply, so the next scan
+    resumes at k - 1: the same rewrites as a rescan from the start, in the
+    same order and the same number of steps."""
     word = list(letters)
-    pos = {r: k for k, r in enumerate(nrs.roots)}
-    steps = 0
+    pos = nrs.positions
+    steps = k = 0
     while True:
         steps += 1
         if steps > _COLLECT_CAP:
             raise ConfigurationError("collection did not terminate")
-        changed = False
-        k = 0
         while k < len(word):
             root, c = word[k]
             if c.is_zero():
                 del word[k]
-                changed = True
                 break
             if k + 1 < len(word):
                 r2, c2 = word[k + 1]
                 if r2 == root:
                     word[k] = (root, c + c2)
                     del word[k + 1]
-                    changed = True
                     break
                 if pos[root] > pos[r2]:
                     corr = nrs.commutator_word(root, c, r2, c2)
                     word[k : k + 2] = corr + [(r2, c2), (root, c)]
-                    changed = True
                     break
             k += 1
-        if not changed:
+        else:
             return tuple(word)
+        k = max(k - 1, 0)
 
 
 def inverse_word(letters):
@@ -304,7 +312,11 @@ def _associativity_holds(nrs, triples, coeffs) -> bool:
 def _resolve_signs(ars, decomp, names, fixed_tables, unknown_slots, probe_exclude, excluded_pairs):
     """Try every sign assignment for the unknown table entries; keep those
     whose collection is associative on the probe subset.  Returns the list of
-    completed table dicts that pass (deterministic order)."""
+    completed table dicts that pass (deterministic order).
+
+    The order, closure and commuting checks of _build_nrs and the probe
+    triples depend on which pairs carry tables, not on the signs, so they run
+    once; each assignment only swaps in its own tables."""
     zint = rings.integers()
     int_coeffs = [
         tuple(rings.from_int(zint, v) for v in vals)
@@ -313,16 +325,19 @@ def _resolve_signs(ars, decomp, names, fixed_tables, unknown_slots, probe_exclud
     sym_desc = rings.polynomial_ring(rings.integers(), ("a", "b", "c"))
     sym_coeffs = tuple(rings.variable(sym_desc, v) for v in ("a", "b", "c"))
 
-    survivors = []
-    for bits in product((1, -1), repeat=len(unknown_slots)):
+    def completed(bits):
         tables = dict(fixed_tables)
-        for sign, (pair, entry) in zip(bits, unknown_slots):
-            g, mag, ij = entry
-            tables.setdefault(pair, [])
-            tables[pair] = tuple(list(tables[pair]) + [(g, sign * mag, ij)])
-        nrs = _build_nrs(ars, decomp, tables, names, excluded_pairs)
-        probe = [r for r in nrs.roots if r not in probe_exclude]
-        triples = _interesting_triples(nrs, probe)
+        for sign, (pair, (g, mag, ij)) in zip(bits, unknown_slots):
+            tables[pair] = tuple(tables.get(pair, ())) + ((g, sign * mag, ij),)
+        return tables
+
+    assignments = list(product((1, -1), repeat=len(unknown_slots)))
+    skeleton = _build_nrs(ars, decomp, completed(assignments[0]), names, excluded_pairs)
+    triples = _interesting_triples(skeleton, [r for r in skeleton.roots if r not in probe_exclude])
+    survivors = []
+    for bits in assignments:
+        tables = completed(bits)
+        nrs = replace(skeleton, tables=tables)
         if all(_associativity_holds(nrs, triples, cs) for cs in int_coeffs):
             if _associativity_holds(nrs, triples, sym_coeffs):
                 survivors.append(tables)

@@ -180,9 +180,13 @@ class LoopModel:
         """(k, rows, cols, values) of the nonzero entries of (ad e)^k / k! mod n, k >= 1."""
         cached = self._powers_cache.get(coords)
         if cached is None:
-            powers = np.stack(self.basis.divided_powers(coords)[1:]) % self.n
-            k, rows, cols = np.nonzero(powers)
-            cached = (k + 1, rows, cols, powers[k, rows, cols])
+            entries = sorted(
+                (k, row, col, value % self.n)
+                for k, power in enumerate(self.basis.divided_powers(coords)[1:], 1)
+                for (row, col), value in power.items()
+                if value % self.n
+            )
+            cached = tuple(np.array(entries, dtype=np.int64).reshape(-1, 4).T.copy())
             self._powers_cache[coords] = cached
         return cached
 

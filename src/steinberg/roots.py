@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import add, sub
 from typing import NamedTuple
 
 from . import diagrams
@@ -24,11 +25,11 @@ class AffineRoot(NamedTuple):
 
 
 def _vec_add(x, y):
-    return tuple(a + b for a, b in zip(x, y))
+    return tuple(map(add, x, y))
 
 
 def _vec_sub(x, y):
-    return tuple(a - b for a, b in zip(x, y))
+    return tuple(map(sub, x, y))
 
 
 def _vec_scale(k, x):
@@ -65,9 +66,14 @@ class FiniteRootSystem:
         )
 
     @cached_property
+    def _norms(self) -> dict[tuple[int, ...], int]:
+        """Root coords -> (x, x), so that norms of roots skip the form."""
+        return {r: self.form(r, r) for r in self.roots}
+
+    @cached_property
     def _norm_names(self) -> dict[int, str]:
         """Root norm -> length class name."""
-        norms = sorted({self.norm(r) for r in self.roots})
+        norms = sorted(set(self._norms.values()))
         if len(norms) == 1:
             names = ["long"]
         elif len(norms) == 2:
@@ -82,7 +88,7 @@ class FiniteRootSystem:
     def _length_of(self) -> dict[tuple[int, ...], str]:
         """Root coords -> length class name; also the membership table."""
         names = self._norm_names
-        return {r: names[self.norm(r)] for r in self.roots}
+        return {r: names[norm] for r, norm in self._norms.items()}
 
     def form(self, x, y) -> int:
         total = 0
@@ -94,7 +100,8 @@ class FiniteRootSystem:
         return total
 
     def norm(self, x) -> int:
-        return self.form(x, x)
+        norm = self._norms.get(tuple(x))
+        return norm if norm is not None else self.form(x, x)
 
     def pairing(self, x, y) -> int:
         """<x^vee, y> = 2 (x,y) / (x,x); always an integer for roots x."""

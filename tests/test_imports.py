@@ -1,7 +1,7 @@
 """Start-up budget: which modules a command loads, each in a fresh interpreter.
 
-numpy and the loop model cost most of a cold import, so only `verify` and the
-replays that build commutator tables may load them.
+numpy and the loop model cost most of a cold import, so only `verify` may
+load them: the Chevalley layer and the collection replays are pure Python.
 """
 
 import json
@@ -60,18 +60,27 @@ def test_cli_import_loads_neither_numpy_nor_the_loop_model():
         "present --diagram A~2 --ring Z/2 --format gap",
         "amalgam --diagram A~2 --ring Z/3 --format gap",
         "hypotheses --diagram A~4 --fg-ring",
+        "replay --case 1",
+        "replay --case 4 --eps -1 --eps-prime 1",
         "replay --case 5",
+        "replay --case 8",
     ],
 )
 def test_command_runs_without_numpy(argv):
     assert not _numpy_loaded_by(argv)
 
 
-@pytest.mark.parametrize(
-    "argv", ["verify --diagram A~2 --ring Z/2 --level-bound 0", "replay --case 1"]
-)
+@pytest.mark.parametrize("argv", ["verify --diagram A~2 --ring Z/2 --level-bound 0"])
 def test_command_loads_numpy(argv):
     assert _numpy_loaded_by(argv)
+
+
+def test_chevalley_and_collection_import_without_numpy():
+    out = _run(
+        "import sys, steinberg.chevalley, steinberg.collection\n"
+        "print(sorted({'numpy', 'steinberg.loopmodel'} & set(sys.modules)))"
+    )
+    assert out.split() == ["[]"]
 
 
 def test_submodules_resolve_on_first_use():
