@@ -215,8 +215,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theta", help="the root string (N a + N b) of a pair")
     common(p)
-    p.add_argument("--alpha", required=True, help="root as coords@level, e.g. 1,0@0")
-    p.add_argument("--beta", required=True)
+    p.add_argument("--alpha", required=True,
+                   help="root as coords@level, e.g. 1,0@0; a negative root "
+                        "needs the = form, e.g. --alpha=-1,0@0")
+    p.add_argument("--beta", required=True,
+                   help="root as coords@level; a negative root needs the = form, "
+                        "e.g. --beta=-1,0@0")
     p.set_defaults(fn=_cmd_theta)
 
     p = sub.add_parser("constants", help="structure constant table of a finite diagram")

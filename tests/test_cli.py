@@ -48,6 +48,20 @@ def test_theta(capsys):
     assert len(got) == 3
 
 
+def test_theta_negative_root_needs_equals_form(capsys):
+    code, out, _ = run(
+        capsys, "theta", "--diagram", "A~2", "--alpha", "1,1@0", "--beta=-1,0@0"
+    )
+    assert code == 0
+    got = [(r["coords"], r["level"]) for r in json.loads(out)]
+    assert got == [([-1, 0], 0), ([0, 1], 0), ([1, 1], 0)]
+    code, out, err = run(
+        capsys, "theta", "--diagram", "A~2", "--alpha", "1,1@0", "--beta", "-1,0@0"
+    )
+    assert (code, out) == (2, "")
+    assert "argument --beta: expected one argument" in err
+
+
 def test_constants(capsys):
     code, out, _ = run(capsys, "constants", "--diagram", "B2")
     assert code == 0

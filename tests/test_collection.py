@@ -167,6 +167,35 @@ def test_commuting_replays_hold_for_every_table_coefficient(cid):
             assert C.replay(perturbed).is_empty(), (key, g)
 
 
+@pytest.mark.parametrize(
+    "cid,pair,interior",
+    [
+        (1, ("beta", "delta"), "alpha"),
+        (2, ("alpha", "sigma+lambda"), "beta"),
+        (3, ("alpha", "lambda"), "beta"),
+        (5, ("alpha", "mu+lambda"), "beta"),
+        (7, ("alpha", "mu"), "beta"),
+    ],
+)
+def test_commuting_replay_negative_control(cid, pair, interior):
+    # no coefficient can break these replays, so the control perturbs the
+    # commuting set: a commuting pair the replay swaps gets a made-up
+    # single-entry table instead
+    cfg = C.case_configuration(cid)
+    assert C.verdict(C.replay(cfg)) == "COMMUTE"
+    by_name = {cfg.nrs.name(r): r for r in cfg.nrs.roots}
+    x, y = (by_name[name] for name in pair)
+    key = frozenset((x, y))
+    assert key in cfg.nrs.commuting
+    tables = dict(cfg.nrs.tables)
+    tables[x, y] = ((by_name[interior], 1, (1, 1)),)
+    # while the pair commutes its table is never consulted
+    assert C.replay(replace(cfg, nrs=replace(cfg.nrs, tables=tables))).is_empty()
+    commuting = cfg.nrs.commuting - {key}
+    perturbed = replace(cfg, nrs=replace(cfg.nrs, tables=tables, commuting=commuting))
+    assert C.replay(perturbed).factors != ()
+
+
 def test_case4_constants():
     table = {
         (1, 1): 0,
