@@ -186,16 +186,14 @@ class ChevalleyBasis:
     # -- commutator tables via exact peeling -------------------------------
 
     def exp_matrix(self, gamma, c: int) -> dict:
-        """exp(c ad e_gamma) = sum_k c^k (ad e_gamma)^k / k!, as a sparse matrix."""
+        """exp(c ad e_gamma) = sum_k c^k (ad e_gamma)^k / k! for c != 0, as a
+        sparse matrix.  The k-th power raises weights by k gamma, so no two
+        powers share a position and the sum only scales their entries."""
         gamma = tuple(gamma)
         powers = self._powers_cache.get(gamma)
         if powers is None:
             powers = self._powers_cache[gamma] = self.divided_powers(gamma)
-        out = {}
-        for k, power in enumerate(powers):
-            for key, value in power.items():
-                out[key] = out.get(key, 0) + c**k * value
-        return {key: value for key, value in out.items() if value}
+        return {key: c**k * value for k, power in enumerate(powers) for key, value in power.items()}
 
     def commutator_table(self, a, b, order=None):
         """Coefficients of [x_a(t), x_b(u)] = prod_gamma x_gamma(N t^i u^j).

@@ -99,7 +99,7 @@ def _cmd_constants(args) -> int:
     system = R.enumerate_finite_roots(a, cls.family)
     basis = chevalley.build_chevalley_basis(system)
     label = {r: ",".join(map(str, r)) for r in system.roots}
-    lines = [f"N {label[x]} {label[y]} {n}" for (x, y), n in basis.constants() if n]
+    lines = [f"N {label[x]} {label[y]} {n}" for (x, y), n in basis.constants()]
     _emit(args, "\n".join(lines) + "\n")
     return 0
 

@@ -52,7 +52,7 @@ class NilpotentRootSet:
         return {r: k for k, r in enumerate(self.roots)}
 
     def order(self, root: AffineRoot) -> int:
-        return self.roots.index(root)
+        return self.positions[root]
 
     def name(self, root: AffineRoot) -> str:
         return self.names.get(root, str(root))

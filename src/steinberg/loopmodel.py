@@ -177,15 +177,16 @@ class LoopModel:
     # -- elementary matrices ------------------------------------------------
 
     def _divided_powers(self, coords) -> tuple:
-        """(k, rows, cols, values) of the nonzero entries of (ad e)^k / k! mod n, k >= 1."""
+        """(k, rows, cols, values) of the nonzero entries of (ad e)^k / k! mod n,
+        k >= 1, in ascending k."""
         cached = self._powers_cache.get(coords)
         if cached is None:
-            entries = sorted(
+            entries = [
                 (k, row, col, value % self.n)
                 for k, power in enumerate(self.basis.divided_powers(coords)[1:], 1)
                 for (row, col), value in power.items()
                 if value % self.n
-            )
+            ]
             cached = tuple(np.array(entries, dtype=np.int64).reshape(-1, 4).T.copy())
             self._powers_cache[coords] = cached
         return cached
