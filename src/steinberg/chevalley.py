@@ -33,10 +33,14 @@ class ChevalleyBasis:
         self.system = system
         self.rank = system.rank
         positives = system.positive_roots()
+        negatives = [_vec_scale(-1, r) for r in positives]
         self.positive_roots = positives
-        self.roots_order = positives + [_vec_scale(-1, r) for r in positives]
+        self.roots_order = positives + negatives
         self.dim = self.rank + len(self.roots_order)
         self._root_index = {r: self.rank + k for k, r in enumerate(self.roots_order)}
+        # the sign and the negation of a root, read off its roots_order position
+        self._is_positive = dict.fromkeys(positives, True) | dict.fromkeys(negatives, False)
+        self._negated = dict(zip(self.roots_order, negatives + positives))
         self._n: dict = {}
         self._build_positive_table()
         self._complete_table()
@@ -54,7 +58,7 @@ class ChevalleyBasis:
                 if order_pos[a] >= order_pos[gamma]:
                     break
                 b = _vec_sub(gamma, a)
-                if b in sys and sys.positive(b) and order_pos[a] < order_pos[b]:
+                if order_pos[a] < order_pos.get(b, -1):  # b a positive root after a
                     decomps.append((a, b))
             if not decomps:
                 continue
@@ -67,32 +71,33 @@ class ChevalleyBasis:
 
     def _special_pair_constant(self, a, b, a1, b1, gamma) -> int:
         sys = self.system
-        total = 0
+        total, neg_a1 = 0, self._negated[a1]
         xi = _vec_sub(b, a1)
         if xi in sys:
-            total += self._n_resolve(b, _vec_scale(-1, a1)) * self._n_resolve(xi, a)
+            total += self._n_resolve(b, neg_a1) * self._n_resolve(xi, a)
         eta = _vec_sub(a, a1)
         if eta in sys:
-            total += self._n_resolve(_vec_scale(-1, a1), a) * self._n_resolve(eta, b)
-        denom = self._n_resolve(gamma, _vec_scale(-1, a1))
+            total += self._n_resolve(neg_a1, a) * self._n_resolve(eta, b)
+        denom = self._n_resolve(gamma, neg_a1)
         return _exact_div(-total, denom, "non-integral structure constant")
 
     def _n_resolve(self, x, y) -> int:
-        """N(x, y) for arbitrary sign patterns, reduced to the positive table."""
-        sys = self.system
-        xpos, ypos = sys.positive(x), sys.positive(y)
+        """N(x, y) for roots x, y and x + y of arbitrary signs, reduced to the
+        positive table."""
+        sys, negated = self.system, self._negated
+        xpos, ypos = self._is_positive[x], self._is_positive[y]
         if xpos and ypos:
             return self._n[(x, y)] if (x, y) in self._n else -self._n[(y, x)]
         if not xpos and not ypos:
-            return -self._n_resolve(_vec_scale(-1, x), _vec_scale(-1, y))
+            return -self._n_resolve(negated[x], negated[y])
         if not xpos:
             return -self._n_resolve(y, x)
         z = _vec_add(x, y)
         # x positive, y negative, z = x + y a root
-        if sys.positive(z):
-            num, den = -self._n_resolve(_vec_scale(-1, y), z) * sys.norm(z), sys.norm(x)
+        if self._is_positive[z]:
+            num, den = -self._n_resolve(negated[y], z) * sys.norm(z), sys.norm(x)
         else:
-            num, den = self._n_resolve(_vec_scale(-1, z), x) * sys.norm(z), sys.norm(y)
+            num, den = self._n_resolve(negated[z], x) * sys.norm(z), sys.norm(y)
         return _exact_div(num, den, "non-integral structure constant")
 
     def _complete_table(self):
@@ -106,7 +111,7 @@ class ChevalleyBasis:
                 if (x, y) in table or _vec_add(x, y) not in sys:
                     continue
                 n = self._n_resolve(x, y)
-                neg_x, neg_y = _vec_scale(-1, x), _vec_scale(-1, y)
+                neg_x, neg_y = self._negated[x], self._negated[y]
                 table[x, y], table[y, x] = n, -n
                 table[neg_x, neg_y], table[neg_y, neg_x] = -n, n
         self._n = table
@@ -144,7 +149,7 @@ class ChevalleyBasis:
             c = -sys.pairing(sys.simple(i), gamma)
             if c:
                 out[row, i] = c
-        col = self._root_index[_vec_scale(-1, gamma)]
+        col = self._root_index[self._negated[gamma]]
         for i, c in enumerate(self.coroot_vector(gamma)):
             if c:
                 out[i, col] = c
@@ -245,7 +250,7 @@ class ChevalleyBasis:
     def _peel_coefficient(self, m, gamma) -> int:
         """Coefficient of e_gamma in the leading factor, via the Cartan part
         of the image of e_{-gamma}."""
-        col = self._root_index[_vec_scale(-1, gamma)]
+        col = self._root_index[self._negated[gamma]]
         hvec = self.coroot_vector(gamma)
         pivot = next(i for i, c in enumerate(hvec) if c)
         coeff = _exact_div(

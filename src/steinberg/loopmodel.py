@@ -10,6 +10,27 @@ and torus actions on root groups are proved on the coefficients of u, by one
 sparse conjugation of the divided powers of every root (see
 verify_morita_rehmann).
 
+Relators that agree on every parameter but the last (a sub-run: one
+htilde_i(r) of a torus-action family, one t of a Chevalley family) share the
+prefix and the suffix of their words, say the conjugator htilde_i(r) and its
+inverse.  Those segments are evaluated once per sub-run, for all of its
+chunks, and only the middle columns are stacked: a word's value is
+value(prefix) * (stacked middles) * value(suffix).  Segment values come from
+a per-model cache keyed by the letter tuple.  A value missing there is
+multiplied out letter by letter, after the longest cached prefix or suffix
+of the segment if there is one.  The cache keeps a segment only if it is a
+proper prefix or suffix shared by the words of a sub-run and more than two
+of its letters had to be multiplied out.  That keeps each htilde_i(r) and
+its inverse, which recur for every j and t, in both torus-action families
+and in the torus check, and the few braids and Chevalley conjugators of
+more than two letters.  It drops the one-letter extensions htilde_i(r) S_j
+and S_j^-1 htilde_i(r)^-1: they recur in one sub-run only, so keeping them
+would save nothing and cost a dense matrix per (i, j, r), 162 more 248-dim
+values for E~8 over Z/2.  A full verify of F~4 over Z/3 keeps 28 values,
+0.6 MB.  Caching is exact: a kept value is the product of its letters by
+the same kernel, and matrix products are associative, so every relator is
+still compared as the full product of its letters.
+
 The product is the only kernel of word evaluation.  It splits the identity
 off the degree-0 block of the right factor, B = I + N, and forms A + A N on
 the entries of N that are nonzero in some instance: root-group letters are I
@@ -28,8 +49,9 @@ every presentation relation must pass.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -173,6 +195,8 @@ class LoopModel:
         self._powers_cache: dict = {}
         self._s_cache: dict = {}
         self._x_cache: dict = {}
+        self._segments: dict = {}  # letter tuple -> value, see _segment
+        self._kept_lengths: list = []  # the lengths of its keys, descending
 
     # -- elementary matrices ------------------------------------------------
 
@@ -242,20 +266,71 @@ class LoopModel:
         u = gen.param if exp > 0 else -gen.param
         return self.x_matrix(gen.node, u)
 
-    def evaluate_words(self, words) -> LoopMatrix:
-        """The stack of the values of words of one letter shape."""
-        out = identity_matrix(self.n, self.dim)
-        for column in zip(*words):
+    def shared_ends(self, words) -> tuple:
+        """(p, head, s, tail) for words of one letter shape: the longest
+        prefix they all share, p letters with value head, then the longest
+        suffix they all share in what it leaves, s letters with value tail."""
+        first, (p, s) = words[0], _shared_lengths(words)
+        head = self._segment(first[:p], p < len(first))
+        return p, head, s, self._segment(first[len(first) - s:], True)
+
+    def evaluate_words(self, words, ends: tuple) -> LoopMatrix:
+        """The stack of the values of words of one letter shape that share
+        the ends (p, head, s, tail) of shared_ends: head * (the stacked
+        middle columns) * tail."""
+        p, out, s, tail = ends
+        for column in zip(*(w[p:len(w) - s] for w in words)):
             letters = [self.letter(gen, exp) for gen, exp in column]
             same = all(x is letters[0] for x in letters)
             out = out * (letters[0] if same else stack(letters))
-        return out
+        return out * tail if s else out
 
     def evaluate_word(self, w) -> LoopMatrix:
-        return self.evaluate_words([w])
+        return self._segment(tuple(w), False)
 
-    def verify_relator(self, rel: presentation.Relator) -> bool:
-        return self.evaluate_word(rel.left) == self.evaluate_word(rel.right)
+    def _segment(self, letters: tuple, shared: bool) -> LoopMatrix:
+        """The value of a word segment, extended from its longest kept prefix
+        or suffix if it has one.  It is kept when shared (a proper prefix or
+        suffix that the words of a sub-run share) and more than two of its
+        letters had to be multiplied out; the module docstring says why."""
+        if len(letters) <= 2:
+            return self._product(letters)
+        value = self._segments.get(letters)
+        if value is not None:
+            return value
+        for k in self._kept_lengths:
+            if k >= len(letters):
+                continue
+            if (head := self._segments.get(letters[:k])) is not None:
+                value = head * self._product(letters[k:])
+                break
+            if (tail := self._segments.get(letters[-k:])) is not None:
+                value = self._product(letters[:-k]) * tail
+                break
+        else:
+            k, value = 0, self._product(letters)
+        if shared and len(letters) - k > 2:
+            self._segments[letters] = value
+            self._kept_lengths = sorted({*self._kept_lengths, len(letters)}, reverse=True)
+        return value
+
+    def _product(self, letters) -> LoopMatrix:
+        """The value of a word, multiplied out letter by letter."""
+        values = [self.letter(gen, exp) for gen, exp in letters]
+        return reduce(operator.mul, values) if values else identity_matrix(self.n, self.dim)
+
+
+def _shared_lengths(words) -> tuple:
+    """(p, s): the longest prefix every word shares, then the longest suffix
+    every word shares in what the prefix leaves."""
+    first = words[0]
+    p = 0
+    while p < len(first) and all(w[p] == first[p] for w in words):
+        p += 1
+    s = 0
+    while s < len(first) - p and all(w[-1 - s] == first[-1 - s] for w in words):
+        s += 1
+    return p, s
 
 
 def build_model(a, ring: rings.RingDescriptor) -> LoopModel:
@@ -292,16 +367,24 @@ def _group_key(rel: presentation.Relator) -> tuple:
 
 
 def verify_relators(model: LoopModel, relators) -> np.ndarray:
-    """verify_relator of every relator, in order.  A run of relators with one
-    family, nodes and letter shape is evaluated as stacks (relators_for sorts
-    by family and nodes, which fix the shape, so there a run is a group)."""
+    """Whether the two words of each relator have equal values, in order.
+    A run of relators with one family, nodes and letter shape is split into
+    sub-runs that agree on every parameter but the last.  The prefix and the
+    suffix that a sub-run's left (and right) words share are evaluated once
+    for all its chunks, its middles as stacks (relators_for sorts by family,
+    nodes and parameters, so there a run is a group, and a sub-run, say one
+    htilde_i(r) of a torus-action family, is contiguous)."""
     passed, start = np.zeros(len(relators), dtype=bool), 0
     for _, run in itertools.groupby(relators, _group_key):
-        for chunk in _chunks(list(run), model.dim):
-            left = model.evaluate_words([rel.left for rel in chunk])
-            right = model.evaluate_words([rel.right for rel in chunk])
-            passed[start:start + len(chunk)] = left.equal_each(right)
-            start += len(chunk)
+        for _, sub in itertools.groupby(run, lambda rel: rel.params[:-1]):
+            sub = list(sub)
+            left_ends = model.shared_ends([rel.left for rel in sub])
+            right_ends = model.shared_ends([rel.right for rel in sub])
+            for chunk in _chunks(sub, model.dim):
+                left = model.evaluate_words([rel.left for rel in chunk], left_ends)
+                right = model.evaluate_words([rel.right for rel in chunk], right_ends)
+                passed[start:start + len(chunk)] = left.equal_each(right)
+                start += len(chunk)
     return passed
 
 

@@ -261,20 +261,27 @@ def _family_instances(a, ring, symbolic, nodes, include_torus, include_km_torus)
 
     if include_torus:
         for i in nodes:
+            # each htilde_i(r) and its inverse are built once and shared by
+            # every instance that conjugates by them
+            conjugators = []
+            for r in r_values:
+                h = htilde(i, r)
+                conjugators.append((r, h, winv(h)))
             for j in nodes:
                 aij = a.rows[i][j]
-                for r in r_values:
-                    h = htilde(i, r)
+                sj, sj_inv = word(S(j)), word((S(j), -1))
+                for r, h, h_inv in conjugators:
                     for t in t_values:
+                        xt = word(X(j, t))
                         yield Relator(
                             "torus-action-1", (i, j), (("r", r), ("t", t)),
-                            conj(h, word(X(j, t))),
+                            h + xt + h_inv,
                             word(X(j, ops.rpow(r, aij, t))),
                         )
                         yield Relator(
                             "torus-action-2", (i, j), (("r", r), ("t", t)),
-                            conj(h, conj(word(S(j)), word(X(j, t)))),
-                            conj(word(S(j)), word(X(j, ops.rpow(r, -aij, t)))),
+                            h + sj + xt + sj_inv + h_inv,
+                            sj + word(X(j, ops.rpow(r, -aij, t))) + sj_inv,
                         )
 
     if include_km_torus:

@@ -382,9 +382,24 @@ def test_batched_verdicts_match_single_words(diagram, n):
             rels.append(bad)
         if k % 3 == 1:
             rels.append(dataclasses.replace(rel, right=rel.right[:-1]))
+    # the reference multiplies every word out letter by letter on a model of
+    # its own, so it shares no segment value with the batched path
+    reference = L.build_model(diagram, ring)
+    expected = [_plain(reference, rel.left) == _plain(reference, rel.right) for rel in rels]
     batched = L.verify_relators(model, rels)
-    assert list(batched) == [model.verify_relator(rel) for rel in rels]
+    assert list(batched) == expected
     assert batched.any() and not batched.all()
+    # reversed, the runs and sub-runs meet a cold and a warm segment cache
+    for m in (L.build_model(diagram, ring), model):
+        assert list(L.verify_relators(m, rels[::-1])) == expected[::-1]
+
+
+def _plain(model, w):
+    """The value of a word as a plain product of its letters."""
+    out = L.identity_matrix(model.n, model.dim)
+    for gen, exp in w:
+        out = out * model.letter(gen, exp)
+    return out
 
 
 def _reference_morita_rehmann(model, level_bound):
@@ -631,3 +646,56 @@ def test_negative_control_fails_only_the_perturbed_instances(
     assert [f["family"] for f in failing] == [family]
     assert failing[0]["failed"] == changed
     assert failing[0]["counterexamples"] == [_binding(rel) for rel in moved]
+
+
+def test_wrong_kept_segment_fails_exactly_the_relators_that_contain_it():
+    # the cached values are the checked values: after a passing run, one kept
+    # htilde_i(r) replaced by a wrong matrix fails every relator whose words
+    # contain that segment, and no other
+    model = L.build_model("A~2", Z7)
+    options = P.PresentationOptions(include_torus_action=True)
+    assert L.verify_presentation(model, options)["all_passed"]
+    h = P.htilde(1, rings.from_int(Z7, 3))
+    kept = model._segments[h]
+    data = kept.data.copy()
+    data[0, -kept.low, 0, 1] = (data[0, -kept.low, 0, 1] + 1) % 7
+    model._segments[h] = L.LoopMatrix(data, kept.low, kept.n)
+
+    def contains(w):
+        return any(w[k:k + len(h)] == h for k in range(len(w) - len(h) + 1))
+
+    rels = P.relators_for(model.gcm, Z7, options).relators
+    failed = [rel for rel, ok in zip(rels, L.verify_relators(model, rels)) if not ok]
+    assert failed == [rel for rel in rels if contains(rel.left) or contains(rel.right)]
+    assert {rel.family for rel in failed} == {"torus-action-1", "torus-action-2"}
+    assert len(failed) == 2 * model.gcm.rank * 7
+
+
+def test_segment_cache_keeps_only_shared_conjugators():
+    # after a full verify of F~4 over Z/3 the cache holds every htilde_i(r)
+    # and its inverse, each key is a proper shared segment of more than two
+    # letters that no shorter key reaches within two letters, and all of it
+    # is under 1 MB
+    ring = rings.integers_mod(3)
+    model = L.build_model("F~4", ring)
+    pres = P.relators_for(model.gcm, ring, P.PresentationOptions(include_torus_action=True))
+    assert L.verify_presentation(model)["all_passed"]
+    assert L.verify_morita_rehmann(model, 1)["all_passed"]
+    keys = set(model._segments)
+    for i in range(model.gcm.rank):
+        for r in rings.units(ring):
+            assert {P.htilde(i, r), P.winv(P.htilde(i, r))} <= keys
+    words = [w for rel in pres.relators for w in (rel.left, rel.right)]
+    for key in keys:
+        assert len(key) > 2
+        assert any(len(w) > len(key) and key in (w[:len(key)], w[-len(key):]) for w in words)
+        assert not any(
+            0 < len(key) - len(other) <= 2 and other in (key[:len(other)], key[-len(other):])
+            for other in keys
+        )
+    assert model._kept_lengths == sorted({len(key) for key in keys}, reverse=True)
+    arrays = [m.data for m in model._segments.values()] + [
+        part for m in model._segments.values()
+        for entry in m.__dict__.get("_nilpotent", []) for part in entry[1:]
+    ]
+    assert sum(a.nbytes for a in arrays) < 1 << 20
