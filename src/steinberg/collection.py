@@ -64,20 +64,30 @@ class NilpotentRootSet:
         if frozenset((x, y)) in self.commuting:
             return []
         if (x, y) in self.tables:
-            return [
-                (g, rings.power(cx, i) * rings.power(cy, j) * rings.from_int(cx.desc, n))
-                for g, n, (i, j) in self.tables[(x, y)]
-            ]
+            return _corrections(self.tables[(x, y)], cx, cy)
         if (y, x) in self.tables:
-            forward = [
-                (g, rings.power(cy, i) * rings.power(cx, j) * rings.from_int(cx.desc, n))
-                for g, n, (i, j) in self.tables[(y, x)]
-            ]
+            forward = _corrections(self.tables[(y, x)], cy, cx)
             return [(g, -c) for g, c in reversed(forward)]
         raise ConfigurationError(
             f"required commutator coefficient missing for pair "
             f"({self.name(x)}, {self.name(y)})"
         )
+
+
+def _corrections(table, a, b) -> list:
+    """(gamma, n a^i b^j) for each entry (gamma, n, (i, j)) of a commutator
+    table, with each power of a and of b taken once."""
+    powers_a = _powers(a, max((i for _, _, (i, _) in table), default=0))
+    powers_b = _powers(b, max((j for _, _, (_, j) in table), default=0))
+    return [(g, (powers_a[i] * powers_b[j]).scale(n)) for g, n, (i, j) in table]
+
+
+def _powers(c, top: int) -> list:
+    """[1, c, c^2, ..., c^top]."""
+    out = [rings.one(c.desc), c]
+    while len(out) <= top:
+        out.append(out[-1] * c)
+    return out
 
 
 def collect(nrs: NilpotentRootSet, letters) -> tuple:

@@ -1,45 +1,46 @@
 """Exact matrix realization of untwisted affine root groups inside the
 adjoint Chevalley group over Laurent polynomials.
 
-A LoopMatrix is a stack of B matrices over (Z/n)[t, t^-1]: one int64 array
-of shape (B, K, dim, dim) whose slice [b, k] is the coefficient of
-t^(low + k) in the b-th matrix, with the degrees that are zero in every
-instance trimmed from both ends.  One matrix is the stack with B = 1.  The
-relators of one family and letter shape are evaluated as stacks.  The Weyl
-and torus actions on root groups are proved on the coefficients of u, by one
-sparse conjugation of the divided powers of every root (see
-verify_morita_rehmann).
+A LoopMatrix is a dim x dim matrix over (Z/n)[t, t^-1], kept as the dict
+{(row, col, degree): value} of its nonzero entries: value, in 1..n-1, is the
+coefficient of t^degree at (row, col).  This is the sparse form of the
+Chevalley layer with the degree added.  It fits the letters of the relators:
+a root-group letter X_i(u) is the identity plus the few entries of the
+divided powers of ad e_beta, and a Weyl letter S_i is a signed permutation on
+most of the basis, so the products along a word stay sparse as well.
+
+The product is the only kernel of word evaluation.  It walks the entries of
+the left factor against a row index of the right factor, built once per
+value, and reduces the sums mod n when the product is done.  Entries are
+Python ints, which cannot overflow, so every product is exact for every n;
+exponentials use the integral divided powers of the adjoint basis, so no
+division mod n ever happens.  The model still refuses rings with
+dim (n - 1)^2 >= 2^63 (exit 3): verify enumerates the n^2 parameter pairs of
+its two-parameter families, so such a ring could not be checked anyway.
 
 Relators that agree on every parameter but the last (a sub-run: one
 htilde_i(r) of a torus-action family, one t of a Chevalley family) share the
 prefix and the suffix of their words, say the conjugator htilde_i(r) and its
-inverse.  Those segments are evaluated once per sub-run, for all of its
-chunks, and only the middle columns are stacked: a word's value is
-value(prefix) * (stacked middles) * value(suffix).  Segment values come from
-a per-model cache keyed by the letter tuple.  A value missing there is
-multiplied out letter by letter, after the longest cached prefix or suffix
-of the segment if there is one.  The cache keeps a segment only if it is a
-proper prefix or suffix shared by the words of a sub-run and more than two
-of its letters had to be multiplied out.  That keeps each htilde_i(r) and
-its inverse, which recur for every j and t, in both torus-action families
-and in the torus check, and the few braids and Chevalley conjugators of
-more than two letters.  It drops the one-letter extensions htilde_i(r) S_j
-and S_j^-1 htilde_i(r)^-1: they recur in one sub-run only, so keeping them
-would save nothing and cost a dense matrix per (i, j, r), 162 more 248-dim
-values for E~8 over Z/2.  A full verify of F~4 over Z/3 keeps 28 values,
-0.6 MB.  Caching is exact: a kept value is the product of its letters by
-the same kernel, and matrix products are associative, so every relator is
-still compared as the full product of its letters.
+inverse.  Those segments are evaluated once per sub-run, and each word's value
+is value(prefix) * (its middle letters) * value(suffix).  Segment values come
+from a per-model cache keyed by the letter tuple.  A value missing there is
+multiplied out letter by letter, after the longest cached prefix or suffix of
+the segment if there is one.  The cache keeps a segment only if it is a
+proper prefix or suffix shared by the words of a sub-run and more than two of
+its letters had to be multiplied out.  That keeps each htilde_i(r) and its
+inverse, which recur for every j and t, in both torus-action families and in
+the torus check, and the few braids and Chevalley conjugators of more than
+two letters.  It drops the one-letter extensions htilde_i(r) S_j and
+S_j^-1 htilde_i(r)^-1: they recur in one sub-run only, so keeping them would
+save nothing and cost a value per (i, j, r), 162 more 248-dim values for E~8
+over Z/2.  A full verify of F~4 over Z/3 keeps 28 values.  Caching is exact:
+a kept value is the product of its letters by the same kernel, and matrix
+products are associative, so every relator is still compared as the full
+product of its letters.
 
-The product is the only kernel of word evaluation.  It splits the identity
-off the degree-0 block of the right factor, B = I + N, and forms A + A N on
-the entries of N that are nonzero in some instance: root-group letters are I
-plus a sparse nilpotent part, Weyl letters are signed permutations on most of
-the basis.  Each entry of a block product sums at most dim terms below n^2
-and is reduced mod n before it is added to the accumulator, which so stays
-below a few multiples of n; the model refuses rings with dim (n - 1)^2 >=
-2^63, so int64 is exact.  Exponentials use the integral divided powers of the
-adjoint basis, so no division mod n ever happens.
+The Weyl and torus actions on root groups are proved on the coefficients of
+u, by conjugating the divided powers of every root entry by entry (see
+verify_morita_rehmann).
 
 The root group of (beta, m) goes to exp(u t^m ad e_beta), a quotient by a
 central kernel: a relation that fails in the model fails in the group, and
@@ -53,8 +54,6 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
-import numpy as np
-
 from . import chevalley, diagrams, presentation, rings
 from . import roots as R
 from .rings import UnsupportedModelError
@@ -63,99 +62,68 @@ from .roots import AffineRoot
 
 @dataclass(frozen=True, eq=False)
 class LoopMatrix:
-    """A stack of B square matrices over (Z/n)[t^(+-1)]: ``data[b, k]`` is
-    the coefficient of t^(low + k) in the b-th matrix."""
+    """A square matrix over (Z/n)[t^(+-1)]: ``entries[row, col, degree]`` is
+    the nonzero coefficient of t^degree at (row, col), reduced mod n."""
 
-    data: np.ndarray  # int64, shape (B, K, dim, dim), zero end degrees trimmed
-    low: int
+    entries: dict
     n: int
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[-1]
-
-    @property
-    def blocks(self) -> tuple:
-        """((exponent, block), ...) of the nonzero degrees; a block is (B, dim, dim) if B > 1."""
-        graded = self.data[0] if len(self.data) == 1 else self.data.swapaxes(0, 1)
-        return tuple((self.low + k, m) for k, m in enumerate(graded) if m.any())
+    dim: int
 
     @cached_property
-    def _nilpotent(self) -> list:
-        """(k, rows, values, cols, starts) per nonzero degree k of N, where
-        self = I + N with I in degree 0 (or N = self): the entries nonzero in
-        some instance, by column; cols[c] holds entries starts[c] onwards."""
-        nil, zero = self.data, -self.low
-        if 0 <= zero < nil.shape[1]:
-            nil, diag = nil.copy(), np.arange(self.dim)
-            nil[:, zero, diag, diag] = (nil[:, zero, diag, diag] - 1) % self.n
-        out = []
-        for k in range(nil.shape[1]):
-            col_of, rows = np.nonzero(nil[:, k].any(axis=0).T)
-            if len(rows):
-                cols, starts = np.unique(col_of, return_index=True)
-                out.append((k, rows, nil[:, k][..., rows, col_of][:, None, None], cols, starts))
-        return out
+    def blocks(self) -> tuple:
+        """((degree, {(row, col): value}), ...) of the nonzero degrees, ascending."""
+        graded: dict = {}
+        for (row, col, degree), value in self.entries.items():
+            graded.setdefault(degree, {})[row, col] = value
+        return tuple(sorted(graded.items(), key=operator.itemgetter(0)))
+
+    @cached_property
+    def _rows(self) -> dict:
+        """row -> [(col, degree, value), ...], the index a left factor walks."""
+        index: dict = {}
+        for (row, col, degree), value in self.entries.items():
+            index.setdefault(row, []).append((col, degree, value))
+        return index
+
+    @cached_property
+    def _cols(self) -> dict:
+        """col -> [(row, degree, value), ...]."""
+        index: dict = {}
+        for (row, col, degree), value in self.entries.items():
+            index.setdefault(col, []).append((row, degree, value))
+        return index
 
     def __mul__(self, other: "LoopMatrix") -> "LoopMatrix":
-        n, a = self.n, self.data
-        ka, kb = a.shape[1], other.data.shape[1]
-        out = np.zeros((max(len(a), len(other.data)), max(ka + kb - 1, 0)) + a.shape[2:], np.int64)
-        zero = -other.low
-        if 0 <= zero < kb:  # A (I + N) = A + A N, A landing on its own degrees
-            out[:, zero:zero + ka] = a
-        for k, rows, values, cols, starts in other._nilpotent:
-            # at most dim terms below n^2 per entry before the reduction
-            out[:, k:k + ka, :, cols] += np.add.reduceat(a[..., rows] * values, starts, axis=-1) % n
-        out %= n
-        return _trimmed(out, self.low + other.low, n)
+        rows, sums = other._rows, {}
+        for (row, mid, degree), value in self.entries.items():
+            for col, other_degree, other_value in rows.get(mid, ()):
+                key = row, col, degree + other_degree
+                sums[key] = sums.get(key, 0) + value * other_value
+        return LoopMatrix(_reduced(sums, self.n), self.n, self.dim)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LoopMatrix):
             return NotImplemented
-        key, other_key = (self.n, self.low, self.data.shape), (other.n, other.low, other.data.shape)
-        return key == other_key and np.array_equal(self.data, other.data)
+        return (self.n, self.dim) == (other.n, other.dim) and self.entries == other.entries
 
     def __hash__(self):
-        return hash((self.n, self.low, self.data.shape))
-
-    def equal_each(self, other: "LoopMatrix") -> np.ndarray:
-        """Instance-wise equality of two stacks, broadcast over B."""
-        low = min(self.low, other.low)
-        k = max(self.low + self.data.shape[1], other.low + other.data.shape[1]) - low
-        return (self._padded(low, k) == other._padded(low, k)).all(axis=(1, 2, 3))
-
-    def _padded(self, low: int, k: int) -> np.ndarray:
-        if (self.low, self.data.shape[1]) == (low, k):
-            return self.data
-        out = np.zeros((len(self.data), k) + self.data.shape[2:], np.int64)
-        out[:, self.low - low:self.low - low + self.data.shape[1]] = self.data
-        return out
+        return hash((self.n, self.dim, len(self.entries)))
 
     def is_identity(self) -> bool:
         return self == identity_matrix(self.n, self.dim)
 
     def is_diagonal(self) -> bool:
-        return all(k == 0 and not (m * (1 - np.eye(self.dim))).any() for k, m in self.blocks)
+        return all(row == col and degree == 0 for row, col, degree in self.entries)
 
 
-def _trimmed(data: np.ndarray, low: int, n: int) -> LoopMatrix:
-    nonzero = np.flatnonzero(data.any(axis=(0, 2, 3)))
-    if not len(nonzero):
-        return LoopMatrix(data[:, :0], 0, n)
-    return LoopMatrix(data[:, nonzero[0]:nonzero[-1] + 1], low + int(nonzero[0]), n)
-
-
-def stack(mats) -> LoopMatrix:
-    """One stack of the given single matrices, in order."""
-    low = min(m.low for m in mats)
-    k = max(m.low + m.data.shape[1] for m in mats) - low
-    return LoopMatrix(np.concatenate([m._padded(low, k) for m in mats]), low, mats[0].n)
+def _reduced(sums: dict, n: int) -> dict:
+    """The entries of sums reduced mod n, zeros dropped."""
+    return {key: value for key, total in sums.items() if (value := total % n)}
 
 
 @lru_cache(maxsize=None)
 def identity_matrix(n: int, dim: int) -> LoopMatrix:
-    return LoopMatrix(np.eye(dim, dtype=np.int64)[None, None], 0, n)
+    return LoopMatrix({(i, i, 0): 1 for i in range(dim)}, n, dim)
 
 
 class LoopModel:
@@ -185,10 +153,10 @@ class LoopModel:
         self.basis = chevalley.build_chevalley_basis(ars.finite)
         self.dim = self.basis.dim
         if self.dim * (self.n - 1) ** 2 >= 2**63:
-            # a block product sums dim terms below n^2 each in int64
+            # far more parameter pairs than verify could ever enumerate
             raise UnsupportedModelError(
-                f"unsupported model: {ring} is too large for exact int64 "
-                f"products of {self.dim}-dimensional matrices"
+                f"unsupported model: {ring} is too large to check with "
+                f"{self.dim}-dimensional matrices"
             )
         simples = R.simple_affine_roots(ars)
         self.simple_of_node = {i: simples[node_map[i]] for i in range(a.rank)}
@@ -201,18 +169,15 @@ class LoopModel:
     # -- elementary matrices ------------------------------------------------
 
     def _divided_powers(self, coords) -> tuple:
-        """(k, rows, cols, values) of the nonzero entries of (ad e)^k / k! mod n,
-        k >= 1, in ascending k."""
+        """((k, ((row, col, value), ...)), ...): the nonzero entries of
+        (ad e)^k / k! mod n for the k >= 1 where there are any, ascending."""
         cached = self._powers_cache.get(coords)
         if cached is None:
-            entries = [
-                (k, row, col, value % self.n)
-                for k, power in enumerate(self.basis.divided_powers(coords)[1:], 1)
-                for (row, col), value in power.items()
-                if value % self.n
-            ]
-            cached = tuple(np.array(entries, dtype=np.int64).reshape(-1, 4).T.copy())
-            self._powers_cache[coords] = cached
+            powers = enumerate(self.basis.divided_powers(coords)[1:], 1)
+            graded = ((k, tuple((row, col, value % self.n)
+                                for (row, col), value in power.items() if value % self.n))
+                      for k, power in powers)
+            cached = self._powers_cache[coords] = tuple((k, es) for k, es in graded if es)
         return cached
 
     def root_element(self, root: AffineRoot, u: rings.RingElement) -> LoopMatrix:
@@ -221,15 +186,15 @@ class LoopModel:
             raise ValueError(f"{root} is not a real root of {self.ars.cls}")
         if u.desc != self.ring:
             raise ValueError("coefficient lies in the wrong ring")
-        k, rows, cols, entries = self._divided_powers(root.coords)
-        top, m, diag = int(k[-1]), root.level, np.arange(self.dim)
-        low = min(0, top * m)
-        coeffs = np.array([pow(u.data, e, self.n) for e in range(top + 1)])
-        data = np.zeros((1, abs(top * m) + 1, self.dim, self.dim), np.int64)
-        data[0, -low, diag, diag] = 1
+        n, m = self.n, root.level
+        entries = dict(identity_matrix(n, self.dim).entries)
         # D_k raises weights by k beta, so no two entries share a position
-        data[0, k * m - low, rows, cols] = coeffs[k] * entries % self.n
-        return _trimmed(data, low, self.n)
+        for k, power in self._divided_powers(root.coords):
+            coeff = pow(u.data, k, n)
+            for row, col, value in power:
+                if value := coeff * value % n:
+                    entries[row, col, k * m] = value
+        return LoopMatrix(entries, n, self.dim)
 
     def _s_letter(self, i: int, c: int) -> LoopMatrix:
         """exp(c e) exp(-c f) exp(c e) built from the affine simple root of
@@ -274,16 +239,16 @@ class LoopModel:
         head = self._segment(first[:p], p < len(first))
         return p, head, s, self._segment(first[len(first) - s:], True)
 
-    def evaluate_words(self, words, ends: tuple) -> LoopMatrix:
-        """The stack of the values of words of one letter shape that share
-        the ends (p, head, s, tail) of shared_ends: head * (the stacked
-        middle columns) * tail."""
-        p, out, s, tail = ends
-        for column in zip(*(w[p:len(w) - s] for w in words)):
-            letters = [self.letter(gen, exp) for gen, exp in column]
-            same = all(x is letters[0] for x in letters)
-            out = out * (letters[0] if same else stack(letters))
-        return out * tail if s else out
+    def evaluate_words(self, words, ends: tuple) -> list:
+        """The values of words of one letter shape that share the ends
+        (p, head, s, tail) of shared_ends: head * (its middle letters) * tail
+        for each word."""
+        p, head, s, tail = ends
+        first, last = [head] * (p > 0), [tail] * (s > 0)
+        return [
+            self._times(first + [self.letter(gen, exp) for gen, exp in w[p:len(w) - s]] + last)
+            for w in words
+        ]
 
     def evaluate_word(self, w) -> LoopMatrix:
         return self._segment(tuple(w), False)
@@ -316,7 +281,9 @@ class LoopModel:
 
     def _product(self, letters) -> LoopMatrix:
         """The value of a word, multiplied out letter by letter."""
-        values = [self.letter(gen, exp) for gen, exp in letters]
+        return self._times([self.letter(gen, exp) for gen, exp in letters])
+
+    def _times(self, values: list) -> LoopMatrix:
         return reduce(operator.mul, values) if values else identity_matrix(self.n, self.dim)
 
 
@@ -353,38 +320,26 @@ def model_for_system(ars: R.AffineRootSystem, ring: rings.RingDescriptor) -> Loo
 # reports
 
 
-_BATCH, _STACK_ENTRIES = 16, 1 << 13  # caps on a stack's instances and entries per degree
-
-
-def _chunks(items: list, dim: int) -> list:
-    size = min(_BATCH, max(1, _STACK_ENTRIES // dim**2))
-    return [items[k:k + size] for k in range(0, len(items), size)]
-
-
 def _group_key(rel: presentation.Relator) -> tuple:
     shapes = (tuple((g.kind, g.node, e) for g, e in w) for w in (rel.left, rel.right))
     return (rel.family, rel.nodes, *shapes)
 
 
-def verify_relators(model: LoopModel, relators) -> np.ndarray:
+def verify_relators(model: LoopModel, relators) -> list:
     """Whether the two words of each relator have equal values, in order.
     A run of relators with one family, nodes and letter shape is split into
     sub-runs that agree on every parameter but the last.  The prefix and the
     suffix that a sub-run's left (and right) words share are evaluated once
-    for all its chunks, its middles as stacks (relators_for sorts by family,
-    nodes and parameters, so there a run is a group, and a sub-run, say one
-    htilde_i(r) of a torus-action family, is contiguous)."""
-    passed, start = np.zeros(len(relators), dtype=bool), 0
+    for all of its words (relators_for sorts by family, nodes and parameters,
+    so there a run is a group, and a sub-run, say one htilde_i(r) of a
+    torus-action family, is contiguous)."""
+    passed = []
     for _, run in itertools.groupby(relators, _group_key):
         for _, sub in itertools.groupby(run, lambda rel: rel.params[:-1]):
             sub = list(sub)
-            left_ends = model.shared_ends([rel.left for rel in sub])
-            right_ends = model.shared_ends([rel.right for rel in sub])
-            for chunk in _chunks(sub, model.dim):
-                left = model.evaluate_words([rel.left for rel in chunk], left_ends)
-                right = model.evaluate_words([rel.right for rel in chunk], right_ends)
-                passed[start:start + len(chunk)] = left.equal_each(right)
-                start += len(chunk)
+            sides = [[rel.left for rel in sub], [rel.right for rel in sub]]
+            left, right = (model.evaluate_words(words, model.shared_ends(words)) for words in sides)
+            passed += map(operator.eq, left, right)
     return passed
 
 
@@ -497,87 +452,44 @@ def verify_morita_rehmann(model: LoopModel, level_bound: int) -> dict:
 
 
 def _proven(model: LoopModel, g: LoopMatrix, g_inv: LoopMatrix, roots, images,
-            candidates) -> np.ndarray:
-    """Per root: whether g g_inv = I and, for some c in its candidates (each
-    root has as many), g t^(k m) D_k g_inv = c^k t^(k m') D'_k for every k,
-    where D_k and D'_k are the divided powers of the root and its image."""
+            candidates) -> list:
+    """Per root: whether g g_inv = I and, for some c in its candidates,
+    g t^(k m) D_k g_inv = c^k t^(k m') D'_k for every k, where D_k and D'_k
+    are the divided powers of the root and its image."""
     if not (g * g_inv).is_identity():
-        return np.zeros(len(roots), dtype=bool)
-    width = len(candidates[0])
-    sources = [beta for beta in roots for _ in range(width)]
-    targets = [image for image in images for _ in range(width)]
-    coeffs = [c.data for cs in candidates for c in cs]
-    holds = _conjugates_match(
-        g, g_inv, _root_entries(model, sources), _root_entries(model, targets, coeffs),
-        len(sources),
-    )
-    return holds.reshape(len(roots), width).any(axis=1)
+        return [False] * len(roots)
+    proven = []
+    for beta, image, cs in zip(roots, images, candidates):
+        terms = _graded_terms(model, beta)
+        conjugates = {k: _conjugate(g, g_inv, term) for k, term in terms.items()}
+        proven.append(any(conjugates == _graded_terms(model, image, c.data) for c in cs))
+    return proven
 
 
-def _root_entries(model: LoopModel, roots, coeffs=None) -> np.ndarray:
-    """Rows (owner, k, degree, row, col, value): the nonzero entries of
-    t^(k m) D_k for every k and every root (beta, m), owner being the root's
-    position; the values are scaled by coeffs[owner]^k if coeffs is given."""
-    parts = [model._divided_powers(root.coords) for root in roots]
-    counts = [len(part[0]) for part in parts]
-    owner = np.repeat(np.arange(len(roots)), counts)
-    k, rows, cols, values = (np.concatenate(column) for column in zip(*parts))
-    if coeffs is not None:
-        powers = np.array([[pow(c, e, model.n) for e in range(int(k.max()) + 1)]
-                           for c in coeffs], dtype=np.int64)
-        values = values * powers[owner, k] % model.n
-    degree = k * np.repeat([root.level for root in roots], counts)
-    return np.stack([owner, k, degree, rows, cols, values])
+def _graded_terms(model: LoopModel, root: AffineRoot, c: int = 1) -> dict:
+    """k -> the entries {(row, col, k m): value} of c^k t^(k m) D_k for the
+    root (beta, m), over the k where c^k D_k is nonzero mod n."""
+    n, terms = model.n, {}
+    for k, power in model._divided_powers(root.coords):
+        coeff, degree = pow(c, k, n), k * root.level
+        if term := {(row, col, degree): v for row, col, value in power if (v := coeff * value % n)}:
+            terms[k] = term
+    return terms
 
 
-def _entries(m: LoopMatrix, axis: int) -> tuple:
-    """(degree, row, col, value) of the nonzero entries of a single matrix,
-    sorted by row (axis 0) or by column (axis 1)."""
-    k, rows, cols = np.nonzero(m.data[0])
-    values = m.data[0][k, rows, cols]
-    order = np.argsort((rows, cols)[axis], kind="stable")
-    return k[order] + m.low, rows[order], cols[order], values[order]
-
-
-def _pairs(lookup: np.ndarray, wanted: np.ndarray) -> tuple:
-    """(i, j) for every i and every j with lookup[j] == wanted[i]; lookup is sorted."""
-    lo = np.searchsorted(lookup, wanted)
-    counts = np.searchsorted(lookup, wanted, side="right") - lo
-    i = np.repeat(np.arange(len(wanted)), counts)
-    return i, np.arange(len(i)) + np.repeat(lo + counts - np.cumsum(counts), counts)
-
-
-def _conjugates_match(g: LoopMatrix, g_inv: LoopMatrix, terms: np.ndarray,
-                      targets: np.ndarray, count: int) -> np.ndarray:
-    """Whether g T g_inv = U for every owner below count and every k, where T
-    and U are the Laurent matrices sum value t^degree E_(row, col) over the
-    rows (owner, k, degree, row, col, value) of terms and of targets.
-
-    Each entry of T meets only the entries of g in its row's column and of
-    g_inv in its column's row.  Every pairwise product is reduced mod n, so
-    each summand is below n, and a position sums at most one per entry of T
-    and degree of g: far below 2^63 for every n with dim (n - 1)^2 < 2^63."""
-    n, dim = g.n, g.dim
-    owner, k, degree, row, col, value = terms
-    g_degree, g_row, g_col, g_value = _entries(g, 1)
-    i, j = _pairs(g_col, row)
-    owner, k, degree, row, col, value = (
-        owner[i], k[i], degree[i] + g_degree[j], g_row[j], col[i], value[i] * g_value[j] % n)
-    inv_degree, inv_row, inv_col, inv_value = _entries(g_inv, 0)
-    i, j = _pairs(inv_row, col)
-    conjugates = np.stack([owner[i], k[i], degree[i] + inv_degree[j], row[i], inv_col[j],
-                           value[i] * inv_value[j] % n])
-    differences = np.concatenate([conjugates, targets], axis=1)
-    differences[5, conjugates.shape[1]:] = (n - targets[5]) % n
-    owner, k, degree, row, col, value = differences
-    degree = degree - degree.min()
-    key = np.ravel_multi_index(
-        (owner, k, degree, row, col), (count, k.max() + 1, degree.max() + 1, dim, dim))
-    order = np.argsort(key)
-    key = key[order]
-    starts = np.flatnonzero(np.diff(key, prepend=-1))
-    residues = np.add.reduceat(value[order], starts) % n
-    return np.bincount(owner[order][starts[residues != 0]], minlength=count) == 0
+def _conjugate(g: LoopMatrix, g_inv: LoopMatrix, term: dict) -> dict:
+    """The entries of g T g_inv for the Laurent matrix T given by its entries
+    {(row, col, degree): value}.  An entry of T meets only the entries of g in
+    its row's column and those of g_inv in its column's row."""
+    cols, rows, sums = g._cols, g_inv._rows, {}
+    for (row, col, degree), value in term.items():
+        rights = rows.get(col, ())
+        for left_row, left_degree, left_value in cols.get(row, ()):
+            shift, scale = degree + left_degree, value * left_value
+            for right_col, right_degree, right_value in rights:
+                key = left_row, right_col, shift + right_degree
+                sums[key] = sums.get(key, 0) + scale * right_value
+    return _reduced(sums, g.n)
 
 
 def _enumerated(model: LoopModel, g: LoopMatrix, g_inv: LoopMatrix, beta: AffineRoot,

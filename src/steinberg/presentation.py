@@ -163,8 +163,10 @@ class _ConcreteOps:
             out = out * f
         return out
 
-    def rpow(self, r, e: int, t):
-        return rings.power(r, e) * t
+    def rpow(self, r, e: int):
+        """t -> r^e * t, with r^e taken once."""
+        power = rings.power(r, e)
+        return lambda t: power * t
 
 
 class _FormalOps:
@@ -184,10 +186,8 @@ class _FormalOps:
             return f"-{body}" if body else "-1"
         return f"{k}*{body}" if body else str(k)
 
-    def rpow(self, r, e: int, t):
-        if e == 0:
-            return t
-        return f"{r}^{e}*{t}"
+    def rpow(self, r, e: int):
+        return lambda t: f"{r}^{e}*{t}" if e else t
 
 
 # ---------------------------------------------------------------------------
@@ -271,17 +271,18 @@ def _family_instances(a, ring, symbolic, nodes, include_torus, include_km_torus)
                 aij = a.rows[i][j]
                 sj, sj_inv = word(S(j)), word((S(j), -1))
                 for r, h, h_inv in conjugators:
+                    scaled, unscaled = ops.rpow(r, aij), ops.rpow(r, -aij)
                     for t in t_values:
                         xt = word(X(j, t))
                         yield Relator(
                             "torus-action-1", (i, j), (("r", r), ("t", t)),
                             h + xt + h_inv,
-                            word(X(j, ops.rpow(r, aij, t))),
+                            word(X(j, scaled(t))),
                         )
                         yield Relator(
                             "torus-action-2", (i, j), (("r", r), ("t", t)),
                             h + sj + xt + sj_inv + h_inv,
-                            sj + word(X(j, ops.rpow(r, -aij, t))) + sj_inv,
+                            sj + word(X(j, unscaled(t))) + sj_inv,
                         )
 
     if include_km_torus:

@@ -249,7 +249,7 @@ class RingElement:
         return self.data == _one(self.desc)
 
     def scale(self, k: int) -> "RingElement":
-        return from_int(self.desc, k) * self
+        return self if k == 1 else from_int(self.desc, k) * self
 
     def __str__(self) -> str:
         return render_element(self)

@@ -128,8 +128,9 @@ def test_verify_infinite_edge_unsupported(capsys):
 
 
 def test_verify_int64_overflow_unsupported(capsys, monkeypatch):
-    # Z/4294967311 would overflow the int64 products of the G~2 model, which
-    # must be rejected before any of its 4294967311 parameters is enumerated
+    # Z/4294967311 is past the ring-size guard of the G~2 model,
+    # 14 (n - 1)^2 >= 2^63, and must be rejected before any of its
+    # 4294967311 parameters is enumerated
     def unreachable(*args, **kwargs):
         raise AssertionError("relators enumerated for an unsupported model")
 

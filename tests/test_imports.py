@@ -1,7 +1,7 @@
 """Start-up budget: which modules a command loads, each in a fresh interpreter.
 
-numpy and the loop model cost most of a cold import, so only `verify` may
-load them: the Chevalley layer and the collection replays are pure Python.
+The package is pure Python: no command loads numpy, and only `verify` loads
+the loop model.
 """
 
 import json
@@ -64,15 +64,25 @@ def test_cli_import_loads_neither_numpy_nor_the_loop_model():
         "replay --case 4 --eps -1 --eps-prime 1",
         "replay --case 5",
         "replay --case 8",
+        "verify --diagram A~2 --ring Z/2 --level-bound 0",
     ],
 )
 def test_command_runs_without_numpy(argv):
     assert not _numpy_loaded_by(argv)
 
 
-@pytest.mark.parametrize("argv", ["verify --diagram A~2 --ring Z/2 --level-bound 0"])
-def test_command_loads_numpy(argv):
-    assert _numpy_loaded_by(argv)
+def test_verify_passes_with_numpy_blocked():
+    # None in sys.modules makes every import of numpy raise ImportError
+    out = _run(
+        "import contextlib, io, json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from steinberg import cli\n"
+        "buf = io.StringIO()\n"
+        "with contextlib.redirect_stdout(buf):\n"
+        "    code = cli.main(['verify', '--diagram', 'A~2', '--ring', 'Z/3', '--level-bound', '1'])\n"
+        "print(json.dumps([code, json.loads(buf.getvalue())['all_passed']]))\n"
+    )
+    assert json.loads(out) == [0, True]
 
 
 def test_chevalley_and_collection_import_without_numpy():

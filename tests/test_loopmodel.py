@@ -2,7 +2,6 @@ import dataclasses
 import math
 import random
 
-import numpy as np
 import pytest
 
 from steinberg import collection as C
@@ -226,8 +225,8 @@ def test_verify_family_census():
 
 
 def test_int64_guard_on_both_sides_of_the_bound():
-    # G~2 has a 14-dimensional adjoint module; a block product sums 14 terms
-    # below (n - 1)^2 each in int64
+    # G~2 has a 14-dimensional adjoint module; the guard refuses exactly the
+    # rings with 14 (n - 1)^2 >= 2^63, far too large to enumerate anyway
     largest = math.isqrt((2**63 - 1) // 14) + 1
     assert 14 * (largest - 1) ** 2 < 2**63 <= 14 * largest**2
     model = L.build_model("G~2", rings.integers_mod(largest))
@@ -298,63 +297,61 @@ def test_equality_compares_modulus_and_dimension():
     assert one == L.identity_matrix(5, 8) and hash(one) == hash(L.identity_matrix(5, 8))
 
 
-def test_root_element_stack_matches_single_elements():
+def test_root_element_support_is_truncated_by_zero_divisors():
     model = L.build_model("C~2", rings.integers_mod(4))
     beta = next(root for root in model.simple_of_node.values() if root.level)
-    values = list(rings.elements(model.ring))
-    singles = [model.root_element(beta, u) for u in values]
-    stacked = L.stack(singles)
-    for b, single in enumerate(singles):
-        assert stacked.equal_each(single).tolist() == [c == b for c in range(len(values))]
+    singles = [model.root_element(beta, u) for u in rings.elements(model.ring)]
     # 2^2 = 0 truncates the exponential, so the supports differ
     assert [tuple(k for k, _ in x.blocks) for x in singles] == [(0,), (0, 1, 2), (0, 1), (0, 1, 2)]
-    assert all(block.shape == (len(values), 10, 10) for _, block in stacked.blocks)
-    # instances whose degree ranges differ keep their own exponents in a stack
-    neg = AffineRoot(tuple(-c for c in beta.coords), -beta.level)
-    mixed = [model.root_element(neg, u) for u in values] + singles
-    for single, inst in zip(mixed, _instances(L.stack(mixed))):
-        assert [k for k, _ in inst.blocks] == [k for k, _ in single.blocks]
-        assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(inst.blocks, single.blocks))
+    for x in singles:
+        regrouped = {(r, c, k): v for k, block in x.blocks for (r, c), v in block.items()}
+        assert regrouped == x.entries and 0 not in x.entries.values()
 
 
-def _instances(stacked):
-    return [
-        L.LoopMatrix(stacked.data[b:b + 1], stacked.low, stacked.n)
-        for b in range(len(stacked.data))
-    ]
+def _random_matrix(rng, n, dim, degrees, zero_row=None):
+    """A LoopMatrix with every entry of the given degrees just below n, except
+    in zero_row."""
+    entries = {
+        (r, c, k): n - 1 - rng.randrange(1000)
+        for r in range(dim) if r != zero_row for c in range(dim) for k in degrees
+    }
+    return L.LoopMatrix(entries, n, dim)
 
 
-def _exact(m):
-    """Each instance of a stack as {exponent: matrix of Python ints}."""
-    return [
-        {m.low + k: block.astype(object) for k, block in enumerate(inst) if block.any()}
-        for inst in m.data
-    ]
+def _dense(m):
+    """{degree: m's coefficient of t^degree as a list of rows of Python ints}."""
+    return {
+        k: [[block.get((r, c), 0) for c in range(m.dim)] for r in range(m.dim)]
+        for k, block in m.blocks
+    }
+
+
+def _dense_product(x, y, n):
+    """The product of two {degree: rows} Laurent matrices mod n, zero degrees dropped."""
+    dim, out = len(next(iter(x.values()))), {}
+    for e1, p in x.items():
+        for e2, q in y.items():
+            block = out.setdefault(e1 + e2, [[0] * dim for _ in range(dim)])
+            for r in range(dim):
+                for c in range(dim):
+                    block[r][c] += sum(p[r][m] * q[m][c] for m in range(dim))
+    reduced = {e: [[v % n for v in row] for row in block] for e, block in out.items()}
+    return {e: block for e, block in reduced.items() if any(map(any, block))}
 
 
 @pytest.mark.parametrize("right_low", [-1, 0, 1])
-@pytest.mark.parametrize("left_b,right_b", [(4, 1), (1, 4), (4, 4)])
-def test_product_matches_exact_reference_at_the_int64_bound(left_b, right_b, right_low):
-    # dense entries just below the largest n the guard accepts for dim 3:
-    # every block product nearly reaches 2^63, so each must be reduced mod n
-    # before it is accumulated
+@pytest.mark.parametrize("left_k,right_k", [(4, 1), (1, 4), (4, 4)])
+def test_product_matches_exact_reference_at_the_int64_bound(left_k, right_k, right_low):
+    # left_k and right_k degrees of dense entries just below n, for the largest
+    # n the guard accepts for dim 3 and for an n above 2^63: every entry of a
+    # product sums products far above 2^63, which Python ints keep exact
     dim = 3
-    n = math.isqrt((2**63 - 1) // dim) + 1
-    rng = np.random.default_rng(right_low + 7 * left_b + 11 * right_b)
-    left = L.LoopMatrix(n - 1 - rng.integers(0, 1000, (left_b, 2, dim, dim)), -1, n)
-    data = n - 1 - rng.integers(0, 1000, (right_b, 2, dim, dim))
-    data[:, :, 1, :] = 0  # a zero row, so the support is not everything
-    right = L.LoopMatrix(data, right_low, n)
-    product = left * right
-    assert len(product.data) == max(left_b, right_b)
-    pairs = zip(_exact(left) * (right_b // left_b), _exact(right) * (left_b // right_b))
-    for got, (x, y) in zip(_exact(product), pairs):
-        expected = {}
-        for e1, p in x.items():
-            for e2, q in y.items():
-                expected[e1 + e2] = (expected.get(e1 + e2, 0) + p.dot(q)) % n
-        assert got.keys() == expected.keys()
-        assert all(np.array_equal(got[e], expected[e]) for e in got)
+    rng = random.Random(right_low + 7 * left_k + 11 * right_k)
+    for n in (math.isqrt((2**63 - 1) // dim) + 1, 2**64 + 13):
+        left = _random_matrix(rng, n, dim, range(-1, left_k - 1))
+        # a zero row, so the support is not everything
+        right = _random_matrix(rng, n, dim, range(right_low, right_low + right_k), zero_row=1)
+        assert _dense(left * right) == _dense_product(_dense(left), _dense(right), n)
 
 
 def _perturbed(rel, ring):
@@ -387,11 +384,11 @@ def test_batched_verdicts_match_single_words(diagram, n):
     reference = L.build_model(diagram, ring)
     expected = [_plain(reference, rel.left) == _plain(reference, rel.right) for rel in rels]
     batched = L.verify_relators(model, rels)
-    assert list(batched) == expected
-    assert batched.any() and not batched.all()
+    assert batched == expected
+    assert any(batched) and not all(batched)
     # reversed, the runs and sub-runs meet a cold and a warm segment cache
     for m in (L.build_model(diagram, ring), model):
-        assert list(L.verify_relators(m, rels[::-1])) == expected[::-1]
+        assert L.verify_relators(m, rels[::-1]) == expected[::-1]
 
 
 def _plain(model, w):
@@ -523,12 +520,7 @@ def test_identity_term_control_proves_no_root(monkeypatch):
 
     def with_extra_entry(w):
         m = evaluate(w)
-        if w not in inverses:
-            return m
-        assert m.low <= 0 < m.low + m.data.shape[1]
-        data = m.data.copy()
-        data[0, -m.low, -1, -1] = (data[0, -m.low, -1, -1] + 1) % m.n
-        return L.LoopMatrix(data, m.low, m.n)
+        return _bumped(m, (m.dim - 1, m.dim - 1, 0)) if w in inverses else m
 
     monkeypatch.setattr(model, "evaluate_word", with_extra_entry)
     calls = _record_enumerations(monkeypatch)
@@ -540,39 +532,40 @@ def test_identity_term_control_proves_no_root(monkeypatch):
     assert report == _reference_morita_rehmann(model, 1)
 
 
+def _bumped(m, key):
+    """m with its coefficient at key = (row, col, degree) raised by one."""
+    entries = dict(m.entries)
+    entries[key] = (entries.get(key, 0) + 1) % m.n
+    if not entries[key]:
+        del entries[key]
+    return L.LoopMatrix(entries, m.n, m.dim)
+
+
 def test_sparse_conjugation_is_exact_at_the_int64_bound():
-    # dense g and g_inv with entries mod an n near the largest the guard
-    # accepts for dim 8: each pairwise product must be reduced mod n before
-    # the next one, and each summand before the 64 or more of one position
-    # are added.  That largest n is 2^30, where int64 wrap-around would agree
-    # mod n, so n is 2^30 - 1.
+    # dense g and g_inv with entries mod the largest odd n the guard accepts
+    # for dim 8, and mod an n above 2^63: each position of g T g_inv sums 64 or
+    # more products far above 2^63, which Python ints keep exact
     dim = 8
-    n = math.isqrt((2**63 - 1) // dim)
-    assert dim * (n - 1) ** 2 < 2**63 and n % 2
-    rng = np.random.default_rng(3)
-    g = L.LoopMatrix(rng.integers(0, n, (1, 2, dim, dim)), -1, n)
-    g_inv = L.LoopMatrix(rng.integers(0, n, (1, 2, dim, dim)), 0, n)
-    rows, cols = (x.ravel() for x in np.indices((dim, dim)))
-    terms, targets = [], []
-    for owner, k, degree in [(0, 1, 0), (0, 2, 1), (1, 1, -1), (1, 2, 2)]:
-        values = rng.integers(1, n, dim * dim)
-        terms += [(owner, k, degree, r, c, v) for r, c, v in zip(rows, cols, values)]
-        t = np.array([int(v) for v in values], dtype=object).reshape(dim, dim)
-        conjugate = {}
-        for a, left in enumerate(g.data[0].astype(object)):
-            for b, right in enumerate(g_inv.data[0].astype(object)):
-                e = g.low + a + degree + g_inv.low + b
-                conjugate[e] = (conjugate.get(e, 0) + left.dot(t).dot(right)) % n
-        targets += [(owner, k, e, r, c, int(m[r, c]))
-                    for e, m in conjugate.items() for r, c in zip(*np.nonzero(m))]
-    terms, targets = np.array(terms, dtype=np.int64).T, np.array(targets, dtype=np.int64).T
-    assert list(L._conjugates_match(g, g_inv, terms, targets, 2)) == [True, True]
-    wrong_value, wrong_degree = targets.copy(), targets.copy()
-    last = np.flatnonzero(targets[0] == 1)[-1]
-    wrong_value[5, last] = (wrong_value[5, last] + 1) % n
-    wrong_degree[2, last] += 1
-    for wrong in (wrong_value, wrong_degree):
-        assert list(L._conjugates_match(g, g_inv, terms, wrong, 2)) == [True, False]
+    rng = random.Random(3)
+    for n in (math.isqrt((2**63 - 1) // dim), 2**64 + 13):
+        g = _random_matrix(rng, n, dim, (-1, 0))
+        g_inv = _random_matrix(rng, n, dim, (0, 1))
+        for degree in (0, 1, -1, 2):
+            term = {(r, c, degree): rng.randrange(1, n) for r in range(dim) for c in range(dim)}
+            t = L.LoopMatrix(term, n, dim)
+            dense = _dense_product(_dense_product(_dense(g), _dense(t), n), _dense(g_inv), n)
+            expected = {
+                (r, c, e): v
+                for e, block in dense.items()
+                for r, row in enumerate(block) for c, v in enumerate(row) if v
+            }
+            assert L._conjugate(g, g_inv, term) == expected
+            last = max(expected)
+            wrong_value = _bumped(L.LoopMatrix(expected, n, dim), last).entries
+            wrong_degree = dict(expected)
+            wrong_degree[last[:2] + (last[2] + 1,)] = wrong_degree.pop(last)
+            for wrong in (wrong_value, wrong_degree):
+                assert L._conjugate(g, g_inv, term) != wrong
 
 
 def _check_weyl_control(monkeypatch, wrong):
@@ -656,10 +649,7 @@ def test_wrong_kept_segment_fails_exactly_the_relators_that_contain_it():
     options = P.PresentationOptions(include_torus_action=True)
     assert L.verify_presentation(model, options)["all_passed"]
     h = P.htilde(1, rings.from_int(Z7, 3))
-    kept = model._segments[h]
-    data = kept.data.copy()
-    data[0, -kept.low, 0, 1] = (data[0, -kept.low, 0, 1] + 1) % 7
-    model._segments[h] = L.LoopMatrix(data, kept.low, kept.n)
+    model._segments[h] = _bumped(model._segments[h], (0, 1, 0))
 
     def contains(w):
         return any(w[k:k + len(h)] == h for k in range(len(w) - len(h) + 1))
@@ -675,7 +665,7 @@ def test_segment_cache_keeps_only_shared_conjugators():
     # after a full verify of F~4 over Z/3 the cache holds every htilde_i(r)
     # and its inverse, each key is a proper shared segment of more than two
     # letters that no shorter key reaches within two letters, and all of it
-    # is under 1 MB
+    # is a few thousand entries
     ring = rings.integers_mod(3)
     model = L.build_model("F~4", ring)
     pres = P.relators_for(model.gcm, ring, P.PresentationOptions(include_torus_action=True))
@@ -694,8 +684,10 @@ def test_segment_cache_keeps_only_shared_conjugators():
             for other in keys
         )
     assert model._kept_lengths == sorted({len(key) for key in keys}, reverse=True)
-    arrays = [m.data for m in model._segments.values()] + [
-        part for m in model._segments.values()
-        for entry in m.__dict__.get("_nilpotent", []) for part in entry[1:]
-    ]
-    assert sum(a.nbytes for a in arrays) < 1 << 20
+    # the values and the row and column indexes built for them: 2,914
+    # entries today, where 28 dense 52-dim values would hold 75,712
+    stored = sum(
+        len(m.entries) * (1 + sum(index in m.__dict__ for index in ("_rows", "_cols")))
+        for m in model._segments.values()
+    )
+    assert stored < 4096
