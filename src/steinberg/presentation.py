@@ -271,18 +271,18 @@ def _family_instances(a, ring, symbolic, nodes, include_torus, include_km_torus)
                 aij = a.rows[i][j]
                 sj, sj_inv = word(S(j)), word((S(j), -1))
                 for r, h, h_inv in conjugators:
-                    scaled, unscaled = ops.rpow(r, aij), ops.rpow(r, -aij)
+                    scale_1, scale_2 = ops.rpow(r, aij), ops.rpow(r, -aij)
                     for t in t_values:
                         xt = word(X(j, t))
                         yield Relator(
                             "torus-action-1", (i, j), (("r", r), ("t", t)),
                             h + xt + h_inv,
-                            word(X(j, scaled(t))),
+                            word(X(j, scale_1(t))),
                         )
                         yield Relator(
                             "torus-action-2", (i, j), (("r", r), ("t", t)),
                             h + sj + xt + sj_inv + h_inv,
-                            sj + word(X(j, unscaled(t))) + sj_inv,
+                            sj + word(X(j, scale_2(t))) + sj_inv,
                         )
 
     if include_km_torus:
