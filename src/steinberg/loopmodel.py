@@ -173,11 +173,13 @@ class LoopModel:
         (ad e)^k / k! mod n for the k >= 1 where there are any, ascending."""
         cached = self._powers_cache.get(coords)
         if cached is None:
-            powers = enumerate(self.basis.divided_powers(coords)[1:], 1)
-            graded = ((k, tuple((row, col, value % self.n)
-                                for (row, col), value in power.items() if value % self.n))
-                      for k, power in powers)
-            cached = self._powers_cache[coords] = tuple((k, es) for k, es in graded if es)
+            graded = []
+            for k, power in enumerate(self.basis.divided_powers(coords)[1:], 1):
+                entries = tuple((row, col, residue) for (row, col), value in power.items()
+                                if (residue := value % self.n))
+                if entries:
+                    graded.append((k, entries))
+            cached = self._powers_cache[coords] = tuple(graded)
         return cached
 
     def root_element(self, root: AffineRoot, u: rings.RingElement) -> LoopMatrix:
