@@ -39,8 +39,14 @@ products are associative, so every relator is still compared as the full
 product of its letters.
 
 The Weyl and torus actions on root groups are proved on the coefficients of
-u, by conjugating the divided powers of every root entry by entry (see
-verify_morita_rehmann).
+u, by conjugating divided powers entry by entry (see verify_morita_rehmann).
+That work grows with the finite roots, not with the affine roots up to the
+level bound.  t is central in the Laurent matrix ring, so conjugating
+t^(k m) D_k is conjugating D_k and shifting every degree by k m; the verdict
+of (beta, m) is that of (beta, 0) against the image shifted down by m.  It
+depends only on beta, the image's finite root, the image's level offset and
+the candidate scalars, and each such key is proved once per conjugator.  The
+term dicts c^k t^(k m) D_k of each (root, c mod n) are built once per model.
 
 The root group of (beta, m) goes to exp(u t^m ad e_beta), a quotient by a
 central kernel: a relation that fails in the model fails in the group, and
@@ -161,6 +167,7 @@ class LoopModel:
         simples = R.simple_affine_roots(ars)
         self.simple_of_node = {i: simples[node_map[i]] for i in range(a.rank)}
         self._powers_cache: dict = {}
+        self._terms_cache: dict = {}  # (root, c mod n) -> _graded_terms
         self._s_cache: dict = {}
         self._x_cache: dict = {}
         self._segments: dict = {}  # letter tuple -> value, see _segment
@@ -400,7 +407,12 @@ def verify_morita_rehmann(model: LoopModel, level_bound: int) -> dict:
     passes, and every root the proof leaves open, including all of them when
     g g^-1 != I, is decided by enumerating u.  Only that enumeration reports
     failures, so the counterexamples are exactly those of the per-parameter
-    check."""
+    check.
+
+    Since t is central, _proven proves each (beta, image root, level offset,
+    candidates) once, at level 0, for every level: raising level_bound adds
+    no conjugation, and a root whose image is wrong or off by a power of t
+    has a key of its own and is still decided alone."""
     ars = model.ars
     ring = model.ring
     all_roots = R.real_roots_up_to_level(ars, level_bound)
@@ -457,25 +469,39 @@ def _proven(model: LoopModel, g: LoopMatrix, g_inv: LoopMatrix, roots, images,
             candidates) -> list:
     """Per root: whether g g_inv = I and, for some c in its candidates,
     g t^(k m) D_k g_inv = c^k t^(k m') D'_k for every k, where D_k and D'_k
-    are the divided powers of the root and its image."""
+    are the divided powers of the root (beta, m) and its image (beta', m').
+    t is central, so the left side is t^(k m) g D_k g_inv, and the relation
+    holds exactly when g D_k g_inv = c^k t^(k delta) D'_k, delta = m' - m.
+    That depends only on (beta, beta', delta, the candidates), so each such
+    key is proved once, at level 0, and its verdict holds for every root
+    with that key."""
     if not (g * g_inv).is_identity():
         return [False] * len(roots)
-    proven = []
+    verdicts, proven = {}, []
     for beta, image, cs in zip(roots, images, candidates):
-        terms = _graded_terms(model, beta)
-        conjugates = {k: _conjugate(g, g_inv, term) for k, term in terms.items()}
-        proven.append(any(conjugates == _graded_terms(model, image, c.data) for c in cs))
+        delta = image.level - beta.level
+        key = beta.coords, image.coords, delta, tuple(c.data for c in cs)
+        if key not in verdicts:
+            terms = _graded_terms(model, AffineRoot(beta.coords, 0))
+            conjugates = {k: _conjugate(g, g_inv, term) for k, term in terms.items()}
+            target = AffineRoot(image.coords, delta)
+            verdicts[key] = any(conjugates == _graded_terms(model, target, c.data) for c in cs)
+        proven.append(verdicts[key])
     return proven
 
 
 def _graded_terms(model: LoopModel, root: AffineRoot, c: int = 1) -> dict:
     """k -> the entries {(row, col, k m): value} of c^k t^(k m) D_k for the
-    root (beta, m), over the k where c^k D_k is nonzero mod n."""
-    n, terms = model.n, {}
-    for k, power in model._divided_powers(root.coords):
-        coeff, degree = pow(c, k, n), k * root.level
-        if term := {(row, col, degree): v for row, col, value in power if (v := coeff * value % n)}:
-            terms[k] = term
+    root (beta, m), over the k where c^k D_k is nonzero mod n.  Built once
+    per (root, c mod n) and kept on the model, so callers must not change it."""
+    n, key = model.n, (root, c % model.n)
+    terms = model._terms_cache.get(key)
+    if terms is None:
+        terms = model._terms_cache[key] = {}
+        for k, power in model._divided_powers(root.coords):
+            coeff, degree = pow(c, k, n), k * root.level
+            if term := {(row, col, degree): v for row, col, value in power if (v := coeff * value % n)}:
+                terms[k] = term
     return terms
 
 

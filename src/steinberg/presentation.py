@@ -74,7 +74,8 @@ def _inverse_param(u):
             return rings.inverse(u)
         except ValueError:
             raise ValueError("stilde is undefined for a non-unit parameter") from None
-    return "-1" if u == "-1" else f"{u}^-1"
+    # a product of units is inverted factor by factor: (u*v)^-1 = u^-1*v^-1
+    return "-1" if u == "-1" else "*".join(f"{f}^-1" for f in u.split("*"))
 
 
 def _minus_one_like(u):

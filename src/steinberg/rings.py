@@ -406,9 +406,24 @@ def _monomial_str(names: tuple[str, ...], exps) -> str:
 
 
 def render_element(a: RingElement) -> str:
+    if a.desc.kind in ("Z", "Zmod", "GF"):
+        return str(a.data)
+    out = []
+    for negative, body in _signed_terms(a):
+        if not out:
+            out.append(("-" if negative else "") + body)
+        else:
+            out.append(("- " if negative else "+ ") + body)
+    return " ".join(out) if out else "0"
+
+
+def _signed_terms(a: RingElement) -> list:
+    """[(negative, unsigned product), ...]: the terms of a in expanded form,
+    so that a coefficient from a polynomial base ring is multiplied out, as
+    in t*r + r for (t + 1) r in Z[t][r^+-1]."""
     desc = a.desc
     if desc.kind in ("Z", "Zmod", "GF"):
-        return str(a.data)
+        return [(a.data < 0, str(abs(a.data)))] if a.data else []
     base = desc.params[0]
     if desc.kind == "poly":
         names = desc.params[1]
@@ -418,23 +433,14 @@ def render_element(a: RingElement) -> str:
         name = desc.params[1]
         terms = sorted(a.data, key=lambda kv: kv[0], reverse=True)
         key = lambda e: "" if e == 0 else (name if e == 1 else f"{name}^{e}")
-    if not terms:
-        return "0"
     out = []
     for mono, coeff in terms:
-        cstr = render_element(RingElement(base, coeff))
         mstr = key(mono)
-        negative = cstr.startswith("-")
-        body = cstr[1:] if negative else cstr
-        if mstr:
-            piece = mstr if body == "1" else f"{body}*{mstr}"
-        else:
-            piece = body
-        if not out:
-            out.append(("-" if negative else "") + piece)
-        else:
-            out.append(("- " if negative else "+ ") + piece)
-    return " ".join(out)
+        for negative, body in _signed_terms(RingElement(base, coeff)):
+            if mstr:
+                body = mstr if body == "1" else f"{body}*{mstr}"
+            out.append((negative, body))
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -481,6 +487,7 @@ def _parse_term(desc: RingDescriptor, sign: int, term: str) -> RingElement:
         names = (desc.params[1],)
     coeff = 1
     exps = {name: 0 for name in names}
+    inner = []  # factors in the variables of a polynomial or Laurent base
     for factor in term.split("*"):
         if not factor:
             raise ValueError(f"bad term {term!r}")
@@ -493,11 +500,17 @@ def _parse_term(desc: RingDescriptor, sign: int, term: str) -> RingElement:
         else:
             var, e = factor, 1
         if var not in exps:
+            if base.kind in ("poly", "laurent"):
+                inner.append(factor)
+                continue
             raise ValueError(f"unknown variable {var!r} for {desc}")
         if e < 0 and desc.kind != "laurent":
             raise ValueError("negative exponents only in Laurent rings")
         exps[var] += e
-    cdata = _from_int(base, sign * coeff)
+    if inner:
+        cdata = _parse_term(base, sign * coeff, "*".join(inner)).data
+    else:
+        cdata = _from_int(base, sign * coeff)
     if _data_is_zero(base, cdata):
         return zero(desc)
     if desc.kind == "poly":

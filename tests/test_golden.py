@@ -37,6 +37,7 @@ CORPUS = [
     "present --diagram A~2 --ring Z/2 --format native",
     "present --diagram C~2 --ring Z/2 --format gap",
     "present --diagram G~2 --ring Z[t,u] --format json",
+    "present --diagram A~2 --ring Z --km-torus --format native",
     "amalgam --diagram A~3 --ring Z --format native",
     "amalgam --diagram A~2 --ring Z/3 --format json",
     "replay --case 1",
@@ -51,6 +52,7 @@ CORPUS = [
     "replay --case 7",
     "replay --case 8",
     "verify --diagram A~2 --ring Z/3 --level-bound 1",
+    "verify --diagram C~2 --ring Z/4 --level-bound 2",
     "hypotheses --diagram C~3 --units-fg",
     # exit 2: usage errors
     "present --diagram A~2 --ring Z/x",

@@ -457,13 +457,54 @@ def _reference_morita_rehmann(model, level_bound):
 
 
 @pytest.mark.parametrize(
-    "diagram,n", [("A~2", 7), ("G~2", 4), ("C~2", 6), ("B~3", 3), ("D~4", 2)]
+    "diagram,n,level_bound",
+    [pytest.param(d, n, 1, id=f"{d}-{n}")
+     for d, n in [("A~2", 7), ("G~2", 4), ("C~2", 6), ("B~3", 3), ("D~4", 2)]]
+    + [pytest.param(d, n, 2, id=f"{d}-{n}-level-bound-2")
+       for d, n in [("A~2", 4), ("G~2", 4), ("C~2", 6)]],
 )
-def test_morita_rehmann_matches_reference_loop(diagram, n):
+def test_morita_rehmann_matches_reference_loop(diagram, n, level_bound):
     model = L.build_model(diagram, rings.integers_mod(n))
-    report = L.verify_morita_rehmann(model, 1)
+    report = L.verify_morita_rehmann(model, level_bound)
     assert report["all_passed"]
-    assert report == _reference_morita_rehmann(model, 1)
+    assert report == _reference_morita_rehmann(model, level_bound)
+
+
+def test_conjugations_do_not_grow_with_the_level_bound(monkeypatch):
+    # t is central, so a root's verdict is proved once per finite root,
+    # image and level offset, and holds at every level
+    conjugate, counts = L._conjugate, []
+
+    def counted(*args):
+        counts[-1] += 1
+        return conjugate(*args)
+
+    monkeypatch.setattr(L, "_conjugate", counted)
+    for level_bound in (1, 2):
+        counts.append(0)
+        model = L.build_model("G~2", rings.integers_mod(4))
+        assert L.verify_morita_rehmann(model, level_bound)["all_passed"]
+    assert counts[0] == counts[1] > 0
+
+
+def test_graded_terms_are_built_once_per_model(monkeypatch):
+    model = L.build_model("C~2", rings.integers_mod(6))
+    graded_terms, returned, calls = L._graded_terms, {}, []
+
+    def recorded(model, root, c=1):
+        terms = graded_terms(model, root, c)
+        returned.setdefault((root, c % model.n), []).append(terms)
+        calls.append(root)
+        return terms
+
+    monkeypatch.setattr(L, "_graded_terms", recorded)
+    L.verify_morita_rehmann(model, 2)
+    L.verify_morita_rehmann(model, 1)
+    # every call for one (root, c mod n) gets the dict built by the first
+    assert all(all(t is seen[0] for t in seen) for seen in returned.values())
+    assert len(calls) > len(returned) == len(model._terms_cache)
+    root = calls[0]
+    assert graded_terms(model, root, 1 + model.n) is graded_terms(model, root, 1)
 
 
 def _record_enumerations(monkeypatch) -> list:

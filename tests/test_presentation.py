@@ -158,6 +158,44 @@ def test_km_torus_relations():
     assert len(rel.left) == 20 and len(rel.right) == 10
 
 
+def _specialised(param: str, values: dict) -> rings.RingElement:
+    """A symbolic parameter such as u^-1*v^-1 or -1 with units put in."""
+    ring = next(iter(values.values())).desc
+    out = rings.one(ring)
+    for factor in param.split("*"):
+        name, _, exponent = factor.partition("^")
+        if name.lstrip("-").isdigit():
+            out = out * rings.power(rings.from_int(ring, int(name)), int(exponent or 1))
+        else:
+            out = out * rings.power(values[name], int(exponent or 1))
+    return out
+
+
+def test_symbolic_km_torus_specialises_to_the_concrete_family():
+    z7 = rings.integers_mod(7)
+    opts = P.PresentationOptions(include_kacmoody_torus=True)
+    schemas = [r for r in P.relators_for(A2, rings.integers(), opts).relators
+               if r.family == "torus"]
+    concrete = {(r.nodes, r.params): r for r in P.relators_for(A2, z7, opts).relators
+                if r.family == "torus"}
+    units = rings.units(z7)
+    assert schemas and len(concrete) == len(schemas) * len(units) ** 2
+
+    def specialised(w, values):
+        return tuple(
+            (P.X(g.node, _specialised(g.param, values)) if g.kind == "X" else g, e)
+            for g, e in w
+        )
+
+    for schema in schemas:
+        for u in units:
+            for v in units:
+                rel = concrete[schema.nodes, (("u", u), ("v", v))]
+                values = {"u": u, "v": v}
+                assert specialised(schema.left, values) == rel.left
+                assert specialised(schema.right, values) == rel.right
+
+
 def test_symbolic_torus_words_round_trip():
     opts = P.PresentationOptions(include_torus_action=True)
     p = P.relators_for(A2, rings.integers(), opts)
