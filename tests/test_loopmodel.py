@@ -487,6 +487,20 @@ def test_conjugations_do_not_grow_with_the_level_bound(monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
+def test_proven_keeps_apart_roots_with_other_candidates():
+    # one finite root at two levels, one of them offered a wrong scale: each
+    # level keeps its own verdict
+    model = L.build_model("A~2", Z7)
+    i, r = 1, rings.from_int(Z7, 3)
+    h_word = P.htilde(i, r)
+    h, h_inv = model.evaluate_word(h_word), model.evaluate_word(P.winv(h_word))
+    coords = model.simple_of_node[i].coords
+    roots = [AffineRoot(coords, 0), AffineRoot(coords, 1)]
+    right, wrong = [rings.power(r, 2)], [rings.one(Z7)]
+    assert L._proven(model, h, h_inv, roots, roots, [right, wrong]) == [True, False]
+    assert L._proven(model, h, h_inv, roots, roots, [wrong, right]) == [False, True]
+
+
 def test_graded_terms_are_built_once_per_model(monkeypatch):
     model = L.build_model("C~2", rings.integers_mod(6))
     graded_terms, returned, calls = L._graded_terms, {}, []

@@ -158,17 +158,20 @@ def test_km_torus_relations():
     assert len(rel.left) == 20 and len(rel.right) == 10
 
 
-def _specialised(param: str, values: dict) -> rings.RingElement:
-    """A symbolic parameter such as u^-1*v^-1 or -1 with units put in."""
+def _specialised(w, values: dict):
+    """w with units put in for the symbolic parameters of its X letters,
+    such as u^-1*v^-1 or -1."""
     ring = next(iter(values.values())).desc
-    out = rings.one(ring)
-    for factor in param.split("*"):
-        name, _, exponent = factor.partition("^")
-        if name.lstrip("-").isdigit():
-            out = out * rings.power(rings.from_int(ring, int(name)), int(exponent or 1))
-        else:
-            out = out * rings.power(values[name], int(exponent or 1))
-    return out
+
+    def param(text):
+        out = rings.one(ring)
+        for factor in text.split("*"):
+            name, _, exponent = factor.partition("^")
+            base = values[name] if name in values else rings.from_int(ring, int(name))
+            out = out * rings.power(base, int(exponent or 1))
+        return out
+
+    return tuple((P.X(g.node, param(g.param)) if g.kind == "X" else g, e) for g, e in w)
 
 
 def test_symbolic_km_torus_specialises_to_the_concrete_family():
@@ -180,20 +183,13 @@ def test_symbolic_km_torus_specialises_to_the_concrete_family():
                 if r.family == "torus"}
     units = rings.units(z7)
     assert schemas and len(concrete) == len(schemas) * len(units) ** 2
-
-    def specialised(w, values):
-        return tuple(
-            (P.X(g.node, _specialised(g.param, values)) if g.kind == "X" else g, e)
-            for g, e in w
-        )
-
     for schema in schemas:
         for u in units:
             for v in units:
                 rel = concrete[schema.nodes, (("u", u), ("v", v))]
                 values = {"u": u, "v": v}
-                assert specialised(schema.left, values) == rel.left
-                assert specialised(schema.right, values) == rel.right
+                assert _specialised(schema.left, values) == rel.left
+                assert _specialised(schema.right, values) == rel.right
 
 
 def test_symbolic_torus_words_round_trip():
