@@ -53,6 +53,9 @@ CORPUS = [
     "replay --case 8",
     "verify --diagram A~2 --ring Z/3 --level-bound 1",
     "verify --diagram C~2 --ring Z/4 --level-bound 2",
+    # zero divisors in the parameters, and a prime field with cubic divided powers
+    "verify --diagram A~2 --ring Z/8 --level-bound 1",
+    "verify --diagram G~2 --ring GF(5) --level-bound 1",
     "hypotheses --diagram C~3 --units-fg",
     # exit 2: usage errors
     "present --diagram A~2 --ring Z/x",
