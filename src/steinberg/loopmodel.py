@@ -19,24 +19,29 @@ dim (n - 1)^2 >= 2^63 (exit 3): verify enumerates the n^2 parameter pairs of
 its two-parameter families, so such a ring could not be checked anyway.
 
 Relators that agree on every parameter but the last (a sub-run: one
-htilde_i(r) of a torus-action family, one t of a Chevalley family) share the
-prefix and the suffix of their words, say the conjugator htilde_i(r) and its
-inverse.  Those segments are evaluated once per sub-run, and each word's value
-is value(prefix) * (its middle letters) * value(suffix).  Segment values come
-from a per-model cache keyed by the letter tuple.  A value missing there is
-multiplied out letter by letter, after the longest cached prefix or suffix of
-the segment if there is one.  The cache keeps a segment only if it is a
-proper prefix or suffix shared by the words of a sub-run and more than two of
-its letters had to be multiplied out.  That keeps each htilde_i(r) and its
-inverse, which recur for every j and t, in both torus-action families and in
-the torus check, and the few braids and Chevalley conjugators of more than
-two letters.  It drops the one-letter extensions htilde_i(r) S_j and
-S_j^-1 htilde_i(r)^-1: they recur in one sub-run only, so keeping them would
-save nothing and cost a value per (i, j, r), 162 more 248-dim values for E~8
-over Z/2.  A full verify of F~4 over Z/3 keeps 28 values.  Caching is exact:
-a kept value is the product of its letters by the same kernel, and matrix
-products are associative, so every relator is still compared as the full
-product of its letters.
+htilde_i(r) of a torus-action family, one t of a Chevalley family) differ
+only in the parameters of a few X letters.  Each side of a sub-run is
+evaluated once, over (Z/n)[t^(+-1)][p_0, p_1, ...], with a variable p_j or a
+tie c p_j^e in place of each parameter that varies, and the exponents of the
+p_j packed into the degree, so the product above is also the kernel of these
+formal words.  Equal formal values pass every instance; otherwise each
+instance is decided by substituting its values (verify_relators says why
+this is exact).  The constant prefix and suffix of a side, say the
+conjugator htilde_i(r) and its inverse, are concrete values from a per-model
+cache keyed by the letter tuple.  A value missing there is multiplied out
+letter by letter, after the longest cached prefix or suffix of the segment
+if there is one.  The cache keeps a segment only if it is the constant
+prefix or suffix of a sub-run's words and more than two of its letters had
+to be multiplied out.  That keeps each htilde_i(r) and its inverse, which
+recur for every j, in both torus-action families and in the torus check, and
+the few braids and Chevalley conjugators of more than two letters.  It drops
+the one-letter extensions htilde_i(r) S_j and S_j^-1 htilde_i(r)^-1: they
+recur in one sub-run only, so keeping them would save nothing and cost a
+value per (i, j, r), 162 more 248-dim values for E~8 over Z/2.  A full
+verify of F~4 over Z/3 keeps 28 values.  Caching is exact: a kept value is
+the product of its letters by the same kernel, and matrix products are
+associative, so every relator is still compared as the full product of its
+letters.
 
 The Weyl and torus actions on root groups are proved on the coefficients of
 u, by conjugating divided powers entry by entry (see verify_morita_rehmann).
@@ -56,6 +61,7 @@ every presentation relation must pass.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
@@ -170,6 +176,7 @@ class LoopModel:
         self._terms_cache: dict = {}  # (root, c mod n) -> _graded_terms
         self._s_cache: dict = {}
         self._x_cache: dict = {}
+        self._degrees: dict = {}  # node -> _letter_degrees
         self._segments: dict = {}  # letter tuple -> value, see _segment
         self._kept_lengths: list = []  # the lengths of its keys, descending
 
@@ -195,14 +202,20 @@ class LoopModel:
             raise ValueError(f"{root} is not a real root of {self.ars.cls}")
         if u.desc != self.ring:
             raise ValueError("coefficient lies in the wrong ring")
-        n, m = self.n, root.level
+        return self._exponential(root.coords, u.data, root.level)
+
+    def _exponential(self, coords, c: int, step: int) -> LoopMatrix:
+        """I + sum_k c^k D_k with D_k at degree k step, for the divided powers
+        D_k of e_beta, beta = coords: exp(c t^m ad e_beta) for step = m, and
+        a formal letter of verify_relators for a packed step."""
+        n = self.n
         entries = dict(identity_matrix(n, self.dim).entries)
         # D_k raises weights by k beta, so no two entries share a position
-        for k, power in self._divided_powers(root.coords):
-            coeff = pow(u.data, k, n)
+        for k, power in self._divided_powers(coords):
+            coeff = pow(c, k, n)
             for row, col, value in power:
                 if value := coeff * value % n:
-                    entries[row, col, k * m] = value
+                    entries[row, col, k * step] = value
         return LoopMatrix(entries, n, self.dim)
 
     def _s_letter(self, i: int, c: int) -> LoopMatrix:
@@ -216,6 +229,20 @@ class LoopModel:
             e = self.root_element(root, rings.from_int(self.ring, c))
             cached = e * self.root_element(neg, rings.from_int(self.ring, -c)) * e
             self._s_cache[key] = cached
+        return cached
+
+    def _letter_degrees(self, i: int) -> tuple:
+        """(kmax, |m|) for node i, kmax the largest k with D_k != 0 mod n at
+        its simple root (beta, m) or at (-beta, -m): X_i(u) has t-degrees
+        k m with k <= kmax, and S_i, a product of three root elements, at
+        most 3 kmax |m|."""
+        cached = self._degrees.get(i)
+        if cached is None:
+            root = self.simple_of_node[i]
+            neg = tuple(-x for x in root.coords)
+            kmax = max(k for coords in (root.coords, neg)
+                       for k, _ in ((0, ()), *self._divided_powers(coords)))
+            cached = self._degrees[i] = kmax, abs(root.level)
         return cached
 
     def s_matrix(self, i: int) -> LoopMatrix:
@@ -239,25 +266,6 @@ class LoopModel:
             return self.s_matrix(gen.node) if exp > 0 else self.s_inverse(gen.node)
         u = gen.param if exp > 0 else -gen.param
         return self.x_matrix(gen.node, u)
-
-    def shared_ends(self, words) -> tuple:
-        """(p, head, s, tail) for words of one letter shape: the longest
-        prefix they all share, p letters with value head, then the longest
-        suffix they all share in what it leaves, s letters with value tail."""
-        first, (p, s) = words[0], _shared_lengths(words)
-        head = self._segment(first[:p], p < len(first))
-        return p, head, s, self._segment(first[len(first) - s:], True)
-
-    def evaluate_words(self, words, ends: tuple) -> list:
-        """The values of words of one letter shape that share the ends
-        (p, head, s, tail) of shared_ends: head * (its middle letters) * tail
-        for each word."""
-        p, head, s, tail = ends
-        first, last = [head] * (p > 0), [tail] * (s > 0)
-        return [
-            self._times(first + [self.letter(gen, exp) for gen, exp in w[p:len(w) - s]] + last)
-            for w in words
-        ]
 
     def evaluate_word(self, w) -> LoopMatrix:
         return self._segment(tuple(w), False)
@@ -296,19 +304,6 @@ class LoopModel:
         return reduce(operator.mul, values) if values else identity_matrix(self.n, self.dim)
 
 
-def _shared_lengths(words) -> tuple:
-    """(p, s): the longest prefix every word shares, then the longest suffix
-    every word shares in what the prefix leaves."""
-    first = words[0]
-    p = 0
-    while p < len(first) and all(w[p] == first[p] for w in words):
-        p += 1
-    s = 0
-    while s < len(first) - p and all(w[-1 - s] == first[-1 - s] for w in words):
-        s += 1
-    return p, s
-
-
 def build_model(a, ring: rings.RingDescriptor) -> LoopModel:
     if isinstance(a, str):
         a = diagrams.parse_diagram(a)
@@ -330,26 +325,167 @@ def model_for_system(ars: R.AffineRootSystem, ring: rings.RingDescriptor) -> Loo
 
 
 def _group_key(rel: presentation.Relator) -> tuple:
-    shapes = (tuple((g.kind, g.node, e) for g, e in w) for w in (rel.left, rel.right))
+    shapes = (tuple([(g.kind, g.node, e) for g, e in w]) for w in (rel.left, rel.right))
     return (rel.family, rel.nodes, *shapes)
 
 
 def verify_relators(model: LoopModel, relators) -> list:
     """Whether the two words of each relator have equal values, in order.
+
     A run of relators with one family, nodes and letter shape is split into
-    sub-runs that agree on every parameter but the last.  The prefix and the
-    suffix that a sub-run's left (and right) words share are evaluated once
-    for all of its words (relators_for sorts by family, nodes and parameters,
-    so there a run is a group, and a sub-run, say one htilde_i(r) of a
-    torus-action family, is contiguous)."""
+    sub-runs that agree on every parameter but the last (relators_for sorts
+    by family, nodes and parameters, so there a run is a group, and a
+    sub-run, say one htilde_i(r) of a torus-action family, is contiguous).
+    The run's key fixes the letter shape, so the words of a sub-run differ
+    only in the parameters of X letters, at its varying positions.  The two
+    sides are evaluated once, over (Z/n)[t^(+-1)][p_0, p_1, ...]:
+
+    * a varying position gets the letter X_i(s c p_j^e) (s its exponent's
+      sign) when its parameter is c p_j^e, e in (1, 2, 3), on every instance
+      for an earlier variable p_j, with c read off the instance where p_j = 1
+      (see _tie); otherwise it gets a new variable p_j, whose value on each
+      instance is its parameter there;
+    * the constant prefix and suffix of a side are concrete values from
+      _segment, its constant middle letters come from letter.
+
+    Exactness.  Substituting values for the p_j is a ring homomorphism
+    (Z/n)[t^(+-1)][p] -> (Z/n)[t^(+-1)], applied entrywise it commutes with
+    matrix products, and (s c p^e)^k = (s c)^k p^(e k) holds in (Z/n)[p].
+    Each tie is checked on each instance, so every formal letter specialises
+    to that instance's concrete letter, and each side to its concrete value.
+    Equal formal values therefore pass every instance of the sub-run.
+    Unequal ones are decided instance by instance, by substituting into
+    their difference, which also covers polynomials that vanish as
+    functions on Z/n.  The p-exponents are packed into the degree (see
+    _Packing), so the product kernel is the one of concrete words."""
     passed = []
     for _, run in itertools.groupby(relators, _group_key):
         for _, sub in itertools.groupby(run, lambda rel: rel.params[:-1]):
-            sub = list(sub)
-            sides = [[rel.left for rel in sub], [rel.right for rel in sub]]
-            left, right = (model.evaluate_words(words, model.shared_ends(words)) for words in sides)
-            passed += map(operator.eq, left, right)
+            passed += _sub_run_verdicts(model, list(sub))
     return passed
+
+
+def _sub_run_verdicts(model: LoopModel, sub: list) -> list:
+    """verify_relators on the relators of one sub-run."""
+    values: list = []  # p_j -> its value on each instance
+    sides = [[rel.left for rel in sub], [rel.right for rel in sub]]
+    specs = [_varying(model.n, words, values) for words in sides]
+    packing = _Packing(model, [words[0] for words in sides], specs, len(values))
+    left, right = (_formal_value(model, words[0], spec, packing)
+                   for words, spec in zip(sides, specs))
+    if left.entries == right.entries:
+        return [True] * len(sub)
+    return _substituted(model, left, right, packing, values, len(sub))
+
+
+def _varying(n: int, words: list, values: list) -> dict:
+    """position -> (j, c, e) for the positions where words of one letter
+    shape (the run key fixes it) differ, all X parameters, whose letters
+    become X_i(s c p_j^e); new variables are appended to values."""
+    spec = {}
+    for k, (gen, _) in enumerate(words[0]):
+        if gen.kind == "X":
+            column = [w[k][0].param.data for w in words]
+            if column.count(column[0]) < len(column):
+                spec[k] = _tie(n, column, values)
+    return spec
+
+
+def _tie(n: int, column: list, values: list) -> tuple:
+    """(j, c, e) with column = c p_j^e mod n on every instance for the first
+    earlier variable p_j and exponent e that fit, c read off the first
+    instance where p_j = 1; else (j, 1, 1) for a new variable p_j = column."""
+    for j, xs in enumerate(values):
+        if 1 in xs:
+            c = column[xs.index(1)]
+            for e in (1, 2, 3):
+                if all(v == c * pow(x, e, n) % n for v, x in zip(column, xs)):
+                    return j, c, e
+    values.append(column)
+    return len(values) - 1, 1, 1
+
+
+class _Packing:
+    """The Kronecker substitution t -> x, p_j -> x^(stride_j) that packs the
+    monomial t^d p_0^(e_0) p_1^(e_1) ... of a sub-run's values into the one
+    integer degree d + sum_j e_j stride_j.  It is a ring homomorphism, so the
+    product kernel multiplies packed values exactly, and it is injective on
+    the box |d| <= span, 0 <= e_j <= top_j, which holds both sides' values:
+    span sums a bound on the |t-degree| of every letter of a word, top_j the
+    largest p_j-exponent of every letter X_i(s c p_j^e).  The radix grows
+    with the words, so no two monomials of the box share a degree."""
+
+    def __init__(self, model: LoopModel, words: list, specs: list, count: int):
+        self.span, self.top = 0, [0] * count
+        for w, spec in zip(words, specs):
+            span, top = 0, [0] * count
+            for k, (gen, _) in enumerate(w):
+                kmax, level = model._letter_degrees(gen.node)
+                span += kmax * level * (3 if gen.kind == "S" else 1)
+                if k in spec:
+                    j, _, e = spec[k]
+                    top[j] += e * kmax
+            self.span = max(self.span, span)
+            self.top = list(map(max, self.top, top))
+        self.radix = 2 * self.span + 1
+        self.strides, stride = [], self.radix
+        for top_j in self.top:
+            self.strides.append(stride)
+            stride *= top_j + 1
+
+    def unpack(self, degree: int) -> tuple:
+        """(d, (e_0, e_1, ...)) of a packed degree in the box."""
+        d = (degree + self.span) % self.radix - self.span
+        rest, exps = (degree - d) // self.radix, []
+        for top_j in self.top:
+            rest, e = divmod(rest, top_j + 1)
+            exps.append(e)
+        return d, tuple(exps)
+
+
+def _formal_value(model: LoopModel, w, spec: dict, packing: _Packing) -> LoopMatrix:
+    """The packed value of a side with the formal letters of spec: its
+    constant prefix and suffix from _segment, kept there as shared ends."""
+    if not spec:
+        return model._segment(w, False)
+    lo, hi = min(spec), max(spec) + 1
+    factors = [model._segment(w[:lo], True)] if lo else []
+    for pos in range(lo, hi):
+        gen, exp = w[pos]
+        if pos in spec:
+            # X_i(s c p_j^e) = I + sum_k (s c)^k p_j^(e k) t^(k m) D_k
+            j, c, e = spec[pos]
+            root = model.simple_of_node[gen.node]
+            factors.append(model._exponential(root.coords, exp * c,
+                                              root.level + e * packing.strides[j]))
+        else:
+            factors.append(model.letter(gen, exp))
+    if hi < len(w):
+        factors.append(model._segment(w[hi:], True))
+    return model._times(factors)
+
+
+def _substituted(model: LoopModel, left: LoopMatrix, right: LoopMatrix,
+                 packing: _Packing, values: list, count: int) -> list:
+    """Per instance, whether left - right vanishes with p_j = values[j][instance]:
+    each entry of the difference is a polynomial in the p_j, summed over the
+    powers of the instance's values."""
+    n, terms = model.n, {}
+    for key in left.entries.keys() | right.entries.keys():
+        if coeff := (left.entries.get(key, 0) - right.entries.get(key, 0)) % n:
+            row, col, degree = key
+            d, exps = packing.unpack(degree)
+            terms.setdefault((row, col, d), []).append((coeff, exps))
+    verdicts = []
+    for instance in range(count):
+        powers = [[pow(xs[instance], e, n) for e in range(top + 1)]
+                  for xs, top in zip(values, packing.top)]
+        verdicts.append(not any(
+            sum(coeff * math.prod(map(list.__getitem__, powers, exps))
+                for coeff, exps in entry) % n
+            for entry in terms.values()
+        ))
+    return verdicts
 
 
 def verify_presentation(

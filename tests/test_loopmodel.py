@@ -364,7 +364,9 @@ def _perturbed(rel, ring):
     return None
 
 
-@pytest.mark.parametrize("diagram,n", [("A~2", 5), ("C~2", 6), ("G~2", 4)])
+@pytest.mark.parametrize(
+    "diagram,n", [("A~2", 5), ("C~2", 6), ("G~2", 4), ("A~2", 8), ("G~2", 9)]
+)
 def test_batched_verdicts_match_single_words(diagram, n):
     ring = rings.integers_mod(n)
     model = L.build_model(diagram, ring)
@@ -746,3 +748,109 @@ def test_segment_cache_keeps_only_shared_conjugators():
         for m in model._segments.values()
     )
     assert stored < 4096
+
+
+
+def _substituted_sub_runs(monkeypatch) -> list:
+    """(family, nodes, params[:-1], variables) of each sub-run that
+    verify_relators decides by substitution, filled in as it runs."""
+    current, reached = [], []
+    verdicts, substituted = L._sub_run_verdicts, L._substituted
+
+    def tracked(model, sub):
+        current[:] = [(sub[0].family, sub[0].nodes, sub[0].params[:-1])]
+        return verdicts(model, sub)
+
+    def recorded(model, left, right, packing, values, count):
+        reached.append((*current[0], len(values)))
+        return substituted(model, left, right, packing, values, count)
+
+    monkeypatch.setattr(L, "_sub_run_verdicts", tracked)
+    monkeypatch.setattr(L, "_substituted", recorded)
+    return reached
+
+
+def test_only_additivity_reaches_substitution(monkeypatch):
+    # every varying right-hand parameter of A~2 is c p^e in the varying left
+    # one, but t + u: one comparison decides every sub-run except the 3 * 6
+    # additivity sub-runs with t != 0, which keep u and t + u as two
+    # variables.  Without ties, every sub-run whose right word varies would
+    # be substituted.
+    reached = _substituted_sub_runs(monkeypatch)
+    model = L.build_model("A~2", Z7)
+    assert L.verify_presentation(model)["all_passed"]
+    assert reached == [
+        ("additivity", (i,), (("t", rings.from_int(Z7, t)),), 2)
+        for i in range(3) for t in range(1, 7)
+    ]
+
+
+def test_a_broken_tie_fails_exactly_its_instance(monkeypatch):
+    # in the torus-action-1 sub-run of (i, j) = (0, 1), r = 3 over Z/7, one
+    # instance's right parameter moves off r^(a_ij) t: the right position
+    # gets a variable of its own, the sub-run is substituted, and exactly
+    # that relator fails
+    model = L.build_model("A~2", Z7)
+    options = P.PresentationOptions(include_torus_action=True)
+    rels = list(P.relators_for(model.gcm, Z7, options).relators)
+    r = rings.from_int(Z7, 3)
+    sub = [k for k, rel in enumerate(rels)
+           if (rel.family, rel.nodes, rel.params[:1]) == ("torus-action-1", (0, 1), (("r", r),))]
+    assert len(sub) == 7
+    bad = sub[4]
+    rels[bad] = _perturbed(rels[bad], Z7)
+    reached = _substituted_sub_runs(monkeypatch)
+    verdicts = L.verify_relators(model, rels)
+    assert [k for k, ok in enumerate(verdicts) if not ok] == [bad]
+    assert ("torus-action-1", (0, 1), (("r", r),), 2) in reached
+
+
+def _specialised(model, value, packing, xs) -> dict:
+    """The entries of a packed formal value with p_j = xs[j]."""
+    sums = {}
+    for (row, col, degree), coeff in value.entries.items():
+        d, exps = packing.unpack(degree)
+        sums[row, col, d] = sums.get((row, col, d), 0) + coeff * math.prod(
+            pow(x, e, model.n) for x, e in zip(xs, exps))
+    return {key: v % model.n for key, v in sums.items() if v % model.n}
+
+
+def test_packing_widens_with_the_words_and_never_aliases():
+    # words (X_i(u) S_i X_j(2u) X_l(u^2))^k over the three nodes, i the node
+    # of level 1: their t-degrees and u-exponents grow with k, and so does
+    # the packing box.  Every formal value specialises to the plain product
+    # of each instance, which an aliased degree would break.
+    ring = rings.integers_mod(5)
+    model = L.build_model("A~2", ring)
+    i = next(i for i, root in model.simple_of_node.items() if root.level)
+    j, l = (i + 1) % 3, (i + 2) % 3
+
+    def word(u, k):
+        return P.word(P.X(i, u), P.S(i), P.X(j, u + u), P.X(l, u * u)) * k
+
+    spans, tops = [], []
+    for k in (1, 3, 6):
+        elems = list(rings.elements(ring))
+        words = [word(u, k) for u in elems]
+        values = []
+        spec = L._varying(model.n, words, values)
+        assert sorted(spec.values()) == [(0, 1, 1)] * k + [(0, 1, 2)] * k + [(0, 2, 1)] * k
+        packing = L._Packing(model, [words[0]], [spec], len(values))
+        formal = L._formal_value(model, words[0], spec, packing)
+        degrees = [packing.unpack(degree) for _, _, degree in formal.entries]
+        assert max(abs(d) for d, _ in degrees) <= packing.span
+        assert max(e for _, (e,) in degrees) <= packing.top[0]
+        for u, w in zip(elems, words):
+            assert _specialised(model, formal, packing, [u.data]) == _plain(model, w).entries
+        spans.append(packing.span)
+        tops.append(packing.top[0])
+        # a reversed right side: the relators fail or pass as plain products say
+        rels = [P.Relator("additivity", (i,), (("u", u),), w, w[::-1]) for u, w in zip(elems, words)]
+        assert L.verify_relators(model, rels) == [
+            _plain(model, rel.left) == _plain(model, rel.right) for rel in rels
+        ]
+    assert spans == sorted(set(spans)) and tops == sorted(set(tops))
+    # the longest words reach t-degrees and exponents past the box of the
+    # shortest, which its radix would alias
+    assert max(abs(d) for d, _ in degrees) > spans[0]
+    assert max(e for _, (e,) in degrees) > tops[0]
