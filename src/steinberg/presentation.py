@@ -4,12 +4,14 @@ the rank-at-most-two amalgam, and deterministic file emission.
 Relations are kept as (left, right) word pairs rather than single relators,
 which preserves the displayed shapes for diffing.  Concrete presentations
 (finite rings) enumerate every instance; symbolic presentations carry one
-schema per family, with formal parameter names in place of ring elements.
+schema per family.  Both are built by the same ring arithmetic: a schema's
+parameters are elements of SCHEMA_RING = Z[r^+-1][t][u^+-1][v^+-1], where t
+and u are the Chevalley/additivity parameters, r is the torus unit, and u
+and v are the Kac-Moody torus units.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import groupby
 from typing import NamedTuple
@@ -18,19 +20,22 @@ from . import diagrams, rings
 from .diagrams import GeneralizedCartanMatrix
 
 
+SCHEMA_RING = rings.parse_descriptor("Z[r^+-1][t][u^+-1][v^+-1]")
+
+
+def _render(a: rings.RingElement) -> str:
+    return rings.render_element(a).replace(" ", "")
+
+
 class Generator(NamedTuple):
     kind: str  # "S" | "X"
     node: int
-    param: object = None  # RingElement, or a formal expression string
+    param: rings.RingElement | None = None  # in the ring, or in SCHEMA_RING
 
     def render(self) -> str:
         if self.kind == "S":
             return f"S{self.node}"
-        if isinstance(self.param, rings.RingElement):
-            text = rings.render_element(self.param).replace(" ", "")
-        else:
-            text = str(self.param)
-        return f"X{self.node}({text})"
+        return f"X{self.node}({_render(self.param)})"
 
 
 Word = tuple  # of (Generator, +-1)
@@ -68,29 +73,17 @@ def render_word(w: Word) -> str:
     return " ".join(g.render() + ("^-1" if e < 0 else "") for g, e in w)
 
 
-def _inverse_param(u):
-    if isinstance(u, rings.RingElement):
-        try:
-            return rings.inverse(u)
-        except ValueError:
-            raise ValueError("stilde is undefined for a non-unit parameter") from None
-    # a product of units is inverted factor by factor: (u*v)^-1 = u^-1*v^-1
-    return "-1" if u == "-1" else "*".join(f"{f}^-1" for f in u.split("*"))
-
-
-def _minus_one_like(u):
-    if isinstance(u, rings.RingElement):
-        return rings.from_int(u.desc, -1)
-    return "-1"
-
-
-def stilde(i: int, u) -> Word:
+def stilde(i: int, u: rings.RingElement) -> Word:
     """X_i(u) S_i X_i(1/u) S_i^-1 X_i(u); defined for units only."""
-    return word(X(i, u), S(i), X(i, _inverse_param(u)), (S(i), -1), X(i, u))
+    try:
+        u_inv = rings.inverse(u)
+    except ValueError:
+        raise ValueError("stilde is undefined for a non-unit parameter") from None
+    return word(X(i, u), S(i), X(i, u_inv), (S(i), -1), X(i, u))
 
 
-def htilde(i: int, u) -> Word:
-    return stilde(i, u) + stilde(i, _minus_one_like(u))
+def htilde(i: int, u: rings.RingElement) -> Word:
+    return stilde(i, u) + stilde(i, -rings.one(u.desc))
 
 
 @dataclass(frozen=True)
@@ -102,13 +95,7 @@ class Relator:
     right: Word
 
     def render_params(self) -> list[str]:
-        out = []
-        for name, value in self.params:
-            if isinstance(value, rings.RingElement):
-                out.append(f"{name}={rings.render_element(value).replace(' ', '')}")
-            else:
-                out.append(f"{name}={value}")
-        return out
+        return [f"{name}={_render(value)}" for name, value in self.params]
 
 
 @dataclass(frozen=True)
@@ -147,51 +134,6 @@ _FAMILY_INDEX = {name: k for k, name in enumerate(FAMILY_ORDER)}
 
 
 # ---------------------------------------------------------------------------
-# parameter algebra shared by the concrete and symbolic modes
-
-
-class _ConcreteOps:
-    def __init__(self, ring):
-        self.ring = ring
-        self.t_name, self.u_name, self.r_name = "t", "u", "r"
-
-    def add(self, a, b):
-        return a + b
-
-    def mono(self, k: int, *factors):
-        out = rings.from_int(self.ring, k)
-        for f in factors:
-            out = out * f
-        return out
-
-    def rpow(self, r, e: int):
-        """t -> r^e * t, with r^e taken once."""
-        power = rings.power(r, e)
-        return lambda t: power * t
-
-
-class _FormalOps:
-    def add(self, a, b):
-        return f"{a}+{b}"
-
-    def mono(self, k: int, *factors):
-        counts = Counter(factors)
-        seen = []
-        for f in factors:
-            if f not in seen:
-                seen.append(f)
-        body = "*".join(f if counts[f] == 1 else f"{f}^{counts[f]}" for f in seen)
-        if k == 1:
-            return body if body else "1"
-        if k == -1:
-            return f"-{body}" if body else "-1"
-        return f"{k}*{body}" if body else str(k)
-
-    def rpow(self, r, e: int):
-        return lambda t: f"{r}^{e}*{t}" if e else t
-
-
-# ---------------------------------------------------------------------------
 # the relation families
 
 
@@ -203,13 +145,22 @@ def _short_long(a: GeneralizedCartanMatrix, i: int, j: int) -> tuple[int, int]:
     return j, i
 
 
+def _mono(k: int, *factors: rings.RingElement) -> rings.RingElement:
+    """k times the product of the factors."""
+    out = rings.from_int(factors[0].desc, k)
+    for f in factors:
+        out = out * f
+    return out
+
+
 def _family_instances(a, ring, symbolic, nodes, include_torus, include_km_torus):
-    ops = _FormalOps() if symbolic else _ConcreteOps(ring)
     if symbolic:
-        t_values = ["t"]
-        tu_values = [("t", "u")]
-        r_values = ["r"]
-        unit_pairs = [("u", "v")]
+        ring = SCHEMA_RING
+        r, t, u, v = (rings.parse_element(ring, name) for name in "rtuv")
+        t_values = [t]
+        tu_values = [(t, u)]
+        r_values = [r]
+        unit_pairs = [(u, v)]
     else:
         elems = list(rings.elements(ring))
         units_list = rings.units(ring)
@@ -223,9 +174,9 @@ def _family_instances(a, ring, symbolic, nodes, include_torus, include_km_torus)
             yield Relator(
                 "additivity", (i,), (("t", t), ("u", u)),
                 word(X(i, t), X(i, u)),
-                word(X(i, ops.add(t, u))),
+                word(X(i, t + u)),
             )
-        one = ops.mono(1) if symbolic else rings.one(ring)
+        one = rings.one(ring)
         yield Relator(
             "s-defining", (i,), (),
             word(S(i)),
@@ -244,7 +195,7 @@ def _family_instances(a, ring, symbolic, nodes, include_torus, include_km_torus)
                 yield Relator(
                     "s2-on-x", (i, j), (("t", t),),
                     word(S(i), S(i), X(j, t), (S(i), -1), (S(i), -1)),
-                    word(X(j, ops.mono(sign, t))),
+                    word(X(j, _mono(sign, t))),
                 )
 
     for i in nodes:
@@ -258,7 +209,7 @@ def _family_instances(a, ring, symbolic, nodes, include_torus, include_km_torus)
                         "no relation family exists for an m = infinity edge"
                     )
                 continue
-            yield from _edge_families(a, ops, symbolic, i, j, m, t_values, tu_values)
+            yield from _edge_families(a, i, j, m, t_values, tu_values)
 
     if include_torus:
         for i in nodes:
@@ -272,18 +223,19 @@ def _family_instances(a, ring, symbolic, nodes, include_torus, include_km_torus)
                 aij = a.rows[i][j]
                 sj, sj_inv = word(S(j)), word((S(j), -1))
                 for r, h, h_inv in conjugators:
-                    scale_1, scale_2 = ops.rpow(r, aij), ops.rpow(r, -aij)
+                    # r^(+-a_ij) is taken once per unit
+                    scale_1, scale_2 = rings.power(r, aij), rings.power(r, -aij)
                     for t in t_values:
                         xt = word(X(j, t))
                         yield Relator(
                             "torus-action-1", (i, j), (("r", r), ("t", t)),
                             h + xt + h_inv,
-                            word(X(j, scale_1(t))),
+                            word(X(j, scale_1 * t)),
                         )
                         yield Relator(
                             "torus-action-2", (i, j), (("r", r), ("t", t)),
                             h + sj + xt + sj_inv + h_inv,
-                            sj + word(X(j, scale_2(t))) + sj_inv,
+                            sj + word(X(j, scale_2 * t)) + sj_inv,
                         )
 
     if include_km_torus:
@@ -292,11 +244,11 @@ def _family_instances(a, ring, symbolic, nodes, include_torus, include_km_torus)
                 yield Relator(
                     "torus", (i,), (("u", u), ("v", v)),
                     htilde(i, u) + htilde(i, v),
-                    htilde(i, ops.mono(1, u, v)),
+                    htilde(i, _mono(1, u, v)),
                 )
 
 
-def _edge_families(a, ops, symbolic, i, j, m, t_values, tu_values):
+def _edge_families(a, i, j, m, t_values, tu_values):
     if m == 2:
         yield Relator("artin-2", (i, j), (), word(S(i), S(j)), word(S(j), S(i)))
         for x, y in ((i, j), (j, i)):
@@ -333,7 +285,7 @@ def _edge_families(a, ops, symbolic, i, j, m, t_values, tu_values):
                 yield Relator(
                     "chevalley-3-distant", (x, y), (("t", t), ("u", u)),
                     commutator_word(word(X(x, t)), word(X(y, u))),
-                    conj(word(S(x)), word(X(y, ops.mono(1, t, u)))),
+                    conj(word(S(x)), word(X(y, _mono(1, t, u)))),
                 )
         return
 
@@ -367,13 +319,13 @@ def _edge_families(a, ops, symbolic, i, j, m, t_values, tu_values):
             yield Relator(
                 "chevalley-4-orthogonal-short", (s, l), (("t", t), ("u", u)),
                 commutator_word(word(X(s, t)), conj(wl, word(X(s, u)))),
-                conj(ws, word(X(l, ops.mono(-2, t, u)))),
+                conj(ws, word(X(l, _mono(-2, t, u)))),
             )
             yield Relator(
                 "chevalley-4-distant", (s, l), (("t", t), ("u", u)),
                 commutator_word(word(X(s, t)), word(X(l, u))),
-                conj(wl, word(X(s, ops.mono(-1, t, u))))
-                + conj(ws, word(X(l, ops.mono(1, t, t, u)))),
+                conj(wl, word(X(s, _mono(-1, t, u))))
+                + conj(ws, word(X(l, _mono(1, t, t, u)))),
             )
         return
 
@@ -409,27 +361,27 @@ def _edge_families(a, ops, symbolic, i, j, m, t_values, tu_values):
         yield Relator(
             "chevalley-6-distant-long", (s, l), (("t", t), ("u", u)),
             commutator_word(word(X(l, t)), conj(ws, word(X(l, u)))),
-            conj(wls, word(X(l, ops.mono(1, t, u)))),
+            conj(wls, word(X(l, _mono(1, t, u)))),
         )
         yield Relator(
             "chevalley-6-close-short", (s, l), (("t", t), ("u", u)),
             commutator_word(word(X(s, t)), conj(wsl, word(X(s, u)))),
-            conj(ws, word(X(l, ops.mono(3, t, u)))),
+            conj(ws, word(X(l, _mono(3, t, u)))),
         )
         yield Relator(
             "chevalley-6-distant-short", (s, l), (("t", t), ("u", u)),
             commutator_word(word(X(s, t)), conj(wl, word(X(s, u)))),
-            conj(wsl, word(X(s, ops.mono(-2, t, u))))
-            + conj(ws, word(X(l, ops.mono(-3, t, t, u))))
-            + conj(wls, word(X(l, ops.mono(-3, t, u, u)))),
+            conj(wsl, word(X(s, _mono(-2, t, u))))
+            + conj(ws, word(X(l, _mono(-3, t, t, u))))
+            + conj(wls, word(X(l, _mono(-3, t, u, u)))),
         )
         yield Relator(
             "chevalley-6-distant", (s, l), (("t", t), ("u", u)),
             commutator_word(word(X(s, t)), word(X(l, u))),
-            conj(wsl, word(X(s, ops.mono(1, t, t, u))))
-            + conj(wl, word(X(s, ops.mono(-1, t, u))))
-            + conj(ws, word(X(l, ops.mono(1, t, t, t, u))))
-            + conj(wls, word(X(l, ops.mono(-1, t, t, t, u, u)))),
+            conj(wsl, word(X(s, _mono(1, t, t, u))))
+            + conj(wl, word(X(s, _mono(-1, t, u))))
+            + conj(ws, word(X(l, _mono(1, t, t, t, u))))
+            + conj(wls, word(X(l, _mono(-1, t, t, t, u, u)))),
         )
 
 
@@ -465,13 +417,8 @@ def _sorted_relators(rels) -> list:
 
 
 def _generators(ring, symbolic, nodes):
-    gens = [S(i) for i in nodes]
-    if symbolic:
-        gens += [X(i, "t") for i in nodes]
-    else:
-        for i in nodes:
-            gens += [X(i, t) for t in rings.elements(ring)]
-    return tuple(gens)
+    values = [rings.parse_element(SCHEMA_RING, "t")] if symbolic else list(rings.elements(ring))
+    return tuple([S(i) for i in nodes] + [X(i, t) for i in nodes for t in values])
 
 
 def _resolve_torus_flag(a, options: PresentationOptions) -> bool:
@@ -575,8 +522,7 @@ def _emit_native(p: Presentation) -> str:
         if g.kind == "S":
             lines.append(f"gen S {g.node}")
         else:
-            param = "t" if p.symbolic else rings.render_element(g.param).replace(" ", "")
-            lines.append(f"gen X {g.node} {param}")
+            lines.append(f"gen X {g.node} {_render(g.param)}")
     for rel in p.relators:
         nodes = " ".join(str(n) for n in rel.nodes)
         params = " ".join(rel.render_params())
@@ -617,7 +563,7 @@ def _emit_gap(p: Presentation) -> str:
 _LETTER_ERR = "cannot parse word letter {!r}"
 
 
-def _parse_letter(token: str, ring, symbolic):
+def _parse_letter(token: str, ring):
     exp = 1
     if token.endswith("^-1"):
         exp = -1
@@ -628,14 +574,13 @@ def _parse_letter(token: str, ring, symbolic):
         node_text, _, rest = token.partition("(")
         if not rest.endswith(")"):
             raise ValueError(_LETTER_ERR.format(token))
-        param_text = rest[:-1]
-        param = param_text if symbolic else rings.parse_element(ring, param_text)
-        return (X(int(node_text[1:]), param), exp)
+        return (X(int(node_text[1:]), rings.parse_element(ring, rest[:-1])), exp)
     raise ValueError(_LETTER_ERR.format(token))
 
 
 def parse_native(text: str) -> Presentation:
-    ring = None
+    """Parse the native format; symbolic parameters are read in SCHEMA_RING."""
+    ring = param_ring = None
     symbolic = False
     rows = {}
     gens = []
@@ -647,8 +592,10 @@ def parse_native(text: str) -> Presentation:
         head, _, rest = line.partition(" ")
         if head == "ring":
             ring = rings.parse_descriptor(rest.strip())
+            param_ring = SCHEMA_RING if symbolic else ring
         elif head == "symbolic":
             symbolic = True
+            param_ring = SCHEMA_RING
         elif head == "node":
             parts = rest.split()
             rows[int(parts[0])] = [int(x) for x in parts[1:]]
@@ -657,8 +604,7 @@ def parse_native(text: str) -> Presentation:
             if parts[0] == "S":
                 gens.append(S(int(parts[1])))
             else:
-                param = parts[2] if symbolic else rings.parse_element(ring, parts[2])
-                gens.append(X(int(parts[1]), param))
+                gens.append(X(int(parts[1]), rings.parse_element(param_ring, parts[2])))
         elif head == "rel":
             header, _, body = rest.partition(":")
             tokens = header.split()
@@ -668,16 +614,10 @@ def parse_native(text: str) -> Presentation:
             for tok in tokens[1:]:
                 if "=" in tok:
                     name, _, value = tok.partition("=")
-                    params.append(
-                        (name, value if symbolic else rings.parse_element(ring, value))
-                    )
+                    params.append((name, rings.parse_element(param_ring, value)))
             left_text, _, right_text = body.partition("=")
-            left = tuple(
-                _parse_letter(tok, ring, symbolic) for tok in left_text.split()
-            )
-            right = tuple(
-                _parse_letter(tok, ring, symbolic) for tok in right_text.split()
-            )
+            left = tuple(_parse_letter(tok, param_ring) for tok in left_text.split())
+            right = tuple(_parse_letter(tok, param_ring) for tok in right_text.split())
             rels.append(Relator(family, nodes, tuple(params), left, right))
         else:
             raise ValueError(f"unknown line {line!r}")

@@ -7,7 +7,8 @@ representation equality and printing is byte-stable:
 
 * residues are stored as least nonnegative representatives,
 * polynomial coefficient maps never store zeros,
-* monomials are ordered graded-lexicographically by variable-name order.
+* printed monomials are ordered graded-lexicographically over all variables
+  in declaration order, innermost ring first.
 """
 
 from __future__ import annotations
@@ -361,33 +362,34 @@ def elements(desc: RingDescriptor) -> Iterator[RingElement]:
 
 
 def substitute(a: RingElement, assignment: dict) -> RingElement:
-    """Evaluate a polynomial by substituting ring elements for variables.
+    """Evaluate a polynomial or Laurent element, nested to any depth, by
+    substituting ring elements for its variables.
 
-    The result lives in the ring of the substituted values; integer base
-    coefficients are mapped there canonically.
+    The result lives in the ring of the substituted values; integer
+    coefficients are mapped there canonically.  A variable needs a value
+    only where its exponent is nonzero, and a unit where it is negative.
     """
-    if a.desc.kind != "poly":
-        raise ValueError("substitute requires a polynomial element")
-    base, names = a.desc.params
-    missing = [v for v in names if v not in assignment]
-    if missing:
-        raise ValueError(f"no value given for {missing}")
-    target = next(iter(assignment.values())).desc
-    if any(v.desc != target for v in assignment.values()):
+    if not assignment:
+        raise ValueError("substitute needs at least one value")
+    ring = next(iter(assignment.values())).desc
+    if any(v.desc != ring for v in assignment.values()):
         raise ValueError("substituted values must share one ring")
-
-    def into_target(coeff) -> RingElement:
-        if base == target:
-            return RingElement(target, coeff)
-        if base.kind == "Z":
-            return from_int(target, coeff)
-        raise ValueError(f"cannot map {base} coefficients into {target}")
-
-    total = zero(target)
-    for exps, coeff in a.data:
-        term = into_target(coeff)
-        for name, e in zip(names, exps):
-            term = term * power(assignment[name], e)
+    desc = a.desc
+    if desc == ring:
+        return a
+    if desc.kind == "Z":
+        return from_int(ring, a.data)
+    if desc.kind not in ("poly", "laurent"):
+        raise ValueError(f"cannot map {desc} coefficients into {ring}")
+    base, names = desc.params
+    total = zero(ring)
+    for mono, coeff in a.data:
+        term = substitute(RingElement(base, coeff), assignment)
+        for name, e in zip(names, mono) if desc.kind == "poly" else [(names, mono)]:
+            if e:
+                if name not in assignment:
+                    raise ValueError(f"no value given for {name!r}")
+                term = term * power(assignment[name], e)
         total = total + term
     return total
 
@@ -406,40 +408,45 @@ def _monomial_str(names: tuple[str, ...], exps) -> str:
 
 
 def render_element(a: RingElement) -> str:
+    """a in expanded form, so that a coefficient from a polynomial base ring
+    is multiplied out, as in t*r + r for (t + 1) r in Z[t][r^+-1].  The terms
+    are ordered graded-lexicographically over all variables of a nested
+    ring, innermost ring first."""
     if a.desc.kind in ("Z", "Zmod", "GF"):
         return str(a.data)
+    names = _variables(a.desc)
+    terms = sorted(_flat_terms(a.desc, a.data), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
     out = []
-    for negative, body in _signed_terms(a):
-        if not out:
-            out.append(("-" if negative else "") + body)
+    for exps, coeff in terms:
+        mstr = _monomial_str(names, exps)
+        body = str(abs(coeff))
+        if mstr:
+            body = mstr if body == "1" else f"{body}*{mstr}"
+        if out:
+            out.append(("- " if coeff < 0 else "+ ") + body)
         else:
-            out.append(("- " if negative else "+ ") + body)
+            out.append(("-" if coeff < 0 else "") + body)
     return " ".join(out) if out else "0"
 
 
-def _signed_terms(a: RingElement) -> list:
-    """[(negative, unsigned product), ...]: the terms of a in expanded form,
-    so that a coefficient from a polynomial base ring is multiplied out, as
-    in t*r + r for (t + 1) r in Z[t][r^+-1]."""
-    desc = a.desc
+def _variables(desc: RingDescriptor) -> tuple:
+    """The variable names of a nested ring, innermost ring first."""
     if desc.kind in ("Z", "Zmod", "GF"):
-        return [(a.data < 0, str(abs(a.data)))] if a.data else []
+        return ()
+    base, names = desc.params
+    return _variables(base) + (names if desc.kind == "poly" else (names,))
+
+
+def _flat_terms(desc: RingDescriptor, data) -> list:
+    """[(exponents, scalar), ...] of the nonzero terms, with exponents over
+    _variables(desc)."""
+    if desc.kind in ("Z", "Zmod", "GF"):
+        return [((), data)] if data else []
     base = desc.params[0]
-    if desc.kind == "poly":
-        names = desc.params[1]
-        terms = sorted(a.data, key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
-        key = lambda exps: _monomial_str(names, exps)
-    else:
-        name = desc.params[1]
-        terms = sorted(a.data, key=lambda kv: kv[0], reverse=True)
-        key = lambda e: "" if e == 0 else (name if e == 1 else f"{name}^{e}")
     out = []
-    for mono, coeff in terms:
-        mstr = key(mono)
-        for negative, body in _signed_terms(RingElement(base, coeff)):
-            if mstr:
-                body = mstr if body == "1" else f"{body}*{mstr}"
-            out.append((negative, body))
+    for mono, coeff in data:
+        mono = mono if desc.kind == "poly" else (mono,)
+        out += [(exps + mono, c) for exps, c in _flat_terms(base, coeff)]
     return out
 
 

@@ -388,7 +388,7 @@ def classify_pair(ars: AffineRootSystem, a: AffineRoot, b: AffineRoot) -> PairCl
         if family != "BC":
             raise ValueError("proportional non-equal projections need BC type")
         alpha, beta = (a, b) if q == 2 else (b, a)
-        return PairClassification("nonclassical", 5, _witness(ars, _witness_case5, alpha, beta))
+        return PairClassification("nonclassical", 5, _witness(ars, _witness_case2, alpha, beta))
     length = ars.finite.length_class(a.coords)
     if family in ("A", "D", "E"):
         if family == "A" and ars.finite.rank < 2:
@@ -470,6 +470,8 @@ def _witness_case1(ars, alpha, beta):
 
 
 def _witness_case2(ars, alpha, beta):
+    """Cases 2 and 5: beta = 2*sigma + lambda with sigma + lambda a root, and
+    alpha + x a root for none of x = sigma, lambda, sigma + lambda."""
     phi = ars.finite
     abar = alpha.coords
     for sbar in phi.roots:
@@ -489,7 +491,7 @@ def _witness_case2(ars, alpha, beta):
             return _lift(ars, beta, sbar, lbar, 2)
         except ValueError:
             continue
-    raise ValueError("no case-2 witness found")
+    raise ValueError("no case-2 or case-5 witness found")
 
 
 def _witness_case3(ars, alpha, beta):
@@ -528,29 +530,6 @@ def _witness_case4(ars, alpha, beta):
         except ValueError:
             continue
     raise ValueError("no case-4 witness found")
-
-
-def _witness_case5(ars, alpha, beta):
-    phi = ars.finite
-    abar = alpha.coords
-    for mbar in phi.roots:
-        lbar = _vec_sub(beta.coords, _vec_scale(2, mbar))
-        if lbar not in phi:
-            continue
-        if _vec_add(mbar, lbar) not in phi:
-            continue
-        bad = (
-            _vec_add(abar, mbar) in phi
-            or _vec_add(abar, lbar) in phi
-            or _vec_add(abar, _vec_add(mbar, lbar)) in phi
-        )
-        if bad:
-            continue
-        try:
-            return _lift(ars, beta, mbar, lbar, 2)
-        except ValueError:
-            continue
-    raise ValueError("no case-5 witness found")
 
 
 def _witness_case67(ars, alpha, beta):

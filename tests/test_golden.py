@@ -38,6 +38,8 @@ CORPUS = [
     "present --diagram C~2 --ring Z/2 --format gap",
     "present --diagram G~2 --ring Z[t,u] --format json",
     "present --diagram A~2 --ring Z --km-torus --format native",
+    # every torus-action schema in the schema ring's rendering, e.g. X1(r*t)
+    "present --diagram A~2 --ring Z --torus --format native",
     "amalgam --diagram A~3 --ring Z --format native",
     "amalgam --diagram A~2 --ring Z/3 --format json",
     "replay --case 1",

@@ -683,19 +683,42 @@ def test_negative_control_fails_only_the_perturbed_instances(
     model = L.build_model(diagram, ring)
     options = P.PresentationOptions(include_torus_action=True)
     clean = P.relators_for(model.gcm, ring, options).relators
-    mono = P._ConcreteOps.mono
-    monkeypatch.setattr(P._ConcreteOps, "mono", lambda self, k, *f: mono(self, *perturb(k, f)))
+    schemas = P.relators_for(model.gcm, rings.integers(), options).relators
+    mono = P._mono
+    monkeypatch.setattr(P, "_mono", lambda k, *f: mono(*perturb(k, f)))
     patched = P.relators_for(model.gcm, ring, options).relators
     assert [(r.family, r.nodes, r.params) for r in patched] == [
         (r.family, r.nodes, r.params) for r in clean
     ]
     moved = [rel for rel, old in zip(patched, clean) if rel.right != old.right]
     assert len(moved) == changed and {rel.family for rel in moved} == {family}
+    # the same patch reaches the symbolic schemas, and only this family's
+    patched_schemas = P.relators_for(model.gcm, rings.integers(), options).relators
+    assert {new.family for new, old in zip(patched_schemas, schemas) if new != old} == {family}
     report = L.verify_presentation(model, options)
     failing = [f for f in report["families"] if f["failed"]]
     assert [f["family"] for f in failing] == [family]
     assert failing[0]["failed"] == changed
     assert failing[0]["counterexamples"] == [_binding(rel) for rel in moved]
+
+
+def test_a_constant_equal_mod_n_shows_only_in_the_schema(monkeypatch):
+    # 3 -> -2 in chevalley-6-close-short: 3 = -2 mod 5, so no relator of G~2
+    # over Z/5 moves and verify cannot see it; the same patched _mono builds
+    # the symbolic schema, which shows -2*t*u
+    ring = rings.integers_mod(5)
+    gcm = L.build_model("G~2", ring).gcm
+
+    def schemas():
+        rels = P.relators_for(gcm, rings.integers()).relators
+        return [P.render_word(r.right) for r in rels if r.family == "chevalley-6-close-short"]
+
+    clean = P.relators_for(gcm, ring).relators
+    assert schemas() and all("(3*t*u)" in w for w in schemas())
+    mono = P._mono
+    monkeypatch.setattr(P, "_mono", lambda k, *f: mono(-2 if k == 3 else k, *f))
+    assert P.relators_for(gcm, ring).relators == clean
+    assert all("(-2*t*u)" in w and "3*" not in w for w in schemas())
 
 
 def test_wrong_kept_segment_fails_exactly_the_relators_that_contain_it():

@@ -158,38 +158,34 @@ def test_km_torus_relations():
     assert len(rel.left) == 20 and len(rel.right) == 10
 
 
-def _specialised(w, values: dict):
-    """w with units put in for the symbolic parameters of its X letters,
-    such as u^-1*v^-1 or -1."""
-    ring = next(iter(values.values())).desc
-
-    def param(text):
-        out = rings.one(ring)
-        for factor in text.split("*"):
-            name, _, exponent = factor.partition("^")
-            base = values[name] if name in values else rings.from_int(ring, int(name))
-            out = out * rings.power(base, int(exponent or 1))
-        return out
-
-    return tuple((P.X(g.node, param(g.param)) if g.kind == "X" else g, e) for g, e in w)
+def _specialised(w, binding: dict):
+    """w with the binding substituted into the parameters of its X letters."""
+    return tuple(
+        (P.X(g.node, rings.substitute(g.param, binding)) if g.kind == "X" else g, e)
+        for g, e in w
+    )
 
 
-def test_symbolic_km_torus_specialises_to_the_concrete_family():
-    z7 = rings.integers_mod(7)
-    opts = P.PresentationOptions(include_kacmoody_torus=True)
-    schemas = [r for r in P.relators_for(A2, rings.integers(), opts).relators
-               if r.family == "torus"]
-    concrete = {(r.nodes, r.params): r for r in P.relators_for(A2, z7, opts).relators
-                if r.family == "torus"}
-    units = rings.units(z7)
-    assert schemas and len(concrete) == len(schemas) * len(units) ** 2
-    for schema in schemas:
-        for u in units:
-            for v in units:
-                rel = concrete[schema.nodes, (("u", u), ("v", v))]
-                values = {"u": u, "v": v}
-                assert _specialised(schema.left, values) == rel.left
-                assert _specialised(schema.right, values) == rel.right
+@pytest.mark.parametrize("label", ["A~2", "C~2", "G~2", "A~3"])
+@pytest.mark.parametrize("n", [5, 7, 8])
+def test_every_schema_specialises_to_its_instances(label, n):
+    # each concrete relator is its family's schema with the relator's own
+    # parameter binding substituted, the km-torus inverse (uv)^-1 included;
+    # a relator without parameters renders as its schema does
+    a = D.affine_cartan(D.parse_label(label))
+    opts = P.PresentationOptions(include_torus_action=True, include_kacmoody_torus=True)
+    schemas = {(r.family, r.nodes): r for r in P.relators_for(a, rings.integers(), opts).relators}
+    concrete = P.relators_for(a, rings.integers_mod(n), opts).relators
+    assert {(r.family, r.nodes) for r in concrete} == set(schemas)
+    for rel in concrete:
+        schema = schemas[rel.family, rel.nodes]
+        binding = dict(rel.params)
+        assert [name for name, _ in schema.params] == list(binding)
+        for mine, theirs in ((schema.left, rel.left), (schema.right, rel.right)):
+            if binding:
+                assert _specialised(mine, binding) == theirs
+            else:
+                assert P.render_word(mine) == P.render_word(theirs)
 
 
 def test_symbolic_torus_words_round_trip():

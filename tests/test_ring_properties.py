@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from steinberg import rings
 
-RINGS = ["Z", "Z/6", "Z/7", "GF(5)", "Z[t,u]", "Z/4[t]", "Z[t][r^+-1]"]
+RINGS = ["Z", "Z/6", "Z/7", "GF(5)", "Z[t,u]", "Z/4[t]", "Z[t][r^+-1]",
+         "Z[r^+-1][t][u^+-1][v^+-1]"]
 
 bounded = settings(derandomize=True, max_examples=60, database=None, deadline=None)
 

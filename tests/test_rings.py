@@ -118,6 +118,36 @@ def test_evaluation_homomorphism_random():
         )
 
 
+def test_nested_rings_render_in_one_graded_lex_order():
+    # one order over all variables, innermost ring first: r, t, u, v
+    schema = R.parse_descriptor("Z[r^+-1][t][u^+-1][v^+-1]")
+    r, t, u, v = (R.parse_element(schema, name) for name in "rtuv")
+    assert str(t + u) == "t + u"
+    assert str(R.inverse(u * v)) == "u^-1*v^-1"
+    assert str(R.power(r, -1) * t) == "r^-1*t"
+    assert str(R.power(r, 1) * t) == "r*t"
+    zt_r = R.parse_descriptor("Z[t][r^+-1]")
+    t, r = R.parse_element(zt_r, "t"), R.parse_element(zt_r, "r")
+    assert str(t * r + r) == "t*r + r"
+    assert str(t * t - r) == "t^2 - r"  # the degree decides across the levels
+
+
+def test_substitute_walks_nested_rings():
+    schema = R.parse_descriptor("Z[r^+-1][t][u^+-1][v^+-1]")
+    z7 = R.integers_mod(7)
+    point = {name: R.from_int(z7, k) for name, k in zip("rtuv", (2, 5, 3, 6))}
+    a = R.parse_element(schema, "3*r^-1*t*u^2 - u^-1*v^-1")
+    expected = 3 * pow(2, -1, 7) * 5 * 9 - pow(3, -1, 7) * pow(6, -1, 7)
+    assert R.substitute(a, point) == R.from_int(z7, expected)
+    # a variable needs a value only where its exponent is nonzero
+    assert R.substitute(R.parse_element(schema, "t + 1"), {"t": point["t"]}) == R.from_int(z7, 6)
+    assert R.substitute(R.one(schema), {"v": point["v"]}) == R.one(z7)
+    with pytest.raises(ValueError):
+        R.substitute(R.parse_element(schema, "u"), {"t": point["t"]})
+    with pytest.raises(ValueError):
+        R.substitute(R.parse_element(schema, "u^-1"), {"u": R.zero(z7)})
+
+
 def test_parse_round_trip():
     cases = [
         (R.integers(), ["-12", "0", "7"]),
