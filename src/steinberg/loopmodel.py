@@ -15,33 +15,23 @@ value, and reduces the sums mod n when the product is done.  Entries are
 Python ints, which cannot overflow, so every product is exact for every n;
 exponentials use the integral divided powers of the adjoint basis, so no
 division mod n ever happens.  The model still refuses rings with
-dim (n - 1)^2 >= 2^63 (exit 3): verify enumerates the n^2 parameter pairs of
-its two-parameter families, so such a ring could not be checked anyway.
+dim (n - 1)^2 >= 2^63 (exit 3): a failing relation is decided instance by
+instance, over the n^2 parameter pairs of its two-parameter families, so
+such a ring could not be checked anyway.
 
-Relators that agree on every parameter but the last (a sub-run: one
-htilde_i(r) of a torus-action family, one t of a Chevalley family) differ
-only in the parameters of a few X letters.  Each side of a sub-run is
-evaluated once, over (Z/n)[t^(+-1)][p_0, p_1, ...], with a variable p_j or a
-tie c p_j^e in place of each parameter that varies, and the exponents of the
-p_j packed into the degree, so the product above is also the kernel of these
-formal words.  Equal formal values pass every instance; otherwise each
-instance is decided by substituting its values (verify_relators says why
-this is exact).  The constant prefix and suffix of a side, say the
-conjugator htilde_i(r) and its inverse, are concrete values from a per-model
-cache keyed by the letter tuple.  A value missing there is multiplied out
-letter by letter, after the longest cached prefix or suffix of the segment
-if there is one.  The cache keeps a segment only if it is the constant
-prefix or suffix of a sub-run's words and more than two of its letters had
-to be multiplied out.  That keeps each htilde_i(r) and its inverse, which
-recur for every j, in both torus-action families and in the torus check, and
-the few braids and Chevalley conjugators of more than two letters.  It drops
-the one-letter extensions htilde_i(r) S_j and S_j^-1 htilde_i(r)^-1: they
-recur in one sub-run only, so keeping them would save nothing and cost a
-value per (i, j, r), 162 more 248-dim values for E~8 over Z/2.  A full
-verify of F~4 over Z/3 keeps 28 values.  Caching is exact: a kept value is
-the product of its letters by the same kernel, and matrix products are
-associative, so every relator is still compared as the full product of its
-letters.
+verify_presentation decides each relation family from its schema, the
+relator of presentation.relators_for over Z with parameters in
+presentation.SCHEMA_RING = Z[r^+-1][t][u^+-1][v^+-1].  Each side is evaluated
+once over (Z/n)[z^(+-1)][r^(+-1), t, u^(+-1), v^(+-1)], z the loop variable
+(the t above, renamed): a letter X_i(p) is I + sum_k p^k z^(k m) D_k, p^k
+computed in the schema ring, and a balanced Kronecker substitution
+(_Packing) packs each monomial into the one integer degree, so the product
+above is also the kernel of these formal words.  Equal formal values pass
+every instance of the family (verify_presentation says why this is exact);
+only a schema whose values differ has its instances enumerated and decided
+by plain products.  A leading htilde_i(p) and a trailing htilde_i(p)^-1 are
+kept by the packing under their letters, so the conjugator of the
+torus-action families is multiplied out once per node, not once per (i, j).
 
 The Weyl and torus actions on root groups are proved on the coefficients of
 u, by conjugating divided powers entry by entry (see verify_morita_rehmann).
@@ -177,8 +167,7 @@ class LoopModel:
         self._s_cache: dict = {}
         self._x_cache: dict = {}
         self._degrees: dict = {}  # node -> _letter_degrees
-        self._segments: dict = {}  # letter tuple -> value, see _segment
-        self._kept_lengths: list = []  # the lengths of its keys, descending
+        self._packing = _Packing(0, 0)  # widened by _cover
 
     # -- elementary matrices ------------------------------------------------
 
@@ -202,20 +191,22 @@ class LoopModel:
             raise ValueError(f"{root} is not a real root of {self.ars.cls}")
         if u.desc != self.ring:
             raise ValueError("coefficient lies in the wrong ring")
-        return self._exponential(root.coords, u.data, root.level)
+        return self._exponential(root.coords, lambda k: [(k * root.level, pow(u.data, k, self.n))])
 
-    def _exponential(self, coords, c: int, step: int) -> LoopMatrix:
-        """I + sum_k c^k D_k with D_k at degree k step, for the divided powers
-        D_k of e_beta, beta = coords: exp(c t^m ad e_beta) for step = m, and
-        a formal letter of verify_relators for a packed step."""
+    def _exponential(self, coords, terms) -> LoopMatrix:
+        """I + sum_k c t^degree D_k over the (degree, c) in terms(k), for the
+        divided powers D_k of e_beta, beta = coords: exp(c t^m ad e_beta) for
+        terms(k) = [(k m, c^k)], and the formal letter X_i(p) of
+        _kept for the packed monomials of p^k."""
         n = self.n
         entries = dict(identity_matrix(n, self.dim).entries)
-        # D_k raises weights by k beta, so no two entries share a position
+        # D_k raises weights by k beta, so no two k share a position, and the
+        # monomials of one p^k have distinct packed degrees
         for k, power in self._divided_powers(coords):
-            coeff = pow(c, k, n)
-            for row, col, value in power:
-                if value := coeff * value % n:
-                    entries[row, col, k * step] = value
+            for degree, coeff in terms(k):
+                for row, col, value in power:
+                    if value := coeff * value % n:
+                        entries[row, col, degree] = value
         return LoopMatrix(entries, n, self.dim)
 
     def _s_letter(self, i: int, c: int) -> LoopMatrix:
@@ -262,43 +253,41 @@ class LoopModel:
     # -- word evaluation ----------------------------------------------------
 
     def letter(self, gen: presentation.Generator, exp: int) -> LoopMatrix:
+        """The value of a letter; a parameter in the schema ring gives the
+        formal letter, packed by the current packing."""
         if gen.kind == "S":
             return self.s_matrix(gen.node) if exp > 0 else self.s_inverse(gen.node)
         u = gen.param if exp > 0 else -gen.param
-        return self.x_matrix(gen.node, u)
+        if u.desc == self.ring:
+            return self.x_matrix(gen.node, u)
+        return self._kept(((presentation.X(gen.node, u), 1),))
 
     def evaluate_word(self, w) -> LoopMatrix:
-        return self._segment(tuple(w), False)
+        """The value of a word, multiplied out letter by letter."""
+        return self._times([self.letter(gen, exp) for gen, exp in w])
 
-    def _segment(self, letters: tuple, shared: bool) -> LoopMatrix:
-        """The value of a word segment, extended from its longest kept prefix
-        or suffix if it has one.  It is kept when shared (a proper prefix or
-        suffix that the words of a sub-run share) and more than two of its
-        letters had to be multiplied out; the module docstring says why."""
-        if len(letters) <= 2:
-            return self._product(letters)
-        value = self._segments.get(letters)
-        if value is not None:
-            return value
-        for k in self._kept_lengths:
-            if k >= len(letters):
-                continue
-            if (head := self._segments.get(letters[:k])) is not None:
-                value = head * self._product(letters[k:])
-                break
-            if (tail := self._segments.get(letters[-k:])) is not None:
-                value = self._product(letters[:-k]) * tail
-                break
-        else:
-            k, value = 0, self._product(letters)
-        if shared and len(letters) - k > 2:
-            self._segments[letters] = value
-            self._kept_lengths = sorted({*self._kept_lengths, len(letters)}, reverse=True)
+    def _kept(self, letters: tuple) -> LoopMatrix:
+        """The value of a formal letter or of an htilde segment, kept by the
+        packing under its letters."""
+        values = self._packing.values
+        value = values.get(letters)
+        if value is None:
+            if len(letters) == 1:
+                # X_i(p) = I + sum_k p^k z^(k m) D_k
+                (gen, _), = letters
+                root, degree = self.simple_of_node[gen.node], self._packing.degree
+                value = self._exponential(root.coords, lambda k: [
+                    (degree(k * root.level, exps), c) for exps, c in _monomials(gen.param, k)])
+            else:
+                value = self.evaluate_word(letters)
+            values[letters] = value
         return value
 
-    def _product(self, letters) -> LoopMatrix:
-        """The value of a word, multiplied out letter by letter."""
-        return self._times([self.letter(gen, exp) for gen, exp in letters])
+    def _cover(self, words) -> None:
+        """Widen the packing, with an empty cache, unless it holds the words."""
+        span, top = _box(self, words)
+        if span > self._packing.span or top > self._packing.top:
+            self._packing = _Packing(max(span, self._packing.span), max(top, self._packing.top))
 
     def _times(self, values: list) -> LoopMatrix:
         return reduce(operator.mul, values) if values else identity_matrix(self.n, self.dim)
@@ -324,202 +313,199 @@ def model_for_system(ars: R.AffineRootSystem, ring: rings.RingDescriptor) -> Loo
 # reports
 
 
-def _group_key(rel: presentation.Relator) -> tuple:
-    shapes = (tuple([(g.kind, g.node, e) for g, e in w]) for w in (rel.left, rel.right))
-    return (rel.family, rel.nodes, *shapes)
+_NAMES = rings._variables(presentation.SCHEMA_RING)  # ("r", "t", "u", "v")
+_VARIABLE = {name: rings.parse_element(presentation.SCHEMA_RING, name) for name in _NAMES}
+_H = len(presentation.htilde(0, rings.one(rings.integers())))  # letters of htilde_i(p)
+
+
+class _Packing:
+    """The balanced Kronecker substitution z -> x, r -> x^(s_1), t -> x^(s_2),
+    u -> x^(s_3), v -> x^(s_4) that packs the monomial z^d r^a t^b u^c v^e of
+    a formal value into the one integer degree d + a s_1 + b s_2 + c s_3 +
+    e s_4.  It is a ring homomorphism, so the product kernel multiplies packed
+    values exactly, and it is injective on the box |d| <= span, |exponent of
+    each variable| <= top: the radices 2 span + 1 and 2 top + 1 each hold a
+    balanced digit, negative exponents of r and u included.  A concrete value
+    is the digit d alone, so concrete letters are their own packed values.
+    values keeps the formal X letters and htilde segments of the words
+    evaluated with this packing, keyed by their letters."""
+
+    def __init__(self, span: int, top: int):
+        self.span, self.top, self.values = span, top, {}
+        self.radices = (2 * span + 1, *[2 * top + 1] * len(_NAMES))
+        self.strides = tuple(itertools.accumulate(self.radices[:-1], operator.mul, initial=1))
+
+    def degree(self, d: int, exps) -> int:
+        """The packed degree of z^d times the monomial with exponents exps."""
+        return d + sum(map(operator.mul, exps, self.strides[1:]))
+
+
+@lru_cache(maxsize=None)
+def _monomials(p: rings.RingElement, k: int) -> tuple:
+    """((exponents of r, t, u, v), coefficient) of the terms of p^k, p in
+    the schema ring."""
+    power = rings.one(p.desc)
+    for _ in range(k):
+        power = power * p
+    return tuple(rings._flat_terms(p.desc, power.data))
+
+
+def _box(model: LoopModel, words) -> tuple:
+    """(span, top) of a packing box that holds the values of the words: span
+    and top sum, over the letters of a word, a bound on the |z-degree| of the
+    letter and on the |exponent| of any variable in p^k for a letter X_i(p)."""
+    span = top = 0
+    for w in words:
+        d = e = 0
+        for gen, _ in w:
+            kmax, level = model._letter_degrees(gen.node)
+            d += kmax * level * (3 if gen.kind == "S" else 1)
+            if gen.kind == "X" and gen.param.desc != model.ring:
+                e += kmax * max((abs(x) for exps, _ in _monomials(gen.param, 1) for x in exps),
+                                default=0)
+        span, top = max(span, d), max(top, e)
+    return span, top
+
+
+def _is_htilde(letters) -> bool:
+    """Whether letters is htilde_i(p), for the parameter p of its first letter."""
+    if len(letters) != _H or letters[0][0].kind != "X":
+        return False
+    gen, _ = letters[0]
+    try:
+        return letters == presentation.htilde(gen.node, gen.param)
+    except ValueError:  # p is not a unit
+        return False
+
+
+def _value(model: LoopModel, w) -> LoopMatrix:
+    """The packed value of a word, multiplied out letter by letter but for a
+    leading htilde_i(p) and a trailing htilde_i(p)^-1, kept by the packing."""
+    head = _H if _is_htilde(w[:_H]) else 0
+    tail = _H if len(w) >= head + _H and _is_htilde(presentation.winv(w[-_H:])) else 0
+    factors = [model.letter(gen, exp) for gen, exp in w[head:len(w) - tail]]
+    if head:
+        factors.insert(0, model._kept(w[:head]))
+    if tail:
+        factors.append(model._kept(w[-tail:]))
+    return model._times(factors)
 
 
 def verify_relators(model: LoopModel, relators) -> list:
     """Whether the two words of each relator have equal values, in order.
 
-    A run of relators with one family, nodes and letter shape is split into
-    sub-runs that agree on every parameter but the last (relators_for sorts
-    by family, nodes and parameters, so there a run is a group, and a
-    sub-run, say one htilde_i(r) of a torus-action family, is contiguous).
-    The run's key fixes the letter shape, so the words of a sub-run differ
-    only in the parameters of X letters, at its varying positions.  The two
-    sides are evaluated once, over (Z/n)[t^(+-1)][p_0, p_1, ...]:
-
-    * a varying position gets the letter X_i(s c p_j^e) (s its exponent's
-      sign) when its parameter is c p_j^e, e in (1, 2, 3), on every instance
-      for an earlier variable p_j, with c read off the instance where p_j = 1
-      (see _tie); otherwise it gets a new variable p_j, whose value on each
-      instance is its parameter there;
-    * the constant prefix and suffix of a side are concrete values from
-      _segment, its constant middle letters come from letter.
-
-    Exactness.  Substituting values for the p_j is a ring homomorphism
-    (Z/n)[t^(+-1)][p] -> (Z/n)[t^(+-1)], applied entrywise it commutes with
-    matrix products, and (s c p^e)^k = (s c)^k p^(e k) holds in (Z/n)[p].
-    Each tie is checked on each instance, so every formal letter specialises
-    to that instance's concrete letter, and each side to its concrete value.
-    Equal formal values therefore pass every instance of the sub-run.
-    Unequal ones are decided instance by instance, by substituting into
-    their difference, which also covers polynomials that vanish as
-    functions on Z/n.  The p-exponents are packed into the degree (see
-    _Packing), so the product kernel is the one of concrete words."""
-    passed = []
-    for _, run in itertools.groupby(relators, _group_key):
-        for _, sub in itertools.groupby(run, lambda rel: rel.params[:-1]):
-            passed += _sub_run_verdicts(model, list(sub))
-    return passed
+    A relator is a schema, with parameters in presentation.SCHEMA_RING, or a
+    concrete relator over the model's ring, a schema with no variables.  The
+    model's packing is first widened, with an empty cache, if its box does
+    not hold the words (see _box).  It is injective on the box, so the
+    verdict compares the two formal values: exact for a concrete relator,
+    and for a schema the identity that verify_presentation carries to every
+    instance."""
+    model._cover([w for rel in relators for w in (rel.left, rel.right)])
+    return [_value(model, rel.left) == _value(model, rel.right) for rel in relators]
 
 
-def _sub_run_verdicts(model: LoopModel, sub: list) -> list:
-    """verify_relators on the relators of one sub-run."""
-    values: list = []  # p_j -> its value on each instance
-    sides = [[rel.left for rel in sub], [rel.right for rel in sub]]
-    specs = [_varying(model.n, words, values) for words in sides]
-    packing = _Packing(model, [words[0] for words in sides], specs, len(values))
-    left, right = (_formal_value(model, words[0], spec, packing)
-                   for words, spec in zip(sides, specs))
-    if left.entries == right.entries:
-        return [True] * len(sub)
-    return _substituted(model, left, right, packing, values, len(sub))
+def _domains(schema: presentation.Relator, units: list, elements: list) -> list:
+    """The values of each parameter of a schema: the units for the torus unit
+    r and the Kac-Moody torus units u and v, every element otherwise.
+
+    Checks the precondition of verify_presentation: every parameter is the
+    variable of its name, every variable of a letter is a parameter, and
+    only a unit parameter has a negative exponent."""
+    domains = {}
+    for name, value in schema.params:
+        if value != _VARIABLE[name]:
+            raise ValueError(f"{schema.family}: parameter {name} is not the variable {name}")
+        domains[name] = units if presentation.unit_parameter(schema.family, name) else elements
+    for gen, _ in schema.left + schema.right:
+        for exps, _ in _monomials(gen.param, 1) if gen.kind == "X" else ():
+            for name, e in zip(_NAMES, exps):
+                if e and (name not in domains or e < 0 and domains[name] is not units):
+                    raise ValueError(f"{schema.family}: {name}^{e} in {gen.render()} lacks a value")
+    return list(domains.values())
 
 
-def _varying(n: int, words: list, values: list) -> dict:
-    """position -> (j, c, e) for the positions where words of one letter
-    shape (the run key fixes it) differ, all X parameters, whose letters
-    become X_i(s c p_j^e); new variables are appended to values."""
-    spec = {}
-    for k, (gen, _) in enumerate(words[0]):
-        if gen.kind == "X":
-            column = [w[k][0].param.data for w in words]
-            if column.count(column[0]) < len(column):
-                spec[k] = _tie(n, column, values)
-    return spec
+def _instances(model: LoopModel, schema: presentation.Relator, domains: list) -> list:
+    """The concrete relators of a schema, one per binding of its parameters
+    to their values, in relator order."""
+    names, rels = [name for name, _ in schema.params], []
+    for values in itertools.product(*domains):
+        binding = dict(zip(names, values))
+        point = [binding[name].data if name in binding else None for name in _NAMES]
+        left, right = (tuple((gen if gen.kind == "S" else presentation.X(
+            gen.node, _at(model, gen.param, point)), exp) for gen, exp in w)
+            for w in (schema.left, schema.right))
+        rels.append(presentation.Relator(schema.family, schema.nodes, tuple(binding.items()),
+                                         left, right))
+    return sorted(rels, key=presentation.Relator.render_params)
 
 
-def _tie(n: int, column: list, values: list) -> tuple:
-    """(j, c, e) with column = c p_j^e mod n on every instance for the first
-    earlier variable p_j and exponent e that fit, c read off the first
-    instance where p_j = 1; else (j, 1, 1) for a new variable p_j = column."""
-    for j, xs in enumerate(values):
-        if 1 in xs:
-            c = column[xs.index(1)]
-            for e in (1, 2, 3):
-                if all(v == c * pow(x, e, n) % n for v, x in zip(column, xs)):
-                    return j, c, e
-    values.append(column)
-    return len(values) - 1, 1, 1
-
-
-class _Packing:
-    """The Kronecker substitution t -> x, p_j -> x^(stride_j) that packs the
-    monomial t^d p_0^(e_0) p_1^(e_1) ... of a sub-run's values into the one
-    integer degree d + sum_j e_j stride_j.  It is a ring homomorphism, so the
-    product kernel multiplies packed values exactly, and it is injective on
-    the box |d| <= span, 0 <= e_j <= top_j, which holds both sides' values:
-    span sums a bound on the |t-degree| of every letter of a word, top_j the
-    largest p_j-exponent of every letter X_i(s c p_j^e).  The radix grows
-    with the words, so no two monomials of the box share a degree."""
-
-    def __init__(self, model: LoopModel, words: list, specs: list, count: int):
-        self.span, self.top = 0, [0] * count
-        for w, spec in zip(words, specs):
-            span, top = 0, [0] * count
-            for k, (gen, _) in enumerate(w):
-                kmax, level = model._letter_degrees(gen.node)
-                span += kmax * level * (3 if gen.kind == "S" else 1)
-                if k in spec:
-                    j, _, e = spec[k]
-                    top[j] += e * kmax
-            self.span = max(self.span, span)
-            self.top = list(map(max, self.top, top))
-        self.radix = 2 * self.span + 1
-        self.strides, stride = [], self.radix
-        for top_j in self.top:
-            self.strides.append(stride)
-            stride *= top_j + 1
-
-    def unpack(self, degree: int) -> tuple:
-        """(d, (e_0, e_1, ...)) of a packed degree in the box."""
-        d = (degree + self.span) % self.radix - self.span
-        rest, exps = (degree - d) // self.radix, []
-        for top_j in self.top:
-            rest, e = divmod(rest, top_j + 1)
-            exps.append(e)
-        return d, tuple(exps)
-
-
-def _formal_value(model: LoopModel, w, spec: dict, packing: _Packing) -> LoopMatrix:
-    """The packed value of a side with the formal letters of spec: its
-    constant prefix and suffix from _segment, kept there as shared ends."""
-    if not spec:
-        return model._segment(w, False)
-    lo, hi = min(spec), max(spec) + 1
-    factors = [model._segment(w[:lo], True)] if lo else []
-    for pos in range(lo, hi):
-        gen, exp = w[pos]
-        if pos in spec:
-            # X_i(s c p_j^e) = I + sum_k (s c)^k p_j^(e k) t^(k m) D_k
-            j, c, e = spec[pos]
-            root = model.simple_of_node[gen.node]
-            factors.append(model._exponential(root.coords, exp * c,
-                                              root.level + e * packing.strides[j]))
-        else:
-            factors.append(model.letter(gen, exp))
-    if hi < len(w):
-        factors.append(model._segment(w[hi:], True))
-    return model._times(factors)
-
-
-def _substituted(model: LoopModel, left: LoopMatrix, right: LoopMatrix,
-                 packing: _Packing, values: list, count: int) -> list:
-    """Per instance, whether left - right vanishes with p_j = values[j][instance]:
-    each entry of the difference is a polynomial in the p_j, summed over the
-    powers of the instance's values."""
-    n, terms = model.n, {}
-    for key in left.entries.keys() | right.entries.keys():
-        if coeff := (left.entries.get(key, 0) - right.entries.get(key, 0)) % n:
-            row, col, degree = key
-            d, exps = packing.unpack(degree)
-            terms.setdefault((row, col, d), []).append((coeff, exps))
-    verdicts = []
-    for instance in range(count):
-        powers = [[pow(xs[instance], e, n) for e in range(top + 1)]
-                  for xs, top in zip(values, packing.top)]
-        verdicts.append(not any(
-            sum(coeff * math.prod(map(list.__getitem__, powers, exps))
-                for coeff, exps in entry) % n
-            for entry in terms.values()
-        ))
-    return verdicts
+def _at(model: LoopModel, p: rings.RingElement, point: list) -> rings.RingElement:
+    """p in the schema ring at the residues (r, t, u, v) = point."""
+    return rings.from_int(model.ring, sum(
+        c * math.prod(pow(x, e, model.n) for x, e in zip(point, exps) if e)
+        for exps, c in _monomials(p, 1)))
 
 
 def verify_presentation(
     model: LoopModel, options: presentation.PresentationOptions | None = None
 ) -> dict:
-    """Run verify_relators over every instance of the presentation of the
-    model's diagram; per-family pass counts with counterexample parameter
-    bindings in relator order."""
+    """Every instance of the presentation of the model's diagram, decided
+    from the schemas of relators_for over Z; per-family pass counts with
+    counterexample parameter bindings in relator order.
+
+    The instances of a schema are its specialisations: r, t, u, v go to the
+    values of its parameters (_domains), every element for t and u, the
+    units for r and for the Kac-Moody torus's u and v.  A family's instance
+    count is the product of the sizes of these value lists.
+
+    Exactness.  Specialisation is a ring homomorphism from the polynomials
+    of (Z/n)[z^(+-1)][r^(+-1), t, u^(+-1), v^(+-1)] whose negative exponents
+    are of variables specialised to units onto (Z/n)[z^(+-1)].  Applied
+    entrywise it commutes with matrix products and sends each formal letter
+    X_i(p) = I + sum_k p^k z^(k m) D_k to the concrete letter of the
+    instance, so each side to the instance's value: equal formal values
+    (verify_relators) pass every instance.  This needs one precondition,
+    which _domains checks for every schema rather than assumes: a parameter
+    whose values include non-units (t, and u outside the Kac-Moody torus)
+    never has a negative exponent.  A schema whose formal values differ has
+    its instances enumerated and each decided by plain products; that also
+    decides identities that hold as functions on Z/n but not formally, such
+    as X_i(t^5) = X_i(t) over GF(5)."""
     if options is None:
         options = presentation.PresentationOptions(include_torus_action=True)
-    pres = presentation.relators_for(model.gcm, model.ring, options)
+    a = model.gcm
+    if any(diagrams.coxeter_order(a, i, j) is diagrams.INFINITE
+           for i, j in itertools.combinations(range(a.rank), 2)):
+        raise UnsupportedModelError("no relation family exists for an m = infinity edge")
+    families = _families(model, presentation.relators_for(a, rings.integers(), options).relators)
+    return {"diagram": model.ars.cls.label(), "ring": str(model.ring), "families": families,
+            "all_passed": all(f["failed"] == 0 for f in families)}
+
+
+def _entry(family: str) -> dict:
+    return {"family": family, "instances": 0, "passed": 0, "failed": 0, "counterexamples": []}
+
+
+def _families(model: LoopModel, schemas) -> list:
+    """The per-family entries of verify_presentation for a list of schemas in
+    relator order, in family order."""
+    units, elements = rings.units(model.ring), list(rings.elements(model.ring))
+    domains = [_domains(schema, units, elements) for schema in schemas]
     families: dict[str, dict] = {}
-    for rel, ok in zip(pres.relators, verify_relators(model, pres.relators)):
-        entry = families.setdefault(
-            rel.family,
-            {"family": rel.family, "instances": 0, "passed": 0, "failed": 0,
-             "counterexamples": []},
-        )
-        entry["instances"] += 1
-        if ok:
-            entry["passed"] += 1
-        else:
-            entry["failed"] += 1
-            binding = dict(zip(("i", "j"), rel.nodes))
-            for name, value in rel.params:
-                binding[name] = rings.render_element(value)
-            entry["counterexamples"].append(binding)
-    report = {
-        "diagram": model.ars.cls.label(),
-        "ring": str(model.ring),
-        "families": [families[k] for k in sorted(families, key=presentation.FAMILY_ORDER.index)],
-    }
-    report["all_passed"] = all(f["failed"] == 0 for f in report["families"])
-    return report
+    for schema, values, ok in zip(schemas, domains, verify_relators(model, schemas)):
+        entry = families.setdefault(schema.family, _entry(schema.family))
+        rels = [] if ok else _instances(model, schema, values)
+        failed = [rel for rel, good in zip(rels, verify_relators(model, rels)) if not good]
+        count = math.prod(map(len, values))
+        entry["instances"] += count
+        entry["passed"] += count - len(failed)
+        entry["failed"] += len(failed)
+        entry["counterexamples"] += [
+            {**dict(zip(("i", "j"), rel.nodes)),
+             **{name: rings.render_element(value) for name, value in rel.params}}
+            for rel in failed]
+    return [families[k] for k in sorted(families, key=presentation.FAMILY_ORDER.index)]
 
 
 def verify_morita_rehmann(model: LoopModel, level_bound: int) -> dict:
@@ -555,10 +541,7 @@ def verify_morita_rehmann(model: LoopModel, level_bound: int) -> dict:
     units = rings.units(ring)
     elements = [x for x in rings.elements(ring) if not x.is_zero()]
     signs = [rings.one(ring), -rings.one(ring)]
-    weyl = {"family": "weyl-conjugation", "instances": 0, "passed": 0, "failed": 0,
-            "counterexamples": []}
-    torus = {"family": "torus-scaling", "instances": 0, "passed": 0, "failed": 0,
-             "counterexamples": []}
+    weyl, torus = _entry("weyl-conjugation"), _entry("torus-scaling")
     for i in range(model.gcm.rank):
         simple = model.simple_of_node[i]
         s_word = presentation.stilde(i, rings.one(ring))

@@ -13,6 +13,7 @@ and v are the Kac-Moody torus units.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import groupby
 from typing import NamedTuple
 
@@ -23,6 +24,7 @@ from .diagrams import GeneralizedCartanMatrix
 SCHEMA_RING = rings.parse_descriptor("Z[r^+-1][t][u^+-1][v^+-1]")
 
 
+@lru_cache(maxsize=None)
 def _render(a: rings.RingElement) -> str:
     return rings.render_element(a).replace(" ", "")
 
@@ -143,6 +145,12 @@ def _short_long(a: GeneralizedCartanMatrix, i: int, j: int) -> tuple[int, int]:
     if abs(a.rows[i][j]) > abs(a.rows[j][i]):
         return i, j
     return j, i
+
+
+def unit_parameter(family: str, name: str) -> bool:
+    """Whether a family's parameter ranges over the units, as the torus unit
+    r and the Kac-Moody torus units u and v do, rather than every element."""
+    return name == "r" or family == "torus"
 
 
 def _mono(k: int, *factors: rings.RingElement) -> rings.RingElement:

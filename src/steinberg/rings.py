@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 
@@ -38,6 +39,13 @@ class RingDescriptor:
 
     kind: str
     params: tuple
+
+    def __hash__(self) -> int:  # cached: every element hash hashes the nested descriptor
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.kind, self.params))
 
     def __str__(self) -> str:
         if self.kind == "Z":

@@ -1,4 +1,6 @@
+import collections
 import dataclasses
+import itertools
 import math
 import random
 
@@ -721,159 +723,209 @@ def test_a_constant_equal_mod_n_shows_only_in_the_schema(monkeypatch):
     assert all("(-2*t*u)" in w and "3*" not in w for w in schemas())
 
 
-def test_wrong_kept_segment_fails_exactly_the_relators_that_contain_it():
+def test_wrong_kept_conjugator_fails_exactly_the_relators_that_contain_it():
     # the cached values are the checked values: after a passing run, one kept
     # htilde_i(r) replaced by a wrong matrix fails every relator whose words
     # contain that segment, and no other
     model = L.build_model("A~2", Z7)
     options = P.PresentationOptions(include_torus_action=True)
-    assert L.verify_presentation(model, options)["all_passed"]
+    rels = P.relators_for(model.gcm, Z7, options).relators
+    assert all(L.verify_relators(model, rels))
     h = P.htilde(1, rings.from_int(Z7, 3))
-    model._segments[h] = _bumped(model._segments[h], (0, 1, 0))
+    values = model._packing.values
+    values[h] = _bumped(values[h], (0, 1, 0))
 
     def contains(w):
         return any(w[k:k + len(h)] == h for k in range(len(w) - len(h) + 1))
 
-    rels = P.relators_for(model.gcm, Z7, options).relators
     failed = [rel for rel, ok in zip(rels, L.verify_relators(model, rels)) if not ok]
     assert failed == [rel for rel in rels if contains(rel.left) or contains(rel.right)]
     assert {rel.family for rel in failed} == {"torus-action-1", "torus-action-2"}
     assert len(failed) == 2 * model.gcm.rank * 7
 
 
-def test_segment_cache_keeps_only_shared_conjugators():
-    # after a full verify of F~4 over Z/3 the cache holds every htilde_i(r)
-    # and its inverse, each key is a proper shared segment of more than two
-    # letters that no shorter key reaches within two letters, and all of it
-    # is a few thousand entries
+def _record_instances(monkeypatch) -> list:
+    """(family, nodes) of every schema sent to the enumeration, in order."""
+    calls, instances = [], L._instances
+
+    def recorded(model, schema, domains):
+        calls.append((schema.family, schema.nodes))
+        return instances(model, schema, domains)
+
+    monkeypatch.setattr(L, "_instances", recorded)
+    return calls
+
+
+def test_a_tampered_conjugator_sends_exactly_its_schemas_to_enumeration(monkeypatch):
+    # the formal htilde_1(r) is kept once and shared by the torus-action
+    # schemas of node 1; tampered, it fails exactly those formally, and their
+    # instances, multiplied out with concrete conjugators, still pass
+    model = L.build_model("A~2", Z7)
+    assert L.verify_presentation(model)["all_passed"]
+    values = model._packing.values
+    h = P.htilde(1, L._VARIABLE["r"])
+    values[h] = _bumped(values[h], (0, 1, 0))
+    enumerated = _record_instances(monkeypatch)
+    report = L.verify_presentation(model)
+    assert report["all_passed"]
+    assert enumerated == [(family, (1, j)) for family in ("torus-action-1", "torus-action-2")
+                          for j in range(model.gcm.rank)]
+    assert report == L.verify_presentation(L.build_model("A~2", Z7))
+
+
+@pytest.mark.parametrize("diagram,n", [("A~2", 7), ("C~2", 6), ("G~2", 4), ("B~3", 3)])
+def test_correct_schemas_never_reach_the_enumeration(monkeypatch, diagram, n):
+    # every schema, the Kac-Moody torus included, is one formal identity
+    def unreachable(*args):
+        raise AssertionError("a correct schema was enumerated")
+
+    monkeypatch.setattr(L, "_instances", unreachable)
+    options = P.PresentationOptions(include_torus_action=True, include_kacmoody_torus=True)
+    assert L.verify_presentation(L.build_model(diagram, rings.integers_mod(n)), options)["all_passed"]
+
+
+def test_conjugator_cache_keeps_each_htilde_and_its_inverse_once():
+    # after a full verify of F~4 over Z/3 the packing keeps the formal X
+    # letters and, for each node, the formal htilde_i(r) and its inverse:
+    # one conjugator per node for both torus-action families and every j
     ring = rings.integers_mod(3)
     model = L.build_model("F~4", ring)
-    pres = P.relators_for(model.gcm, ring, P.PresentationOptions(include_torus_action=True))
     assert L.verify_presentation(model)["all_passed"]
     assert L.verify_morita_rehmann(model, 1)["all_passed"]
-    keys = set(model._segments)
-    for i in range(model.gcm.rank):
-        for r in rings.units(ring):
-            assert {P.htilde(i, r), P.winv(P.htilde(i, r))} <= keys
-    words = [w for rel in pres.relators for w in (rel.left, rel.right)]
-    for key in keys:
-        assert len(key) > 2
-        assert any(len(w) > len(key) and key in (w[:len(key)], w[-len(key):]) for w in words)
-        assert not any(
-            0 < len(key) - len(other) <= 2 and other in (key[:len(other)], key[-len(other):])
-            for other in keys
-        )
-    assert model._kept_lengths == sorted({len(key) for key in keys}, reverse=True)
-    # the values and the row and column indexes built for them: 2,914
-    # entries today, where 28 dense 52-dim values would hold 75,712
-    stored = sum(
-        len(m.entries) * (1 + sum(index in m.__dict__ for index in ("_rows", "_cols")))
-        for m in model._segments.values()
-    )
-    assert stored < 4096
+    values = model._packing.values
+    r = L._VARIABLE["r"]
+    assert {key for key in values if len(key) > 1} == {
+        w for i in range(model.gcm.rank) for w in (P.htilde(i, r), P.winv(P.htilde(i, r)))
+    }
+    letters = [gen for key in values if len(key) == 1 for gen, _ in key]
+    assert letters and all(gen.kind == "X" and gen.param.desc == P.SCHEMA_RING for gen in letters)
 
 
-
-def _substituted_sub_runs(monkeypatch) -> list:
-    """(family, nodes, params[:-1], variables) of each sub-run that
-    verify_relators decides by substitution, filled in as it runs."""
-    current, reached = [], []
-    verdicts, substituted = L._sub_run_verdicts, L._substituted
-
-    def tracked(model, sub):
-        current[:] = [(sub[0].family, sub[0].nodes, sub[0].params[:-1])]
-        return verdicts(model, sub)
-
-    def recorded(model, left, right, packing, values, count):
-        reached.append((*current[0], len(values)))
-        return substituted(model, left, right, packing, values, count)
-
-    monkeypatch.setattr(L, "_sub_run_verdicts", tracked)
-    monkeypatch.setattr(L, "_substituted", recorded)
-    return reached
+def _schema(family, params, left, right):
+    return P.Relator(family, (0, 0), params, P.word(*left), P.word(*right))
 
 
-def test_only_additivity_reaches_substitution(monkeypatch):
-    # every varying right-hand parameter of A~2 is c p^e in the varying left
-    # one, but t + u: one comparison decides every sub-run except the 3 * 6
-    # additivity sub-runs with t != 0, which keep u and t + u as two
-    # variables.  Without ties, every sub-run whose right word varies would
-    # be substituted.
-    reached = _substituted_sub_runs(monkeypatch)
-    model = L.build_model("A~2", Z7)
-    assert L.verify_presentation(model)["all_passed"]
-    assert reached == [
-        ("additivity", (i,), (("t", rings.from_int(Z7, t)),), 2)
-        for i in range(3) for t in range(1, 7)
-    ]
+def test_an_identity_of_functions_passes_after_enumeration(monkeypatch):
+    # X_0(t^5) = X_0(t) over GF(5): formally false, true at every t
+    ring = rings.prime_field(5)
+    t = L._VARIABLE["t"]
+    schema = _schema("s2-on-x", (("t", t),), [P.X(0, rings.power(t, 5))], [P.X(0, t)])
+    enumerated = _record_instances(monkeypatch)
+    [entry] = L._families(L.build_model("A~2", ring), [schema])
+    assert enumerated == [("s2-on-x", (0, 0))]
+    assert (entry["instances"], entry["passed"], entry["failed"]) == (5, 5, 0)
 
 
-def test_a_broken_tie_fails_exactly_its_instance(monkeypatch):
-    # in the torus-action-1 sub-run of (i, j) = (0, 1), r = 3 over Z/7, one
-    # instance's right parameter moves off r^(a_ij) t: the right position
-    # gets a variable of its own, the sub-run is substituted, and exactly
-    # that relator fails
+def test_a_formal_mismatch_fails_exactly_the_instances_it_breaks():
+    # X_0(t^2) = X_0(t) over Z/4 holds at t = 0, 1 and fails at t = 2, 3
+    t = L._VARIABLE["t"]
+    schema = _schema("s2-on-x", (("t", t),), [P.X(0, t * t)], [P.X(0, t)])
+    [entry] = L._families(L.build_model("A~2", rings.integers_mod(4)), [schema])
+    assert (entry["instances"], entry["failed"]) == (4, 2)
+    assert entry["counterexamples"] == [{"i": 0, "j": 0, "t": "2"}, {"i": 0, "j": 0, "t": "3"}]
+    # over Z/12 it holds at the idempotents 0, 1, 4, 9; relator order sorts
+    # the rendered parameters, so t = 10 comes before t = 2
+    [entry] = L._families(L.build_model("A~2", rings.integers_mod(12)), [schema])
+    assert [c["t"] for c in entry["counterexamples"]] == ["10", "11", "2", "3", "5", "6", "7", "8"]
+
+
+def test_an_inverted_torus_scale_fails_exactly_the_instances_it_moves(monkeypatch):
+    # r^(a_ij) -> r^(-a_ij) in the torus-action families of A~2 over Z/7 moves
+    # an instance exactly when r^(2 a_ij) t != 0: every schema fails formally,
+    # and the enumeration reports exactly the moved instances, in order
     model = L.build_model("A~2", Z7)
     options = P.PresentationOptions(include_torus_action=True)
-    rels = list(P.relators_for(model.gcm, Z7, options).relators)
-    r = rings.from_int(Z7, 3)
-    sub = [k for k, rel in enumerate(rels)
-           if (rel.family, rel.nodes, rel.params[:1]) == ("torus-action-1", (0, 1), (("r", r),))]
-    assert len(sub) == 7
-    bad = sub[4]
-    rels[bad] = _perturbed(rels[bad], Z7)
-    reached = _substituted_sub_runs(monkeypatch)
-    verdicts = L.verify_relators(model, rels)
-    assert [k for k, ok in enumerate(verdicts) if not ok] == [bad]
-    assert ("torus-action-1", (0, 1), (("r", r),), 2) in reached
+    clean = P.relators_for(model.gcm, Z7, options).relators
+    power, one = rings.power, rings.one(Z7)
+    monkeypatch.setattr(rings, "power", lambda r, k: power(r, -k))
+    patched = P.relators_for(model.gcm, Z7, options).relators
+    moved = [rel for rel, old in zip(patched, clean) if rel.right != old.right]
+    assert moved == [
+        rel for rel in patched
+        if rel.family in P.TORUS_ACTION_FAMILIES and not dict(rel.params)["t"].is_zero()
+        and power(dict(rel.params)["r"], 2 * model.gcm.rows[rel.nodes[0]][rel.nodes[1]]) != one
+    ]
+    enumerated = _record_instances(monkeypatch)
+    report = L.verify_presentation(model, options)
+    assert enumerated == [(family, (i, j)) for family in ("torus-action-1", "torus-action-2")
+                          for i in range(3) for j in range(3)]
+    failing = [f for f in report["families"] if f["failed"]]
+    assert [f["family"] for f in failing] == ["torus-action-1", "torus-action-2"]
+    assert [c for f in failing for c in f["counterexamples"]] == [_binding(rel) for rel in moved]
 
 
-def _specialised(model, value, packing, xs) -> dict:
-    """The entries of a packed formal value with p_j = xs[j]."""
-    sums = {}
-    for (row, col, degree), coeff in value.entries.items():
-        d, exps = packing.unpack(degree)
-        sums[row, col, d] = sums.get((row, col, d), 0) + coeff * math.prod(
-            pow(x, e, model.n) for x, e in zip(xs, exps))
-    return {key: v % model.n for key, v in sums.items() if v % model.n}
+def test_a_negative_power_of_a_non_unit_parameter_is_refused():
+    # the precondition of the formal verdict: u^-1 has a value on every
+    # instance of the Kac-Moody torus, where u is a unit, and on no other
+    units, elements = rings.units(Z7), list(rings.elements(Z7))
+    t, u, v = (L._VARIABLE[name] for name in "tuv")
+    letters = [P.X(0, rings.inverse(u))], [P.X(0, u)]
+    assert L._domains(_schema("torus", (("u", u), ("v", v)), *letters), units, elements) == [
+        units, units]
+    with pytest.raises(ValueError, match=r"u\^-1"):
+        L._domains(_schema("additivity", (("t", t), ("u", u)), *letters), units, elements)
+    # a variable that is not a parameter has no value either
+    with pytest.raises(ValueError, match="v"):
+        L._domains(_schema("s2-on-x", (("t", t),), [P.X(0, t * v)], [P.X(0, t)]), units, elements)
 
 
-def test_packing_widens_with_the_words_and_never_aliases():
-    # words (X_i(u) S_i X_j(2u) X_l(u^2))^k over the three nodes, i the node
-    # of level 1: their t-degrees and u-exponents grow with k, and so does
-    # the packing box.  Every formal value specialises to the plain product
-    # of each instance, which an aliased degree would break.
-    ring = rings.integers_mod(5)
-    model = L.build_model("A~2", ring)
+@pytest.mark.parametrize("diagram", ["A~2", "C~2", "G~2", "A~3", "B~3"])
+def test_schema_counts_match_the_concrete_enumeration(diagram):
+    # per family, the product of the parameters' value lists is the number of
+    # concrete instances, torus units and zero divisors included
+    options = P.PresentationOptions(include_torus_action=True, include_kacmoody_torus=True)
+    for ring in map(rings.parse_descriptor, ("Z/2", "Z/3", "Z/5", "Z/8", "GF(7)")):
+        model = L.build_model(diagram, ring)
+        report = L.verify_presentation(model, options)
+        concrete = collections.Counter(
+            rel.family for rel in P.relators_for(model.gcm, ring, options).relators)
+        assert {f["family"]: f["instances"] for f in report["families"]} == concrete, ring
+
+
+def _unpack(packing, degree) -> tuple:
+    """(d, exponents) of a packed degree, one balanced digit per radix."""
+    digits = []
+    for radix in packing.radices:
+        digits.append((degree + radix // 2) % radix - radix // 2)
+        degree = (degree - digits[-1]) // radix
+    assert degree == 0
+    return digits[0], tuple(digits[1:])
+
+
+def test_packing_round_trips_its_corners_and_widens_with_the_words():
+    # words (X_j(r^-1 t) S_i X_l(t u^2))^k, i the node of level 1 and j, l
+    # those of level 0, so only the Weyl letters raise z-degrees: degrees and
+    # exponents grow with k, and so does the model's packing.  Every corner of
+    # the box round-trips, and the formal value specialises to the plain
+    # product at every point, which an aliased degree would break.
+    model = L.build_model("A~2", Z5)
     i = next(i for i, root in model.simple_of_node.items() if root.level)
     j, l = (i + 1) % 3, (i + 2) % 3
-
-    def word(u, k):
-        return P.word(P.X(i, u), P.S(i), P.X(j, u + u), P.X(l, u * u)) * k
-
-    spans, tops = [], []
+    r, t, u = (L._VARIABLE[name] for name in "rtu")
+    boxes = []
     for k in (1, 3, 6):
-        elems = list(rings.elements(ring))
-        words = [word(u, k) for u in elems]
-        values = []
-        spec = L._varying(model.n, words, values)
-        assert sorted(spec.values()) == [(0, 1, 1)] * k + [(0, 1, 2)] * k + [(0, 2, 1)] * k
-        packing = L._Packing(model, [words[0]], [spec], len(values))
-        formal = L._formal_value(model, words[0], spec, packing)
-        degrees = [packing.unpack(degree) for _, _, degree in formal.entries]
-        assert max(abs(d) for d, _ in degrees) <= packing.span
-        assert max(e for _, (e,) in degrees) <= packing.top[0]
-        for u, w in zip(elems, words):
-            assert _specialised(model, formal, packing, [u.data]) == _plain(model, w).entries
-        spans.append(packing.span)
-        tops.append(packing.top[0])
-        # a reversed right side: the relators fail or pass as plain products say
-        rels = [P.Relator("additivity", (i,), (("u", u),), w, w[::-1]) for u, w in zip(elems, words)]
-        assert L.verify_relators(model, rels) == [
-            _plain(model, rel.left) == _plain(model, rel.right) for rel in rels
-        ]
-    assert spans == sorted(set(spans)) and tops == sorted(set(tops))
-    # the longest words reach t-degrees and exponents past the box of the
-    # shortest, which its radix would alias
-    assert max(abs(d) for d, _ in degrees) > spans[0]
-    assert max(e for _, (e,) in degrees) > tops[0]
+        w = P.word(P.X(j, rings.inverse(r) * t), P.S(i), P.X(l, t * u * u)) * k
+        L.verify_relators(model, [P.Relator("additivity", (i,), (), w, w[::-1])])
+        packing = model._packing
+        boxes.append((packing.span, packing.top))
+        for d in (-packing.span, packing.span):
+            for exps in itertools.product((-packing.top, packing.top), repeat=4):
+                assert _unpack(packing, packing.degree(d, exps)) == (d, exps)
+        formal = L._value(model, w)
+        assert any(_unpack(packing, degree)[1][0] < 0 for _, _, degree in formal.entries)
+        for rv, tv, uv in [(1, 1, 1), (2, 3, 4), (4, 2, 0), (3, 4, 2)]:
+            concrete = P.word(P.X(j, rings.from_int(Z5, pow(rv, -1, 5) * tv)), P.S(i),
+                              P.X(l, rings.from_int(Z5, tv * uv * uv))) * k
+            sums = {}
+            for (row, col, degree), c in formal.entries.items():
+                d, (er, et, eu, _) = _unpack(packing, degree)
+                value = c * pow(rv, er, 5) * tv**et * uv**eu
+                sums[row, col, d] = (sums.get((row, col, d), 0) + value) % 5
+            assert {key: v for key, v in sums.items() if v} == _plain(model, concrete).entries
+    spans, tops = zip(*boxes)
+    assert spans == tuple(sorted(set(spans))) and tops == tuple(sorted(set(tops)))
+    # the longest word reaches z-degrees and exponents past the shortest
+    # word's box, which its radices would alias
+    monomials = [_unpack(packing, degree) for _, _, degree in formal.entries]
+    assert max(abs(d) for d, _ in monomials) > spans[0]
+    assert min(exps[0] for _, exps in monomials) < -tops[0]
