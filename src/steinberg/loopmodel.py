@@ -29,9 +29,10 @@ computed in the schema ring, and a balanced Kronecker substitution
 above is also the kernel of these formal words.  Equal formal values pass
 every instance of the family (verify_presentation says why this is exact);
 only a schema whose values differ has its instances enumerated and decided
-by plain products.  A leading htilde_i(p) and a trailing htilde_i(p)^-1 are
-kept by the packing under their letters, so the conjugator of the
-torus-action families is multiplied out once per node, not once per (i, j).
+by plain products.  A leading htilde_i(p) or S_i S_i and a trailing
+htilde_i(p)^-1 or S_i^-1 S_i^-1 are kept by the packing under their letters,
+so the conjugators of the torus-action and s2 families are multiplied out
+once per node, not once per (i, j).
 
 The Weyl and torus actions on root groups are proved on the coefficients of
 u, by conjugating divided powers entry by entry (see verify_morita_rehmann).
@@ -40,8 +41,12 @@ level bound.  t is central in the Laurent matrix ring, so conjugating
 t^(k m) D_k is conjugating D_k and shifting every degree by k m; the verdict
 of (beta, m) is that of (beta, 0) against the image shifted down by m.  It
 depends only on beta, the image's finite root, the image's level offset and
-the candidate scalars, and each such key is proved once per conjugator.  The
-term dicts c^k t^(k m) D_k of each (root, c mod n) are built once per model.
+the candidates (coefficient, packed degree shift), and each such key is
+proved once per conjugator.  The torus action is proved once per node, with
+the formal htilde_i(r) kept by the packing as the conjugator: it is diagonal
+over (Z/n)[r^(+-1)], and r^<alpha_i^vee, beta> is a shift of the packed
+degree, so no unit is ever substituted unless that proof fails.  The term
+dicts c^k t^(k m) D_k of each (root, candidate) are built once per model.
 
 The root group of (beta, m) goes to exp(u t^m ad e_beta), a quotient by a
 central kernel: a relation that fails in the model fails in the group, and
@@ -163,7 +168,7 @@ class LoopModel:
         simples = R.simple_affine_roots(ars)
         self.simple_of_node = {i: simples[node_map[i]] for i in range(a.rank)}
         self._powers_cache: dict = {}
-        self._terms_cache: dict = {}  # (root, c mod n) -> _graded_terms
+        self._terms_cache: dict = {}  # (root, c mod n, shift) -> _graded_terms
         self._s_cache: dict = {}
         self._x_cache: dict = {}
         self._degrees: dict = {}  # node -> _letter_degrees
@@ -267,8 +272,8 @@ class LoopModel:
         return self._times([self.letter(gen, exp) for gen, exp in w])
 
     def _kept(self, letters: tuple) -> LoopMatrix:
-        """The value of a formal letter or of an htilde segment, kept by the
-        packing under its letters."""
+        """The value of a formal letter or of a kept segment (see _value),
+        kept by the packing under its letters."""
         values = self._packing.values
         value = values.get(letters)
         if value is None:
@@ -327,8 +332,8 @@ class _Packing:
     each variable| <= top: the radices 2 span + 1 and 2 top + 1 each hold a
     balanced digit, negative exponents of r and u included.  A concrete value
     is the digit d alone, so concrete letters are their own packed values.
-    values keeps the formal X letters and htilde segments of the words
-    evaluated with this packing, keyed by their letters."""
+    values keeps the formal X letters and the segments of _value of the
+    words evaluated with this packing, keyed by their letters."""
 
     def __init__(self, span: int, top: int):
         self.span, self.top, self.values = span, top, {}
@@ -369,20 +374,36 @@ def _box(model: LoopModel, words) -> tuple:
 
 def _is_htilde(letters) -> bool:
     """Whether letters is htilde_i(p), for the parameter p of its first letter."""
-    if len(letters) != _H or letters[0][0].kind != "X":
-        return False
-    gen, _ = letters[0]
+    return len(letters) == _H and letters[0][0].kind == "X" and letters == _htilde(letters[0][0])
+
+
+@lru_cache(maxsize=None)
+def _htilde(gen: presentation.Generator):
+    """htilde_i(p) for the letter X_i(p), None if p is not a unit."""
     try:
-        return letters == presentation.htilde(gen.node, gen.param)
-    except ValueError:  # p is not a unit
-        return False
+        return presentation.htilde(gen.node, gen.param)
+    except ValueError:
+        return None
+
+
+def _kept_length(letters) -> int:
+    """The length of the kept segment letters starts with: htilde_i(p) or
+    S_i S_i, 0 for neither."""
+    if _is_htilde(letters[:_H]):
+        return _H
+    pair = letters[:2]
+    if len(pair) == 2 and pair[0] == pair[1] == (pair[0][0], 1) and pair[0][0].kind == "S":
+        return 2
+    return 0
 
 
 def _value(model: LoopModel, w) -> LoopMatrix:
     """The packed value of a word, multiplied out letter by letter but for a
-    leading htilde_i(p) and a trailing htilde_i(p)^-1, kept by the packing."""
-    head = _H if _is_htilde(w[:_H]) else 0
-    tail = _H if len(w) >= head + _H and _is_htilde(presentation.winv(w[-_H:])) else 0
+    leading htilde_i(p) or S_i S_i and a trailing htilde_i(p)^-1 or
+    S_i^-1 S_i^-1, kept by the packing."""
+    head = _kept_length(w)
+    tail = next((k for k in (_H, 2) if len(w) >= head + k
+                 and _kept_length(presentation.winv(w[-k:])) == k), 0)
     factors = [model.letter(gen, exp) for gen, exp in w[head:len(w) - tail]]
     if head:
         factors.insert(0, model._kept(w[:head]))
@@ -515,7 +536,8 @@ def verify_morita_rehmann(model: LoopModel, level_bound: int) -> dict:
     * conjugation by the evaluated stilde_i(1) sends the root group of beta to
       the root group of s_i(beta), with a sign independent of the parameter
       (fixed by the first nonzero parameter, u = 1);
-    * conjugation by htilde_i(r) scales the parameter by r^<alpha_i^vee, beta>.
+    * conjugation by htilde_i(r) scales the parameter by r^<alpha_i^vee, beta>,
+      for every unit r.
 
     The checks are proved on coefficients in u.  X_beta(u) = I + sum_k u^k
     t^(k m) D_k, so g X_beta(u) g^-1 = g g^-1 + sum_k u^k g t^(k m) D_k g^-1.
@@ -531,6 +553,24 @@ def verify_morita_rehmann(model: LoopModel, level_bound: int) -> dict:
     failures, so the counterexamples are exactly those of the per-parameter
     check.
 
+    The torus check of node i is first proved once for every unit, with the
+    formal htilde_i(r) and htilde_i(r)^-1 over (Z/n)[z^(+-1)][r^(+-1)], kept
+    by the packing, as g and g^-1 (_torus_proven): both diagonal with
+    z-digit 0, g g^-1 = I, and g D_k g^-1 = r^(k a) D_k for every finite root
+    beta and every k, a = <alpha_i^vee, beta>, that is D_k with its packed
+    degree shifted by k a stride_r.  Exactness: sending r to a unit is a ring
+    homomorphism and commutes with products, so each identity holds at every
+    unit, for the concrete htilde_i(r), which is then diagonal, and its
+    inverse.  The entries of the formal htilde_i(r)^(+-1) are monomials
+    inside the box of its word, which involves r alone, so they decode
+    uniquely; with z-digit 0 each is c r^e z^0, packed at degree e stride_r.
+    Every compared entry is then in (Z/n)[x^(+-stride_r)], where
+    x^(e stride_r) -> r^e is injective for every e, so no box argument is
+    needed for the conjugates.  When the proof holds, node i adds
+    |units| |roots| passing instances and no concrete htilde_i(r) is
+    evaluated; when it fails, node i is checked unit by unit, as below, and
+    reports the same counterexamples.
+
     Since t is central, _proven proves each (beta, image root, level offset,
     candidates) once, at level 0, for every level: raising level_bound adds
     no conjugation, and a root whose image is wrong or off by a power of t
@@ -542,19 +582,25 @@ def verify_morita_rehmann(model: LoopModel, level_bound: int) -> dict:
     elements = [x for x in rings.elements(ring) if not x.is_zero()]
     signs = [rings.one(ring), -rings.one(ring)]
     weyl, torus = _entry("weyl-conjugation"), _entry("torus-scaling")
+    model._cover([w for i in range(model.gcm.rank) for w in _formal_htilde(i)])
     for i in range(model.gcm.rank):
         simple = model.simple_of_node[i]
         s_word = presentation.stilde(i, rings.one(ring))
         s_mat = model.evaluate_word(s_word)
         s_inv = model.evaluate_word(presentation.winv(s_word))
         images = [R.reflect(ars, beta, simple) for beta in all_roots]
-        proven = _proven(model, s_mat, s_inv, all_roots, images, [signs] * len(all_roots))
+        proven = _proven(model, s_mat, s_inv, all_roots, images,
+                         [[(c.data, 0) for c in signs]] * len(all_roots))
         for beta, image, ok in zip(all_roots, images, proven):
             ok = ok or _enumerated(model, s_mat, s_inv, beta, image, signs, elements)
             weyl["instances"] += 1
             weyl["passed" if ok else "failed"] += 1
             if not ok:
                 weyl["counterexamples"].append({"i": i, "beta": R.root_json(ars, beta)})
+        if _torus_proven(model, i, all_roots):
+            torus["instances"] += len(units) * len(all_roots)
+            torus["passed"] += len(units) * len(all_roots)
+            continue
         for r in units:
             h_word = presentation.htilde(i, r)
             h_mat = model.evaluate_word(h_word)
@@ -564,11 +610,11 @@ def verify_morita_rehmann(model: LoopModel, level_bound: int) -> dict:
                 torus["instances"] += 1
                 torus["counterexamples"].append({"i": i, "r": str(r), "reason": "not diagonal"})
                 continue
-            scales = [[rings.power(r, ars.finite.pairing(simple.coords, beta.coords))]
-                      for beta in all_roots]
-            proven = _proven(model, h_mat, h_inv, all_roots, all_roots, scales)
+            scales = [rings.power(r, _torus_exponent(model, i, beta)) for beta in all_roots]
+            proven = _proven(model, h_mat, h_inv, all_roots, all_roots,
+                             [[(scale.data, 0)] for scale in scales])
             for beta, scale, ok in zip(all_roots, scales, proven):
-                ok = ok or _enumerated(model, h_mat, h_inv, beta, beta, scale, elements)
+                ok = ok or _enumerated(model, h_mat, h_inv, beta, beta, [scale], elements)
                 torus["instances"] += 1
                 torus["passed" if ok else "failed"] += 1
                 if not ok:
@@ -584,41 +630,71 @@ def verify_morita_rehmann(model: LoopModel, level_bound: int) -> dict:
     }
 
 
+def _formal_htilde(i: int) -> tuple:
+    """The words htilde_i(r) and htilde_i(r)^-1, r the schema variable."""
+    h_word = presentation.htilde(i, _VARIABLE["r"])
+    return h_word, presentation.winv(h_word)
+
+
+def _torus_exponent(model: LoopModel, i: int, beta: AffineRoot) -> int:
+    """<alpha_i^vee, beta>: htilde_i(r) scales the root group of beta by r to
+    this power."""
+    return model.ars.finite.pairing(model.simple_of_node[i].coords, beta.coords)
+
+
+def _torus_proven(model: LoopModel, i: int, roots) -> bool:
+    """Whether the formal htilde_i(r) and its inverse, kept by the model's
+    packing, prove the torus action on every root for every unit r: both
+    diagonal with z-digit 0, and _proven for every root with the candidate
+    (1, <alpha_i^vee, beta> stride_r).  The packing must hold both words."""
+    g, g_inv = (model._kept(w) for w in _formal_htilde(i))
+    # a multiple of the stride of r is a packed degree with z-digit 0
+    stride = model._packing.strides[1]
+    if not all(row == col and degree % stride == 0
+               for m in (g, g_inv) for row, col, degree in m.entries):
+        return False
+    candidates = [[(1, _torus_exponent(model, i, beta) * stride)] for beta in roots]
+    return all(_proven(model, g, g_inv, roots, roots, candidates))
+
+
 def _proven(model: LoopModel, g: LoopMatrix, g_inv: LoopMatrix, roots, images,
             candidates) -> list:
-    """Per root: whether g g_inv = I and, for some c in its candidates,
-    g t^(k m) D_k g_inv = c^k t^(k m') D'_k for every k, where D_k and D'_k
-    are the divided powers of the root (beta, m) and its image (beta', m').
-    t is central, so the left side is t^(k m) g D_k g_inv, and the relation
-    holds exactly when g D_k g_inv = c^k t^(k delta) D'_k, delta = m' - m.
-    That depends only on (beta, beta', delta, the candidates), so each such
-    key is proved once, at level 0, and its verdict holds for every root
-    with that key."""
+    """Per root: whether g g_inv = I and, for some candidate (c, shift) of
+    the root, g t^(k m) D_k g_inv = c^k x^(k shift) t^(k m') D'_k for every k,
+    where D_k and D'_k are the divided powers of the root (beta, m) and its
+    image (beta', m'), and x^(k shift) shifts every packed degree by
+    k shift.  t is central, so the left side is t^(k m) g D_k g_inv, and the
+    relation holds exactly when g D_k g_inv = c^k x^(k shift) t^(k delta) D'_k,
+    delta = m' - m.  That depends only on (beta, beta', delta, the
+    candidates), so each such key is proved once, at level 0, and its
+    verdict holds for every root with that key."""
     if not (g * g_inv).is_identity():
         return [False] * len(roots)
     verdicts, proven = {}, []
     for beta, image, cs in zip(roots, images, candidates):
         delta = image.level - beta.level
-        key = beta.coords, image.coords, delta, tuple(c.data for c in cs)
+        key = beta.coords, image.coords, delta, tuple(cs)
         if key not in verdicts:
             terms = _graded_terms(model, AffineRoot(beta.coords, 0))
             conjugates = {k: _conjugate(g, g_inv, term) for k, term in terms.items()}
             target = AffineRoot(image.coords, delta)
-            verdicts[key] = any(conjugates == _graded_terms(model, target, c.data) for c in cs)
+            verdicts[key] = any(conjugates == _graded_terms(model, target, c, shift)
+                                for c, shift in cs)
         proven.append(verdicts[key])
     return proven
 
 
-def _graded_terms(model: LoopModel, root: AffineRoot, c: int = 1) -> dict:
-    """k -> the entries {(row, col, k m): value} of c^k t^(k m) D_k for the
-    root (beta, m), over the k where c^k D_k is nonzero mod n.  Built once
-    per (root, c mod n) and kept on the model, so callers must not change it."""
-    n, key = model.n, (root, c % model.n)
+def _graded_terms(model: LoopModel, root: AffineRoot, c: int = 1, shift: int = 0) -> dict:
+    """k -> the entries {(row, col, k (m + shift)): value} of
+    c^k x^(k shift) t^(k m) D_k for the root (beta, m), over the k where
+    c^k D_k is nonzero mod n.  Built once per (root, c mod n, shift) and kept
+    on the model, so callers must not change it."""
+    n, key = model.n, (root, c % model.n, shift)
     terms = model._terms_cache.get(key)
     if terms is None:
         terms = model._terms_cache[key] = {}
         for k, power in model._divided_powers(root.coords):
-            coeff, degree = pow(c, k, n), k * root.level
+            coeff, degree = pow(c, k, n), k * (root.level + shift)
             if term := {(row, col, degree): v for row, col, value in power if (v := coeff * value % n)}:
                 terms[k] = term
     return terms

@@ -403,8 +403,13 @@ def _plain(model, w):
     return out
 
 
-def _reference_morita_rehmann(model, level_bound):
-    """The Weyl/torus check of verify_morita_rehmann, one parameter at a time."""
+def _pairing_exponent(model, i, beta):
+    return model.ars.finite.pairing(model.simple_of_node[i].coords, beta.coords)
+
+
+def _reference_morita_rehmann(model, level_bound, exponent=_pairing_exponent):
+    """The Weyl/torus check of verify_morita_rehmann, one parameter at a time;
+    htilde_i(r) is to scale the root group of beta by r^exponent(model, i, beta)."""
     ars, ring = model.ars, model.ring
     all_roots = R.real_roots_up_to_level(ars, level_bound)
     elements = [x for x in rings.elements(ring) if not x.is_zero()]
@@ -441,7 +446,7 @@ def _reference_morita_rehmann(model, level_bound):
             h_mat, h_inv = model.evaluate_word(h_word), model.evaluate_word(P.winv(h_word))
             assert h_mat.is_diagonal()
             for beta in all_roots:
-                scale = rings.power(r, ars.finite.pairing(simple.coords, beta.coords))
+                scale = rings.power(r, exponent(model, i, beta))
                 ok = all(
                     h_mat * model.root_element(beta, u) * h_inv
                     == model.root_element(beta, scale * u)
@@ -500,25 +505,33 @@ def test_proven_keeps_apart_roots_with_other_candidates():
     h, h_inv = model.evaluate_word(h_word), model.evaluate_word(P.winv(h_word))
     coords = model.simple_of_node[i].coords
     roots = [AffineRoot(coords, 0), AffineRoot(coords, 1)]
-    right, wrong = [rings.power(r, 2)], [rings.one(Z7)]
+    right, wrong = [(rings.power(r, 2).data, 0)], [(1, 0)]
     assert L._proven(model, h, h_inv, roots, roots, [right, wrong]) == [True, False]
     assert L._proven(model, h, h_inv, roots, roots, [wrong, right]) == [False, True]
+    # the same with the formal htilde_1(r): the scale r^2 is a shift of the
+    # packed degree by twice the stride of r
+    model._cover(L._formal_htilde(i))
+    g, g_inv = (model._kept(w) for w in L._formal_htilde(i))
+    stride = model._packing.strides[1]
+    right, wrong = [(1, 2 * stride)], [(1, stride)]
+    assert L._proven(model, g, g_inv, roots, roots, [right, wrong]) == [True, False]
+    assert L._proven(model, g, g_inv, roots, roots, [wrong, right]) == [False, True]
 
 
 def test_graded_terms_are_built_once_per_model(monkeypatch):
     model = L.build_model("C~2", rings.integers_mod(6))
     graded_terms, returned, calls = L._graded_terms, {}, []
 
-    def recorded(model, root, c=1):
-        terms = graded_terms(model, root, c)
-        returned.setdefault((root, c % model.n), []).append(terms)
+    def recorded(model, root, c=1, shift=0):
+        terms = graded_terms(model, root, c, shift)
+        returned.setdefault((root, c % model.n, shift), []).append(terms)
         calls.append(root)
         return terms
 
     monkeypatch.setattr(L, "_graded_terms", recorded)
     L.verify_morita_rehmann(model, 2)
     L.verify_morita_rehmann(model, 1)
-    # every call for one (root, c mod n) gets the dict built by the first
+    # every call for one (root, c mod n, shift) gets the dict built by the first
     assert all(all(t is seen[0] for t in seen) for seen in returned.values())
     assert len(calls) > len(returned) == len(model._terms_cache)
     root = calls[0]
@@ -557,15 +570,115 @@ def test_forced_enumeration_matches_reference_loop(monkeypatch):
     assert report == _reference_morita_rehmann(model, 1)
 
 
-def test_torus_control_matches_reference_loop(monkeypatch):
+def _record_concrete_htilde(monkeypatch, model) -> list:
+    """(node, r) of every concrete htilde_i(r) the model evaluates, in order."""
+    calls, evaluate = [], model.evaluate_word
+
+    def recorded(w):
+        if L._is_htilde(w) and w[0][0].param.desc == model.ring:
+            calls.append((w[0][0].node, w[0][0].param))
+        return evaluate(w)
+
+    monkeypatch.setattr(model, "evaluate_word", recorded)
+    return calls
+
+
+def test_a_shifted_torus_exponent_matches_reference_loop(monkeypatch):
+    # the claimed scale of one finite root at node 1 moved from r^a to
+    # r^(a+1): the formal proof fails for node 1 alone, which is checked unit
+    # by unit and fails that root at every level, at exactly the units with
+    # r^(a+1) != r^a, that is r != 1
     model = L.build_model("A~2", Z7)
-    bad, power = rings.from_int(Z7, 3), rings.power
-    monkeypatch.setattr(rings, "power", lambda r, k: power(r, k + 1 if r == bad else k))
+    roots = R.real_roots_up_to_level(model.ars, 1)
+    node, coords = 1, roots[2].coords
+    exponent = L._torus_exponent
+
+    def shifted(model, i, beta):
+        return exponent(model, i, beta) + ((i, beta.coords) == (node, coords))
+
+    monkeypatch.setattr(L, "_torus_exponent", shifted)
+    fallbacks = _record_concrete_htilde(monkeypatch, model)
     report = L.verify_morita_rehmann(model, 1)
+    units = rings.units(Z7)
+    assert fallbacks == [(node, r) for r in units]
     weyl, torus = report["families"]
-    assert weyl["failed"] == 0 and torus["failed"] > 0
-    assert {c["r"] for c in torus["counterexamples"]} == {"3"}
+    assert weyl["failed"] == 0
+    assert torus["counterexamples"] == [
+        {"i": node, "r": str(r), "beta": R.root_json(model.ars, beta)}
+        for r in units if r != rings.one(Z7) for beta in roots if beta.coords == coords
+    ]
+    assert torus["instances"] == model.gcm.rank * len(units) * len(roots)
+    assert report == _reference_morita_rehmann(model, 1, shifted)
+
+
+def _formal_control(monkeypatch, tamper):
+    """Tamper with the kept formal htilde_0(r) and its inverse of a checked
+    A~2 model over Z/7: node 0 alone falls back to the per-unit check, and the
+    report is still the reference loop's."""
+    model = L.build_model("A~2", Z7)
+    assert L.verify_morita_rehmann(model, 1)["all_passed"]
+    values, words = model._packing.values, L._formal_htilde(0)
+    values[words[0]], values[words[1]] = tamper(model, *(values[w] for w in words))
+    fallbacks = _record_concrete_htilde(monkeypatch, model)
+    report = L.verify_morita_rehmann(model, 1)
+    assert fallbacks == [(0, r) for r in rings.units(Z7)]
+    assert report["all_passed"]
     assert report == _reference_morita_rehmann(model, 1)
+
+
+def test_a_bumped_formal_htilde_falls_back_to_the_units(monkeypatch):
+    # a diagonal entry raised by one: g g^-1 is no longer I
+    def bumped(model, g, g_inv):
+        key = next(k for k in sorted(g.entries) if k[2])
+        return _bumped(g, key), g_inv
+
+    _formal_control(monkeypatch, bumped)
+
+
+def test_an_off_diagonal_formal_htilde_falls_back_to_the_units(monkeypatch):
+    _formal_control(monkeypatch, lambda model, g, g_inv: (_bumped(g, (0, 1, 0)), g_inv))
+
+
+def test_a_formal_htilde_off_by_a_power_of_z_falls_back_to_the_units(monkeypatch):
+    # z g and z^-1 g^-1: diagonal, inverse to each other and, z being
+    # central, with the same conjugates, so only the decoded z-digit of
+    # their degrees tells them from htilde_0(r)^(+-1)
+    def moved(model, g, g_inv):
+        up, down = ({(row, col, degree + d): v for (row, col, degree), v in m.entries.items()}
+                    for m, d in ((g, 1), (g_inv, -1)))
+        g, g_inv = L.LoopMatrix(up, g.n, g.dim), L.LoopMatrix(down, g.n, g.dim)
+        assert (g * g_inv).is_identity()
+        roots = R.real_roots_up_to_level(model.ars, 1)
+        stride = model._packing.strides[1]
+        candidates = [[(1, L._torus_exponent(model, 0, beta) * stride)] for beta in roots]
+        assert all(L._proven(model, g, g_inv, roots, roots, candidates))
+        return g, g_inv
+
+    _formal_control(monkeypatch, moved)
+
+
+def test_torus_check_cost_does_not_grow_with_the_units(monkeypatch):
+    # the torus action is proved once per node over (Z/n)[r^+-1], so a fresh
+    # A~2 model takes as many products and conjugations over Z/7 as over
+    # Z/13 and Z/31
+    mul, conjugate, counts = L.LoopMatrix.__mul__, L._conjugate, []
+
+    def counted_mul(self, other):
+        counts[-1][0] += 1
+        return mul(self, other)
+
+    def counted_conjugate(*args):
+        counts[-1][1] += 1
+        return conjugate(*args)
+
+    monkeypatch.setattr(L.LoopMatrix, "__mul__", counted_mul)
+    monkeypatch.setattr(L, "_conjugate", counted_conjugate)
+    for n in (7, 13, 31):
+        model = L.build_model("A~2", rings.integers_mod(n))
+        counts.append([0, 0])
+        assert L.verify_morita_rehmann(model, 1)["all_passed"]
+    assert counts[0] == counts[1] == counts[2]
+    assert counts[0][0] > 0 and counts[0][1] > 0
 
 
 def test_identity_term_control_proves_no_root(monkeypatch):
@@ -773,6 +886,28 @@ def test_a_tampered_conjugator_sends_exactly_its_schemas_to_enumeration(monkeypa
     assert report == L.verify_presentation(L.build_model("A~2", Z7))
 
 
+def test_a_bumped_kept_square_fails_exactly_the_s2_schemas_of_its_node(monkeypatch):
+    # S_1 S_1 is kept once for the s2-on-s and s2-on-x schemas of node 1 and
+    # every j; concrete and formal words share its key, so the enumerated
+    # instances of those schemas, and only those, fail too
+    model = L.build_model("A~2", Z7)
+    assert L.verify_presentation(model)["all_passed"]
+    square = P.word(P.S(1), P.S(1))
+    values = model._packing.values
+    values[square] = _bumped(values[square], (0, 1, 0))
+    enumerated = _record_instances(monkeypatch)
+    report = L.verify_presentation(model)
+    rank = model.gcm.rank
+    assert enumerated == [(family, (1, j)) for family in ("s2-on-s", "s2-on-x")
+                          for j in range(rank)]
+    failing = {f["family"]: f for f in report["families"] if f["failed"]}
+    assert set(failing) == {"s2-on-s", "s2-on-x"}
+    assert failing["s2-on-s"]["counterexamples"] == [{"i": 1, "j": j} for j in range(rank)]
+    assert failing["s2-on-x"]["counterexamples"] == [
+        {"i": 1, "j": j, "t": str(t)} for j in range(rank) for t in range(7)]
+    assert [failing[f]["failed"] for f in ("s2-on-s", "s2-on-x")] == [rank, rank * 7]
+
+
 @pytest.mark.parametrize("diagram,n", [("A~2", 7), ("C~2", 6), ("G~2", 4), ("B~3", 3)])
 def test_correct_schemas_never_reach_the_enumeration(monkeypatch, diagram, n):
     # every schema, the Kac-Moody torus included, is one formal identity
@@ -786,18 +921,23 @@ def test_correct_schemas_never_reach_the_enumeration(monkeypatch, diagram, n):
 
 def test_conjugator_cache_keeps_each_htilde_and_its_inverse_once():
     # after a full verify of F~4 over Z/3 the packing keeps the formal X
-    # letters and, for each node, the formal htilde_i(r) and its inverse:
-    # one conjugator per node for both torus-action families and every j
+    # letters and, for each node, the formal htilde_i(r) and its inverse and
+    # S_i S_i and S_i^-1 S_i^-1: one conjugator per node for the torus-action
+    # and s2 families and every j, and the torus check reuses the formal
+    # htilde_i(r)
     ring = rings.integers_mod(3)
     model = L.build_model("F~4", ring)
     assert L.verify_presentation(model)["all_passed"]
-    assert L.verify_morita_rehmann(model, 1)["all_passed"]
-    values = model._packing.values
+    packing, kept = model._packing, set(model._packing.values)
     r = L._VARIABLE["r"]
-    assert {key for key in values if len(key) > 1} == {
-        w for i in range(model.gcm.rank) for w in (P.htilde(i, r), P.winv(P.htilde(i, r)))
+    square = [P.word(P.S(i), P.S(i)) for i in range(model.gcm.rank)]
+    assert {key for key in kept if len(key) > 1} == {
+        w for i in range(model.gcm.rank)
+        for w in (P.htilde(i, r), P.winv(P.htilde(i, r)), square[i], P.winv(square[i]))
     }
-    letters = [gen for key in values if len(key) == 1 for gen, _ in key]
+    assert L.verify_morita_rehmann(model, 1)["all_passed"]
+    assert model._packing is packing and set(packing.values) == kept
+    letters = [gen for key in kept if len(key) == 1 for gen, _ in key]
     assert letters and all(gen.kind == "X" and gen.param.desc == P.SCHEMA_RING for gen in letters)
 
 
