@@ -7,7 +7,10 @@ arguments for the non-classical pairs symbolically, and verifies every
 relation as an exact matrix identity in a Laurent-polynomial loop model.
 
 Submodules load on first use (``steinberg.loopmodel`` imports it then), so a
-command pays at start-up only for the modules it reaches.
+command pays at start-up only for the modules it reaches: only ``verify``
+loads the loop model and only ``replay`` the collection engine.  The records
+are named tuples or plain classes and ratios are integer pairs, so no command
+loads ``inspect`` or ``fractions`` (nor ``decimal``, which it imports).
 """
 
 from importlib import import_module

@@ -17,9 +17,9 @@ never receives a table entry: its relation is exactly what a replay derives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import product
+from typing import NamedTuple
 
 from . import chevalley, diagrams, rings
 from . import roots as R
@@ -38,13 +38,34 @@ class ConfigurationError(ValueError):
 # nilpotent root sets and the collection engine
 
 
-@dataclass(frozen=True)
 class NilpotentRootSet:
-    ars: R.AffineRootSystem
-    roots: tuple[AffineRoot, ...]  # collection order
-    tables: dict  # (x, y) -> ((root, int, (i, j)), ...)
-    commuting: frozenset  # frozensets {x, y} with empty commutator
-    names: dict
+    """Finitely many affine roots in collection order, with the commutator
+    table of each interacting pair.  Immutable and equal by value.
+
+    ``tables``: (x, y) -> ((root, int, (i, j)), ...); ``commuting``: the
+    frozensets {x, y} with empty commutator; ``names``: root -> display name.
+    """
+
+    def __init__(self, ars: R.AffineRootSystem, roots: tuple[AffineRoot, ...],
+                 tables: dict, commuting: frozenset, names: dict):
+        self.__dict__.update(ars=ars, roots=roots, tables=tables, commuting=commuting, names=names)
+
+    def _key(self) -> tuple:
+        return self.ars, self.roots, self.tables, self.commuting, self.names
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    __hash__ = None  # the tables are dicts
+
+    def with_tables(self, tables: dict) -> "NilpotentRootSet":
+        """The same set with other commutator tables."""
+        return NilpotentRootSet(self.ars, self.roots, tables, self.commuting, self.names)
 
     @cached_property
     def positions(self) -> dict:
@@ -131,20 +152,33 @@ def inverse_word(letters):
     return [(r, -c) for r, c in reversed(letters)]
 
 
-@dataclass(frozen=True)
 class NormalProduct:
-    nrs: NilpotentRootSet
-    factors: tuple
+    """A product of root-group letters in the collection order of ``nrs``,
+    with no zero coefficient.  Immutable and equal by value."""
 
-    def __post_init__(self):
+    def __init__(self, nrs: NilpotentRootSet, factors: tuple):
         last = -1
-        for root, coeff in self.factors:
-            k = self.nrs.order(root)
+        for root, coeff in factors:
+            k = nrs.order(root)
             if k <= last:
                 raise ValueError("factors must be strictly increasing in the set order")
             last = k
             if coeff.is_zero():
                 raise ValueError("zero coefficients are not stored")
+        self.__dict__.update(nrs=nrs, factors=factors)
+
+    def _key(self) -> tuple:
+        return self.nrs, self.factors
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    __hash__ = None  # the root set's tables are dicts
 
     def is_empty(self) -> bool:
         return not self.factors
@@ -208,8 +242,7 @@ def _build_nrs(ars, decomp, tables, names, excluded_pairs):
     return NilpotentRootSet(ars, ordered, dict(tables), frozenset(commuting), dict(names))
 
 
-@dataclass(frozen=True)
-class CaseData:
+class CaseData(NamedTuple):
     """A replay setup: the pair (alpha, beta), the expansion of X_beta(u) as a
     word in the other root groups, and the nilpotent root set carrying every
     relation the argument is allowed to use.
@@ -347,7 +380,7 @@ def _resolve_signs(ars, decomp, names, fixed_tables, unknown_slots, probe_exclud
     survivors = []
     for bits in assignments:
         tables = completed(bits)
-        nrs = replace(skeleton, tables=tables)
+        nrs = skeleton.with_tables(tables)
         if all(_associativity_holds(nrs, triples, cs) for cs in int_coeffs):
             if _associativity_holds(nrs, triples, sym_coeffs):
                 survivors.append(tables)
@@ -638,8 +671,7 @@ def override_coefficient(case: CaseData, pair_names: tuple[str, str], value: int
     g, _, ij = case.nrs.tables[key][0]
     tables = dict(case.nrs.tables)
     tables[key] = ((g, value, ij),)
-    nrs = replace(case.nrs, tables=tables)
-    return replace(case, nrs=nrs)
+    return case._replace(nrs=case.nrs.with_tables(tables))
 
 
 # ---------------------------------------------------------------------------

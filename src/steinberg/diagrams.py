@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 INFINITE = math.inf
 
@@ -27,8 +27,7 @@ _SKIP_IN_CATALOG = {("B", 2, None, True), ("D", 3, None, True),
                     ("D", 3, None, False)}
 
 
-@dataclass(frozen=True)
-class GeneralizedCartanMatrix:
+class GeneralizedCartanMatrix(NamedTuple):
     rows: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
 
@@ -106,8 +105,7 @@ def two_spherical_no_a1(a: GeneralizedCartanMatrix) -> bool:
 # diagram classes and labels
 
 
-@dataclass(frozen=True)
-class DiagramClass:
+class DiagramClass(NamedTuple):
     """Recognized diagram: a finite or affine family member, or Other."""
 
     kind: str  # "finite" | "affine-untwisted" | "affine-twisted" | "other"
@@ -369,8 +367,7 @@ def name_conversions(cls: DiagramClass) -> tuple[str, str, str]:
 # finite presentability hypotheses
 
 
-@dataclass(frozen=True)
-class RingProfile:
+class RingProfile(NamedTuple):
     """Caller-asserted ring facts (the toolkit does not decide these)."""
 
     finitely_generated_ring: bool = False
@@ -378,8 +375,7 @@ class RingProfile:
     units_finitely_generated: bool = False
 
 
-@dataclass(frozen=True)
-class PresentabilityVerdict:
+class PresentabilityVerdict(NamedTuple):
     verdict: str  # "FinitelyPresentedCase_i" | "FinitelyPresentedCase_ii" | "HypothesesNotMet"
     used_special_covering: bool
 

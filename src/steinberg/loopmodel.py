@@ -58,7 +58,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
 from . import chevalley, diagrams, presentation, rings
@@ -67,14 +66,16 @@ from .rings import UnsupportedModelError
 from .roots import AffineRoot
 
 
-@dataclass(frozen=True, eq=False)
 class LoopMatrix:
     """A square matrix over (Z/n)[t^(+-1)]: ``entries[row, col, degree]`` is
-    the nonzero coefficient of t^degree at (row, col), reduced mod n."""
+    the nonzero coefficient of t^degree at (row, col), reduced mod n.
+    Immutable and equal by value."""
 
-    entries: dict
-    n: int
-    dim: int
+    def __init__(self, entries: dict, n: int, dim: int):
+        self.__dict__.update(entries=entries, n=n, dim=dim)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @cached_property
     def blocks(self) -> tuple:

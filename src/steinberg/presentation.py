@@ -12,7 +12,6 @@ and v are the Kac-Moody torus units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import groupby
 from typing import NamedTuple
@@ -88,8 +87,7 @@ def htilde(i: int, u: rings.RingElement) -> Word:
     return stilde(i, u) + stilde(i, -rings.one(u.desc))
 
 
-@dataclass(frozen=True)
-class Relator:
+class Relator(NamedTuple):
     family: str
     nodes: tuple
     params: tuple  # ((name, value), ...)
@@ -100,20 +98,18 @@ class Relator:
         return [f"{name}={_render(value)}" for name, value in self.params]
 
 
-@dataclass(frozen=True)
-class PresentationOptions:
+class PresentationOptions(NamedTuple):
     include_torus_action: bool | None = None  # None: omit iff 2-spherical, no A_1
     include_kacmoody_torus: bool = False
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(NamedTuple):
     gcm: GeneralizedCartanMatrix
     ring: rings.RingDescriptor
     symbolic: bool
     generators: tuple
     relators: tuple
-    options: PresentationOptions = field(default_factory=PresentationOptions)
+    options: PresentationOptions = PresentationOptions()
 
 
 FAMILY_ORDER = [

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator
 
 
@@ -28,24 +26,30 @@ class UnsupportedModelError(ValueError):
 # descriptors
 
 
-@dataclass(frozen=True)
 class RingDescriptor:
     """Identifies a ring; `params` depends on `kind`.
 
     kind: "Z" | "Zmod" | "GF" | "poly" | "laurent"
     params: () for Z, (n,) for Zmod, (p,) for GF,
             (base, vars_tuple) for poly, (base, var) for laurent.
+
+    Immutable, equal by value to another descriptor only.
     """
 
-    kind: str
-    params: tuple
+    def __init__(self, kind: str, params: tuple):
+        # the hash is computed once: every element hash hashes the descriptor
+        self.__dict__.update(kind=kind, params=params, _hash=hash((kind, params)))
 
-    def __hash__(self) -> int:  # cached: every element hash hashes the nested descriptor
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not RingDescriptor:
+            return NotImplemented
+        return self is other or (self.kind, self.params) == (other.kind, other.params)
+
+    def __hash__(self) -> int:
         return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.kind, self.params))
 
     def __str__(self) -> str:
         if self.kind == "Z":
@@ -223,12 +227,26 @@ def _mul(desc: RingDescriptor, a, b):
 # elements
 
 
-@dataclass(frozen=True)
 class RingElement:
-    """Immutable ring element in canonical form."""
+    """Immutable ring element in canonical form, equal by value to another
+    element only."""
 
-    desc: RingDescriptor
-    data: object
+    __slots__ = ("desc", "data")
+
+    def __init__(self, desc: RingDescriptor, data: object):
+        _set_desc(self, desc)
+        _set_data(self, data)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not RingElement:
+            return NotImplemented
+        return (self.desc, self.data) == (other.desc, other.data)
+
+    def __hash__(self) -> int:
+        return hash((self.desc, self.data))
 
     def _check(self, other: "RingElement") -> None:
         if self.desc != other.desc:
@@ -265,6 +283,12 @@ class RingElement:
 
     def __repr__(self) -> str:
         return f"<{self.desc}: {render_element(self)}>"
+
+
+# the slots' own setters, which bypass the refusing __setattr__ (the cheapest
+# way to fill the two fields of the most often built record)
+_set_desc = RingElement.desc.__set__
+_set_data = RingElement.data.__set__
 
 
 def zero(desc: RingDescriptor) -> RingElement:

@@ -7,8 +7,7 @@ exact; proportionality tests are done over the integers, never with floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+import math
 from functools import cached_property, lru_cache
 from operator import add, sub
 from typing import NamedTuple
@@ -40,13 +39,35 @@ def _vec_scale(k, x):
 # finite systems
 
 
-@dataclass(frozen=True)
 class FiniteRootSystem:
-    cartan: GeneralizedCartanMatrix
-    family: str | None
-    roots: tuple[tuple[int, ...], ...]
-    d: tuple[int, ...]  # symmetrizer: (alpha_i, alpha_j) = d_i A_ij
-    nonreduced: bool = False
+    """The roots of a finite Cartan matrix (or BC_n), as coordinate tuples.
+
+    Immutable and equal by value; ``d`` is the symmetrizer,
+    (alpha_i, alpha_j) = d_i A_ij."""
+
+    def __init__(
+        self,
+        cartan: GeneralizedCartanMatrix,
+        family: str | None,
+        roots: tuple[tuple[int, ...], ...],
+        d: tuple[int, ...],
+        nonreduced: bool = False,
+    ):
+        self.__dict__.update(cartan=cartan, family=family, roots=roots, d=d, nonreduced=nonreduced)
+
+    def _key(self) -> tuple:
+        return self.cartan, self.family, self.roots, self.d, self.nonreduced
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def rank(self) -> int:
@@ -147,36 +168,36 @@ class FiniteRootSystem:
         )
 
 
+def _ratio(num: int, den: int) -> tuple[int, int]:
+    """num/den as a coprime pair (p, q) with q > 0."""
+    g = math.gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
+
+
 def _symmetrizer(a: GeneralizedCartanMatrix) -> tuple[int, ...]:
     n = a.rank
-    d: list[Fraction | None] = [None] * n
+    d: list[tuple[int, int] | None] = [None] * n  # d_i as a ratio (p, q)
     for comp in a.components():
-        d[comp[0]] = Fraction(1)
+        d[comp[0]] = (1, 1)
         queue = [comp[0]]
         while queue:
             i = queue.pop()
+            p, q = d[i]
             for j in range(n):
                 if a.rows[i][j] != 0 and i != j and d[j] is None:
-                    d[j] = d[i] * a.rows[i][j] / a.rows[j][i]
+                    d[j] = _ratio(p * a.rows[i][j], q * a.rows[j][i])
                     queue.append(j)
     for i in range(n):
         for j in range(n):
-            if d[i] * a.rows[i][j] != d[j] * a.rows[j][i]:
+            (pi, qi), (pj, qj) = d[i], d[j]
+            if pi * a.rows[i][j] * qj != pj * a.rows[j][i] * qi:
                 raise ValueError("Cartan matrix is not symmetrizable")
-    lcm = 1
-    for x in d:
-        lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in d]
-    g = 0
-    for x in ints:
-        g = _gcd(g, x)
+    lcm = math.lcm(*(q for _, q in d))
+    ints = [p * (lcm // q) for p, q in d]
+    g = math.gcd(*ints)
     return tuple(x // g for x in ints)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def enumerate_finite_roots(a: GeneralizedCartanMatrix, family: str | None = None) -> FiniteRootSystem:
@@ -230,11 +251,29 @@ def _bc_system(n: int) -> FiniteRootSystem:
 # affine systems
 
 
-@dataclass(frozen=True)
 class AffineRootSystem:
-    cls: DiagramClass
-    finite: FiniteRootSystem  # carries the projections (BC_n for the odd case)
-    phi0: FiniteRootSystem  # level-zero subsystem (B_n for the odd case)
+    """The real roots of an affine diagram class; ``root in ars`` is root
+    membership.  Immutable and equal by value.
+
+    ``finite`` carries the projections (BC_n for the odd case), ``phi0`` is
+    the level-zero subsystem (B_n for the odd case)."""
+
+    def __init__(self, cls: DiagramClass, finite: FiniteRootSystem, phi0: FiniteRootSystem):
+        self.__dict__.update(cls=cls, finite=finite, phi0=phi0)
+
+    def _key(self) -> tuple:
+        return self.cls, self.finite, self.phi0
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def superscript(self) -> str | None:
@@ -339,15 +378,15 @@ def reflect(ars: AffineRootSystem, x: AffineRoot, in_root: AffineRoot) -> Affine
 # pair classification (prenilpotent but not classically prenilpotent pairs)
 
 
-@dataclass(frozen=True)
-class PairClassification:
+class PairClassification(NamedTuple):
     kind: str  # "equal" | "classical" | "nonclassical" | "not-prenilpotent"
     case: int | None = None
     witnesses: tuple[AffineRoot, AffineRoot] | None = None
 
 
-def _proportionality(x, y) -> Fraction | None:
-    """q with y = q*x, or None if independent."""
+def _proportionality(x, y) -> tuple[int, int] | None:
+    """y = (p/q) x as the coprime pair (p, q) with q > 0, or None if
+    independent."""
     n = len(x)
     for i in range(n):
         for j in range(i + 1, n):
@@ -355,7 +394,7 @@ def _proportionality(x, y) -> Fraction | None:
                 return None
     for i in range(n):
         if x[i]:
-            return Fraction(y[i], x[i])
+            return _ratio(y[i], x[i])
     raise ValueError("zero vector is not a root")
 
 
@@ -370,7 +409,7 @@ def prenilpotent_geometric(ars: AffineRootSystem, a: AffineRoot, b: AffineRoot) 
     # parallel: halfspace of (coords, m) is {x : (coords, x) + m > 0}; for
     # b = (q*abar, m_b) the halfspace is {(abar, x) > -m_b/q}, same direction
     # as a's iff q > 0, in which case one threshold interval contains the other.
-    return q > 0
+    return q[0] > 0
 
 
 def classify_pair(ars: AffineRootSystem, a: AffineRoot, b: AffineRoot) -> PairClassification:
@@ -381,13 +420,13 @@ def classify_pair(ars: AffineRootSystem, a: AffineRoot, b: AffineRoot) -> PairCl
     q = _proportionality(a.coords, b.coords)
     if q is None:
         return PairClassification("classical")
-    if q < 0:
+    if q[0] < 0:
         return PairClassification("not-prenilpotent")
     family = ars.cls.family
-    if q != 1:
+    if q != (1, 1):
         if family != "BC":
             raise ValueError("proportional non-equal projections need BC type")
-        alpha, beta = (a, b) if q == 2 else (b, a)
+        alpha, beta = (a, b) if q == (2, 1) else (b, a)
         return PairClassification("nonclassical", 5, _witness(ars, _witness_case2, alpha, beta))
     length = ars.finite.length_class(a.coords)
     if family in ("A", "D", "E"):

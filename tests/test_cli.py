@@ -104,6 +104,22 @@ def test_replay_case4_eps(capsys):
     assert "CONSTANT C=12" in out
 
 
+def test_replay_case_choices_are_the_case_ids(capsys):
+    # the parser names the cases without importing the collection engine
+    from steinberg import collection
+
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    case = next(a for a in sub.choices["replay"]._actions if a.dest == "case")
+    assert tuple(case.choices) == collection.CASE_IDS
+    for bad in ("0", "9"):
+        code, out, err = run(capsys, "replay", "--case", bad)
+        assert (code, out) == (2, "")
+        assert "--case {1,2,3,4,5,6,7,8}" in err
+        assert err.rstrip().endswith(
+            f"argument --case: invalid choice: {bad} (choose from 1, 2, 3, 4, 5, 6, 7, 8)"
+        )
+
+
 def test_verify_small(capsys):
     code, out, _ = run(
         capsys, "verify", "--diagram", "A~2", "--ring", "GF(2)", "--level-bound", "1"

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -163,7 +162,7 @@ def test_commuting_replays_hold_for_every_table_coefficient(cid):
         for k, (g, n, ij) in enumerate(entries):
             tables = dict(cfg.nrs.tables)
             tables[key] = entries[:k] + ((g, n + 1, ij),) + entries[k + 1:]
-            perturbed = replace(cfg, nrs=replace(cfg.nrs, tables=tables))
+            perturbed = cfg._replace(nrs=cfg.nrs.with_tables(tables))
             assert C.replay(perturbed).is_empty(), (key, g)
 
 
@@ -190,9 +189,10 @@ def test_commuting_replay_negative_control(cid, pair, interior):
     tables = dict(cfg.nrs.tables)
     tables[x, y] = ((by_name[interior], 1, (1, 1)),)
     # while the pair commutes its table is never consulted
-    assert C.replay(replace(cfg, nrs=replace(cfg.nrs, tables=tables))).is_empty()
+    assert C.replay(cfg._replace(nrs=cfg.nrs.with_tables(tables))).is_empty()
     commuting = cfg.nrs.commuting - {key}
-    perturbed = replace(cfg, nrs=replace(cfg.nrs, tables=tables, commuting=commuting))
+    nrs = C.NilpotentRootSet(cfg.nrs.ars, cfg.nrs.roots, tables, commuting, cfg.nrs.names)
+    perturbed = cfg._replace(nrs=nrs)
     assert C.replay(perturbed).factors != ()
 
 

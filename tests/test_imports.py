@@ -1,9 +1,12 @@
 """Start-up budget: which modules a command loads, each in a fresh interpreter.
 
 The package is pure Python: no command loads numpy, and only `verify` loads
-the loop model.
+the loop model.  No command loads `dataclasses` (and with it `inspect`) or
+`fractions` (and with it `decimal`), and only `replay` loads
+`steinberg.collection`.
 """
 
+import functools
 import json
 import os
 import pathlib
@@ -16,12 +19,17 @@ import steinberg
 
 SRC = str(pathlib.Path(steinberg.__file__).resolve().parents[1])
 
+# modules no command may load, except steinberg.collection for replay;
+# reported only if steinberg loaded them, not the interpreter's start-up
+WATCHED = ["numpy", "dataclasses", "inspect", "fractions", "decimal", "steinberg.collection"]
+
 CALL = """
 import contextlib, io, json, sys
+before = set(sys.modules)
 from steinberg import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main({argv!r})
-print(json.dumps([code, "numpy" in sys.modules]))
+print(json.dumps([code, sorted(set({watched!r}) & set(sys.modules) - before)]))
 """
 
 
@@ -34,8 +42,9 @@ def _run(source: str) -> str:
     return done.stdout
 
 
-def _numpy_loaded_by(argv: str) -> bool:
-    code, loaded = json.loads(_run(CALL.format(argv=argv.split())))
+@functools.lru_cache(maxsize=None)
+def _watched_loaded_by(argv: str) -> list[str]:
+    code, loaded = json.loads(_run(CALL.format(argv=argv.split(), watched=WATCHED)))
     assert code == 0, argv
     return loaded
 
@@ -48,7 +57,17 @@ def test_cli_import_loads_neither_numpy_nor_the_loop_model():
     assert out.split() == ["[]"]
 
 
-@pytest.mark.parametrize(
+def test_cli_import_loads_no_watched_module():
+    out = _run(
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import steinberg.cli\n"
+        f"print(sorted(set({WATCHED!r}) & set(sys.modules) - before))"
+    )
+    assert out.split() == ["[]"]
+
+
+COMMANDS = pytest.mark.parametrize(
     "argv",
     [
         "classify --diagram A~2",
@@ -67,8 +86,17 @@ def test_cli_import_loads_neither_numpy_nor_the_loop_model():
         "verify --diagram A~2 --ring Z/2 --level-bound 0",
     ],
 )
+
+
+@COMMANDS
 def test_command_runs_without_numpy(argv):
-    assert not _numpy_loaded_by(argv)
+    assert "numpy" not in _watched_loaded_by(argv)
+
+
+@COMMANDS
+def test_command_loads_collection_only_to_replay(argv):
+    expected = ["steinberg.collection"] if argv.startswith("replay") else []
+    assert _watched_loaded_by(argv) == expected
 
 
 def test_verify_passes_with_numpy_blocked():

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import itertools
 import math
 import random
@@ -362,7 +361,7 @@ def _perturbed(rel, ring):
     for k, (gen, exp) in enumerate(right):
         if gen.kind == "X":
             right[k] = (P.X(gen.node, gen.param + rings.one(ring)), exp)
-            return dataclasses.replace(rel, right=tuple(right))
+            return rel._replace(right=tuple(right))
     return None
 
 
@@ -382,7 +381,7 @@ def test_batched_verdicts_match_single_words(diagram, n):
         if k % 3 == 0 and (bad := _perturbed(rel, ring)) is not None:
             rels.append(bad)
         if k % 3 == 1:
-            rels.append(dataclasses.replace(rel, right=rel.right[:-1]))
+            rels.append(rel._replace(right=rel.right[:-1]))
     # the reference multiplies every word out letter by letter on a model of
     # its own, so it shares no segment value with the batched path
     reference = L.build_model(diagram, ring)

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -203,7 +202,7 @@ def test_sorted_relators_match_the_rendered_key(ring):
     # shuffled, with copies that tie on family, nodes and parameters and
     # differ only in their words, so the rendered words decide
     rels = list(P.relators_for(A2, ring, P.PresentationOptions(include_torus_action=True)).relators)
-    rels += [dataclasses.replace(r, right=r.right[:-1]) for r in rels[::7]]
-    rels += [dataclasses.replace(r, left=r.right, right=r.left) for r in rels[::11]]
+    rels += [r._replace(right=r.right[:-1]) for r in rels[::7]]
+    rels += [r._replace(left=r.right, right=r.left) for r in rels[::11]]
     random.Random(5).shuffle(rels)
     assert P._sorted_relators(rels) == sorted(rels, key=P._relator_sort_key)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -90,6 +91,31 @@ def test_pairing_rejects_non_integral_pair():
     assert a2.pairing((2, 0), (1, 0)) == 1
     with pytest.raises(ValueError, match="non-integral pairing"):
         a2.pairing((2, 0), (0, 1))
+
+
+def _symmetrizes(d, a) -> bool:
+    return all(d[i] * a.rows[i][j] == d[j] * a.rows[j][i]
+               for i in range(a.rank) for j in range(a.rank))
+
+
+def test_symmetrizer_is_an_integer_solution_with_gcd_one():
+    cases = [(a, None) for _, a in D.catalog(6)] + [
+        (D.gcm([[2, -1], [-4, 2]]), (4, 1)),  # a denominator 4 to clear
+        (D.gcm([[2, -3, 0], [-1, 2, 0], [0, 0, 2]]), (1, 3, 1)),
+        # the denominators of all components share one common multiple
+        (D.gcm([[2, -1, 0, 0], [-2, 2, 0, 0], [0, 0, 2, -3], [0, 0, -1, 2]]), (2, 1, 2, 6)),
+    ]
+    for a, expected in cases:
+        d = R._symmetrizer(a)
+        assert all(x > 0 for x in d) and math.gcd(*d) == 1 and _symmetrizes(d, a), a
+        assert expected is None or d == expected
+
+
+def test_symmetrizer_rejects_a_cycle_that_does_not_close():
+    # a_01 a_12 a_20 = -1 but a_10 a_21 a_02 = -2
+    a = D.gcm([[2, -1, -1], [-2, 2, -1], [-1, -1, 2]])
+    with pytest.raises(ValueError, match="not symmetrizable"):
+        R._symmetrizer(a)
 
 
 def test_nonfinite_type_rejected():
@@ -256,6 +282,21 @@ def test_prenilpotent_geometric():
     assert R.prenilpotent_geometric(a2, AffineRoot((1, 0), 0), AffineRoot((0, 1), 0))
     assert not R.prenilpotent_geometric(a2, AffineRoot((1, 0), 0), AffineRoot((-1, 0), 0))
     assert R.prenilpotent_geometric(a2, AffineRoot((1, 0), 0), AffineRoot((1, 0), 1))
+
+
+def test_proportionality_is_a_reduced_ratio():
+    cases = [
+        ((1, 0), (2, 0)), ((2, 0), (1, 0)), ((1, 1), (-1, -1)), ((-2, 0), (1, 0)),
+        ((2, 4), (-3, -6)), ((0, -3), (0, 6)), ((1, 0), (0, 1)), ((1, 2), (2, 1)),
+    ]
+    for x, y in cases:
+        q = R._proportionality(x, y)
+        independent = x[0] * y[1] != x[1] * y[0]
+        if independent:
+            assert q is None
+            continue
+        i = 0 if x[0] else 1
+        assert Fraction(*q) == Fraction(y[i], x[i]) and q[1] > 0 and math.gcd(*q) == 1
 
 
 def test_theta():
