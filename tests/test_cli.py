@@ -257,6 +257,8 @@ def test_verify_over_composite_rings(capsys, diagram, ring):
         (3, "verify --diagram BC~2^odd --ring Z/5"),
         (3, "verify --diagram A~2 --ring Z"),
         (3, "verify --diagram A~1 --ring Z/3"),
+        (3, "present --diagram A~1 --ring Z/3"),
+        (3, "amalgam --diagram A~1 --ring Z/3"),
     ],
 )
 def test_error_exit_codes(capsys, code, argv):

@@ -41,6 +41,10 @@ CORPUS = [
     # every torus-action schema in the schema ring's rendering, e.g. X1(r*t)
     "present --diagram A~2 --ring Z --torus --format native",
     "amalgam --diagram A~3 --ring Z --format native",
+    # several units and zero divisors in the concrete parameters
+    "present --diagram A~2 --ring Z/8 --torus --km-torus --format native",
+    "present --diagram G~2 --ring GF(5) --torus --format native",
+    "amalgam --diagram C~2 --ring Z/9 --km-torus --format native",
     "amalgam --diagram A~2 --ring Z/3 --format json",
     "replay --case 1",
     "replay --case 2",
