@@ -10,15 +10,15 @@ swaps; corrections carry strictly larger grades, so collection terminates.
 Untwisted configurations draw their tables from the finite Chevalley
 constants, with a sign choice solved to match the displayed relation forms.
 The non-reduced and mod-3 configurations hard-code the displayed relations
-and complete the few remaining entries by root-string magnitudes plus an
-associativity search over the signs.  The pair (alpha, beta) under scrutiny
+and the few remaining entries, whose magnitudes are root-string lengths and
+whose signs are the only ones that make collection associative; each
+configuration checks that associativity when it is built.  The pair (alpha, beta) under scrutiny
 never receives a table entry: its relation is exactly what a replay derives.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import product
 from typing import NamedTuple
 
 from . import chevalley, diagrams, rings
@@ -211,10 +211,6 @@ def commutator(nrs: NilpotentRootSet, a: NormalProduct, b: NormalProduct) -> Nor
 # configuration scaffolding
 
 
-def _mag11(ars, x, y) -> int:
-    return R.string_length(ars, x, y) + 1
-
-
 def _build_nrs(ars, decomp, tables, names, excluded_pairs):
     """Finish a configuration: order roots by (grade, generator coords), mark
     commuting pairs, check closure and table coverage."""
@@ -321,7 +317,7 @@ def _solve_display_orientation(ars, basis, targets):
 
 
 # ---------------------------------------------------------------------------
-# associativity search used by the twisted configurations
+# the associativity check of the twisted configurations
 
 
 def _interesting_triples(nrs, probe_roots):
@@ -352,41 +348,16 @@ def _associativity_holds(nrs, triples, coeffs) -> bool:
     return True
 
 
-def _resolve_signs(ars, decomp, names, fixed_tables, unknown_slots, probe_exclude, excluded_pairs):
-    """Try every sign assignment for the unknown table entries; keep those
-    whose collection is associative on the probe subset.  Returns the list of
-    completed table dicts that pass (deterministic order).
-
-    The order, closure and commuting checks of _build_nrs and the probe
-    triples depend on which pairs carry tables, not on the signs, so they run
-    once; each assignment only swaps in its own tables."""
+def _associative(nrs, probe_exclude) -> bool:
+    """Whether collection in nrs is associative on every interacting triple
+    of roots outside probe_exclude, for two integer coefficient triples and
+    the symbolic one (a, b, c)."""
     zint = rings.integers()
-    int_coeffs = [
-        tuple(rings.from_int(zint, v) for v in vals)
-        for vals in ((2, 3, 5), (-7, 11, -13))
-    ]
-    sym_desc = rings.polynomial_ring(rings.integers(), ("a", "b", "c"))
-    sym_coeffs = tuple(rings.variable(sym_desc, v) for v in ("a", "b", "c"))
-
-    def completed(bits):
-        tables = dict(fixed_tables)
-        for sign, (pair, (g, mag, ij)) in zip(bits, unknown_slots):
-            tables[pair] = tuple(tables.get(pair, ())) + ((g, sign * mag, ij),)
-        return tables
-
-    assignments = list(product((1, -1), repeat=len(unknown_slots)))
-    skeleton = _build_nrs(ars, decomp, completed(assignments[0]), names, excluded_pairs)
-    triples = _interesting_triples(skeleton, [r for r in skeleton.roots if r not in probe_exclude])
-    survivors = []
-    for bits in assignments:
-        tables = completed(bits)
-        nrs = skeleton.with_tables(tables)
-        if all(_associativity_holds(nrs, triples, cs) for cs in int_coeffs):
-            if _associativity_holds(nrs, triples, sym_coeffs):
-                survivors.append(tables)
-    if not survivors:
-        raise ConfigurationError("no sign assignment is associative")
-    return survivors
+    coeffs = [tuple(rings.from_int(zint, v) for v in vals) for vals in ((2, 3, 5), (-7, 11, -13))]
+    sym_desc = rings.polynomial_ring(zint, ("a", "b", "c"))
+    coeffs.append(tuple(rings.variable(sym_desc, v) for v in ("a", "b", "c")))
+    triples = _interesting_triples(nrs, [r for r in nrs.roots if r not in probe_exclude])
+    return all(_associativity_holds(nrs, triples, cs) for cs in coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +521,9 @@ def _case_config_twisted(case_id: int) -> CaseData:
             }
             fixed = {
                 (mu, lam): ((mu_lam, -1, (1, 1)), (beta, 1, (2, 1))),
+                # the remaining entry, magnitude 2 from the mu-string
+                (mu, mu_lam): ((beta, -2, (1, 1)),),
             }
-            unknown = [((mu, mu_lam), (beta, _mag11(ars, mu, mu_lam), (1, 1)))]
             expansion = [
                 ("x", mu_lam, lambda u: u),
                 ("comm", (mu, one), (lam, lambda u: u)),
@@ -583,7 +555,8 @@ def _case_config_twisted(case_id: int) -> CaseData:
                 decomp[eta] = (1, 1, 1)
                 names[eta] = "alpha+beta"
                 fixed[(mu, alpha_sigma)] = ((eta, -2, (1, 1)),)
-            unknown = [((sigma, beta), (two_sig_mu, _mag11(ars, sigma, beta), (1, 1)))]
+            # the remaining entry, magnitude 2 from the sigma-string
+            fixed[(sigma, beta)] = ((two_sig_mu, -2, (1, 1)),)
             expansion = [
                 ("x", two_sig_mu, lambda u: u),
                 ("comm", (mu, lambda u: u), (sigma, one)),
@@ -618,17 +591,17 @@ def _case_config_twisted(case_id: int) -> CaseData:
             ),
             # altered short-root relation: single term with coefficient 1
             (sigma, alpha): ((alpha_sigma, 1, (1, 1)),),
+            # the remaining entries: magnitudes p + 1 from the root strings,
+            # (p + 1)(q + 1)/2 for the (2, 1) and (1, 2) terms
+            (sigma, beta): (
+                (two_sig_lam, -2, (1, 1)),
+                (three_sig_lam, -3, (2, 1)),
+                (three_sig_2lam, -3, (1, 2)),
+            ),
+            (sigma, two_sig_lam): ((three_sig_lam, 3, (1, 1)),),
+            (lam, three_sig_lam): ((three_sig_2lam, 1, (1, 1)),),
+            (beta, two_sig_lam): ((three_sig_2lam, 3, (1, 1)),),
         }
-        m21 = (_mag11(ars, sigma, beta) * _mag11(ars, sigma, two_sig_lam)) // 2
-        m12 = (_mag11(ars, beta, sigma) * _mag11(ars, beta, two_sig_lam)) // 2
-        unknown = [
-            ((sigma, beta), (two_sig_lam, _mag11(ars, sigma, beta), (1, 1))),
-            ((sigma, beta), (three_sig_lam, m21, (2, 1))),
-            ((sigma, beta), (three_sig_2lam, m12, (1, 2))),
-            ((sigma, two_sig_lam), (three_sig_lam, _mag11(ars, sigma, two_sig_lam), (1, 1))),
-            ((lam, three_sig_lam), (three_sig_2lam, _mag11(ars, lam, three_sig_lam), (1, 1))),
-            ((beta, two_sig_lam), (three_sig_2lam, _mag11(ars, beta, two_sig_lam), (1, 1))),
-        ]
         expansion = [
             ("x", three_sig_lam, lambda u: u),
             ("x", three_sig_2lam, lambda u: -(u * u)),
@@ -636,13 +609,9 @@ def _case_config_twisted(case_id: int) -> CaseData:
             ("x", two_sig_lam, lambda u: u),
         ]
 
-    excluded = frozenset({frozenset((alpha, beta))})
-    survivors = _resolve_signs(ars, decomp, names, fixed, unknown, {alpha}, excluded)
-    if len(survivors) != 1:
-        raise ConfigurationError(
-            f"case {case_id}: sign search found {len(survivors)} consistent assignments"
-        )
-    nrs = _build_nrs(ars, decomp, survivors[0], names, excluded)
+    nrs = _build_nrs(ars, decomp, fixed, names, frozenset({frozenset((alpha, beta))}))
+    if not _associative(nrs, {alpha}):
+        raise ConfigurationError(f"case {case_id}: collection is not associative")
     return CaseData(case_id, nrs, alpha, beta, tuple(expansion), {}, None)
 
 

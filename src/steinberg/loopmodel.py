@@ -319,8 +319,6 @@ def model_for_system(ars: R.AffineRootSystem, ring: rings.RingDescriptor) -> Loo
 # reports
 
 
-_NAMES = rings._variables(presentation.SCHEMA_RING)  # ("r", "t", "u", "v")
-_VARIABLE = {name: rings.parse_element(presentation.SCHEMA_RING, name) for name in _NAMES}
 _H = len(presentation.htilde(0, rings.one(rings.integers())))  # letters of htilde_i(p)
 
 
@@ -338,7 +336,7 @@ class _Packing:
 
     def __init__(self, span: int, top: int):
         self.span, self.top, self.values = span, top, {}
-        self.radices = (2 * span + 1, *[2 * top + 1] * len(_NAMES))
+        self.radices = (2 * span + 1, *[2 * top + 1] * len(presentation._NAMES))
         self.strides = tuple(itertools.accumulate(self.radices[:-1], operator.mul, initial=1))
 
     def degree(self, d: int, exps) -> int:
@@ -416,57 +414,15 @@ def _value(model: LoopModel, w) -> LoopMatrix:
 def verify_relators(model: LoopModel, relators) -> list:
     """Whether the two words of each relator have equal values, in order.
 
-    A relator is a schema, with parameters in presentation.SCHEMA_RING, or a
-    concrete relator over the model's ring, a schema with no variables.  The
-    model's packing is first widened, with an empty cache, if its box does
-    not hold the words (see _box).  It is injective on the box, so the
-    verdict compares the two formal values: exact for a concrete relator,
-    and for a schema the identity that verify_presentation carries to every
-    instance."""
+    A relator is a schema, with parameters in presentation.SCHEMA_RING, or
+    an instance of one over the model's ring (presentation.instances), whose
+    parameters are constants.  The model's packing is first widened, with an
+    empty cache, if its box does not hold the words (see _box).  It is
+    injective on the box, so the verdict compares the two formal values:
+    exact for a concrete relator, and for a schema the identity that
+    verify_presentation carries to every instance."""
     model._cover([w for rel in relators for w in (rel.left, rel.right)])
     return [_value(model, rel.left) == _value(model, rel.right) for rel in relators]
-
-
-def _domains(schema: presentation.Relator, units: list, elements: list) -> list:
-    """The values of each parameter of a schema: the units for the torus unit
-    r and the Kac-Moody torus units u and v, every element otherwise.
-
-    Checks the precondition of verify_presentation: every parameter is the
-    variable of its name, every variable of a letter is a parameter, and
-    only a unit parameter has a negative exponent."""
-    domains = {}
-    for name, value in schema.params:
-        if value != _VARIABLE[name]:
-            raise ValueError(f"{schema.family}: parameter {name} is not the variable {name}")
-        domains[name] = units if presentation.unit_parameter(schema.family, name) else elements
-    for gen, _ in schema.left + schema.right:
-        for exps, _ in _monomials(gen.param, 1) if gen.kind == "X" else ():
-            for name, e in zip(_NAMES, exps):
-                if e and (name not in domains or e < 0 and domains[name] is not units):
-                    raise ValueError(f"{schema.family}: {name}^{e} in {gen.render()} lacks a value")
-    return list(domains.values())
-
-
-def _instances(model: LoopModel, schema: presentation.Relator, domains: list) -> list:
-    """The concrete relators of a schema, one per binding of its parameters
-    to their values, in relator order."""
-    names, rels = [name for name, _ in schema.params], []
-    for values in itertools.product(*domains):
-        binding = dict(zip(names, values))
-        point = [binding[name].data if name in binding else None for name in _NAMES]
-        left, right = (tuple((gen if gen.kind == "S" else presentation.X(
-            gen.node, _at(model, gen.param, point)), exp) for gen, exp in w)
-            for w in (schema.left, schema.right))
-        rels.append(presentation.Relator(schema.family, schema.nodes, tuple(binding.items()),
-                                         left, right))
-    return sorted(rels, key=presentation.Relator.render_params)
-
-
-def _at(model: LoopModel, p: rings.RingElement, point: list) -> rings.RingElement:
-    """p in the schema ring at the residues (r, t, u, v) = point."""
-    return rings.from_int(model.ring, sum(
-        c * math.prod(pow(x, e, model.n) for x, e in zip(point, exps) if e)
-        for exps, c in _monomials(p, 1)))
 
 
 def verify_presentation(
@@ -476,10 +432,11 @@ def verify_presentation(
     from the schemas of relators_for over Z; per-family pass counts with
     counterexample parameter bindings in relator order.
 
-    The instances of a schema are its specialisations: r, t, u, v go to the
-    values of its parameters (_domains), every element for t and u, the
-    units for r and for the Kac-Moody torus's u and v.  A family's instance
-    count is the product of the sizes of these value lists.
+    The instances of a schema are its specialisations, as in a concrete
+    presentation (presentation.instances): r, t, u, v go to the values of
+    its parameters, every element for t and u, the units for r and for the
+    Kac-Moody torus's u and v.  A family's instance count is the product of
+    the sizes of these value lists (presentation.instance_domains).
 
     Exactness.  Specialisation is a ring homomorphism from the polynomials
     of (Z/n)[z^(+-1)][r^(+-1), t, u^(+-1), v^(+-1)] whose negative exponents
@@ -488,19 +445,16 @@ def verify_presentation(
     X_i(p) = I + sum_k p^k z^(k m) D_k to the concrete letter of the
     instance, so each side to the instance's value: equal formal values
     (verify_relators) pass every instance.  This needs one precondition,
-    which _domains checks for every schema rather than assumes: a parameter
-    whose values include non-units (t, and u outside the Kac-Moody torus)
-    never has a negative exponent.  A schema whose formal values differ has
+    which instance_domains checks for every schema rather than assumes: a
+    parameter whose values include non-units (t, and u outside the
+    Kac-Moody torus) never has a negative exponent.  A schema whose formal values differ has
     its instances enumerated and each decided by plain products; that also
     decides identities that hold as functions on Z/n but not formally, such
     as X_i(t^5) = X_i(t) over GF(5)."""
     if options is None:
         options = presentation.PresentationOptions(include_torus_action=True)
-    a = model.gcm
-    if any(diagrams.coxeter_order(a, i, j) is diagrams.INFINITE
-           for i, j in itertools.combinations(range(a.rank), 2)):
-        raise UnsupportedModelError("no relation family exists for an m = infinity edge")
-    families = _families(model, presentation.relators_for(a, rings.integers(), options).relators)
+    families = _families(
+        model, presentation.relators_for(model.gcm, rings.integers(), options).relators)
     return {"diagram": model.ars.cls.label(), "ring": str(model.ring), "families": families,
             "all_passed": all(f["failed"] == 0 for f in families)}
 
@@ -511,14 +465,18 @@ def _entry(family: str) -> dict:
 
 def _families(model: LoopModel, schemas) -> list:
     """The per-family entries of verify_presentation for a list of schemas in
-    relator order, in family order."""
-    units, elements = rings.units(model.ring), list(rings.elements(model.ring))
-    domains = [_domains(schema, units, elements) for schema in schemas]
+    relator order, in family order.  A family's count comes from the value
+    lists of presentation.instance_domains, which a concrete presentation
+    enumerates too.  Only a schema whose formal values differ has its
+    instances built, by presentation.instances, and its failing ones are
+    listed in relator order."""
+    domains = presentation.instance_domains(model.gcm, model.ring, schemas)
     families: dict[str, dict] = {}
     for schema, values, ok in zip(schemas, domains, verify_relators(model, schemas)):
         entry = families.setdefault(schema.family, _entry(schema.family))
-        rels = [] if ok else _instances(model, schema, values)
-        failed = [rel for rel, good in zip(rels, verify_relators(model, rels)) if not good]
+        rels = [] if ok else presentation.instances(model.ring, schema, values)
+        failed = sorted((rel for rel, good in zip(rels, verify_relators(model, rels)) if not good),
+                        key=presentation.Relator.render_params)
         count = math.prod(map(len, values))
         entry["instances"] += count
         entry["passed"] += count - len(failed)
@@ -633,7 +591,7 @@ def verify_morita_rehmann(model: LoopModel, level_bound: int) -> dict:
 
 def _formal_htilde(i: int) -> tuple:
     """The words htilde_i(r) and htilde_i(r)^-1, r the schema variable."""
-    h_word = presentation.htilde(i, _VARIABLE["r"])
+    h_word = presentation.htilde(i, presentation._VARIABLE["r"])
     return h_word, presentation.winv(h_word)
 
 

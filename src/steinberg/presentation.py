@@ -2,18 +2,21 @@
 the rank-at-most-two amalgam, and deterministic file emission.
 
 Relations are kept as (left, right) word pairs rather than single relators,
-which preserves the displayed shapes for diffing.  Concrete presentations
-(finite rings) enumerate every instance; symbolic presentations carry one
-schema per family.  Both are built by the same ring arithmetic: a schema's
-parameters are elements of SCHEMA_RING = Z[r^+-1][t][u^+-1][v^+-1], where t
-and u are the Chevalley/additivity parameters, r is the torus unit, and u
-and v are the Kac-Moody torus units.
+which preserves the displayed shapes for diffing.  Each relation family is
+one schema, a relator whose parameters are elements of SCHEMA_RING =
+Z[r^+-1][t][u^+-1][v^+-1], where t and u are the Chevalley/additivity
+parameters, r is the torus unit, and u and v are the Kac-Moody torus units.
+Symbolic presentations carry the schemas.  The relators of a concrete
+presentation (a finite ring) are the specialisations of the schemas, one per
+binding of their parameters to ring elements (instance_domains, instances);
+verify counts and enumerates instances through the same two functions.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
-from itertools import groupby
+from itertools import combinations, groupby, product, repeat
 from typing import NamedTuple
 
 from . import diagrams, rings
@@ -21,6 +24,8 @@ from .diagrams import GeneralizedCartanMatrix
 
 
 SCHEMA_RING = rings.parse_descriptor("Z[r^+-1][t][u^+-1][v^+-1]")
+_NAMES = rings._variables(SCHEMA_RING)  # ("r", "t", "u", "v")
+_VARIABLE = {name: rings.parse_element(SCHEMA_RING, name) for name in _NAMES}
 
 
 @lru_cache(maxsize=None)
@@ -143,12 +148,6 @@ def _short_long(a: GeneralizedCartanMatrix, i: int, j: int) -> tuple[int, int]:
     return j, i
 
 
-def unit_parameter(family: str, name: str) -> bool:
-    """Whether a family's parameter ranges over the units, as the torus unit
-    r and the Kac-Moody torus units u and v do, rather than every element."""
-    return name == "r" or family == "torus"
-
-
 def _mono(k: int, *factors: rings.RingElement) -> rings.RingElement:
     """k times the product of the factors."""
     out = rings.from_int(factors[0].desc, k)
@@ -157,30 +156,17 @@ def _mono(k: int, *factors: rings.RingElement) -> rings.RingElement:
     return out
 
 
-def _family_instances(a, ring, symbolic, nodes, include_torus, include_km_torus):
-    if symbolic:
-        ring = SCHEMA_RING
-        r, t, u, v = (rings.parse_element(ring, name) for name in "rtuv")
-        t_values = [t]
-        tu_values = [(t, u)]
-        r_values = [r]
-        unit_pairs = [(u, v)]
-    else:
-        elems = list(rings.elements(ring))
-        units_list = rings.units(ring)
-        t_values = elems
-        tu_values = [(t, u) for t in elems for u in elems]
-        r_values = units_list
-        unit_pairs = [(u, v) for u in units_list for v in units_list]
-
+def _schemas(a, nodes, include_torus, include_km_torus):
+    """One schema per relation family on the nodes, with parameters in
+    SCHEMA_RING."""
+    r, t, u, v = _VARIABLE.values()
+    one = rings.one(SCHEMA_RING)
     for i in nodes:
-        for t, u in tu_values:
-            yield Relator(
-                "additivity", (i,), (("t", t), ("u", u)),
-                word(X(i, t), X(i, u)),
-                word(X(i, t + u)),
-            )
-        one = rings.one(ring)
+        yield Relator(
+            "additivity", (i,), (("t", t), ("u", u)),
+            word(X(i, t), X(i, u)),
+            word(X(i, t + u)),
+        )
         yield Relator(
             "s-defining", (i,), (),
             word(S(i)),
@@ -195,77 +181,55 @@ def _family_instances(a, ring, symbolic, nodes, include_torus, include_km_torus)
                 word(S(i), S(i), S(j), (S(i), -1), (S(i), -1)),
                 word((S(j), sign)),
             )
-            for t in t_values:
-                yield Relator(
-                    "s2-on-x", (i, j), (("t", t),),
-                    word(S(i), S(i), X(j, t), (S(i), -1), (S(i), -1)),
-                    word(X(j, _mono(sign, t))),
-                )
+            yield Relator(
+                "s2-on-x", (i, j), (("t", t),),
+                word(S(i), S(i), X(j, t), (S(i), -1), (S(i), -1)),
+                word(X(j, _mono(sign, t))),
+            )
 
-    for i in nodes:
-        for j in nodes:
-            if i >= j:
-                continue
-            m = diagrams.coxeter_order(a, i, j)
-            if m is diagrams.INFINITE:
-                if not symbolic:
-                    raise rings.UnsupportedModelError(
-                        "no relation family exists for an m = infinity edge"
-                    )
-                continue
-            yield from _edge_families(a, i, j, m, t_values, tu_values)
+    for i, j in combinations(nodes, 2):
+        m = diagrams.coxeter_order(a, i, j)
+        if m is not diagrams.INFINITE:
+            yield from _edge_families(a, i, j, m, t, u)
 
     if include_torus:
         for i in nodes:
-            # each htilde_i(r) and its inverse are built once and shared by
-            # every instance that conjugates by them
-            conjugators = []
-            for r in r_values:
-                h = htilde(i, r)
-                conjugators.append((r, h, winv(h)))
+            h, h_inv = htilde(i, r), winv(htilde(i, r))
             for j in nodes:
                 aij = a.rows[i][j]
-                sj, sj_inv = word(S(j)), word((S(j), -1))
-                for r, h, h_inv in conjugators:
-                    # r^(+-a_ij) is taken once per unit
-                    scale_1, scale_2 = rings.power(r, aij), rings.power(r, -aij)
-                    for t in t_values:
-                        xt = word(X(j, t))
-                        yield Relator(
-                            "torus-action-1", (i, j), (("r", r), ("t", t)),
-                            h + xt + h_inv,
-                            word(X(j, scale_1 * t)),
-                        )
-                        yield Relator(
-                            "torus-action-2", (i, j), (("r", r), ("t", t)),
-                            h + sj + xt + sj_inv + h_inv,
-                            sj + word(X(j, scale_2 * t)) + sj_inv,
-                        )
+                sj, sj_inv, xt = word(S(j)), word((S(j), -1)), word(X(j, t))
+                yield Relator(
+                    "torus-action-1", (i, j), (("r", r), ("t", t)),
+                    h + xt + h_inv,
+                    word(X(j, rings.power(r, aij) * t)),
+                )
+                yield Relator(
+                    "torus-action-2", (i, j), (("r", r), ("t", t)),
+                    h + sj + xt + sj_inv + h_inv,
+                    sj + word(X(j, rings.power(r, -aij) * t)) + sj_inv,
+                )
 
     if include_km_torus:
         for i in nodes:
-            for u, v in unit_pairs:
-                yield Relator(
-                    "torus", (i,), (("u", u), ("v", v)),
-                    htilde(i, u) + htilde(i, v),
-                    htilde(i, _mono(1, u, v)),
-                )
+            yield Relator(
+                "torus", (i,), (("u", u), ("v", v)),
+                htilde(i, u) + htilde(i, v),
+                htilde(i, _mono(1, u, v)),
+            )
 
 
-def _edge_families(a, i, j, m, t_values, tu_values):
+def _edge_families(a, i, j, m, t, u):
     if m == 2:
         yield Relator("artin-2", (i, j), (), word(S(i), S(j)), word(S(j), S(i)))
         for x, y in ((i, j), (j, i)):
-            for t in t_values:
-                yield Relator(
-                    "interaction-2", (x, y), (("t", t),),
-                    word(S(x), X(y, t)), word(X(y, t), S(x)),
-                )
-        for t, u in tu_values:
             yield Relator(
-                "chevalley-2", (i, j), (("t", t), ("u", u)),
-                word(X(i, t), X(j, u)), word(X(j, u), X(i, t)),
+                "interaction-2", (x, y), (("t", t),),
+                word(S(x), X(y, t)), word(X(y, t), S(x)),
             )
+        yield Relator(
+            "chevalley-2", (i, j), (("t", t), ("u", u)),
+            word(X(i, t), X(j, u)), word(X(j, u), X(i, t)),
+        )
         return
 
     if m == 3:
@@ -274,23 +238,21 @@ def _edge_families(a, i, j, m, t_values, tu_values):
             word(S(i), S(j), S(i)), word(S(j), S(i), S(j)),
         )
         for x, y in ((i, j), (j, i)):
-            for t in t_values:
-                yield Relator(
-                    "interaction-3", (x, y), (("t", t),),
-                    word(S(y), S(x), X(y, t)),
-                    word(X(x, t), S(y), S(x)),
-                )
-            for t, u in tu_values:
-                close = conj(word(S(x)), word(X(y, u)))
-                yield Relator(
-                    "chevalley-3-close", (x, y), (("t", t), ("u", u)),
-                    word(X(x, t)) + close, close + word(X(x, t)),
-                )
-                yield Relator(
-                    "chevalley-3-distant", (x, y), (("t", t), ("u", u)),
-                    commutator_word(word(X(x, t)), word(X(y, u))),
-                    conj(word(S(x)), word(X(y, _mono(1, t, u)))),
-                )
+            yield Relator(
+                "interaction-3", (x, y), (("t", t),),
+                word(S(y), S(x), X(y, t)),
+                word(X(x, t), S(y), S(x)),
+            )
+            close = conj(word(S(x)), word(X(y, u)))
+            yield Relator(
+                "chevalley-3-close", (x, y), (("t", t), ("u", u)),
+                word(X(x, t)) + close, close + word(X(x, t)),
+            )
+            yield Relator(
+                "chevalley-3-distant", (x, y), (("t", t), ("u", u)),
+                commutator_word(word(X(x, t)), word(X(y, u))),
+                conj(word(S(x)), word(X(y, _mono(1, t, u)))),
+            )
         return
 
     s, l = _short_long(a, i, j)
@@ -304,33 +266,31 @@ def _edge_families(a, i, j, m, t_values, tu_values):
         )
         for x, y in ((i, j), (j, i)):
             braid = word(S(x), S(y), S(x))
-            for t in t_values:
-                yield Relator(
-                    "interaction-4", (x, y), (("t", t),),
-                    braid + word(X(y, t)), word(X(y, t)) + braid,
-                )
-        for t, u in tu_values:
-            lhs, rhs = conj(ws, word(X(l, t))), conj(wl, word(X(s, u)))
             yield Relator(
-                "chevalley-4-close", (s, l), (("t", t), ("u", u)),
-                lhs + rhs, rhs + lhs,
+                "interaction-4", (x, y), (("t", t),),
+                braid + word(X(y, t)), word(X(y, t)) + braid,
             )
-            lhs, rhs = word(X(l, t)), conj(ws, word(X(l, u)))
-            yield Relator(
-                "chevalley-4-orthogonal-long", (s, l), (("t", t), ("u", u)),
-                lhs + rhs, rhs + lhs,
-            )
-            yield Relator(
-                "chevalley-4-orthogonal-short", (s, l), (("t", t), ("u", u)),
-                commutator_word(word(X(s, t)), conj(wl, word(X(s, u)))),
-                conj(ws, word(X(l, _mono(-2, t, u)))),
-            )
-            yield Relator(
-                "chevalley-4-distant", (s, l), (("t", t), ("u", u)),
-                commutator_word(word(X(s, t)), word(X(l, u))),
-                conj(wl, word(X(s, _mono(-1, t, u))))
-                + conj(ws, word(X(l, _mono(1, t, t, u)))),
-            )
+        lhs, rhs = conj(ws, word(X(l, t))), conj(wl, word(X(s, u)))
+        yield Relator(
+            "chevalley-4-close", (s, l), (("t", t), ("u", u)),
+            lhs + rhs, rhs + lhs,
+        )
+        lhs, rhs = word(X(l, t)), conj(ws, word(X(l, u)))
+        yield Relator(
+            "chevalley-4-orthogonal-long", (s, l), (("t", t), ("u", u)),
+            lhs + rhs, rhs + lhs,
+        )
+        yield Relator(
+            "chevalley-4-orthogonal-short", (s, l), (("t", t), ("u", u)),
+            commutator_word(word(X(s, t)), conj(wl, word(X(s, u)))),
+            conj(ws, word(X(l, _mono(-2, t, u)))),
+        )
+        yield Relator(
+            "chevalley-4-distant", (s, l), (("t", t), ("u", u)),
+            commutator_word(word(X(s, t)), word(X(l, u))),
+            conj(wl, word(X(s, _mono(-1, t, u))))
+            + conj(ws, word(X(l, _mono(1, t, t, u)))),
+        )
         return
 
     # m == 6
@@ -341,52 +301,50 @@ def _edge_families(a, i, j, m, t_values, tu_values):
     )
     for x, y in ((i, j), (j, i)):
         braid = word(S(x), S(y), S(x), S(y), S(x))
-        for t in t_values:
-            yield Relator(
-                "interaction-6", (x, y), (("t", t),),
-                braid + word(X(y, t)), word(X(y, t)) + braid,
-            )
-    for t, u in tu_values:
-        lhs, rhs = word(X(l, t)), conj(wls, word(X(l, u)))
         yield Relator(
-            "chevalley-6-close-long", (s, l), (("t", t), ("u", u)),
-            lhs + rhs, rhs + lhs,
+            "interaction-6", (x, y), (("t", t),),
+            braid + word(X(y, t)), word(X(y, t)) + braid,
         )
-        lhs, rhs = conj(wsl, word(X(s, t))), conj(wls, word(X(l, u)))
-        yield Relator(
-            "chevalley-6-adjacent", (s, l), (("t", t), ("u", u)),
-            lhs + rhs, rhs + lhs,
-        )
-        lhs, rhs = conj(ws, word(X(l, t))), conj(wl, word(X(s, u)))
-        yield Relator(
-            "chevalley-6-orthogonal", (s, l), (("t", t), ("u", u)),
-            lhs + rhs, rhs + lhs,
-        )
-        yield Relator(
-            "chevalley-6-distant-long", (s, l), (("t", t), ("u", u)),
-            commutator_word(word(X(l, t)), conj(ws, word(X(l, u)))),
-            conj(wls, word(X(l, _mono(1, t, u)))),
-        )
-        yield Relator(
-            "chevalley-6-close-short", (s, l), (("t", t), ("u", u)),
-            commutator_word(word(X(s, t)), conj(wsl, word(X(s, u)))),
-            conj(ws, word(X(l, _mono(3, t, u)))),
-        )
-        yield Relator(
-            "chevalley-6-distant-short", (s, l), (("t", t), ("u", u)),
-            commutator_word(word(X(s, t)), conj(wl, word(X(s, u)))),
-            conj(wsl, word(X(s, _mono(-2, t, u))))
-            + conj(ws, word(X(l, _mono(-3, t, t, u))))
-            + conj(wls, word(X(l, _mono(-3, t, u, u)))),
-        )
-        yield Relator(
-            "chevalley-6-distant", (s, l), (("t", t), ("u", u)),
-            commutator_word(word(X(s, t)), word(X(l, u))),
-            conj(wsl, word(X(s, _mono(1, t, t, u))))
-            + conj(wl, word(X(s, _mono(-1, t, u))))
-            + conj(ws, word(X(l, _mono(1, t, t, t, u))))
-            + conj(wls, word(X(l, _mono(-1, t, t, t, u, u)))),
-        )
+    lhs, rhs = word(X(l, t)), conj(wls, word(X(l, u)))
+    yield Relator(
+        "chevalley-6-close-long", (s, l), (("t", t), ("u", u)),
+        lhs + rhs, rhs + lhs,
+    )
+    lhs, rhs = conj(wsl, word(X(s, t))), conj(wls, word(X(l, u)))
+    yield Relator(
+        "chevalley-6-adjacent", (s, l), (("t", t), ("u", u)),
+        lhs + rhs, rhs + lhs,
+    )
+    lhs, rhs = conj(ws, word(X(l, t))), conj(wl, word(X(s, u)))
+    yield Relator(
+        "chevalley-6-orthogonal", (s, l), (("t", t), ("u", u)),
+        lhs + rhs, rhs + lhs,
+    )
+    yield Relator(
+        "chevalley-6-distant-long", (s, l), (("t", t), ("u", u)),
+        commutator_word(word(X(l, t)), conj(ws, word(X(l, u)))),
+        conj(wls, word(X(l, _mono(1, t, u)))),
+    )
+    yield Relator(
+        "chevalley-6-close-short", (s, l), (("t", t), ("u", u)),
+        commutator_word(word(X(s, t)), conj(wsl, word(X(s, u)))),
+        conj(ws, word(X(l, _mono(3, t, u)))),
+    )
+    yield Relator(
+        "chevalley-6-distant-short", (s, l), (("t", t), ("u", u)),
+        commutator_word(word(X(s, t)), conj(wl, word(X(s, u)))),
+        conj(wsl, word(X(s, _mono(-2, t, u))))
+        + conj(ws, word(X(l, _mono(-3, t, t, u))))
+        + conj(wls, word(X(l, _mono(-3, t, u, u)))),
+    )
+    yield Relator(
+        "chevalley-6-distant", (s, l), (("t", t), ("u", u)),
+        commutator_word(word(X(s, t)), word(X(l, u))),
+        conj(wsl, word(X(s, _mono(1, t, t, u))))
+        + conj(wl, word(X(s, _mono(-1, t, u))))
+        + conj(ws, word(X(l, _mono(1, t, t, t, u))))
+        + conj(wls, word(X(l, _mono(-1, t, t, t, u, u)))),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +379,7 @@ def _sorted_relators(rels) -> list:
 
 
 def _generators(ring, symbolic, nodes):
-    values = [rings.parse_element(SCHEMA_RING, "t")] if symbolic else list(rings.elements(ring))
+    values = [_VARIABLE["t"]] if symbolic else list(rings.elements(ring))
     return tuple([S(i) for i in nodes] + [X(i, t) for i in nodes for t in values])
 
 
@@ -436,20 +394,12 @@ def relators_for(
     ring: rings.RingDescriptor,
     options: PresentationOptions = PresentationOptions(),
 ) -> Presentation:
-    """Every relation-family instance of the presentation on the diagram.
-
-    Concrete mode (finite rings) enumerates all parameters; other rings give
-    the symbolic schema form.
-    """
-    symbolic = not _is_finite_ring(ring)
-    include_torus = _resolve_torus_flag(a, options)
-    nodes = range(a.rank)
-    rels = _sorted_relators(
-        _family_instances(
-            a, ring, symbolic, nodes, include_torus, options.include_kacmoody_torus
-        )
-    )
-    return Presentation(a, ring, symbolic, _generators(ring, symbolic, nodes), tuple(rels), options)
+    """Every relation-family instance of the presentation on the diagram:
+    over a finite ring the instances of the schemas, over any other ring the
+    schemas themselves (the symbolic form)."""
+    schemas = _schemas(a, range(a.rank), _resolve_torus_flag(a, options),
+                       options.include_kacmoody_torus)
+    return _presentation(a, ring, list(schemas), options)
 
 
 def amalgam(
@@ -461,22 +411,109 @@ def amalgam(
     generators identified across subdiagrams by node label.  The torus-action
     families never appear here: the amalgamated presentation is the direct
     limit one, in which they are consequences."""
-    symbolic = not _is_finite_ring(ring)
-    seen = set()
-    rels = []
-    pieces = [(i,) for i in range(a.rank)]
-    pieces += [(i, j) for i in range(a.rank) for j in range(i + 1, a.rank)]
-    for nodes in pieces:
-        for rel in _family_instances(
-            a, ring, symbolic, nodes, False, options.include_kacmoody_torus
-        ):
-            if rel not in seen:
-                seen.add(rel)
-                rels.append(rel)
-    rels = _sorted_relators(rels)
-    return Presentation(
-        a, ring, symbolic, _generators(ring, symbolic, range(a.rank)), tuple(rels), options
+    pieces = [(i,) for i in range(a.rank)] + list(combinations(range(a.rank), 2))
+    schemas = dict.fromkeys(
+        schema for nodes in pieces
+        for schema in _schemas(a, nodes, False, options.include_kacmoody_torus)
     )
+    return _presentation(a, ring, list(schemas), options)
+
+
+def _presentation(a, ring, schemas: list, options) -> Presentation:
+    """The presentation with the schemas as relators, or over a finite ring
+    their instances, in relator order."""
+    symbolic = not _is_finite_ring(ring)
+    rels = schemas if symbolic else [
+        rel for schema, values in zip(schemas, instance_domains(a, ring, schemas))
+        for rel in instances(ring, schema, values)]
+    return Presentation(a, ring, symbolic, _generators(ring, symbolic, range(a.rank)),
+                        tuple(_sorted_relators(rels)), options)
+
+
+# ---------------------------------------------------------------------------
+# instances over a finite ring
+
+
+def instance_domains(a: GeneralizedCartanMatrix, ring: rings.RingDescriptor, schemas) -> list:
+    """The value lists of the parameters of each schema over the finite ring
+    (_domains): a family's instance count is the product of their sizes.
+    Refuses a diagram with an m = infinity edge, on which no relation family
+    exists."""
+    if any(diagrams.coxeter_order(a, i, j) is diagrams.INFINITE
+           for i, j in combinations(range(a.rank), 2)):
+        raise rings.UnsupportedModelError("no relation family exists for an m = infinity edge")
+    units, elements = rings.units(ring), list(rings.elements(ring))
+    return [_domains(schema, units, elements) for schema in schemas]
+
+
+def _domains(schema: Relator, units: list, elements: list) -> list:
+    """The values of each parameter of a schema: the units for the torus unit
+    r and the Kac-Moody torus units u and v, every element otherwise.
+
+    Checks the precondition of specialisation (see instances): every
+    parameter is the variable of its name, every variable of a letter is a
+    parameter, and only a unit parameter has a negative exponent."""
+    domains = {}
+    for name, value in schema.params:
+        if value != _VARIABLE[name]:
+            raise ValueError(f"{schema.family}: parameter {name} is not the variable {name}")
+        domains[name] = units if name == "r" or schema.family == "torus" else elements
+    for gen, _ in schema.left + schema.right:
+        support, terms = _polynomial(gen.param) if gen.kind == "X" else ((), ())
+        for _, monomial in terms:
+            for k, e in monomial:
+                name = _NAMES[support[k]]
+                if name not in domains or e < 0 and domains[name] is not units:
+                    raise ValueError(f"{schema.family}: {name}^{e} in {gen.render()} lacks a value")
+    return list(domains.values())
+
+
+def instances(ring: rings.RingDescriptor, schema: Relator, domains: list) -> list:
+    """The concrete relators of a schema over the finite ring, one per
+    binding of its parameters to their values, in binding order.
+
+    Each is the schema specialised: r, t, u, v go to the bound residues.
+    Specialisation is a ring homomorphism from the polynomials whose negative
+    exponents are of variables bound to units, which _domains checks.  Each
+    distinct X letter is specialised once per residues of the parameters it
+    reads, to a bound value where there is one: the rendering cache then
+    finds it by identity."""
+    names = [name for name, _ in schema.params]
+    letters = list(dict.fromkeys(schema.left + schema.right))
+    index = {letter: k for k, letter in enumerate(letters)}
+    left, right = ([index[letter] for letter in w] for w in (schema.left, schema.right))
+    n, residues = ring.params[0], [[value.data for value in values] for values in domains]
+    bound = {value.data: value for values in domains for value in values}
+    columns = []
+    for gen, exp in letters:
+        if gen.kind == "S":
+            columns.append(repeat((gen, exp)))
+            continue
+        # the residues of the parameters the letter reads, None for the others
+        support, terms = _polynomial(gen.param)
+        reads = [names.index(_NAMES[j]) for j in support]
+        axes = [r if k in reads else [None] for k, r in enumerate(residues)]
+        table = {}
+        for key in product(*axes):
+            value = sum(c * math.prod([pow(key[reads[k]], e, n) for k, e in monomial])
+                        for c, monomial in terms) % n
+            table[key] = (X(gen.node, bound.get(value) or rings.from_int(ring, value)), exp)
+        keys = product(*[r if k in reads else [None] * len(r) for k, r in enumerate(residues)])
+        columns.append(map(table.__getitem__, keys))
+    return [Relator(schema.family, schema.nodes, tuple(zip(names, values)),
+                    tuple(map(row.__getitem__, left)), tuple(map(row.__getitem__, right)))
+            for values, row in zip(product(*domains), zip(*columns))]
+
+
+@lru_cache(maxsize=None)
+def _polynomial(p: rings.RingElement) -> tuple:
+    """(support, terms) of p in the schema ring: support the positions in
+    _NAMES of its variables, and terms ((c, ((k, e), ...)), ...) its terms
+    c * prod x_k^e, k indexing support."""
+    flat = rings._flat_terms(p.desc, p.data)
+    support = tuple(j for j in range(len(_NAMES)) if any(exps[j] for exps, _ in flat))
+    return support, tuple((c, tuple((k, exps[j]) for k, j in enumerate(support) if exps[j]))
+                          for exps, c in flat)
 
 
 # ---------------------------------------------------------------------------

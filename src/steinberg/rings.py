@@ -319,19 +319,6 @@ def variable(desc: RingDescriptor, name: str) -> RingElement:
     raise ValueError(f"{desc} has no variables")
 
 
-def laurent_monomial(desc: RingDescriptor, k: int) -> RingElement:
-    if desc.kind != "laurent":
-        raise ValueError("laurent_monomial requires a Laurent ring")
-    return RingElement(desc, ((k, _one(desc.params[0])),))
-
-
-def laurent_shift(a: RingElement, k: int) -> RingElement:
-    """Multiply a Laurent element exactly by t^k."""
-    if a.desc.kind != "laurent":
-        raise ValueError("laurent_shift requires a Laurent ring element")
-    return RingElement(a.desc, tuple((e + k, c) for e, c in a.data))
-
-
 def units(desc: RingDescriptor) -> list[RingElement]:
     """Complete unit list of a finite ring."""
     if desc.kind == "Zmod":

@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from steinberg import collection as C
 from steinberg import rings
+from steinberg import roots as R
 
 
 TU = rings.polynomial_ring(rings.integers(), ("t", "u"))
@@ -331,20 +333,61 @@ def _random_words(rng, nrs, count):
         yield [(rng.choice(nrs.roots), rng.choice(pool)) for _ in range(rng.randint(2, 6))]
 
 
-def _sign_search_sets(monkeypatch, case_id) -> list:
-    """Every root set the sign search of a twisted case tries, inconsistent
-    ones included."""
-    seen = {}
-    holds = C._associativity_holds
+# the table entries of the twisted cases whose signs only associativity
+# fixes: (first root, second root, correction root), by name
+FREE_SIGNS = {
+    5: [("mu", "mu+lambda", "beta")],
+    6: [("sigma", "beta", "2*sigma+mu")],
+    7: [("sigma", "beta", "2*sigma+mu")],
+    8: [
+        ("sigma", "beta", "2*sigma+lambda"),
+        ("sigma", "beta", "3*sigma+lambda"),
+        ("sigma", "beta", "3*sigma+2*lambda"),
+        ("sigma", "2*sigma+lambda", "3*sigma+lambda"),
+        ("lambda", "3*sigma+lambda", "3*sigma+2*lambda"),
+        ("beta", "2*sigma+lambda", "3*sigma+2*lambda"),
+    ],
+}
 
-    def recorded(nrs, triples, coeffs):
-        seen.setdefault(id(nrs), nrs)
-        return holds(nrs, triples, coeffs)
 
-    monkeypatch.setattr(C, "_associativity_holds", recorded)
-    C._case_config_twisted(case_id)
-    monkeypatch.setattr(C, "_associativity_holds", holds)
-    return list(seen.values())
+def _sign_assignments(case_id) -> list:
+    """The root set of a twisted case under every assignment of the signs of
+    its FREE_SIGNS entries, the configured one first."""
+    nrs = C.case_configuration(case_id).nrs
+    by_name = {nrs.name(r): r for r in nrs.roots}
+    out = []
+    for flips in itertools.product((1, -1), repeat=len(FREE_SIGNS[case_id])):
+        tables = dict(nrs.tables)
+        for flip, (x, y, g) in zip(flips, FREE_SIGNS[case_id]):
+            key, root = (by_name[x], by_name[y]), by_name[g]
+            tables[key] = tuple((h, flip * n if h == root else n, ij) for h, n, ij in tables[key])
+        out.append(nrs.with_tables(tables))
+    return out
+
+
+@pytest.mark.parametrize("cid", [5, 6, 7, 8])
+def test_only_the_configured_signs_are_associative(cid):
+    configured, *others = _sign_assignments(cid)
+    probe_exclude = {C.case_configuration(cid).alpha}
+    assert C._associative(configured, probe_exclude)
+    assert not any(C._associative(nrs, probe_exclude) for nrs in others)
+
+
+@pytest.mark.parametrize("cid", [5, 6, 7, 8])
+def test_free_single_term_magnitudes_are_root_string_lengths(cid):
+    nrs = C.case_configuration(cid).nrs
+    by_name = {nrs.name(r): r for r in nrs.roots}
+    for x, y, g in FREE_SIGNS[cid]:
+        a, b = by_name[x], by_name[y]
+        for h, n, ij in nrs.tables[a, b]:
+            if h == by_name[g] and ij == (1, 1):
+                assert abs(n) == R.string_length(nrs.ars, a, b) + 1
+
+
+def test_a_non_associative_configuration_is_refused(monkeypatch):
+    monkeypatch.setattr(C, "_associative", lambda nrs, probe_exclude: False)
+    with pytest.raises(C.ConfigurationError, match="case 5: collection is not associative"):
+        C._case_config_twisted(5)
 
 
 CONFIGURATIONS = [(c, 1, 1) for c in C.CASE_IDS] + [(4, 1, -1), (4, -1, 1), (4, -1, -1)]
@@ -359,8 +402,8 @@ def test_collect_matches_restart_reference(cid, eps, eps_prime):
 
 
 @pytest.mark.parametrize("cid,assignments", [(5, 2), (6, 2), (7, 2), (8, 64)])
-def test_collect_matches_reference_on_every_sign_assignment(monkeypatch, cid, assignments):
-    candidates = _sign_search_sets(monkeypatch, cid)
+def test_collect_matches_reference_on_every_sign_assignment(cid, assignments):
+    candidates = _sign_assignments(cid)
     assert len(candidates) == assignments
     rng = random.Random(f"signs:{cid}")
     for nrs in candidates:

@@ -858,13 +858,13 @@ def test_wrong_kept_conjugator_fails_exactly_the_relators_that_contain_it():
 
 def _record_instances(monkeypatch) -> list:
     """(family, nodes) of every schema sent to the enumeration, in order."""
-    calls, instances = [], L._instances
+    calls, instances = [], P.instances
 
-    def recorded(model, schema, domains):
+    def recorded(ring, schema, domains):
         calls.append((schema.family, schema.nodes))
-        return instances(model, schema, domains)
+        return instances(ring, schema, domains)
 
-    monkeypatch.setattr(L, "_instances", recorded)
+    monkeypatch.setattr(P, "instances", recorded)
     return calls
 
 
@@ -875,7 +875,7 @@ def test_a_tampered_conjugator_sends_exactly_its_schemas_to_enumeration(monkeypa
     model = L.build_model("A~2", Z7)
     assert L.verify_presentation(model)["all_passed"]
     values = model._packing.values
-    h = P.htilde(1, L._VARIABLE["r"])
+    h = P.htilde(1, P._VARIABLE["r"])
     values[h] = _bumped(values[h], (0, 1, 0))
     enumerated = _record_instances(monkeypatch)
     report = L.verify_presentation(model)
@@ -913,7 +913,7 @@ def test_correct_schemas_never_reach_the_enumeration(monkeypatch, diagram, n):
     def unreachable(*args):
         raise AssertionError("a correct schema was enumerated")
 
-    monkeypatch.setattr(L, "_instances", unreachable)
+    monkeypatch.setattr(P, "instances", unreachable)
     options = P.PresentationOptions(include_torus_action=True, include_kacmoody_torus=True)
     assert L.verify_presentation(L.build_model(diagram, rings.integers_mod(n)), options)["all_passed"]
 
@@ -928,7 +928,7 @@ def test_conjugator_cache_keeps_each_htilde_and_its_inverse_once():
     model = L.build_model("F~4", ring)
     assert L.verify_presentation(model)["all_passed"]
     packing, kept = model._packing, set(model._packing.values)
-    r = L._VARIABLE["r"]
+    r = P._VARIABLE["r"]
     square = [P.word(P.S(i), P.S(i)) for i in range(model.gcm.rank)]
     assert {key for key in kept if len(key) > 1} == {
         w for i in range(model.gcm.rank)
@@ -947,7 +947,7 @@ def _schema(family, params, left, right):
 def test_an_identity_of_functions_passes_after_enumeration(monkeypatch):
     # X_0(t^5) = X_0(t) over GF(5): formally false, true at every t
     ring = rings.prime_field(5)
-    t = L._VARIABLE["t"]
+    t = P._VARIABLE["t"]
     schema = _schema("s2-on-x", (("t", t),), [P.X(0, rings.power(t, 5))], [P.X(0, t)])
     enumerated = _record_instances(monkeypatch)
     [entry] = L._families(L.build_model("A~2", ring), [schema])
@@ -957,7 +957,7 @@ def test_an_identity_of_functions_passes_after_enumeration(monkeypatch):
 
 def test_a_formal_mismatch_fails_exactly_the_instances_it_breaks():
     # X_0(t^2) = X_0(t) over Z/4 holds at t = 0, 1 and fails at t = 2, 3
-    t = L._VARIABLE["t"]
+    t = P._VARIABLE["t"]
     schema = _schema("s2-on-x", (("t", t),), [P.X(0, t * t)], [P.X(0, t)])
     [entry] = L._families(L.build_model("A~2", rings.integers_mod(4)), [schema])
     assert (entry["instances"], entry["failed"]) == (4, 2)
@@ -997,28 +997,31 @@ def test_a_negative_power_of_a_non_unit_parameter_is_refused():
     # the precondition of the formal verdict: u^-1 has a value on every
     # instance of the Kac-Moody torus, where u is a unit, and on no other
     units, elements = rings.units(Z7), list(rings.elements(Z7))
-    t, u, v = (L._VARIABLE[name] for name in "tuv")
+    t, u, v = (P._VARIABLE[name] for name in "tuv")
     letters = [P.X(0, rings.inverse(u))], [P.X(0, u)]
-    assert L._domains(_schema("torus", (("u", u), ("v", v)), *letters), units, elements) == [
+    assert P._domains(_schema("torus", (("u", u), ("v", v)), *letters), units, elements) == [
         units, units]
     with pytest.raises(ValueError, match=r"u\^-1"):
-        L._domains(_schema("additivity", (("t", t), ("u", u)), *letters), units, elements)
+        P._domains(_schema("additivity", (("t", t), ("u", u)), *letters), units, elements)
     # a variable that is not a parameter has no value either
     with pytest.raises(ValueError, match="v"):
-        L._domains(_schema("s2-on-x", (("t", t),), [P.X(0, t * v)], [P.X(0, t)]), units, elements)
+        P._domains(_schema("s2-on-x", (("t", t),), [P.X(0, t * v)], [P.X(0, t)]), units, elements)
 
 
 @pytest.mark.parametrize("diagram", ["A~2", "C~2", "G~2", "A~3", "B~3"])
 def test_schema_counts_match_the_concrete_enumeration(diagram):
     # per family, the product of the parameters' value lists is the number of
-    # concrete instances, torus units and zero divisors included
-    options = P.PresentationOptions(include_torus_action=True, include_kacmoody_torus=True)
-    for ring in map(rings.parse_descriptor, ("Z/2", "Z/3", "Z/5", "Z/8", "GF(7)")):
+    # concrete instances, torus units and zero divisors included, with and
+    # without the Kac-Moody torus
+    for ring in map(rings.parse_descriptor, ("Z/2", "Z/3", "Z/5", "Z/6", "Z/8", "GF(5)", "GF(7)")):
         model = L.build_model(diagram, ring)
-        report = L.verify_presentation(model, options)
-        concrete = collections.Counter(
-            rel.family for rel in P.relators_for(model.gcm, ring, options).relators)
-        assert {f["family"]: f["instances"] for f in report["families"]} == concrete, ring
+        for km_torus in (False, True):
+            options = P.PresentationOptions(include_torus_action=True,
+                                            include_kacmoody_torus=km_torus)
+            report = L.verify_presentation(model, options)
+            concrete = collections.Counter(
+                rel.family for rel in P.relators_for(model.gcm, ring, options).relators)
+            assert {f["family"]: f["instances"] for f in report["families"]} == concrete, ring
 
 
 def _unpack(packing, degree) -> tuple:
@@ -1040,7 +1043,7 @@ def test_packing_round_trips_its_corners_and_widens_with_the_words():
     model = L.build_model("A~2", Z5)
     i = next(i for i, root in model.simple_of_node.items() if root.level)
     j, l = (i + 1) % 3, (i + 2) % 3
-    r, t, u = (L._VARIABLE[name] for name in "rtu")
+    r, t, u = (P._VARIABLE[name] for name in "rtu")
     boxes = []
     for k in (1, 3, 6):
         w = P.word(P.X(j, rings.inverse(r) * t), P.S(i), P.X(l, t * u * u)) * k

@@ -70,16 +70,6 @@ def test_inverse_examples():
         R.inverse(R.from_int(R.integers_mod(6), 2))
 
 
-def test_laurent_shift():
-    lz = R.laurent_ring(R.integers(), "t")
-    assert R.laurent_shift(R.one(lz), 3) == R.laurent_monomial(lz, 3)
-    assert R.laurent_shift(R.laurent_monomial(lz, -1), 1).is_one()
-    lz5 = R.laurent_ring(R.integers_mod(5), "t")
-    a = R.variable(lz5, "t").scale(2) + R.one(lz5)  # 2t + 1
-    shifted = R.laurent_shift(a, -2)
-    assert str(shifted) == "2*t^-1 + t^-2"
-
-
 def test_canonical_form_idempotent():
     ztu = R.polynomial_ring(R.integers(), ("t", "u"))
     t, u = R.variable(ztu, "t"), R.variable(ztu, "u")
