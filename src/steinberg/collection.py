@@ -10,10 +10,11 @@ swaps; corrections carry strictly larger grades, so collection terminates.
 Untwisted configurations draw their tables from the finite Chevalley
 constants, with a sign choice solved to match the displayed relation forms.
 The non-reduced and mod-3 configurations hard-code the displayed relations
-and the few remaining entries, whose magnitudes are root-string lengths and
+and the few remaining entries, whose magnitudes come from root strings and
 whose signs are the only ones that make collection associative; each
-configuration checks that associativity when it is built.  The pair (alpha, beta) under scrutiny
-never receives a table entry: its relation is exactly what a replay derives.
+configuration checks that associativity when it is built.  The pair
+(alpha, beta) under scrutiny never receives a table entry: its relation is
+exactly what a replay derives.
 """
 
 from __future__ import annotations
@@ -591,8 +592,9 @@ def _case_config_twisted(case_id: int) -> CaseData:
             ),
             # altered short-root relation: single term with coefficient 1
             (sigma, alpha): ((alpha_sigma, 1, (1, 1)),),
-            # the remaining entries: magnitudes p + 1 from the root strings,
-            # (p + 1)(q + 1)/2 for the (2, 1) and (1, 2) terms
+            # the remaining entries: magnitudes p + 1 from the root strings;
+            # a (2, 1) or (1, 2) term has half the product of the
+            # magnitudes of its two single steps
             (sigma, beta): (
                 (two_sig_lam, -2, (1, 1)),
                 (three_sig_lam, -3, (2, 1)),

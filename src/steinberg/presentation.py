@@ -194,18 +194,18 @@ def _schemas(a, nodes, include_torus, include_km_torus):
 
     if include_torus:
         for i in nodes:
-            h, h_inv = htilde(i, r), winv(htilde(i, r))
+            h = htilde(i, r)
             for j in nodes:
                 aij = a.rows[i][j]
                 sj, sj_inv, xt = word(S(j)), word((S(j), -1)), word(X(j, t))
                 yield Relator(
                     "torus-action-1", (i, j), (("r", r), ("t", t)),
-                    h + xt + h_inv,
+                    h + xt + winv(h),
                     word(X(j, rings.power(r, aij) * t)),
                 )
                 yield Relator(
                     "torus-action-2", (i, j), (("r", r), ("t", t)),
-                    h + sj + xt + sj_inv + h_inv,
+                    h + sj + xt + sj_inv + winv(h),
                     sj + word(X(j, rings.power(r, -aij) * t)) + sj_inv,
                 )
 
