@@ -489,7 +489,10 @@ def instances(ring: rings.RingDescriptor, schema: Relator, domains: list) -> lis
         if gen.kind == "S":
             columns.append(repeat((gen, exp)))
             continue
-        # the residues of the parameters the letter reads, None for the others
+        # the letter's column lists its instance for every binding, in
+        # binding order: a table over the residues of the parameters it
+        # reads, looked up along the product of the domains with the other
+        # parameters masked to None
         support, terms = _polynomial(gen.param)
         reads = [names.index(_NAMES[j]) for j in support]
         axes = [r if k in reads else [None] for k, r in enumerate(residues)]
