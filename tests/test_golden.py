@@ -34,6 +34,8 @@ CORPUS = [
     "theta --diagram BC~2^odd --alpha 0,1@0 --beta 0,1@1",
     "constants --diagram G2",
     "constants --diagram F4",
+    "constants --diagram E6",
+    "constants --diagram E8",
     "present --diagram A~2 --ring Z/2 --format native",
     "present --diagram C~2 --ring Z/2 --format gap",
     "present --diagram G~2 --ring Z[t,u] --format json",
