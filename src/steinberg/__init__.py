@@ -8,9 +8,17 @@ relation as an exact matrix identity in a Laurent-polynomial loop model.
 
 Submodules load on first use (``steinberg.loopmodel`` imports it then), so a
 command pays at start-up only for the modules it reaches: only ``verify``
-loads the loop model and only ``replay`` the collection engine.  The records
-are named tuples or plain classes and ratios are integer pairs, so no command
-loads ``inspect`` or ``fractions`` (nor ``decimal``, which it imports).
+loads the loop model and only ``replay`` the collection engine.
+``steinberg.cli`` itself loads only ``diagrams`` and ``rings``.  ``json`` is
+loaded only by the commands that print JSON, so not by ``replay``,
+``constants`` or ``present --format native``; ``presentation`` only by
+``present``, ``amalgam`` and ``verify``; and ``roots`` only by the commands
+that need root data or are given an affine diagram, whose matrix is built
+from its roots.  So ``classify``, ``names`` and ``hypotheses`` never load
+``presentation``, and ``classify`` of a finite diagram loads no ``roots``.
+The records are named tuples or plain classes and
+ratios are integer pairs, so no command loads ``inspect`` or ``fractions``
+(nor ``decimal``, which it imports).
 """
 
 from importlib import import_module

@@ -19,8 +19,6 @@ monomial t^i u^j whose exponents its position already fixes (see
 
 from __future__ import annotations
 
-from itertools import product
-
 from .roots import (
     FiniteRootSystem, _vec_add, _vec_scale, _vec_sub, root_combinations, string_length,
 )
@@ -42,16 +40,18 @@ class ChevalleyBasis:
         self._is_positive = dict.fromkeys(positives, True) | dict.fromkeys(negatives, False)
         self._negated = dict(zip(self.roots_order, negatives + positives))
         self._n: dict = {}
-        self._build_positive_table()
-        self._complete_table()
+        self._complete_table(self._build_positive_table())
         self._powers_cache: dict = {}
         self._table_cache: dict = {}
 
     # -- construction ------------------------------------------------------
 
-    def _build_positive_table(self):
+    def _build_positive_table(self) -> list:
+        """N(a, b) for positive a before b with a + b a root; returns every
+        such decomposition (a, b, a + b)."""
         sys = self.system
         order_pos = {r: k for k, r in enumerate(self.positive_roots)}
+        found = []
         for gamma in self.positive_roots:
             decomps = []
             for a in self.positive_roots:
@@ -65,9 +65,10 @@ class ChevalleyBasis:
             a1, b1 = min(decomps, key=lambda ab: order_pos[ab[0]])
             self._n[(a1, b1)] = string_length(sys, a1, b1) + 1
             for a, b in decomps:
-                if (a, b) == (a1, b1):
-                    continue
-                self._n[(a, b)] = self._special_pair_constant(a, b, a1, b1, gamma)
+                if (a, b) != (a1, b1):
+                    self._n[(a, b)] = self._special_pair_constant(a, b, a1, b1, gamma)
+                found.append((a, b, gamma))
+        return found
 
     def _special_pair_constant(self, a, b, a1, b1, gamma) -> int:
         sys = self.system
@@ -100,18 +101,24 @@ class ChevalleyBasis:
             num, den = self._n_resolve(negated[z], x) * sys.norm(z), sys.norm(y)
         return _exact_div(num, den, "non-integral structure constant")
 
-    def _complete_table(self):
-        """N(x, y) for every pair of roots with x + y a root.  Each pair with
-        x positive is resolved once; N(y, x) = N(-x, -y) = -N(x, y) and
-        N(-y, -x) = N(x, y) fill in its three partners."""
-        sys = self.system
+    def _complete_table(self, decompositions):
+        """N(x, y) for every pair of roots with x + y a root, from the
+        decompositions gamma = a + b into positive roots.
+
+        Each decomposition gives the zero-sum triples {a, b, -gamma} and
+        {-a, -b, gamma}.  The pairs (a, b), (a, -gamma) and (b, -gamma) are
+        resolved; N(y, x) = N(-x, -y) = -N(x, y) and N(-y, -x) = N(x, y) fill
+        in the three partners of each, which are the other ordered pairs of
+        both triples.  These are all the pairs: if x + y = z is a root, then
+        {x, y, -z} is a zero-sum triple, and the two of its roots with the
+        sign that occurs twice are, up to negating the triple, positive
+        roots a, b whose sum gamma is the third negated."""
+        negated = self._negated
         table = {}
-        for x in self.positive_roots:
-            for y in self.roots_order:
-                if (x, y) in table or _vec_add(x, y) not in sys:
-                    continue
+        for a, b, gamma in decompositions:
+            for x, y in ((a, b), (a, negated[gamma]), (b, negated[gamma])):
                 n = self._n_resolve(x, y)
-                neg_x, neg_y = self._negated[x], self._negated[y]
+                neg_x, neg_y = negated[x], negated[y]
                 table[x, y], table[y, x] = n, -n
                 table[neg_x, neg_y], table[neg_y, neg_x] = -n, n
         self._n = table
@@ -317,20 +324,40 @@ def solve_orientation(tables: dict, targets: dict) -> list[dict]:
     Returns the dicts root -> +-1 in `product((1, -1), ...)` order over the
     sorted roots involved, or raises ValueError when no sign choice achieves
     the displayed constants.
+
+    The search gives the sorted roots their signs depth-first, +1 before -1,
+    and checks each table as soon as the last of its roots has a sign.  Every
+    assignment it completes is then a solution.  Depth-first order with +1
+    first is the lexicographic order of the sign tuples, which is the order
+    of `product`, and a pruned branch holds no solution, since the table
+    that failed fails for all of its completions.
     """
     involved = sorted(
         {r for pair in tables for r in pair}
         | {g for entries in tables.values() for g, _, _ in entries}
     )
+    place = {r: k for k, r in enumerate(involved)}
+    due = [[] for _ in involved]  # the pairs whose tables end at each root
+    for pair, entries in tables.items():
+        due[max(place[r] for r in (*pair, *(g for g, _, _ in entries)))].append(pair)
     wanted = {pair: [(tuple(g), n) for g, n, _ in want] for pair, want in targets.items()}
     solutions = []
-    for bits in product((1, -1), repeat=len(involved)):
-        signs = dict(zip(involved, bits))
-        if all(
-            [(g, n) for g, n, _ in apply_signs(entries, signs, *pair)] == wanted[pair]
-            for pair, entries in tables.items()
-        ):
-            solutions.append(signs)
+    signs = {}
+
+    def extend(depth: int) -> None:
+        if depth == len(involved):
+            solutions.append(dict(signs))
+            return
+        for sign in (1, -1):
+            signs[involved[depth]] = sign
+            if all(
+                [(g, n) for g, n, _ in apply_signs(tables[pair], signs, *pair)] == wanted[pair]
+                for pair in due[depth]
+            ):
+                extend(depth + 1)
+        del signs[involved[depth]]
+
+    extend(0)
     if not solutions:
         raise ValueError("no sign choice achieves the displayed constants")
     return solutions

@@ -3,17 +3,23 @@
 Every subcommand is deterministic: identical inputs and flags produce
 byte-identical output.  Exit codes: 0 success, 1 verification failure,
 2 usage error, 3 unsupported configuration.
+
+Importing this module loads only `diagrams` and `rings`; each subcommand
+imports the rest of what it uses: `roots` for `roots`, `pairs`, `theta` and
+`constants`, `presentation` for `present`, `amalgam` and `verify`,
+`chevalley` for `constants`, `collection` (with `chevalley` and `roots`)
+for `replay`, `loopmodel` for `verify`, and `json` for the JSON outputs
+(`presentation` imports it for `--format json`).  The matrix of an affine
+label is built from its affine roots, so any subcommand given an affine
+diagram also loads `roots`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from . import diagrams, presentation, rings
-from . import roots as R
-from .roots import AffineRoot
+from . import diagrams, rings
 
 
 def _read_diagram(text: str) -> diagrams.GeneralizedCartanMatrix:
@@ -27,7 +33,9 @@ def _read_diagram(text: str) -> diagrams.GeneralizedCartanMatrix:
             raise ValueError(f"cannot interpret diagram {text!r}") from None
 
 
-def _parse_root(text: str) -> AffineRoot:
+def _parse_root(text: str):
+    from .roots import AffineRoot
+
     coords_text, _, level_text = text.partition("@")
     coords = tuple(int(x) for x in coords_text.split(","))
     return AffineRoot(coords, int(level_text or "0"))
@@ -42,10 +50,14 @@ def _emit(args, text: str) -> None:
 
 
 def _json(payload) -> str:
+    import json
+
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _require_affine_system(args):
+    from . import roots as R
+
     a = _read_diagram(args.diagram)
     cls = diagrams.classify(a)
     if not cls.is_affine:
@@ -67,6 +79,8 @@ def _cmd_names(args) -> int:
 
 
 def _cmd_roots(args) -> int:
+    from . import roots as R
+
     ars = _require_affine_system(args)
     out = [R.root_json(ars, r) for r in R.real_roots_up_to_level(ars, args.level_bound)]
     _emit(args, _json(out))
@@ -74,6 +88,8 @@ def _cmd_roots(args) -> int:
 
 
 def _cmd_pairs(args) -> int:
+    from . import roots as R
+
     ars = _require_affine_system(args)
     roots = R.real_roots_up_to_level(ars, args.level_bound)
     out = [R.classification_json(ars, a, b) for a in roots for b in roots]
@@ -82,6 +98,8 @@ def _cmd_pairs(args) -> int:
 
 
 def _cmd_theta(args) -> int:
+    from . import roots as R
+
     ars = _require_affine_system(args)
     alpha, beta = _parse_root(args.alpha), _parse_root(args.beta)
     roots = sorted(R.theta(ars, alpha, beta))
@@ -91,6 +109,7 @@ def _cmd_theta(args) -> int:
 
 def _cmd_constants(args) -> int:
     from . import chevalley
+    from . import roots as R
 
     a = _read_diagram(args.diagram)
     cls = diagrams.classify(a)
@@ -104,7 +123,9 @@ def _cmd_constants(args) -> int:
     return 0
 
 
-def _presentation_options(args) -> presentation.PresentationOptions:
+def _presentation_options(args):
+    from . import presentation
+
     include_torus = None
     if getattr(args, "torus", False):
         include_torus = True
@@ -117,6 +138,8 @@ def _presentation_options(args) -> presentation.PresentationOptions:
 
 
 def _cmd_present(args) -> int:
+    from . import presentation
+
     a = _read_diagram(args.diagram)
     ring = rings.parse_descriptor(args.ring)
     pres = presentation.relators_for(a, ring, _presentation_options(args))
@@ -125,6 +148,8 @@ def _cmd_present(args) -> int:
 
 
 def _cmd_amalgam(args) -> int:
+    from . import presentation
+
     a = _read_diagram(args.diagram)
     ring = rings.parse_descriptor(args.ring)
     pres = presentation.amalgam(a, ring, _presentation_options(args))
@@ -141,7 +166,7 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from . import loopmodel
+    from . import loopmodel, presentation
 
     a = _read_diagram(args.diagram)
     ring = rings.parse_descriptor(args.ring)

@@ -336,12 +336,23 @@ def _interesting_triples(nrs, probe_roots):
 
 
 def _associativity_holds(nrs, triples, coeffs) -> bool:
+    """Whether x y z, (x y) z and x (y z) collect alike for every triple.
+    `collect` depends only on its word, so each distinct word of the check
+    is collected once."""
+    collected = {}
+
+    def normal(word: tuple) -> tuple:
+        out = collected.get(word)
+        if out is None:
+            out = collected[word] = collect(nrs, word)
+        return out
+
+    a, b, c = coeffs
     try:
         for x, y, z in triples:
-            a, b, c = coeffs
-            whole = collect(nrs, [(x, a), (y, b), (z, c)])
-            left = collect(nrs, list(collect(nrs, [(x, a), (y, b)])) + [(z, c)])
-            right = collect(nrs, [(x, a)] + list(collect(nrs, [(y, b), (z, c)])))
+            whole = normal(((x, a), (y, b), (z, c)))
+            left = normal(normal(((x, a), (y, b))) + ((z, c),))
+            right = normal(((x, a),) + normal(((y, b), (z, c))))
             if not (whole == left == right):
                 return False
     except ConfigurationError:

@@ -322,10 +322,12 @@ def isomorphism(a: GeneralizedCartanMatrix, b: GeneralizedCartanMatrix):
     return tuple(perm) if extend(0) else None
 
 
-def classify_with_map(a: GeneralizedCartanMatrix, max_rank: int = 12):
+def classify_with_map(a: GeneralizedCartanMatrix):
     """Recognize a diagram; returns (DiagramClass, perm) where perm sends
-    catalog node positions to positions in `a` (None for Other)."""
-    for cls in _catalog_classes(max_rank):
+    catalog node positions to positions in `a` (None for Other).  The search
+    runs over the catalog classes of the diagram's own rank, so a diagram of
+    any rank is recognised."""
+    for cls in _catalog_classes(a.rank):
         if cls.rank != a.rank:
             continue
         perm = isomorphism(_catalog_matrix(cls), a)
@@ -334,8 +336,8 @@ def classify_with_map(a: GeneralizedCartanMatrix, max_rank: int = 12):
     return DiagramClass("other", rank=a.rank), None
 
 
-def classify(a: GeneralizedCartanMatrix, max_rank: int = 12) -> DiagramClass:
-    return classify_with_map(a, max_rank)[0]
+def classify(a: GeneralizedCartanMatrix) -> DiagramClass:
+    return classify_with_map(a)[0]
 
 
 # --------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 import hashlib
+import itertools
 import operator
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steinberg import chevalley as C
+from steinberg import collection as K
 from steinberg import diagrams as D
 from steinberg import roots as R
 
@@ -341,3 +345,160 @@ def test_commutator_tables_are_pinned():
 
 def test_display_order_tables_are_pinned():
     assert _table_digest(DISPLAY_CALLS) == DISPLAY_SHA256
+
+
+# ---------------------------------------------------------------------------
+# the completed table against the all-pairs scan it replaced
+
+
+class _ScannedBasis(C.ChevalleyBasis):
+    """The table completed by scanning every pair (x, y) with x positive and
+    x + y a root, each resolved once and its three partners filled."""
+
+    def _complete_table(self, decompositions):
+        table = {}
+        for x in self.positive_roots:
+            for y in self.roots_order:
+                if (x, y) in table or R._vec_add(x, y) not in self.system:
+                    continue
+                n = self._n_resolve(x, y)
+                neg_x, neg_y = self._negated[x], self._negated[y]
+                table[x, y], table[y, x] = n, -n
+                table[neg_x, neg_y], table[neg_y, neg_x] = -n, n
+        self._n = table
+
+
+FINITE_UP_TO_RANK_8 = (
+    [("A", n) for n in range(1, 9)]
+    + [(family, n) for family in "BC" for n in range(2, 9)]
+    + [("D", n) for n in range(3, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize("family,n", FINITE_UP_TO_RANK_8)
+def test_table_from_triples_matches_all_pairs_scan(family, n):
+    sys = system(family, n)
+    assert C.build_chevalley_basis(sys)._n == _ScannedBasis(sys)._n
+
+
+# ---------------------------------------------------------------------------
+# the pruned sign search against the full enumeration
+
+
+def _enumerated_orientations(tables, targets):
+    """Every sign assignment of the roots involved, checked in product
+    order: the reference for `solve_orientation`, which prunes."""
+    involved = sorted(
+        {r for pair in tables for r in pair}
+        | {g for entries in tables.values() for g, _, _ in entries}
+    )
+    wanted = {pair: [(tuple(g), n) for g, n, _ in want] for pair, want in targets.items()}
+    solutions = []
+    for bits in itertools.product((1, -1), repeat=len(involved)):
+        signs = dict(zip(involved, bits))
+        if all(
+            [(g, n) for g, n, _ in C.apply_signs(entries, signs, *pair)] == wanted[pair]
+            for pair, entries in tables.items()
+        ):
+            solutions.append(signs)
+    if not solutions:
+        raise ValueError("no sign choice achieves the displayed constants")
+    return solutions
+
+
+def _outcome(search, tables, targets):
+    try:
+        return [list(signs.items()) for signs in search(tables, targets)]
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def _case_problem(case_id):
+    """The raw affine tables and displayed targets of an untwisted case."""
+    ars, basis, *_, targets, _, _ = K._case_untwisted(case_id)
+    tables = {
+        (a, b): K._chevalley_affine_table(ars, basis, a, b, [g for g, _, _ in want])
+        for (a, b), want in targets.items()
+    }
+    return tables, targets
+
+
+def _b2_problem():
+    s, l = (0, 1), (1, 0)
+    table = basis("B", 2).commutator_table(s, l)
+    target = [((1, 1), -1, (1, 1)), ((1, 2), 1, (2, 1))]
+    return {(s, l): table}, {(s, l): target}
+
+
+@pytest.mark.parametrize("case_id", [1, 2, 3, 4])
+def test_sign_search_matches_enumeration_on_the_cases(case_id):
+    tables, targets = _case_problem(case_id)
+    assert _outcome(C.solve_orientation, tables, targets) == _outcome(
+        _enumerated_orientations, tables, targets
+    )
+
+
+def test_sign_search_matches_enumeration_on_b2():
+    tables, targets = _b2_problem()
+    solutions = _outcome(C.solve_orientation, tables, targets)
+    assert len(solutions) == 4
+    assert solutions == _outcome(_enumerated_orientations, tables, targets)
+
+
+def test_sign_search_without_a_solution_raises():
+    tables, targets = _b2_problem()
+    ((pair, target),) = targets.items()
+    unreachable = {pair: [target[0], ((1, 2), 2, (2, 1))]}
+    got = _outcome(C.solve_orientation, tables, unreachable)
+    assert got[0] == "ValueError"
+    assert got == _outcome(_enumerated_orientations, tables, unreachable)
+
+
+@st.composite
+def _sign_problems(draw):
+    """A few tables over at most six roots; the targets are the tables under
+    some signs, sometimes with one coefficient changed."""
+    roots = [(k,) for k in range(draw(st.integers(2, 6)))]
+    tables = {}
+    for _ in range(draw(st.integers(0, 3))):
+        pair = tuple(draw(st.lists(st.sampled_from(roots), min_size=2, max_size=2, unique=True)))
+        gammas = draw(st.lists(st.sampled_from(roots), max_size=3, unique=True))
+        tables[pair] = [
+            (g, draw(st.sampled_from((1, -1, 2, -3))), (draw(st.integers(1, 3)), draw(st.integers(1, 3))))
+            for g in gammas
+        ]
+    signs = {r: draw(st.sampled_from((1, -1))) for r in roots}
+    targets = {pair: C.apply_signs(entries, signs, *pair) for pair, entries in tables.items()}
+    nonempty = [pair for pair in targets if targets[pair]]
+    if nonempty and draw(st.booleans()):
+        pair = draw(st.sampled_from(nonempty))
+        (g, n, ij), *rest = targets[pair]
+        targets[pair] = [(g, 2 * n, ij), *rest]
+    return tables, targets
+
+
+@settings(derandomize=True, max_examples=200, database=None, deadline=None)
+@given(_sign_problems())
+def test_sign_search_matches_enumeration_on_drawn_tables(problem):
+    tables, targets = problem
+    assert _outcome(C.solve_orientation, tables, targets) == _outcome(
+        _enumerated_orientations, tables, targets
+    )
+
+
+def test_sign_search_prunes_case_4(monkeypatch):
+    # 3 tables over 11 roots: the enumeration checks all 2,048 assignments,
+    # each with at least one apply_signs call
+    tables, targets = _case_problem(4)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return apply_signs(*args)
+
+    apply_signs = C.apply_signs
+    monkeypatch.setattr(C, "apply_signs", counted)
+    solutions = C.solve_orientation(tables, targets)
+    assert len(solutions) == 8
+    assert len(calls) == 768

@@ -25,6 +25,16 @@ def test_classify_matrix_file(tmp_path, capsys):
     assert json.loads(out)["label"] == "A~2"
 
 
+def test_labels_above_rank_12(capsys):
+    code, out, _ = run(capsys, "classify", "--diagram", "D~12")
+    assert code == 0
+    assert json.loads(out) == {"kind": "affine-untwisted", "label": "D~12", "rank": 13}
+    code, out, _ = run(capsys, "roots", "--diagram", "A~13", "--level-bound", "0")
+    assert code == 0
+    # the level-0 real roots of A~13 are the 14 * 13 roots of A13
+    assert len(json.loads(out)) == 182
+
+
 def test_names(capsys):
     code, out, _ = run(capsys, "names", "--diagram", "G~2^0mod3")
     assert code == 0

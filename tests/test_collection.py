@@ -384,6 +384,22 @@ def test_free_single_term_magnitudes_are_root_string_lengths(cid):
                 assert abs(n) == R.string_length(nrs.ars, a, b) + 1
 
 
+def test_associativity_check_collects_each_word_once(monkeypatch):
+    # case 8: 150 triples and 3 coefficient triples, so 2,250 collects at 5
+    # per triple, of which 1,200 are distinct words
+    cfg = C.case_configuration(8)
+    words = []
+
+    def counted(nrs, letters):
+        words.append(tuple(letters))
+        return collect(nrs, letters)
+
+    collect = C.collect
+    monkeypatch.setattr(C, "collect", counted)
+    assert C._associative(cfg.nrs, {cfg.alpha})
+    assert len(words) == len(set(words)) == 1200
+
+
 def test_a_non_associative_configuration_is_refused(monkeypatch):
     monkeypatch.setattr(C, "_associative", lambda nrs, probe_exclude: False)
     with pytest.raises(C.ConfigurationError, match="case 5: collection is not associative"):

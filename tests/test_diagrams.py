@@ -74,6 +74,34 @@ def test_rank_local_recognition_matches_full_catalog_scan():
             assert D.classify_with_map(a) == _reference_scan(a, entries)
 
 
+def test_catalog_entries_keep_label_and_node_map():
+    for cls, matrix in D.catalog(12):
+        assert D.classify_with_map(matrix) == (cls, tuple(range(matrix.rank)))
+
+
+# a rank-13 and a rank-14 label of every family that has them
+ABOVE_RANK_12 = (
+    [f"{family}{n}" for family in "ABCD" for n in (13, 14)]
+    + [f"{family}~{n}" for family in "ABCD" for n in (12, 13)]
+    + [f"{family}~{n}^even" for family in "BC" for n in (12, 13)]
+    + ["BC~12^odd", "BC~13^odd"]
+)
+
+
+@pytest.mark.parametrize("label", ABOVE_RANK_12)
+def test_labels_above_rank_12_are_recognised(label):
+    matrix = D.parse_diagram(label)
+    assert matrix.rank in (13, 14)
+    order = list(range(matrix.rank))
+    random.Random(label).shuffle(order)
+    shuffled = D.gcm([[matrix.rows[p][q] for q in order] for p in order])
+    for a in (matrix, shuffled):
+        cls, perm = D.classify_with_map(a)
+        assert cls.label() == label
+        n = matrix.rank
+        assert all(matrix.rows[i][j] == a.rows[perm[i]][perm[j]] for i in range(n) for j in range(n))
+
+
 def test_duplicate_names_canonicalized():
     assert D.classify(D.affine_cartan(D.parse_label("B~2"))).label() == "C~2"
     assert D.classify(D.affine_cartan(D.parse_label("D~3"))).label() == "A~3"

@@ -3,7 +3,9 @@
 The package is pure Python: no command loads numpy, and only `verify` loads
 the loop model.  No command loads `dataclasses` (and with it `inspect`) or
 `fractions` (and with it `decimal`), and only `replay` loads
-`steinberg.collection`.
+`steinberg.collection`.  `import steinberg.cli` loads neither `json` nor
+`steinberg.roots` nor `steinberg.presentation`; each command loads only
+those of them that it uses.
 """
 
 import functools
@@ -23,13 +25,20 @@ SRC = str(pathlib.Path(steinberg.__file__).resolve().parents[1])
 # reported only if steinberg loaded them, not the interpreter's start-up
 WATCHED = ["numpy", "dataclasses", "inspect", "fractions", "decimal", "steinberg.collection"]
 
+# modules that only the commands using them may load
+LAZY = ["json", "steinberg.presentation", "steinberg.roots"]
+
+# the snapshot comes first: the harness imports json only to report
 CALL = """
-import contextlib, io, json, sys
+import sys
 before = set(sys.modules)
+import contextlib, io
 from steinberg import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main({argv!r})
-print(json.dumps([code, sorted(set({watched!r}) & set(sys.modules) - before)]))
+loaded = sorted(set({watched!r}) & set(sys.modules) - before)
+import json
+print(json.dumps([code, loaded]))
 """
 
 
@@ -43,10 +52,15 @@ def _run(source: str) -> str:
 
 
 @functools.lru_cache(maxsize=None)
-def _watched_loaded_by(argv: str) -> list[str]:
-    code, loaded = json.loads(_run(CALL.format(argv=argv.split(), watched=WATCHED)))
+def _loaded_by(argv: str) -> list[str]:
+    """The modules of WATCHED and LAZY that the command loads, sorted."""
+    code, loaded = json.loads(_run(CALL.format(argv=argv.split(), watched=WATCHED + LAZY)))
     assert code == 0, argv
     return loaded
+
+
+def _watched_loaded_by(argv: str) -> list[str]:
+    return [name for name in _loaded_by(argv) if name in WATCHED]
 
 
 def test_cli_import_loads_neither_numpy_nor_the_loop_model():
@@ -57,12 +71,12 @@ def test_cli_import_loads_neither_numpy_nor_the_loop_model():
     assert out.split() == ["[]"]
 
 
-def test_cli_import_loads_no_watched_module():
+def test_cli_import_loads_no_watched_or_lazy_module():
     out = _run(
         "import sys\n"
         "before = set(sys.modules)\n"
         "import steinberg.cli\n"
-        f"print(sorted(set({WATCHED!r}) & set(sys.modules) - before))"
+        f"print(sorted(set({WATCHED + LAZY!r}) & set(sys.modules) - before))"
     )
     assert out.split() == ["[]"]
 
@@ -97,6 +111,35 @@ def test_command_runs_without_numpy(argv):
 def test_command_loads_collection_only_to_replay(argv):
     expected = ["steinberg.collection"] if argv.startswith("replay") else []
     assert _watched_loaded_by(argv) == expected
+
+
+ROOTS, PRESENTATION = "steinberg.roots", "steinberg.presentation"
+
+# which of LAZY each command loads: json to print JSON, roots for root data
+# or to build the matrix of an affine label, presentation to emit or verify
+LAZY_LOADS = {
+    "classify --diagram A~2": ["json", ROOTS],
+    "classify --diagram B3": ["json"],
+    "names --diagram BC~3^odd": ["json", ROOTS],
+    "roots --diagram A~2 --level-bound 1": ["json", ROOTS],
+    "pairs --diagram B~2^even --level-bound 1": ["json", ROOTS],
+    "theta --diagram G~2 --alpha 1,0@0 --beta 0,1@0": ["json", ROOTS],
+    "constants --diagram E8": [ROOTS],
+    "present --diagram A~2 --ring Z/2 --format native": [PRESENTATION, ROOTS],
+    "present --diagram A~2 --ring Z/2 --format gap": [PRESENTATION, ROOTS],
+    "present --diagram A~2 --ring Z/2 --format json": ["json", PRESENTATION, ROOTS],
+    "amalgam --diagram A~2 --ring Z/3 --format gap": [PRESENTATION, ROOTS],
+    "hypotheses --diagram A~4 --fg-ring": ["json", ROOTS],
+    "replay --case 1": [ROOTS],
+    "replay --case 4 --eps -1 --eps-prime 1": [ROOTS],
+    "replay --case 8": [ROOTS],
+    "verify --diagram A~2 --ring Z/2 --level-bound 0": ["json", PRESENTATION, ROOTS],
+}
+
+
+@pytest.mark.parametrize("argv", sorted(LAZY_LOADS))
+def test_command_loads_only_the_lazy_modules_it_uses(argv):
+    assert [name for name in _loaded_by(argv) if name in LAZY] == LAZY_LOADS[argv]
 
 
 def test_verify_passes_with_numpy_blocked():
