@@ -16,9 +16,9 @@ loaded only by the commands that print JSON, so not by ``replay``,
 that need root data or are given an affine diagram, whose matrix is built
 from its roots.  So ``classify``, ``names`` and ``hypotheses`` never load
 ``presentation``, and ``classify`` of a finite diagram loads no ``roots``.
-The records are named tuples or plain classes and
-ratios are integer pairs, so no command loads ``inspect`` or ``fractions``
-(nor ``decimal``, which it imports).
+The records are named tuples or plain classes and ratios are integer pairs,
+so no command loads ``inspect`` or ``fractions`` (nor ``decimal``, which it
+imports).
 """
 
 from importlib import import_module

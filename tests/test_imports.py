@@ -71,7 +71,7 @@ def test_cli_import_loads_neither_numpy_nor_the_loop_model():
     assert out.split() == ["[]"]
 
 
-def test_cli_import_loads_no_watched_or_lazy_module():
+def test_cli_import_loads_no_watched_module():
     out = _run(
         "import sys\n"
         "before = set(sys.modules)\n"
