@@ -74,11 +74,6 @@ def test_rank_local_recognition_matches_full_catalog_scan():
             assert D.classify_with_map(a) == _reference_scan(a, entries)
 
 
-def test_catalog_entries_keep_label_and_node_map():
-    for cls, matrix in D.catalog(12):
-        assert D.classify_with_map(matrix) == (cls, tuple(range(matrix.rank)))
-
-
 # a rank-13 and a rank-14 label of every family that has them
 ABOVE_RANK_12 = (
     [f"{family}{n}" for family in "ABCD" for n in (13, 14)]
