@@ -30,6 +30,10 @@ CORPUS = [
     "roots --diagram G~2^0mod3 --level-bound 1",
     "pairs --diagram B~2^even --level-bound 1",
     "pairs --diagram BC~2^odd --level-bound 1",
+    # the non-classical cases: 1 and 4 on G~2, 1 at rank 3, and 2, 3, 5, 6, 7
+    "pairs --diagram G~2 --level-bound 1",
+    "pairs --diagram A~3 --level-bound 1",
+    "pairs --diagram BC~3^odd --level-bound 1",
     "theta --diagram G~2 --alpha 1,0@0 --beta 0,1@0",
     "theta --diagram BC~2^odd --alpha 0,1@0 --beta 0,1@1",
     "constants --diagram G2",
