@@ -7,14 +7,17 @@ by height in the case generators, and an integer commutator table per
 interacting pair.  Words are collected to the ordered normal form by adjacent
 swaps; corrections carry strictly larger grades, so collection terminates.
 
-Untwisted configurations draw their tables from the finite Chevalley
-constants, with a sign choice solved to match the displayed relation forms.
-The non-reduced and mod-3 configurations hard-code the displayed relations
-and the few remaining entries, whose magnitudes come from root strings and
-whose signs are the only ones that make collection associative; each
-configuration checks that associativity when it is built.  The pair
-(alpha, beta) under scrutiny never receives a table entry: its relation is
-exactly what a replay derives.
+`CASES` declares each case once, as the paper displays it: its diagram, three
+generators, every other root by name and decomposition over the generators,
+its relations and the expansion of X_beta(u), all written with root names.
+`case_configuration` builds every case from its declaration.  An untwisted
+case draws its tables from the finite Chevalley constants, with a sign
+choice solved to match the displayed relations.  A non-reduced or mod-3 case
+declares its whole table: the displayed relations and the few remaining
+entries, whose magnitudes come from root strings and whose signs are the
+only ones that make collection associative; the configuration checks that
+associativity when it is built.  The pair (alpha, beta) under scrutiny never
+receives a table entry: its relation is exactly what a replay derives.
 """
 
 from __future__ import annotations
@@ -22,13 +25,11 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
-from . import chevalley, diagrams, rings
+from . import chevalley, rings
 from . import roots as R
 from .roots import AffineRoot
 
 _COLLECT_CAP = 500_000
-
-CASE_IDS = (1, 2, 3, 4, 5, 6, 7, 8)  # 8 = the 0mod3 variant of case 4
 
 
 class ConfigurationError(ValueError):
@@ -212,10 +213,9 @@ def commutator(nrs: NilpotentRootSet, a: NormalProduct, b: NormalProduct) -> Nor
 # configuration scaffolding
 
 
-def _build_nrs(ars, decomp, tables, names, excluded_pairs):
-    """Finish a configuration: order roots by (grade, generator coords), mark
-    commuting pairs, check closure and table coverage."""
-    ordered = tuple(r for r, _ in sorted(decomp.items(), key=lambda kv: (sum(kv[1]), kv[1])))
+def _build_nrs(ars, ordered, tables, names, excluded_pairs):
+    """Finish a configuration of roots in collection order: mark commuting
+    pairs, check closure and table coverage."""
     rootset = set(ordered)
     for x in ordered:
         for y in ordered:
@@ -245,7 +245,7 @@ class CaseData(NamedTuple):
     relation the argument is allowed to use.
 
     The expansion is a sequence of items, each a plain letter
-    ("x", root, fn) or a commutator ("comm", (root1, fn1), (root2, fn2));
+    ("x", (root, fn)) or a commutator ("comm", (root1, fn1), (root2, fn2));
     keeping the commutator structure matters, because conjugation respects it
     (the inverse half of a conjugated commutator is the free inverse of the
     conjugated first half)."""
@@ -263,13 +263,6 @@ class CaseData(NamedTuple):
 # untwisted configurations: tables from oriented Chevalley constants
 
 
-@lru_cache(maxsize=None)
-def _basis(family: str, n: int) -> chevalley.ChevalleyBasis:
-    return chevalley.build_chevalley_basis(
-        R.enumerate_finite_roots(diagrams.finite_cartan(family, n), family)
-    )
-
-
 def _chevalley_affine_table(ars, basis, a, b, interior_order):
     """Commutator table of an untwisted affine pair, lifted from the finite
     constants, with the interior roots produced in the given order."""
@@ -281,24 +274,22 @@ def _chevalley_affine_table(ars, basis, a, b, interior_order):
     return out
 
 
-def _untwisted_tables(ars, basis, decomp, signs, epsilon_factors, excluded_pairs):
-    ordered = [r for r, _ in sorted(decomp.items(), key=lambda kv: (sum(kv[1]), kv[1]))]
+def _untwisted_tables(ars, basis, ordered, signs, excluded_pairs):
+    """The table of every interacting pair of roots in collection order but
+    the excluded ones, with the interior roots in collection order too."""
+    position = {r: k for k, r in enumerate(ordered)}
     tables = {}
     for ai, a in enumerate(ordered):
         for b in ordered[ai + 1 :]:
             if frozenset((a, b)) in excluded_pairs:
                 continue
             interiors = sorted(
-                (g for _, _, g in R.root_combinations(ars, a, b)),
-                key=lambda g: (sum(decomp[g]), decomp[g]),
+                (g for _, _, g in R.root_combinations(ars, a, b)), key=position.__getitem__
             )
             if not interiors:
                 continue
             raw = _chevalley_affine_table(ars, basis, a, b, interiors)
-            factor = epsilon_factors.get((a, b), 1)
-            tables[(a, b)] = tuple(
-                (g, factor * n, ij) for g, n, ij in chevalley.apply_signs(raw, signs, a, b)
-            )
+            tables[(a, b)] = tuple(chevalley.apply_signs(raw, signs, a, b))
     return tables
 
 
@@ -376,271 +367,229 @@ def _associative(nrs, probe_exclude) -> bool:
 # the case configurations
 
 
-def _case_untwisted(case_id: int):
-    if case_id == 1:
-        ars = R.affine_system("A~2")
-        gamma = AffineRoot((1, 0), 0)
-        delta = AffineRoot((0, 1), 1)
-        alpha = AffineRoot((1, 1), 0)
-        beta = AffineRoot((1, 1), 1)
-        decomp = {alpha: (1, 0, 0), gamma: (0, 1, 0), delta: (0, 0, 1), beta: (0, 1, 1)}
-        names = {alpha: "alpha", beta: "beta", gamma: "gamma", delta: "delta"}
-        targets = {(gamma, delta): [(beta, 1, (1, 1))]}
-        expansion = [
-            ("comm", (gamma, lambda u: u), (delta, lambda u: rings.one(u.desc))),
-        ]
-        return ars, _basis("A", 2), alpha, beta, decomp, names, targets, expansion, {}
+class CaseDeclaration(NamedTuple):
+    """One case of the argument as the paper displays it, with named roots.
 
-    if case_id in (2, 3):
-        ars = R.affine_system("B~2")
-        basis = _basis("B", 2)
-        sigma = AffineRoot((1, 1), 0)  # e_1, short
-        lam = AffineRoot((-1, 0), 1)  # e_2 - e_1, long
-        sig_lam = AffineRoot((0, 1), 1)
-        two_sig_lam = AffineRoot((1, 2), 1)
-        if case_id == 2:
-            alpha = AffineRoot((1, 2), 0)
-            beta = two_sig_lam
-            decomp = {
-                alpha: (1, 0, 0), sigma: (0, 1, 0), lam: (0, 0, 1),
-                sig_lam: (0, 1, 1), beta: (0, 2, 1),
-            }
-            names = {
-                alpha: "alpha", beta: "beta", sigma: "sigma", lam: "lambda",
-                sig_lam: "sigma+lambda",
-            }
-            targets = {
-                (sigma, lam): [(sig_lam, -1, (1, 1)), (beta, 1, (2, 1))]
-            }
-            one = lambda u: rings.one(u.desc)
-            expansion = [
-                ("x", sig_lam, lambda u: u),
-                ("comm", (sigma, one), (lam, lambda u: u)),
-            ]
-            return ars, basis, alpha, beta, decomp, names, targets, expansion, {}
-        alpha = AffineRoot((0, 1), 0)
-        beta = sig_lam  # (e_2, 1) = sigma + lambda
-        alpha_sigma = AffineRoot((1, 2), 0)
-        decomp = {
-            alpha: (1, 0, 0), sigma: (0, 1, 0), lam: (0, 0, 1),
-            beta: (0, 1, 1), two_sig_lam: (0, 2, 1), alpha_sigma: (1, 1, 0),
-        }
-        names = {
-            alpha: "alpha", beta: "beta", sigma: "sigma", lam: "lambda",
-            two_sig_lam: "2*sigma+lambda", alpha_sigma: "alpha+sigma",
-        }
-        targets = {
-            (sigma, lam): [(beta, -1, (1, 1)), (two_sig_lam, 1, (2, 1))]
-        }
-        one = lambda u: rings.one(u.desc)
-        expansion = [
-            ("comm", (sigma, one), (lam, lambda u: -u)),
-            ("x", two_sig_lam, lambda u: u),
-        ]
-        return ars, basis, alpha, beta, decomp, names, targets, expansion, {}
+    ``generators``: name -> (coords, level) for the three generators, alpha
+    first.  ``roots``: name -> decomposition over the generators for every
+    other root, beta included; it fixes the root, and it orders the set by
+    grade, then by decomposition.  ``relations``: (name, name) -> entries
+    (name, n, (i, j)); for an untwisted case the displayed relations, which
+    choose the signs of the Chevalley constants, for a twisted case the whole
+    table.  ``expansion``: the displayed expression of X_beta(u), with root
+    names in place of roots.  ``epsilons``: (name, name, n) for each pair
+    whose single constant n the parameters eps and eps_prime scale."""
 
-    # case 4: G~2, alpha = beta projection a short root
-    ars = R.affine_system("G~2")
-    basis = _basis("G", 2)
-    sigma = AffineRoot((1, 0), 0)
-    lam = AffineRoot((0, 1), 1)
-    alpha = AffineRoot((1, 1), 0)
-    beta = AffineRoot((1, 1), 1)
-    alpha_sigma = AffineRoot((2, 1), 0)
-    two_sig_lam = AffineRoot((2, 1), 1)
-    alpha_2sigma = AffineRoot((3, 1), 0)
-    three_sig_lam = AffineRoot((3, 1), 1)
-    two_alpha_sigma = AffineRoot((3, 2), 0)
-    alpha_2sig_lam = AffineRoot((3, 2), 1)
-    three_sig_2lam = AffineRoot((3, 2), 2)
-    decomp = {
-        alpha: (1, 0, 0), sigma: (0, 1, 0), lam: (0, 0, 1),
-        beta: (0, 1, 1), alpha_sigma: (1, 1, 0), two_sig_lam: (0, 2, 1),
-        alpha_2sigma: (1, 2, 0), two_alpha_sigma: (2, 1, 0),
-        three_sig_lam: (0, 3, 1), alpha_2sig_lam: (1, 2, 1),
-        three_sig_2lam: (0, 3, 2),
-    }
-    names = {
-        alpha: "alpha", sigma: "sigma", lam: "lambda", beta: "beta",
-        alpha_sigma: "alpha+sigma", two_sig_lam: "2*sigma+lambda",
-        alpha_2sigma: "alpha+2*sigma", two_alpha_sigma: "2*alpha+sigma",
-        three_sig_lam: "3*sigma+lambda", alpha_2sig_lam: "alpha+2*sigma+lambda",
-        three_sig_2lam: "3*sigma+2*lambda",
-    }
-    targets = {
-        # displayed in the order 2s+l, s+l, 3s+l, 3s+2l
-        (sigma, lam): [
-            (two_sig_lam, 1, (2, 1)),
-            (beta, -1, (1, 1)),
-            (three_sig_lam, 1, (3, 1)),
-            (three_sig_2lam, -1, (3, 2)),
-        ],
-        (alpha, two_sig_lam): [(alpha_2sig_lam, 3, (1, 1))],
-        (sigma, alpha): [
-            (alpha_sigma, -2, (1, 1)),
-            (alpha_2sigma, -3, (2, 1)),
-            (two_alpha_sigma, -3, (1, 2)),
-        ],
-    }
-    one = lambda u: rings.one(u.desc)
-    expansion = [
-        ("x", three_sig_lam, lambda u: u),
-        ("x", three_sig_2lam, lambda u: -(u * u)),
-        ("comm", (lam, lambda u: u), (sigma, one)),
-        ("x", two_sig_lam, lambda u: u),
-    ]
-    eps_pairs = {"eps": (sigma, alpha_sigma), "eps_prime": (lam, alpha_2sigma)}
-    return ars, basis, alpha, beta, decomp, names, targets, expansion, eps_pairs
+    label: str
+    generators: dict
+    roots: dict
+    relations: dict
+    expansion: tuple
+    epsilons: tuple = ()
 
 
-def _case_config_untwisted(case_id: int, eps: int, eps_prime: int) -> CaseData:
-    ars, basis, alpha, beta, decomp, names, targets, expansion, eps_pairs = _case_untwisted(case_id)
-    signs = _solve_display_orientation(ars, basis, targets)[0]
-    factors = {}
-    if eps_pairs:
-        factors[eps_pairs["eps"]] = eps
-        factors[eps_pairs["eps_prime"]] = eps_prime
-    excluded = frozenset({frozenset((alpha, beta))})
-    tables = _untwisted_tables(ars, basis, decomp, signs, factors, excluded)
-    if eps_pairs:
-        # the display normalization pins both remaining signs to +1; the
-        # epsilon parameters then scale those two entries
-        s_entry = tables[eps_pairs["eps"]]
-        l_entry = tables[eps_pairs["eps_prime"]]
-        assert [n for _, n, _ in s_entry] == [3 * eps]
-        assert [n for _, n, _ in l_entry] == [eps_prime]
-    nrs = _build_nrs(ars, decomp, tables, names, excluded)
-    return CaseData(case_id, nrs, alpha, beta, tuple(expansion), signs, basis)
+# the coefficients u and 1 of the expansions' letters
+def _u(u):
+    return u
 
 
-def _case_config_twisted(case_id: int) -> CaseData:
-    one = lambda u: rings.one(u.desc)
-    if case_id in (5, 6, 7):
-        ars = R.affine_system("BC~2^odd")
-        if case_id == 5:
-            mu = AffineRoot((1, 0), 0)
-            lam = AffineRoot((0, 2), 1)
-            mu_lam = AffineRoot((1, 2), 1)
-            alpha = AffineRoot((1, 1), 0)
-            beta = AffineRoot((2, 2), 1)
-            decomp = {
-                alpha: (1, 0, 0), mu: (0, 1, 0), lam: (0, 0, 1),
-                mu_lam: (0, 1, 1), beta: (0, 2, 1),
-            }
-            names = {
-                alpha: "alpha", beta: "beta", mu: "mu", lam: "lambda",
-                mu_lam: "mu+lambda",
-            }
-            fixed = {
-                (mu, lam): ((mu_lam, -1, (1, 1)), (beta, 1, (2, 1))),
-                # the remaining entry, magnitude 2 from the mu-string
-                (mu, mu_lam): ((beta, -2, (1, 1)),),
-            }
-            expansion = [
-                ("x", mu_lam, lambda u: u),
-                ("comm", (mu, one), (lam, lambda u: u)),
-            ]
-        else:
-            level = 1 if case_id == 6 else 2
-            sigma = AffineRoot((0, 1), level)
-            mu = AffineRoot((1, 0), 0)
-            alpha = AffineRoot((1, 1), 0)
-            beta = AffineRoot((1, 1), level)
-            alpha_sigma = AffineRoot((1, 2), level)
-            two_sig_mu = AffineRoot((1, 2), 2 * level)
-            decomp = {
-                alpha: (1, 0, 0), sigma: (0, 1, 0), mu: (0, 0, 1),
-                beta: (0, 1, 1), alpha_sigma: (1, 1, 0), two_sig_mu: (0, 2, 1),
-            }
-            names = {
-                alpha: "alpha", beta: "beta", sigma: "sigma", mu: "mu",
-                alpha_sigma: "alpha+sigma", two_sig_mu: "2*sigma+mu",
-            }
-            fixed = {
-                (sigma, mu): ((beta, -1, (1, 1)), (two_sig_mu, 1, (2, 1))),
-                # the displayed relation is [X_alpha(t), X_sigma(u)] = X(-2tu);
-                # stored in (sigma, alpha) direction, whence the sign flip
-                (alpha, sigma): ((alpha_sigma, -2, (1, 1)),),
-            }
-            if case_id == 6:
-                eta = AffineRoot((2, 2), 1)
-                decomp[eta] = (1, 1, 1)
-                names[eta] = "alpha+beta"
-                fixed[(mu, alpha_sigma)] = ((eta, -2, (1, 1)),)
+def _one(u):
+    return rings.one(u.desc)
+
+
+CASES = {
+    1: CaseDeclaration(
+        "A~2",
+        {"alpha": ((1, 1), 0), "gamma": ((1, 0), 0), "delta": ((0, 1), 1)},
+        {"beta": (0, 1, 1)},
+        {("gamma", "delta"): (("beta", 1, (1, 1)),)},
+        (("comm", ("gamma", _u), ("delta", _one)),),
+    ),
+    2: CaseDeclaration(
+        "B~2",
+        {"alpha": ((1, 2), 0), "sigma": ((1, 1), 0), "lambda": ((-1, 0), 1)},
+        {"sigma+lambda": (0, 1, 1), "beta": (0, 2, 1)},
+        {("sigma", "lambda"): (("sigma+lambda", -1, (1, 1)), ("beta", 1, (2, 1)))},
+        (("x", ("sigma+lambda", _u)), ("comm", ("sigma", _one), ("lambda", _u))),
+    ),
+    3: CaseDeclaration(
+        "B~2",
+        {"alpha": ((0, 1), 0), "sigma": ((1, 1), 0), "lambda": ((-1, 0), 1)},
+        {"beta": (0, 1, 1), "2*sigma+lambda": (0, 2, 1), "alpha+sigma": (1, 1, 0)},
+        {("sigma", "lambda"): (("beta", -1, (1, 1)), ("2*sigma+lambda", 1, (2, 1)))},
+        (("comm", ("sigma", _one), ("lambda", lambda u: -u)), ("x", ("2*sigma+lambda", _u))),
+    ),
+    4: CaseDeclaration(
+        "G~2",
+        {"alpha": ((1, 1), 0), "sigma": ((1, 0), 0), "lambda": ((0, 1), 1)},
+        {
+            "beta": (0, 1, 1), "alpha+sigma": (1, 1, 0), "2*sigma+lambda": (0, 2, 1),
+            "alpha+2*sigma": (1, 2, 0), "2*alpha+sigma": (2, 1, 0),
+            "3*sigma+lambda": (0, 3, 1), "alpha+2*sigma+lambda": (1, 2, 1),
+            "3*sigma+2*lambda": (0, 3, 2),
+        },
+        {
+            ("sigma", "lambda"): (
+                ("2*sigma+lambda", 1, (2, 1)),
+                ("beta", -1, (1, 1)),
+                ("3*sigma+lambda", 1, (3, 1)),
+                ("3*sigma+2*lambda", -1, (3, 2)),
+            ),
+            ("alpha", "2*sigma+lambda"): (("alpha+2*sigma+lambda", 3, (1, 1)),),
+            ("sigma", "alpha"): (
+                ("alpha+sigma", -2, (1, 1)),
+                ("alpha+2*sigma", -3, (2, 1)),
+                ("2*alpha+sigma", -3, (1, 2)),
+            ),
+        },
+        (
+            ("x", ("3*sigma+lambda", _u)),
+            ("x", ("3*sigma+2*lambda", lambda u: -(u * u))),
+            ("comm", ("lambda", _u), ("sigma", _one)),
+            ("x", ("2*sigma+lambda", _u)),
+        ),
+        # the displayed signs pin both constants; eps and eps_prime scale them
+        (("sigma", "alpha+sigma", 3), ("lambda", "alpha+2*sigma", 1)),
+    ),
+    5: CaseDeclaration(
+        "BC~2^odd",
+        {"alpha": ((1, 1), 0), "mu": ((1, 0), 0), "lambda": ((0, 2), 1)},
+        {"mu+lambda": (0, 1, 1), "beta": (0, 2, 1)},
+        {
+            ("mu", "lambda"): (("mu+lambda", -1, (1, 1)), ("beta", 1, (2, 1))),
+            # the remaining entry, magnitude 2 from the mu-string
+            ("mu", "mu+lambda"): (("beta", -2, (1, 1)),),
+        },
+        (("x", ("mu+lambda", _u)), ("comm", ("mu", _one), ("lambda", _u))),
+    ),
+    6: CaseDeclaration(
+        "BC~2^odd",
+        {"alpha": ((1, 1), 0), "sigma": ((0, 1), 1), "mu": ((1, 0), 0)},
+        {
+            "beta": (0, 1, 1), "alpha+sigma": (1, 1, 0), "2*sigma+mu": (0, 2, 1),
+            "alpha+beta": (1, 1, 1),
+        },
+        {
+            ("sigma", "mu"): (("beta", -1, (1, 1)), ("2*sigma+mu", 1, (2, 1))),
+            # the displayed relation is [X_alpha(t), X_sigma(u)] = X(-2tu)
+            ("alpha", "sigma"): (("alpha+sigma", -2, (1, 1)),),
+            ("mu", "alpha+sigma"): (("alpha+beta", -2, (1, 1)),),
             # the remaining entry, magnitude 2 from the sigma-string
-            fixed[(sigma, beta)] = ((two_sig_mu, -2, (1, 1)),)
-            expansion = [
-                ("x", two_sig_mu, lambda u: u),
-                ("comm", (mu, lambda u: u), (sigma, one)),
-            ]
-    else:  # case 8: the G~2^0mod3 variant of case 4
-        ars = R.affine_system("G~2^0mod3")
-        sigma = AffineRoot((1, 0), 1)
-        lam = AffineRoot((0, 1), 0)
-        alpha = AffineRoot((1, 1), 0)
-        beta = AffineRoot((1, 1), 1)
-        alpha_sigma = AffineRoot((2, 1), 1)
-        two_sig_lam = AffineRoot((2, 1), 2)
-        three_sig_lam = AffineRoot((3, 1), 3)
-        three_sig_2lam = AffineRoot((3, 2), 3)
-        decomp = {
-            alpha: (1, 0, 0), sigma: (0, 1, 0), lam: (0, 0, 1),
-            beta: (0, 1, 1), alpha_sigma: (1, 1, 0), two_sig_lam: (0, 2, 1),
-            three_sig_lam: (0, 3, 1), three_sig_2lam: (0, 3, 2),
-        }
-        names = {
-            alpha: "alpha", beta: "beta", sigma: "sigma", lam: "lambda",
-            alpha_sigma: "alpha+sigma", two_sig_lam: "2*sigma+lambda",
-            three_sig_lam: "3*sigma+lambda", three_sig_2lam: "3*sigma+2*lambda",
-        }
-        fixed = {
+            ("sigma", "beta"): (("2*sigma+mu", -2, (1, 1)),),
+        },
+        (("x", ("2*sigma+mu", _u)), ("comm", ("mu", _u), ("sigma", _one))),
+    ),
+    7: CaseDeclaration(
+        "BC~2^odd",
+        {"alpha": ((1, 1), 0), "sigma": ((0, 1), 2), "mu": ((1, 0), 0)},
+        {"beta": (0, 1, 1), "alpha+sigma": (1, 1, 0), "2*sigma+mu": (0, 2, 1)},
+        {
+            ("sigma", "mu"): (("beta", -1, (1, 1)), ("2*sigma+mu", 1, (2, 1))),
+            ("alpha", "sigma"): (("alpha+sigma", -2, (1, 1)),),
+            ("sigma", "beta"): (("2*sigma+mu", -2, (1, 1)),),
+        },
+        (("x", ("2*sigma+mu", _u)), ("comm", ("mu", _u), ("sigma", _one))),
+    ),
+    # the 0mod3 variant of case 4
+    8: CaseDeclaration(
+        "G~2^0mod3",
+        {"alpha": ((1, 1), 0), "sigma": ((1, 0), 1), "lambda": ((0, 1), 0)},
+        {
+            "beta": (0, 1, 1), "alpha+sigma": (1, 1, 0), "2*sigma+lambda": (0, 2, 1),
+            "3*sigma+lambda": (0, 3, 1), "3*sigma+2*lambda": (0, 3, 2),
+        },
+        {
             # the four-term relation, in its displayed order
-            (sigma, lam): (
-                (two_sig_lam, 1, (2, 1)),
-                (beta, -1, (1, 1)),
-                (three_sig_lam, 1, (3, 1)),
-                (three_sig_2lam, -1, (3, 2)),
+            ("sigma", "lambda"): (
+                ("2*sigma+lambda", 1, (2, 1)),
+                ("beta", -1, (1, 1)),
+                ("3*sigma+lambda", 1, (3, 1)),
+                ("3*sigma+2*lambda", -1, (3, 2)),
             ),
             # altered short-root relation: single term with coefficient 1
-            (sigma, alpha): ((alpha_sigma, 1, (1, 1)),),
+            ("sigma", "alpha"): (("alpha+sigma", 1, (1, 1)),),
             # the remaining entries: magnitudes p + 1 from the root strings;
             # a (2, 1) or (1, 2) term has half the product of the
             # magnitudes of its two single steps
-            (sigma, beta): (
-                (two_sig_lam, -2, (1, 1)),
-                (three_sig_lam, -3, (2, 1)),
-                (three_sig_2lam, -3, (1, 2)),
+            ("sigma", "beta"): (
+                ("2*sigma+lambda", -2, (1, 1)),
+                ("3*sigma+lambda", -3, (2, 1)),
+                ("3*sigma+2*lambda", -3, (1, 2)),
             ),
-            (sigma, two_sig_lam): ((three_sig_lam, 3, (1, 1)),),
-            (lam, three_sig_lam): ((three_sig_2lam, 1, (1, 1)),),
-            (beta, two_sig_lam): ((three_sig_2lam, 3, (1, 1)),),
-        }
-        expansion = [
-            ("x", three_sig_lam, lambda u: u),
-            ("x", three_sig_2lam, lambda u: -(u * u)),
-            ("comm", (lam, lambda u: u), (sigma, one)),
-            ("x", two_sig_lam, lambda u: u),
-        ]
+            ("sigma", "2*sigma+lambda"): (("3*sigma+lambda", 3, (1, 1)),),
+            ("lambda", "3*sigma+lambda"): (("3*sigma+2*lambda", 1, (1, 1)),),
+            ("beta", "2*sigma+lambda"): (("3*sigma+2*lambda", 3, (1, 1)),),
+        },
+        (
+            ("x", ("3*sigma+lambda", _u)),
+            ("x", ("3*sigma+2*lambda", lambda u: -(u * u))),
+            ("comm", ("lambda", _u), ("sigma", _one)),
+            ("x", ("2*sigma+lambda", _u)),
+        ),
+    ),
+}
 
-    nrs = _build_nrs(ars, decomp, fixed, names, frozenset({frozenset((alpha, beta))}))
-    if not _associative(nrs, {alpha}):
-        raise ConfigurationError(f"case {case_id}: collection is not associative")
-    return CaseData(case_id, nrs, alpha, beta, tuple(expansion), {}, None)
+CASE_IDS = tuple(CASES)
+
+
+def _resolve_roots(case: CaseDeclaration) -> tuple[R.AffineRootSystem, dict]:
+    """The case's system, and name -> root for every root of the case, in
+    collection order."""
+    ars = R.affine_system(case.label)
+    a, b, c = (AffineRoot(*g) for g in case.generators.values())
+    units = dict(zip(case.generators, ((1, 0, 0), (0, 1, 0), (0, 0, 1))))
+    decompositions = sorted((units | case.roots).items(), key=lambda kv: (sum(kv[1]), kv[1]))
+    root = {}
+    for name, (i, j, k) in decompositions:
+        root[name] = ars.combine(1, ars.combine(i, a, j, b), k, c)
+        if root[name] not in ars:
+            raise ConfigurationError(f"{name} is not a root of {case.label}")
+    return ars, root
+
+
+def _resolve_relations(root: dict, relations: dict) -> dict:
+    """Relations written with root names, as tables over the roots."""
+    return {
+        (root[x], root[y]): tuple((root[g], n, ij) for g, n, ij in entries)
+        for (x, y), entries in relations.items()
+    }
 
 
 @lru_cache(maxsize=None)
 def case_configuration(case_id: int, eps: int = 1, eps_prime: int = 1) -> CaseData:
-    if case_id not in CASE_IDS:
+    """The replay setup of a case.  An untwisted case takes the Chevalley
+    constants under the first sign choice that reaches its displayed
+    relations; a twisted case takes its declared table, and collection in it
+    must be associative."""
+    if case_id not in CASES:
         raise ValueError(f"unknown case id {case_id}")
-    if case_id == 4:
-        if eps not in (1, -1) or eps_prime not in (1, -1):
-            raise ValueError("sign parameters must be +1 or -1")
-        return _case_config_untwisted(4, eps, eps_prime)
-    if (eps, eps_prime) != (1, 1):
+    case = CASES[case_id]
+    if not case.epsilons and (eps, eps_prime) != (1, 1):
         raise ValueError("sign parameters apply to case 4 only")
-    if case_id in (1, 2, 3):
-        return _case_config_untwisted(case_id, 1, 1)
-    return _case_config_twisted(case_id)
+    if eps not in (1, -1) or eps_prime not in (1, -1):
+        raise ValueError("sign parameters must be +1 or -1")
+    ars, root = _resolve_roots(case)
+    alpha, beta = root["alpha"], root["beta"]
+    excluded = frozenset({frozenset((alpha, beta))})
+    ordered = tuple(root.values())
+    tables = _resolve_relations(root, case.relations)
+    if ars.superscript is None:
+        basis = chevalley.build_chevalley_basis(ars.finite)
+        signs = _solve_display_orientation(ars, basis, tables)[0]
+        tables = _untwisted_tables(ars, basis, ordered, signs, excluded)
+        for (x, y, n), factor in zip(case.epsilons, (eps, eps_prime)):
+            ((g, m, ij),) = tables[root[x], root[y]]
+            assert m == n
+            tables[root[x], root[y]] = ((g, factor * m, ij),)
+    else:
+        basis, signs = None, {}
+    nrs = _build_nrs(ars, ordered, tables, {r: name for name, r in root.items()}, excluded)
+    if basis is None and not _associative(nrs, {alpha}):
+        raise ConfigurationError(f"case {case_id}: collection is not associative")
+    expansion = tuple(
+        (kind, *((root[name], fn) for name, fn in letters)) for kind, *letters in case.expansion
+    )
+    return CaseData(case_id, nrs, alpha, beta, expansion, signs, basis)
 
 
 def override_coefficient(case: CaseData, pair_names: tuple[str, str], value: int) -> CaseData:
@@ -662,14 +611,11 @@ def override_coefficient(case: CaseData, pair_names: tuple[str, str], value: int
 
 def expansion_word(case: CaseData, u: rings.RingElement):
     word = []
-    for item in case.expansion:
-        if item[0] == "x":
-            _, root, fn = item
-            word.append((root, fn(u)))
-        else:
-            _, (r1, f1), (r2, f2) = item
-            a, b = (r1, f1(u)), (r2, f2(u))
-            word += [a, b, (r1, -a[1]), (r2, -b[1])]
+    for kind, *letters in case.expansion:
+        values = [(root, fn(u)) for root, fn in letters]
+        if kind == "comm":
+            values += [(root, -c) for root, c in values]
+        word += values
     return word
 
 
@@ -686,21 +632,14 @@ def replay(case: CaseData) -> NormalProduct:
     def conj_letter(root, coeff):
         return case.nrs.commutator_word(case.alpha, t, root, coeff) + [(root, coeff)]
 
-    word = []
     conjugated = []
-    for item in case.expansion:
-        if item[0] == "x":
-            _, root, fn = item
-            coeff = fn(u)
-            word.append((root, coeff))
-            conjugated += conj_letter(root, coeff)
-        else:
-            _, (r1, f1), (r2, f2) = item
-            a, b = (r1, f1(u)), (r2, f2(u))
-            word += [a, b, (r1, -a[1]), (r2, -b[1])]
-            ca, cb = conj_letter(*a), conj_letter(*b)
-            conjugated += ca + cb + inverse_word(ca) + inverse_word(cb)
-    return normal_product(case.nrs, conjugated + inverse_word(word))
+    for kind, *letters in case.expansion:
+        halves = [conj_letter(root, fn(u)) for root, fn in letters]
+        if kind == "comm":
+            halves += [inverse_word(half) for half in halves]
+        for half in halves:
+            conjugated += half
+    return normal_product(case.nrs, conjugated + inverse_word(expansion_word(case, u)))
 
 
 def replay_case(case_id: int, eps: int = 1, eps_prime: int = 1) -> NormalProduct:

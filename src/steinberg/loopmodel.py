@@ -307,12 +307,8 @@ def build_model(a, ring: rings.RingDescriptor) -> LoopModel:
 
 def model_for_system(ars: R.AffineRootSystem, ring: rings.RingDescriptor) -> LoopModel:
     """Model over a given affine system, keeping its own simple-root order."""
-    simples = R.simple_affine_roots(ars)
-    rows = [
-        [ars.finite.pairing(x.coords, y.coords) for y in simples] for x in simples
-    ]
-    a = diagrams.gcm(rows)
-    return LoopModel(a, ring, ars=ars, node_map={i: i for i in range(len(simples))})
+    a = diagrams.affine_cartan(ars.cls)
+    return LoopModel(a, ring, ars=ars, node_map={i: i for i in range(a.rank)})
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,12 @@
 Roots are integer coordinate vectors in the simple-root basis of the finite
 part, paired with an integer level for the affine systems.  All arithmetic is
 exact; proportionality tests are done over the integers, never with floats.
+
+`classify_pair` sorts a prenilpotent pair that is not classically
+prenilpotent into one of the cases 1-7 of the paper's argument.  Each case's
+auxiliary roots x, y satisfy c x + y = beta, and their projections pass a test
+on (alpha, x, y); `_WITNESS_CASES` holds (c, test) per case, and one search
+reads it.
 """
 
 from __future__ import annotations
@@ -14,8 +20,6 @@ from typing import NamedTuple
 
 from . import diagrams
 from .diagrams import DiagramClass, GeneralizedCartanMatrix
-
-_CLOSURE_CAP = 1200
 
 
 class AffineRoot(NamedTuple):
@@ -204,6 +208,11 @@ def enumerate_finite_roots(a: GeneralizedCartanMatrix, family: str | None = None
     """All roots as the closure of the simple roots under simple reflections."""
     n = a.rank
     d = _symmetrizer(a)
+    # no finite system of rank n has more roots.  An irreducible one of rank k
+    # has at most 2 k^2 + 14 k: A_k to D_k have at most 2 k^2, and E_6, E_7,
+    # E_8, F_4, G_2 have 72, 126, 240, 48, 12 (E_8 meets the bound).  The
+    # bound adds up over the components of a reducible system.
+    cap = 2 * n * n + 14 * n
     simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     roots = set(simples)
     frontier = list(simples)
@@ -218,7 +227,7 @@ def enumerate_finite_roots(a: GeneralizedCartanMatrix, family: str | None = None
                 if img not in roots:
                     roots.add(img)
                     nxt.append(img)
-        if len(roots) > _CLOSURE_CAP:
+        if len(roots) > cap:
             raise ValueError("reflection closure did not stay finite; not finite type")
         frontier = nxt
     roots |= {tuple(-c for c in r) for r in roots}
@@ -423,40 +432,99 @@ def classify_pair(ars: AffineRootSystem, a: AffineRoot, b: AffineRoot) -> PairCl
     if q[0] < 0:
         return PairClassification("not-prenilpotent")
     family = ars.cls.family
+    length = ars.finite.length_class(a.coords)
+    alpha, beta = a, b
     if q != (1, 1):
         if family != "BC":
             raise ValueError("proportional non-equal projections need BC type")
-        alpha, beta = (a, b) if q == (2, 1) else (b, a)
-        return PairClassification("nonclassical", 5, _witness(ars, _witness_case2, alpha, beta))
-    length = ars.finite.length_class(a.coords)
-    if family in ("A", "D", "E"):
+        case = 5
+        if q != (2, 1):  # beta projects to twice alpha
+            alpha, beta = b, a
+    elif family in ("A", "D", "E"):
         if family == "A" and ars.finite.rank < 2:
             raise ValueError("case analysis needs affine rank >= 3 or BC type")
-        return PairClassification("nonclassical", 1, _witness(ars, _witness_case1, a, b))
-    if family == "G":
-        if length == "long":
-            return PairClassification("nonclassical", 1, _witness(ars, _witness_case1, a, b))
-        return PairClassification("nonclassical", 4, _witness(ars, _witness_case4, a, b))
-    if family in ("B", "C", "F"):
-        if length == "long":
-            return PairClassification("nonclassical", 2, _witness(ars, _witness_case2, a, b))
-        return PairClassification("nonclassical", 3, _witness(ars, _witness_case3, a, b))
-    if family == "BC":
-        if length == "long":
-            return PairClassification("nonclassical", 2, _witness(ars, _witness_case2, a, b))
-        if length == "middling":
-            return PairClassification("nonclassical", 3, _witness(ars, _witness_case3, a, b))
+        case = 1
+    elif family == "G":
+        case = 1 if length == "long" else 4
+    elif family in ("B", "C", "F") or (family == "BC" and length != "short"):
+        case = 2 if length == "long" else 3
+    elif family == "BC":
         case = 6 if ars.combine(1, a, 1, b) in ars else 7
-        return PairClassification("nonclassical", case, _witness(ars, _witness_case67, a, b))
-    raise ValueError(f"unsupported family {family!r}")
+    else:
+        raise ValueError(f"unsupported family {family!r}")
+    return PairClassification("nonclassical", case, _witnesses(ars, case, alpha, beta))
 
 
-def _witness(ars, finder, a, b):
-    """Auxiliary roots for a case, or None when the finite part is too small
-    to host the configuration (only the rank-one BC tower)."""
-    if ars.finite.rank < 2:
+def _avoids(phi, abar, *xbars) -> bool:
+    """Whether alpha + x is a root for none of the given x."""
+    return all(_vec_add(abar, xbar) not in phi for xbar in xbars)
+
+
+def _case1(phi, abar, xbar, ybar) -> bool:
+    """x = gamma not proportional to alpha, y = delta."""
+    return _proportionality(xbar, abar) is None and _avoids(phi, abar, xbar, ybar)
+
+
+def _case2(phi, abar, xbar, ybar) -> bool:
+    """x = sigma, y = lambda with sigma + lambda a root."""
+    x_y = _vec_add(xbar, ybar)
+    return x_y in phi and _avoids(phi, abar, xbar, ybar, x_y)
+
+
+def _case3(phi, abar, xbar, ybar) -> bool:
+    """x = sigma, y = lambda inside a B_2 configuration, with the
+    alpha-interactions limited to the sigma direction."""
+    two_x_y = _vec_add(_vec_scale(2, xbar), ybar)
+    return two_x_y in phi and _avoids(phi, abar, ybar, two_x_y)
+
+
+def _case4(phi, abar, xbar, ybar) -> bool:
+    """x = sigma short and y = lambda long in G_2."""
+    return phi.length_class(xbar) == "short" and phi.length_class(ybar) == "long"
+
+
+def _case6(phi, abar, xbar, ybar) -> bool:
+    """x = sigma, y = mu with alpha + sigma the only alpha-interaction."""
+    two_x = _vec_scale(2, xbar)
+    two_x_y = _vec_add(two_x, ybar)
+    return (
+        two_x_y in phi
+        and _vec_add(abar, xbar) in phi
+        and _avoids(phi, abar, ybar, two_x, two_x_y)
+    )
+
+
+# case -> (c, test): the witnesses x, y of a case satisfy c x + y = beta, and
+# their projections pass test(phi, alpha, x, y).  Case 5 is case 2 and case 7
+# is case 6 with other roots; cases 6 and 7 report the witnesses as (y, x).
+_WITNESS_CASES = {
+    1: (1, _case1),
+    2: (2, _case2),
+    3: (1, _case3),
+    4: (1, _case4),
+    5: (2, _case2),
+    6: (1, _case6),
+    7: (1, _case6),
+}
+
+
+def _witnesses(ars, case: int, alpha: AffineRoot, beta: AffineRoot):
+    """The auxiliary roots of a case, or None when the finite part is too
+    small to host the configuration (only the rank-one BC tower)."""
+    phi = ars.finite
+    if phi.rank < 2:
         return None
-    return finder(ars, a, b)
+    c, test = _WITNESS_CASES[case]
+    for xbar in phi.roots:
+        ybar = _vec_sub(beta.coords, _vec_scale(c, xbar))
+        if ybar not in phi or not test(phi, alpha.coords, xbar, ybar):
+            continue
+        try:
+            x, y = _lift(ars, beta, xbar, ybar, c)
+        except ValueError:
+            continue
+        return (y, x) if case in (6, 7) else (x, y)
+    raise ValueError(f"no case-{case} witness found")
 
 
 def _levels(bound: int):
@@ -488,113 +556,6 @@ def _lift(ars, beta: AffineRoot, xbar, ybar, cx: int):
         if x in ars:
             return x, y
     raise ValueError("no lift found (level span exhausted)")
-
-
-def _witness_case1(ars, alpha, beta):
-    phi = ars.finite
-    abar = alpha.coords
-    for gbar in phi.roots:
-        dbar = _vec_sub(beta.coords, gbar)
-        if dbar not in phi:
-            continue
-        if _proportionality(gbar, abar) is not None:
-            continue
-        if _vec_add(abar, gbar) in phi or _vec_add(abar, dbar) in phi:
-            continue
-        try:
-            return _lift(ars, beta, gbar, dbar, 1)
-        except ValueError:
-            continue
-    raise ValueError("no case-1 witness found")
-
-
-def _witness_case2(ars, alpha, beta):
-    """Cases 2 and 5: beta = 2*sigma + lambda with sigma + lambda a root, and
-    alpha + x a root for none of x = sigma, lambda, sigma + lambda."""
-    phi = ars.finite
-    abar = alpha.coords
-    for sbar in phi.roots:
-        lbar = _vec_sub(beta.coords, _vec_scale(2, sbar))
-        if lbar not in phi:
-            continue
-        if _vec_add(sbar, lbar) not in phi:
-            continue
-        bad = (
-            _vec_add(abar, sbar) in phi
-            or _vec_add(abar, lbar) in phi
-            or _vec_add(abar, _vec_add(sbar, lbar)) in phi
-        )
-        if bad:
-            continue
-        try:
-            return _lift(ars, beta, sbar, lbar, 2)
-        except ValueError:
-            continue
-    raise ValueError("no case-2 or case-5 witness found")
-
-
-def _witness_case3(ars, alpha, beta):
-    """Case 3: sigma + lambda = beta inside a B_2 configuration, with the
-    alpha-interactions limited to the sigma direction."""
-    phi = ars.finite
-    abar = alpha.coords
-    for sbar in phi.roots:
-        lbar = _vec_sub(beta.coords, sbar)
-        if lbar not in phi:
-            continue
-        if _vec_add(_vec_scale(2, sbar), lbar) not in phi:
-            continue
-        if _vec_add(abar, lbar) in phi:
-            continue
-        if _vec_add(abar, _vec_add(_vec_scale(2, sbar), lbar)) in phi:
-            continue
-        try:
-            return _lift(ars, beta, sbar, lbar, 1)
-        except ValueError:
-            continue
-    raise ValueError("no case-3 witness found")
-
-
-def _witness_case4(ars, alpha, beta):
-    """Case 4: beta = sigma + lambda with sigma short and lambda long in G_2."""
-    phi = ars.finite
-    for sbar in phi.roots:
-        if phi.length_class(sbar) != "short":
-            continue
-        lbar = _vec_sub(beta.coords, sbar)
-        if lbar not in phi or phi.length_class(lbar) != "long":
-            continue
-        try:
-            return _lift(ars, beta, sbar, lbar, 1)
-        except ValueError:
-            continue
-    raise ValueError("no case-4 witness found")
-
-
-def _witness_case67(ars, alpha, beta):
-    phi = ars.finite
-    abar = alpha.coords
-    for sbar in phi.roots:
-        mbar = _vec_sub(beta.coords, sbar)
-        if mbar not in phi:
-            continue
-        if _vec_add(_vec_scale(2, sbar), mbar) not in phi:
-            continue
-        if _vec_add(abar, sbar) not in phi:
-            continue
-        bad = (
-            _vec_add(abar, mbar) in phi
-            or _vec_add(abar, _vec_scale(2, sbar)) in phi
-            or _vec_add(abar, _vec_add(_vec_scale(2, sbar), mbar)) in phi
-        )
-        if bad:
-            continue
-        try:
-            mu_sigma = _lift(ars, beta, sbar, mbar, 1)
-            return mu_sigma[1], mu_sigma[0]  # report as (mu, sigma)
-        except ValueError:
-            continue
-    raise ValueError("no case-6/7 witness found")
 
 
 # --------------------------------------------------------------------------

@@ -416,7 +416,10 @@ def _outcome(search, tables, targets):
 
 def _case_problem(case_id):
     """The raw affine tables and displayed targets of an untwisted case."""
-    ars, basis, *_, targets, _, _ = K._case_untwisted(case_id)
+    case = K.CASES[case_id]
+    ars, root = K._resolve_roots(case)
+    basis = C.build_chevalley_basis(ars.finite)
+    targets = K._resolve_relations(root, case.relations)
     tables = {
         (a, b): K._chevalley_affine_table(ars, basis, a, b, [g for g, _, _ in want])
         for (a, b), want in targets.items()

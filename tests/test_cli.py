@@ -35,6 +35,19 @@ def test_labels_above_rank_12(capsys):
     assert len(json.loads(out)) == 182
 
 
+@pytest.mark.parametrize("label", ["A~35", "B~25", "C~25", "D~26"])
+def test_labels_with_more_than_1200_finite_roots(capsys, label):
+    code, out, _ = run(capsys, "classify", "--diagram", label)
+    assert code == 0
+    assert json.loads(out)["label"] == label
+
+
+def test_constants_of_a_finite_type_with_more_than_1200_roots(capsys):
+    code, out, _ = run(capsys, "constants", "--diagram", "A35")
+    assert code == 0
+    assert out.startswith("N ")
+
+
 def test_names(capsys):
     code, out, _ = run(capsys, "names", "--diagram", "G~2^0mod3")
     assert code == 0

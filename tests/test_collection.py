@@ -233,20 +233,26 @@ def test_forbidden_pair_is_never_tabulated():
             cfg.nrs.commutator_word(cfg.alpha, T, cfg.beta, U)
 
 
+def _untwisted_case(case_id):
+    """An untwisted case's system, finite basis, roots by name in collection
+    order, and displayed relations over the roots."""
+    case = C.CASES[case_id]
+    ars, root = C._resolve_roots(case)
+    basis = C.case_configuration(case_id).finite_basis
+    return ars, basis, root, C._resolve_relations(root, case.relations)
+
+
 def test_case4_orientation_pins_epsilons():
     # every sign solution reaching the three displayed relations leaves the
     # two remaining constants at +3 and +1 (the argument's conclusion)
-    ars, basis, alpha, beta, decomp, names, targets, _, eps_pairs = C._case_untwisted(4)
+    ars, basis, root, targets = _untwisted_case(4)
+    excluded = frozenset({frozenset((root["alpha"], root["beta"]))})
     solutions = C._solve_display_orientation(ars, basis, targets)
     assert solutions
     for signs in solutions:
-        tables = C._untwisted_tables(
-            ars, basis, decomp, signs, {}, frozenset({frozenset((alpha, beta))})
-        )
-        s_pair = tuple(sorted(eps_pairs["eps"], key=lambda r: (sum(decomp[r]), decomp[r])))
-        l_pair = tuple(sorted(eps_pairs["eps_prime"], key=lambda r: (sum(decomp[r]), decomp[r])))
-        assert [n for _, n, _ in tables[s_pair]] == [3]
-        assert [n for _, n, _ in tables[l_pair]] == [1]
+        tables = C._untwisted_tables(ars, basis, tuple(root.values()), signs, excluded)
+        assert [n for _, n, _ in tables[root["sigma"], root["alpha+sigma"]]] == [3]
+        assert [n for _, n, _ in tables[root["lambda"], root["alpha+2*sigma"]]] == [1]
 
 
 def test_normal_product_validation():
@@ -273,7 +279,7 @@ def test_sign_parameters_rejected_outside_case4():
 def test_display_orientation_rejects_unreachable_target():
     # case 2 displays [x_sigma(t), x_lambda(u)] = x_{s+l}(-tu) x_{2s+l}(t^2 u);
     # magnitude 2 on the second factor is out of reach of any sign choice
-    ars, basis, *_, targets, _, _ = C._case_untwisted(2)
+    ars, basis, _, targets = _untwisted_case(2)
     assert C._solve_display_orientation(ars, basis, targets)
     ((pair, (first, (g, n, ij))),) = targets.items()
     assert abs(n) == 1
@@ -403,7 +409,7 @@ def test_associativity_check_collects_each_word_once(monkeypatch):
 def test_a_non_associative_configuration_is_refused(monkeypatch):
     monkeypatch.setattr(C, "_associative", lambda nrs, probe_exclude: False)
     with pytest.raises(C.ConfigurationError, match="case 5: collection is not associative"):
-        C._case_config_twisted(5)
+        C.case_configuration.__wrapped__(5)
 
 
 CONFIGURATIONS = [(c, 1, 1) for c in C.CASE_IDS] + [(4, 1, -1), (4, -1, 1), (4, -1, -1)]

@@ -105,6 +105,11 @@ RECORDS = {
         lambda: C.replay_case(4, 1, -1),
         ("nrs", "factors"),
     ),
+    "CaseDeclaration": (
+        lambda: C.CaseDeclaration(*C.CASES[6]),
+        lambda: C.CaseDeclaration(*C.CASES[7]),
+        C.CaseDeclaration._fields,
+    ),
     "CaseData": (
         # the expansions hold lambdas, so equal cases share their fields
         lambda: C.CaseData(*C.case_configuration(1)),

@@ -123,6 +123,37 @@ def test_nonfinite_type_rejected():
         R.enumerate_finite_roots(D.gcm([[2, -2], [-2, 2]]))
 
 
+def _direct_sum(a, b):
+    zeros = [0] * b.rank
+    return D.gcm([list(row) + zeros for row in a.rows] + [[0] * a.rank + list(row) for row in b.rows])
+
+
+@pytest.mark.parametrize(
+    "matrix,count",
+    [
+        # above a fixed cap of 1,200 roots
+        (D.finite_cartan("A", 35), 1260),
+        (D.finite_cartan("B", 25), 1250),
+        (D.finite_cartan("C", 25), 1250),
+        (D.finite_cartan("D", 26), 1300),
+        (D.finite_cartan("E", 8), 240),
+        (D.finite_cartan("F", 4), 48),
+        (D.finite_cartan("G", 2), 12),
+        # reducible: more roots than 2 n^2 and than 240
+        (_direct_sum(D.finite_cartan("E", 8), D.finite_cartan("A", 1)), 242),
+    ],
+    ids=["A35", "B25", "C25", "D26", "E8", "F4", "G2", "E8+A1"],
+)
+def test_closure_bound_admits_every_finite_type(matrix, count):
+    assert len(R.enumerate_finite_roots(matrix).roots) == count
+
+
+@pytest.mark.parametrize("label", ["A~3", "G~2", "E~8"])
+def test_affine_matrices_are_not_finite_type(label):
+    with pytest.raises(ValueError, match="not finite type"):
+        R.enumerate_finite_roots(D.affine_cartan(D.parse_label(label)))
+
+
 def brute_force_real_roots(ars, bound):
     # independent oracle straight from the membership rule: pairs
     # (finite root, m) with the superscript condition on long roots
@@ -366,34 +397,49 @@ def test_weyl_search_agrees_with_geometric():
 
 
 def test_witnesses_satisfy_case_recipes():
-    # witnesses must be roots, sum correctly, and avoid the alpha-interactions
-    systems = [R.affine_system(x) for x in ("A~2", "B~2", "BC~2^odd", "G~2^0mod3", "C~3")]
-    for ars in systems:
-        for a in R.real_roots_up_to_level(ars, 2):
-            for b in R.real_roots_up_to_level(ars, 2):
+    # witnesses are roots that add up to beta as their case says, and their
+    # projections meet the case's conditions, among them which sums with
+    # alpha are roots (the alpha-interactions the argument avoids)
+    def plus(*vectors):
+        return tuple(map(sum, zip(*vectors)))
+
+    seen = set()
+    for label in ("A~2", "A~3", "B~2", "BC~2^odd", "G~2", "G~2^0mod3", "C~3"):
+        ars = R.affine_system(label)
+        phi = ars.finite
+        roots = R.real_roots_up_to_level(ars, 2)
+        for a in roots:
+            for b in roots:
                 c = R.classify_pair(ars, a, b)
                 if c.kind != "nonclassical":
                     continue
+                seen.add(c.case)
                 w1, w2 = c.witnesses
                 assert w1 in ars and w2 in ars
-                if c.case in (1, 3, 4):
-                    combo = [1, 1]
-                elif c.case == 2:
-                    combo = [2, 1]
-                elif c.case == 5:
-                    combo = [2, 1]
-                else:  # 6, 7: reported as (mu, sigma) with mu + sigma = beta
-                    combo = [1, 1]
-                total = tuple(
-                    combo[0] * x + combo[1] * y for x, y in zip(w1.coords, w2.coords)
-                )
-                lvl = combo[0] * w1.level + combo[1] * w2.level
-                beta = b if c.case != 5 or ars.finite.norm(b.coords) > ars.finite.norm(a.coords) else a
-                if c.case in (2, 5):
-                    # (sigma, lambda) with beta = lambda + 2 sigma
-                    assert total == beta.coords and lvl == beta.level
-                else:
-                    assert total == beta.coords and lvl == beta.level
+                # case 5 takes alpha to be the shorter root of the pair
+                alpha, beta = (a, b) if phi.norm(b.coords) >= phi.norm(a.coords) else (b, a)
+                al, x, y = alpha.coords, w1.coords, w2.coords
+                if c.case == 1:  # (gamma, delta), in a reduced system
+                    assert ars.combine(1, w1, 1, w2) == beta
+                    assert x not in (al, tuple(-v for v in al))
+                    assert plus(al, x) not in phi and plus(al, y) not in phi
+                elif c.case in (2, 5):  # (sigma, lambda)
+                    assert ars.combine(2, w1, 1, w2) == beta
+                    assert plus(x, y) in phi
+                    assert all(plus(al, v) not in phi for v in (x, y, plus(x, y)))
+                elif c.case == 3:  # (sigma, lambda)
+                    assert ars.combine(1, w1, 1, w2) == beta
+                    assert plus(x, x, y) in phi
+                    assert all(plus(al, v) not in phi for v in (y, plus(x, x, y)))
+                elif c.case == 4:  # (sigma, lambda)
+                    assert ars.combine(1, w1, 1, w2) == beta
+                    assert phi.length_class(x) == "short" and phi.length_class(y) == "long"
+                else:  # 6 and 7: (mu, sigma)
+                    assert c.case in (6, 7)
+                    assert ars.combine(1, w1, 1, w2) == beta
+                    assert plus(y, y, x) in phi and plus(al, y) in phi
+                    assert all(plus(al, v) not in phi for v in (x, plus(y, y), plus(y, y, x)))
+    assert seen == {1, 2, 3, 4, 5, 6, 7}
 
 
 def test_root_json():
