@@ -32,7 +32,10 @@ only a schema whose values differ has its instances enumerated and decided
 by plain products.  A leading htilde_i(p) or S_i S_i and a trailing
 htilde_i(p)^-1 or S_i^-1 S_i^-1 are kept by the packing under their letters,
 so the conjugators of the torus-action and s2 families are multiplied out
-once per node, not once per (i, j).
+once per node, not once per (i, j).  They are torus elements, diagonal with
+one term per row, so only the letters between them are multiplied out, and
+the kept head scales the rows of that product and the kept tail its columns
+(_scaled), each in one pass.
 
 The Weyl and torus actions on root groups are proved on the coefficients of
 u, by conjugating divided powers entry by entry (see verify_morita_rehmann).
@@ -41,11 +44,13 @@ level bound.  t is central in the Laurent matrix ring, so conjugating
 t^(k m) D_k is conjugating D_k and shifting every degree by k m; the verdict
 of (beta, m) is that of (beta, 0) against the image shifted down by m.  It
 depends only on beta, the image's finite root, the image's level offset and
-the candidates (coefficient, packed degree shift), and each such key is
-proved once per conjugator.  The torus action is proved once per node, with
+the candidate coefficients, and each such key is proved once per
+conjugator.  The torus action is proved once per node, with
 the formal htilde_i(r) kept by the packing as the conjugator: it is diagonal
 over (Z/n)[r^(+-1)], and r^<alpha_i^vee, beta> is a shift of the packed
-degree, so no unit is ever substituted unless that proof fails.  The term
+degree, so no unit is ever substituted unless that proof fails.  Being
+diagonal, it is proved on its diagonal and that of its inverse, entry by
+entry of each D_k, with no conjugate built (_torus_proven).  The term
 dicts c^k t^(k m) D_k of each (root, candidate) are built once per model.
 
 The root group of (beta, m) goes to exp(u t^m ad e_beta), a quotient by a
@@ -123,10 +128,37 @@ class LoopMatrix:
     def is_diagonal(self) -> bool:
         return all(row == col and degree == 0 for row, col, degree in self.entries)
 
+    @cached_property
+    def _diagonal(self) -> dict | None:
+        """row -> (degree, value) when every entry is on the diagonal and no
+        row has two, else None.  Rows without an entry are zero rows."""
+        diagonal: dict = {}
+        for (row, col, degree), value in self.entries.items():
+            if row != col or row in diagonal:
+                return None
+            diagonal[row] = degree, value
+        return diagonal
+
 
 def _reduced(sums: dict, n: int) -> dict:
     """The entries of sums reduced mod n, zeros dropped."""
     return {key: value for key, total in sums.items() if (value := total % n)}
+
+
+def _scaled(g: LoopMatrix, m: LoopMatrix, left: bool) -> LoopMatrix:
+    """g m if left, else m g.  For g diagonal with one term c t^d per row,
+    g m scales row i of m by c_i t^(d_i) and m g scales its column i, in one
+    pass that drops the entries c_i v = 0 mod n; any other g is multiplied."""
+    diagonal = g._diagonal
+    if diagonal is None:
+        return g * m if left else m * g
+    n, side, entries = m.n, 0 if left else 1, {}
+    for key, value in m.entries.items():
+        scale = diagonal.get(key[side])
+        if scale is not None and (v := scale[1] * value % n):
+            row, col, degree = key
+            entries[row, col, degree + scale[0]] = v
+    return LoopMatrix(entries, n, m.dim)
 
 
 @lru_cache(maxsize=None)
@@ -169,10 +201,10 @@ class LoopModel:
         simples = R.simple_affine_roots(ars)
         self.simple_of_node = {i: simples[node_map[i]] for i in range(a.rank)}
         self._powers_cache: dict = {}
-        self._terms_cache: dict = {}  # (root, c mod n, shift) -> _graded_terms
+        self._terms_cache: dict = {}  # (root, c mod n) -> _graded_terms
         self._s_cache: dict = {}
         self._x_cache: dict = {}
-        self._degrees: dict = {}  # node -> _letter_degrees
+        self._box_shares: dict = {}  # generator -> _box_share
         self._packing = _Packing(0, 0)  # widened by _cover
 
     # -- elementary matrices ------------------------------------------------
@@ -228,18 +260,26 @@ class LoopModel:
             self._s_cache[key] = cached
         return cached
 
-    def _letter_degrees(self, i: int) -> tuple:
-        """(kmax, |m|) for node i, kmax the largest k with D_k != 0 mod n at
-        its simple root (beta, m) or at (-beta, -m): X_i(u) has t-degrees
-        k m with k <= kmax, and S_i, a product of three root elements, at
-        most 3 kmax |m|."""
-        cached = self._degrees.get(i)
+    def _box_share(self, gen: presentation.Generator) -> tuple:
+        """(d, e) for a letter of gen, of either sign: d bounds its |z-degree|
+        and e the |exponent| of any variable in its entries (see _box).  With
+        kmax the largest k with D_k != 0 mod n at the node's simple root
+        (beta, m) or at (-beta, -m), X_i(u) has z-degrees k m with k <= kmax,
+        and S_i, a product of three root elements, at most 3 kmax |m|; a
+        formal X_i(p) has e = kmax times the largest |exponent| in p.  Kept
+        on the model, per generator."""
+        cached = self._box_shares.get(gen)
         if cached is None:
-            root = self.simple_of_node[i]
+            root = self.simple_of_node[gen.node]
             neg = tuple(-x for x in root.coords)
             kmax = max(k for coords in (root.coords, neg)
                        for k, _ in ((0, ()), *self._divided_powers(coords)))
-            cached = self._degrees[i] = kmax, abs(root.level)
+            top = 0
+            if gen.kind == "X" and gen.param.desc != self.ring:
+                top = max((abs(x) for exps, _ in _monomials(gen.param, 1) for x in exps),
+                          default=0)
+            cached = self._box_shares[gen] = (
+                kmax * abs(root.level) * (3 if gen.kind == "S" else 1), kmax * top)
         return cached
 
     def s_matrix(self, i: int) -> LoopMatrix:
@@ -353,16 +393,15 @@ def _monomials(p: rings.RingElement, k: int) -> tuple:
 def _box(model: LoopModel, words) -> tuple:
     """(span, top) of a packing box that holds the values of the words: span
     and top sum, over the letters of a word, a bound on the |z-degree| of the
-    letter and on the |exponent| of any variable in p^k for a letter X_i(p)."""
+    letter and on the |exponent| of any variable in p^k for a letter X_i(p)
+    (LoopModel._box_share)."""
     span = top = 0
     for w in words:
         d = e = 0
         for gen, _ in w:
-            kmax, level = model._letter_degrees(gen.node)
-            d += kmax * level * (3 if gen.kind == "S" else 1)
-            if gen.kind == "X" and gen.param.desc != model.ring:
-                e += kmax * max((abs(x) for exps, _ in _monomials(gen.param, 1) for x in exps),
-                                default=0)
+            letter_span, letter_top = model._box_share(gen)
+            d += letter_span
+            e += letter_top
         span, top = max(span, d), max(top, e)
     return span, top
 
@@ -395,16 +434,18 @@ def _kept_length(letters) -> int:
 def _value(model: LoopModel, w) -> LoopMatrix:
     """The packed value of a word, multiplied out letter by letter but for a
     leading htilde_i(p) or S_i S_i and a trailing htilde_i(p)^-1 or
-    S_i^-1 S_i^-1, kept by the packing."""
+    S_i^-1 S_i^-1, kept by the packing: the letters between them are
+    multiplied out, and the kept head and tail, torus elements, scale the
+    rows and the columns of that product (_scaled)."""
     head = _kept_length(w)
     tail = next((k for k in (_H, 2) if len(w) >= head + k
                  and _kept_length(presentation.winv(w[-k:])) == k), 0)
-    factors = [model.letter(gen, exp) for gen, exp in w[head:len(w) - tail]]
+    value = model._times([model.letter(gen, exp) for gen, exp in w[head:len(w) - tail]])
     if head:
-        factors.insert(0, model._kept(w[:head]))
+        value = _scaled(model._kept(w[:head]), value, left=True)
     if tail:
-        factors.append(model._kept(w[-tail:]))
-    return model._times(factors)
+        value = _scaled(model._kept(w[-tail:]), value, left=False)
+    return value
 
 
 def verify_relators(model: LoopModel, relators) -> list:
@@ -510,21 +551,24 @@ def verify_morita_rehmann(model: LoopModel, level_bound: int) -> dict:
 
     The torus check of node i is first proved once for every unit, with the
     formal htilde_i(r) and htilde_i(r)^-1 over (Z/n)[z^(+-1)][r^(+-1)], kept
-    by the packing, as g and g^-1 (_torus_proven): both diagonal with
-    z-digit 0, g g^-1 = I, and g D_k g^-1 = r^(k a) D_k for every finite root
-    beta and every k, a = <alpha_i^vee, beta>, that is D_k with its packed
-    degree shifted by k a stride_r.  Exactness: sending r to a unit is a ring
-    homomorphism and commutes with products, so each identity holds at every
-    unit, for the concrete htilde_i(r), which is then diagonal, and its
-    inverse.  The entries of the formal htilde_i(r)^(+-1) are monomials
-    inside the box of its word, which involves r alone, so they decode
-    uniquely; with z-digit 0 each is c r^e z^0, packed at degree e stride_r.
-    Every compared entry is then in (Z/n)[x^(+-stride_r)], where
-    x^(e stride_r) -> r^e is injective for every e, so no box argument is
-    needed for the conjugates.  When the proof holds, node i adds
-    |units| |roots| passing instances and no concrete htilde_i(r) is
-    evaluated; when it fails, node i is checked unit by unit, as below, and
-    reports the same counterexamples.
+    by the packing, as g and g^-1 (_torus_proven): both diagonal with one
+    term c x^d in each row and z-digit 0, g g^-1 = I, and g D_k g^-1 =
+    r^(k a) D_k for every finite root beta and every k, a = <alpha_i^vee,
+    beta>, that is D_k with its packed degree shifted by k a stride_r.  Both
+    identities are read off the two diagonals, entry by entry of each D_k:
+    g D_k g^-1 has the entry c_row c'_col v at degree d_row + d'_col for an
+    entry v of D_k at (row, col), so no conjugate is built.  Exactness:
+    sending r to a unit is a ring homomorphism and commutes with products,
+    so each identity holds at every unit, for the concrete htilde_i(r),
+    which is then diagonal, and its inverse.  The entries of the formal
+    htilde_i(r)^(+-1) are monomials inside the box of its word, which
+    involves r alone, so they decode uniquely; with z-digit 0 each is
+    c r^e z^0, packed at degree e stride_r.  Every compared entry is then in
+    (Z/n)[x^(+-stride_r)], where x^(e stride_r) -> r^e is injective for
+    every e, so no box argument is needed for the conjugates.  When the
+    proof holds, node i adds |units| |roots| passing instances and no
+    concrete htilde_i(r) is evaluated; when it fails, node i is checked unit
+    by unit, as below, and reports the same counterexamples.
 
     Since t is central, _proven proves each (beta, image root, level offset,
     candidates) once, at level 0, for every level: raising level_bound adds
@@ -545,7 +589,7 @@ def verify_morita_rehmann(model: LoopModel, level_bound: int) -> dict:
         s_inv = model.evaluate_word(presentation.winv(s_word))
         images = [R.reflect(ars, beta, simple) for beta in all_roots]
         proven = _proven(model, s_mat, s_inv, all_roots, images,
-                         [[(c.data, 0) for c in signs]] * len(all_roots))
+                         [[c.data for c in signs]] * len(all_roots))
         for beta, image, ok in zip(all_roots, images, proven):
             ok = ok or _enumerated(model, s_mat, s_inv, beta, image, signs, elements)
             weyl["instances"] += 1
@@ -567,7 +611,7 @@ def verify_morita_rehmann(model: LoopModel, level_bound: int) -> dict:
                 continue
             scales = [rings.power(r, _torus_exponent(model, i, beta)) for beta in all_roots]
             proven = _proven(model, h_mat, h_inv, all_roots, all_roots,
-                             [[(scale.data, 0)] for scale in scales])
+                             [[scale.data] for scale in scales])
             for beta, scale, ok in zip(all_roots, scales, proven):
                 ok = ok or _enumerated(model, h_mat, h_inv, beta, beta, [scale], elements)
                 torus["instances"] += 1
@@ -599,27 +643,43 @@ def _torus_exponent(model: LoopModel, i: int, beta: AffineRoot) -> int:
 
 def _torus_proven(model: LoopModel, i: int, roots) -> bool:
     """Whether the formal htilde_i(r) and its inverse, kept by the model's
-    packing, prove the torus action on every root for every unit r: both
-    diagonal with z-digit 0, and _proven for every root with the candidate
-    (1, <alpha_i^vee, beta> stride_r).  The packing must hold both words."""
+    packing, prove the torus action on every root for every unit r.  Both
+    must be diagonal with one term in each of the dim rows and z-digit 0:
+    c x^d in row j of g, c' x^d' in that of g_inv.  Then g g_inv = I iff
+    d + d' = 0 and c c' = 1 mod n in every row, and g D_k g_inv =
+    x^(k a stride_r) D_k, a = <alpha_i^vee, beta>, iff every entry
+    (row, col, v) of D_k has d_row + d'_col = k a stride_r and
+    (c_row c'_col - 1) v = 0 mod n: the comparison of g D_k g_inv with
+    D_k shifted by k a stride_r, entry by entry, once per finite root.  The
+    packing must hold both words."""
     g, g_inv = (model._kept(w) for w in _formal_htilde(i))
-    # a multiple of the stride of r is a packed degree with z-digit 0
-    stride = model._packing.strides[1]
-    if not all(row == col and degree % stride == 0
-               for m in (g, g_inv) for row, col, degree in m.entries):
+    diagonal, inverse = g._diagonal, g_inv._diagonal
+    if diagonal is None or inverse is None or not len(diagonal) == len(inverse) == model.dim:
         return False
-    candidates = [[(1, _torus_exponent(model, i, beta) * stride)] for beta in roots]
-    return all(_proven(model, g, g_inv, roots, roots, candidates))
+    n, stride = model.n, model._packing.strides[1]
+    # a multiple of the stride of r is a packed degree with z-digit 0
+    if any(d % stride for m in (diagonal, inverse) for d, _ in m.values()):
+        return False
+    if any(d + inverse[row][0] or (c * inverse[row][1] - 1) % n
+           for row, (d, c) in diagonal.items()):
+        return False
+    for beta in {beta.coords: beta for beta in roots}.values():
+        shift = _torus_exponent(model, i, beta) * stride
+        for k, power in model._divided_powers(beta.coords):
+            for row, col, value in power:
+                (d, c), (d_inv, c_inv) = diagonal[row], inverse[col]
+                if d + d_inv != k * shift or (c * c_inv - 1) * value % n:
+                    return False
+    return True
 
 
 def _proven(model: LoopModel, g: LoopMatrix, g_inv: LoopMatrix, roots, images,
             candidates) -> list:
-    """Per root: whether g g_inv = I and, for some candidate (c, shift) of
-    the root, g t^(k m) D_k g_inv = c^k x^(k shift) t^(k m') D'_k for every k,
-    where D_k and D'_k are the divided powers of the root (beta, m) and its
-    image (beta', m'), and x^(k shift) shifts every packed degree by
-    k shift.  t is central, so the left side is t^(k m) g D_k g_inv, and the
-    relation holds exactly when g D_k g_inv = c^k x^(k shift) t^(k delta) D'_k,
+    """Per root: whether g g_inv = I and, for some candidate coefficient c
+    of the root, g t^(k m) D_k g_inv = c^k t^(k m') D'_k for every k, where
+    D_k and D'_k are the divided powers of the root (beta, m) and its image
+    (beta', m').  t is central, so the left side is t^(k m) g D_k g_inv, and
+    the relation holds exactly when g D_k g_inv = c^k t^(k delta) D'_k,
     delta = m' - m.  That depends only on (beta, beta', delta, the
     candidates), so each such key is proved once, at level 0, and its
     verdict holds for every root with that key."""
@@ -633,23 +693,22 @@ def _proven(model: LoopModel, g: LoopMatrix, g_inv: LoopMatrix, roots, images,
             terms = _graded_terms(model, AffineRoot(beta.coords, 0))
             conjugates = {k: _conjugate(g, g_inv, term) for k, term in terms.items()}
             target = AffineRoot(image.coords, delta)
-            verdicts[key] = any(conjugates == _graded_terms(model, target, c, shift)
-                                for c, shift in cs)
+            verdicts[key] = any(conjugates == _graded_terms(model, target, c) for c in cs)
         proven.append(verdicts[key])
     return proven
 
 
-def _graded_terms(model: LoopModel, root: AffineRoot, c: int = 1, shift: int = 0) -> dict:
-    """k -> the entries {(row, col, k (m + shift)): value} of
-    c^k x^(k shift) t^(k m) D_k for the root (beta, m), over the k where
-    c^k D_k is nonzero mod n.  Built once per (root, c mod n, shift) and kept
-    on the model, so callers must not change it."""
-    n, key = model.n, (root, c % model.n, shift)
+def _graded_terms(model: LoopModel, root: AffineRoot, c: int = 1) -> dict:
+    """k -> the entries {(row, col, k m): value} of c^k t^(k m) D_k for the
+    root (beta, m), over the k where c^k D_k is nonzero mod n.  Built once
+    per (root, c mod n) and kept on the model, so callers must not change
+    it."""
+    n, key = model.n, (root, c % model.n)
     terms = model._terms_cache.get(key)
     if terms is None:
         terms = model._terms_cache[key] = {}
         for k, power in model._divided_powers(root.coords):
-            coeff, degree = pow(c, k, n), k * (root.level + shift)
+            coeff, degree = pow(c, k, n), k * root.level
             if term := {(row, col, degree): v for row, col, value in power if (v := coeff * value % n)}:
                 terms[k] = term
     return terms

@@ -504,33 +504,25 @@ def test_proven_keeps_apart_roots_with_other_candidates():
     h, h_inv = model.evaluate_word(h_word), model.evaluate_word(P.winv(h_word))
     coords = model.simple_of_node[i].coords
     roots = [AffineRoot(coords, 0), AffineRoot(coords, 1)]
-    right, wrong = [(rings.power(r, 2).data, 0)], [(1, 0)]
+    right, wrong = [rings.power(r, 2).data], [1]
     assert L._proven(model, h, h_inv, roots, roots, [right, wrong]) == [True, False]
     assert L._proven(model, h, h_inv, roots, roots, [wrong, right]) == [False, True]
-    # the same with the formal htilde_1(r): the scale r^2 is a shift of the
-    # packed degree by twice the stride of r
-    model._cover(L._formal_htilde(i))
-    g, g_inv = (model._kept(w) for w in L._formal_htilde(i))
-    stride = model._packing.strides[1]
-    right, wrong = [(1, 2 * stride)], [(1, stride)]
-    assert L._proven(model, g, g_inv, roots, roots, [right, wrong]) == [True, False]
-    assert L._proven(model, g, g_inv, roots, roots, [wrong, right]) == [False, True]
 
 
 def test_graded_terms_are_built_once_per_model(monkeypatch):
     model = L.build_model("C~2", rings.integers_mod(6))
     graded_terms, returned, calls = L._graded_terms, {}, []
 
-    def recorded(model, root, c=1, shift=0):
-        terms = graded_terms(model, root, c, shift)
-        returned.setdefault((root, c % model.n, shift), []).append(terms)
+    def recorded(model, root, c=1):
+        terms = graded_terms(model, root, c)
+        returned.setdefault((root, c % model.n), []).append(terms)
         calls.append(root)
         return terms
 
     monkeypatch.setattr(L, "_graded_terms", recorded)
     L.verify_morita_rehmann(model, 2)
     L.verify_morita_rehmann(model, 1)
-    # every call for one (root, c mod n, shift) gets the dict built by the first
+    # every call for one (root, c mod n) gets the dict built by the first
     assert all(all(t is seen[0] for t in seen) for seen in returned.values())
     assert len(calls) > len(returned) == len(model._terms_cache)
     root = calls[0]
@@ -559,8 +551,11 @@ def test_correct_inputs_never_reach_the_enumeration(monkeypatch, diagram, n):
 
 
 def test_forced_enumeration_matches_reference_loop(monkeypatch):
+    # neither proof holds: every Weyl root, and every torus root at every
+    # unit, is left to the per-parameter check
     model = L.build_model("A~2", Z7)
     monkeypatch.setattr(L, "_proven", lambda model, g, g_inv, roots, *rest: [False] * len(roots))
+    monkeypatch.setattr(L, "_torus_proven", lambda model, i, roots: False)
     calls = _record_enumerations(monkeypatch)
     report = L.verify_morita_rehmann(model, 1)
     roots = R.real_roots_up_to_level(model.ars, 1)
@@ -610,14 +605,34 @@ def test_a_shifted_torus_exponent_matches_reference_loop(monkeypatch):
     assert report == _reference_morita_rehmann(model, 1, shifted)
 
 
-def _formal_control(monkeypatch, tamper):
+def test_the_torus_proof_reads_every_finite_root(monkeypatch):
+    # the claimed exponent of one finite root at a time moved by one: the
+    # proof fails at every node, whichever root it is
+    model = L.build_model("A~2", Z7)
+    roots = R.real_roots_up_to_level(model.ars, 1)
+    nodes = range(model.gcm.rank)
+    model._cover([w for i in nodes for w in L._formal_htilde(i)])
+    assert all(L._torus_proven(model, i, roots) for i in nodes)
+    exponent = L._torus_exponent
+    for coords in sorted({beta.coords for beta in roots}):
+        monkeypatch.setattr(L, "_torus_exponent", lambda model, i, beta, coords=coords:
+                            exponent(model, i, beta) + (beta.coords == coords))
+        assert not any(L._torus_proven(model, i, roots) for i in nodes)
+
+
+def _formal_control(monkeypatch, tamper, inverse_holds=False):
     """Tamper with the kept formal htilde_0(r) and its inverse of a checked
     A~2 model over Z/7: node 0 alone falls back to the per-unit check, and the
-    report is still the reference loop's."""
+    report is still the reference loop's.  inverse_holds: whether the pair
+    still passes the checks that need no root (one term per row, z-digit 0,
+    g g^-1 = I), so that only the entries of the D_k refute it."""
     model = L.build_model("A~2", Z7)
     assert L.verify_morita_rehmann(model, 1)["all_passed"]
+    assert L._torus_proven(model, 0, [])
     values, words = model._packing.values, L._formal_htilde(0)
     values[words[0]], values[words[1]] = tamper(model, *(values[w] for w in words))
+    assert L._torus_proven(model, 0, []) == inverse_holds
+    assert not L._torus_proven(model, 0, R.real_roots_up_to_level(model.ars, 1))
     fallbacks = _record_concrete_htilde(monkeypatch, model)
     report = L.verify_morita_rehmann(model, 1)
     assert fallbacks == [(0, r) for r in rings.units(Z7)]
@@ -634,8 +649,51 @@ def test_a_bumped_formal_htilde_falls_back_to_the_units(monkeypatch):
     _formal_control(monkeypatch, bumped)
 
 
+@pytest.mark.parametrize("coeff,strides,with_inverse", [
+    pytest.param(3, 0, True, id="coefficient-with-inverse"),
+    pytest.param(1, 1, False, id="degree-alone"),
+    pytest.param(1, 1, True, id="degree-with-inverse"),
+])
+def test_a_rescaled_row_of_the_formal_htilde_falls_back_to_the_units(
+        monkeypatch, coeff, strides, with_inverse):
+    # one diagonal entry of g times coeff and raised by r^strides.  Alone,
+    # g g^-1 is no longer I (a coefficient alone is the bumped control
+    # above).  With that of g^-1 times coeff^-1 mod 7 and lowered as much,
+    # g g^-1 = I still holds, so only the check on the entries of each D_k
+    # tells the pair from htilde_0(r)^(+-1)
+    def rescaled(model, g, g_inv):
+        row, degree = g.dim - 1, strides * model._packing.strides[1]
+        g = _rescaled_row(g, row, coeff, degree)
+        if with_inverse:
+            g_inv = _rescaled_row(g_inv, row, pow(coeff, -1, 7), -degree)
+        assert (g * g_inv).is_identity() == with_inverse
+        return g, g_inv
+
+    _formal_control(monkeypatch, rescaled, inverse_holds=with_inverse)
+
+
+def _rescaled_row(m, row, coeff, degree):
+    """m with the one entry of its row times coeff and raised by degree."""
+    entries = dict(m.entries)
+    ((key, value),) = [(k, v) for k, v in entries.items() if k[0] == row]
+    del entries[key]
+    entries[row, key[1], key[2] + degree] = value * coeff % m.n
+    return L.LoopMatrix(entries, m.n, m.dim)
+
+
 def test_an_off_diagonal_formal_htilde_falls_back_to_the_units(monkeypatch):
     _formal_control(monkeypatch, lambda model, g, g_inv: (_bumped(g, (0, 1, 0)), g_inv))
+
+
+def test_a_formal_htilde_with_a_zero_row_falls_back_to_the_units(monkeypatch):
+    # the last diagonal entry dropped from g: g has a zero row, so the rows
+    # left are one term each, but g g^-1 is not I
+    def dropped(model, g, g_inv):
+        row = g.dim - 1
+        entries = {key: v for key, v in g.entries.items() if key[0] != row}
+        return L.LoopMatrix(entries, g.n, g.dim), g_inv
+
+    _formal_control(monkeypatch, dropped)
 
 
 def test_a_formal_htilde_off_by_a_power_of_z_falls_back_to_the_units(monkeypatch):
@@ -645,13 +703,12 @@ def test_a_formal_htilde_off_by_a_power_of_z_falls_back_to_the_units(monkeypatch
     def moved(model, g, g_inv):
         up, down = ({(row, col, degree + d): v for (row, col, degree), v in m.entries.items()}
                     for m, d in ((g, 1), (g_inv, -1)))
-        g, g_inv = L.LoopMatrix(up, g.n, g.dim), L.LoopMatrix(down, g.n, g.dim)
-        assert (g * g_inv).is_identity()
-        roots = R.real_roots_up_to_level(model.ars, 1)
-        stride = model._packing.strides[1]
-        candidates = [[(1, L._torus_exponent(model, 0, beta) * stride)] for beta in roots]
-        assert all(L._proven(model, g, g_inv, roots, roots, candidates))
-        return g, g_inv
+        pair = L.LoopMatrix(up, g.n, g.dim), L.LoopMatrix(down, g.n, g.dim)
+        assert (pair[0] * pair[1]).is_identity()
+        for beta in R.real_roots_up_to_level(model.ars, 1):
+            for term in L._graded_terms(model, beta).values():
+                assert L._conjugate(*pair, term) == L._conjugate(g, g_inv, term)
+        return pair
 
     _formal_control(monkeypatch, moved)
 
@@ -710,6 +767,27 @@ def _bumped(m, key):
     if not entries[key]:
         del entries[key]
     return L.LoopMatrix(entries, m.n, m.dim)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_scaling_by_a_diagonal_matches_the_product(n):
+    # zero divisors among the scales (c v = 0 mod n drops an entry), zero
+    # rows, and two factors that are not one term per row, which are
+    # multiplied instead
+    rng, dim = random.Random(n), 6
+    m = L.LoopMatrix({(rng.randrange(dim), rng.randrange(dim), rng.randrange(-2, 3)):
+                      rng.randrange(1, n) for _ in range(30)}, n, dim)
+    diagonal = L.LoopMatrix({(i, i, rng.randrange(-2, 3)): rng.randrange(1, n)
+                             for i in range(dim) if i != 2}, n, dim)
+    dropping = L.LoopMatrix({(i, i, 1): n // 2 for i in range(dim)}, n, dim)
+    off = L.LoopMatrix({**diagonal.entries, (0, 1, 0): 1}, n, dim)
+    twice = L.LoopMatrix({**diagonal.entries, (0, 0, 7): 1}, n, dim)
+    assert diagonal._diagonal is not None and dropping._diagonal is not None
+    assert off._diagonal is None and twice._diagonal is None
+    for g in (diagonal, dropping, off, twice, L.identity_matrix(n, dim)):
+        assert L._scaled(g, m, left=True) == g * m
+        assert L._scaled(g, m, left=False) == m * g
+    assert len((dropping * m).entries) < len(m.entries)
 
 
 def test_sparse_conjugation_is_exact_at_the_int64_bound():
