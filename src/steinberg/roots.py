@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache
-from operator import add, sub
+from operator import add, mul, sub
 from typing import NamedTuple
 
 from . import diagrams
@@ -57,7 +57,9 @@ class FiniteRootSystem:
         d: tuple[int, ...],
         nonreduced: bool = False,
     ):
-        self.__dict__.update(cartan=cartan, family=family, roots=roots, d=d, nonreduced=nonreduced)
+        # _coroot_rows: root coords -> (<x^vee, alpha_j>)_j, filled by pairing
+        self.__dict__.update(cartan=cartan, family=family, roots=roots, d=d,
+                             nonreduced=nonreduced, _coroot_rows={})
 
     def _key(self) -> tuple:
         return self.cartan, self.family, self.roots, self.d, self.nonreduced
@@ -129,7 +131,20 @@ class FiniteRootSystem:
         return norm if norm is not None else self.form(x, x)
 
     def pairing(self, x, y) -> int:
-        """<x^vee, y> = 2 (x,y) / (x,x); always an integer for roots x."""
+        """<x^vee, y> = 2 (x,y) / (x,x); always an integer for roots x.
+
+        For a root x this is sum_j y_j <x^vee, alpha_j>, from the row of x,
+        kept once it is first used; any other x divides the form."""
+        x = tuple(x)
+        row = self._coroot_rows.get(x)
+        if row is None:
+            if x not in self._length_of:
+                return self._divided_pairing(x, y)
+            row = self._coroot_rows[x] = tuple(
+                self._divided_pairing(x, self.simple(j)) for j in range(self.rank))
+        return sum(map(mul, y, row))
+
+    def _divided_pairing(self, x, y) -> int:
         value, remainder = divmod(2 * self.form(x, y), self.norm(x))
         if remainder:
             raise ValueError(f"non-integral pairing of {x} and {y}")

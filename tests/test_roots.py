@@ -93,6 +93,23 @@ def test_pairing_rejects_non_integral_pair():
         a2.pairing((2, 0), (0, 1))
 
 
+def test_pairing_matches_the_divided_form_on_every_catalog_pair():
+    # the kept row of each root against 2 (x, y) / (x, x), with x as a list
+    # on the first use and as a tuple after; BC_n comes with the affine ones
+    systems = [
+        R.enumerate_finite_roots(matrix, cls.family)
+        for cls, matrix in D.catalog(8) if cls.kind == "finite"
+    ]
+    systems += [R.affine_system(cls).finite for cls, _ in D.catalog(8) if cls.is_affine]
+    assert any(phi.nonreduced for phi in systems)
+    for phi in systems:
+        for x in phi.roots:
+            for y in phi.roots:
+                value, remainder = divmod(2 * phi.form(x, y), phi.norm(x))
+                assert remainder == 0
+                assert phi.pairing(list(x), y) == phi.pairing(x, y) == value
+
+
 def _symmetrizes(d, a) -> bool:
     return all(d[i] * a.rows[i][j] == d[j] * a.rows[j][i]
                for i in range(a.rank) for j in range(a.rank))
