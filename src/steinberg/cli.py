@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 from . import diagrams, rings
 
@@ -203,75 +204,48 @@ def _cmd_hypotheses(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="steinberg",
-        description="Affine Steinberg/Kac-Moody presentations: roots, constants, "
-        "relation files and exact verification.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _common(p, diagram=True, ring=False, level=False):
+    if diagram:
+        p.add_argument("--diagram", required=True,
+                       help="family label (A~2, BC~3^odd, B3, ...) or matrix file")
+    if ring:
+        p.add_argument("--ring", required=True,
+                       help="ring descriptor (Z, Z/5, GF(7), Z[t,u], Z/5[t^+-1])")
+    if level:
+        p.add_argument("--level-bound", type=int, default=2)
+    p.add_argument("--out", help="write output to a file instead of stdout")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker budget; outputs never depend on it")
 
-    def common(p, diagram=True, ring=False, level=False):
-        if diagram:
-            p.add_argument("--diagram", required=True,
-                           help="family label (A~2, BC~3^odd, B3, ...) or matrix file")
-        if ring:
-            p.add_argument("--ring", required=True,
-                           help="ring descriptor (Z, Z/5, GF(7), Z[t,u], Z/5[t^+-1])")
-        if level:
-            p.add_argument("--level-bound", type=int, default=2)
-        p.add_argument("--out", help="write output to a file instead of stdout")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker budget; outputs never depend on it")
 
-    p = sub.add_parser("classify", help="recognize a diagram")
-    common(p)
-    p.set_defaults(fn=_cmd_classify)
-
-    p = sub.add_parser("names", help="Moody-Pianzola and Kac names of an affine label")
-    common(p)
-    p.set_defaults(fn=_cmd_names)
-
-    p = sub.add_parser("roots", help="real roots up to a level bound, as JSON")
-    common(p, level=True)
-    p.set_defaults(fn=_cmd_roots)
-
-    p = sub.add_parser("pairs", help="pair classification report, as JSON")
-    common(p, level=True)
-    p.set_defaults(fn=_cmd_pairs)
-
-    p = sub.add_parser("theta", help="the root string (N a + N b) of a pair")
-    common(p)
+def _theta_arguments(p):
+    _common(p)
     p.add_argument("--alpha", required=True,
                    help="root as coords@level, e.g. 1,0@0; a negative root "
                         "needs the = form, e.g. --alpha=-1,0@0")
     p.add_argument("--beta", required=True,
                    help="root as coords@level; a negative root needs the = form, "
                         "e.g. --beta=-1,0@0")
-    p.set_defaults(fn=_cmd_theta)
 
-    p = sub.add_parser("constants", help="structure constant table of a finite diagram")
-    common(p)
-    p.set_defaults(fn=_cmd_constants)
 
-    p = sub.add_parser("present", help="emit the full presentation")
-    common(p, ring=True)
+def _present_arguments(p):
+    _common(p, ring=True)
     p.add_argument("--format", choices=("native", "gap", "json"), default="native")
     p.add_argument("--torus", action="store_true", help="force the torus-action families")
     p.add_argument("--no-torus", action="store_true", help="omit the torus-action families")
     p.add_argument("--km-torus", action="store_true",
                    help="adjoin the torus relations of the Kac-Moody quotient")
-    p.set_defaults(fn=_cmd_present)
 
-    p = sub.add_parser("amalgam", help="emit the rank-at-most-2 amalgam presentation")
-    common(p, ring=True)
+
+def _amalgam_arguments(p):
+    _common(p, ring=True)
     p.add_argument("--format", choices=("native", "gap", "json"), default="native")
     p.add_argument("--torus", action="store_true")
     p.add_argument("--no-torus", action="store_true")
     p.add_argument("--km-torus", action="store_true")
-    p.set_defaults(fn=_cmd_amalgam)
 
-    p = sub.add_parser("replay", help="replay one of the commutation arguments")
+
+def _replay_arguments(p):
     # collection.CASE_IDS, named here so that only replay loads collection
     p.add_argument("--case", type=int, required=True, choices=range(1, 9),
                    help="1-7, or 8 for the 0mod3 variant of case 4")
@@ -279,27 +253,63 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-prime", type=int, default=1, choices=(1, -1))
     p.add_argument("--out")
     p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(fn=_cmd_replay)
 
-    p = sub.add_parser("verify", help="verify every relation instance in the loop model")
-    common(p, ring=True, level=True)
-    p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser("hypotheses", help="finite-presentability hypothesis check")
-    common(p)
+def _hypotheses_arguments(p):
+    _common(p)
     p.add_argument("--fg-ring", action="store_true",
                    help="assert: the ring is finitely generated as a ring")
     p.add_argument("--module-finite", action="store_true",
                    help="assert: finitely generated module over a unit-generated subring")
     p.add_argument("--units-fg", action="store_true",
                    help="assert: the unit group is finitely generated")
-    p.set_defaults(fn=_cmd_hypotheses)
 
+
+# name -> (help, command, adds its arguments), in the order of the help
+_SUBCOMMANDS = {
+    "classify": ("recognize a diagram", _cmd_classify, _common),
+    "names": ("Moody-Pianzola and Kac names of an affine label", _cmd_names, _common),
+    "roots": ("real roots up to a level bound, as JSON", _cmd_roots, partial(_common, level=True)),
+    "pairs": ("pair classification report, as JSON", _cmd_pairs, partial(_common, level=True)),
+    "theta": ("the root string (N a + N b) of a pair", _cmd_theta, _theta_arguments),
+    "constants": ("structure constant table of a finite diagram", _cmd_constants, _common),
+    "present": ("emit the full presentation", _cmd_present, _present_arguments),
+    "amalgam": ("emit the rank-at-most-2 amalgam presentation", _cmd_amalgam,
+                _amalgam_arguments),
+    "replay": ("replay one of the commutation arguments", _cmd_replay, _replay_arguments),
+    "verify": ("verify every relation instance in the loop model", _cmd_verify,
+               partial(_common, ring=True, level=True)),
+    "hypotheses": ("finite-presentability hypothesis check", _cmd_hypotheses,
+                   _hypotheses_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or one that holds only the named
+    subcommand: it parses that subcommand's arguments, and prints its help
+    and usage errors, as the full parser does."""
+    parser = argparse.ArgumentParser(
+        prog="steinberg",
+        description="Affine Steinberg/Kac-Moody presentations: roots, constants, "
+        "relation files and exact verification.",
+    )
+    # the full parser's usage line names every subcommand; a one-subcommand
+    # parser keeps it so (an unrecognized argument prints it)
+    metavar = "{" + ",".join(_SUBCOMMANDS) + "}" if command else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (text, fn, add_arguments) in _SUBCOMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=text)
+            add_arguments(p)
+            p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a named subcommand needs only its own subparser; -h and unknown or
+    # missing commands take the full parser
+    parser = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -95,6 +95,24 @@ def test_corpus_is_recorded():
     assert sorted(json.loads(GOLDEN.read_text())) == sorted(CORPUS)
 
 
+def _subparsers(parser) -> dict:
+    return next(a for a in parser._actions if a.dest == "command").choices
+
+
+def test_one_subcommand_parser_matches_the_full_parser():
+    # cli.main builds only the subcommand that argv[0] names
+    full = cli.build_parser()
+    for call in CORPUS:
+        argv = call.split()
+        assert cli.build_parser(argv[0]).parse_args(argv) == full.parse_args(argv)
+    for name, subparser in _subparsers(full).items():
+        one = cli.build_parser(name)
+        assert list(_subparsers(one)) == [name]
+        assert _subparsers(one)[name].format_help() == subparser.format_help()
+        # the usage line an unrecognized argument prints
+        assert one.format_usage() == full.format_usage()
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps({c: run(c) for c in CORPUS}, indent=1, sort_keys=True) + "\n")
