@@ -130,8 +130,12 @@ class ChevalleyBasis:
         return self._n.get((tuple(x), tuple(y)), 0)
 
     def constants(self) -> list:
-        """((x, y), N(x, y)) for every pair of roots with x + y a root, sorted."""
-        return sorted(self._n.items())
+        """((x, y), N(x, y)) for every pair of roots with x + y a root, sorted
+        by (x, y).  Each pair is keyed by the positions of x and y in the
+        sorted root list, so no two coordinate tuples are compared per pair."""
+        rank = {r: k for k, r in enumerate(sorted(self.roots_order))}
+        size = len(rank)
+        return sorted(self._n.items(), key=lambda item: rank[item[0][0]] * size + rank[item[0][1]])
 
     def coroot_vector(self, gamma) -> tuple[int, ...]:
         """Coefficients of gamma^vee in the simple coroots."""

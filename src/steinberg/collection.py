@@ -263,7 +263,7 @@ class CaseData(NamedTuple):
 # untwisted configurations: tables from oriented Chevalley constants
 
 
-def _chevalley_affine_table(ars, basis, a, b, interior_order):
+def _chevalley_affine_table(basis, a, b, interior_order):
     """Commutator table of an untwisted affine pair, lifted from the finite
     constants, with the interior roots produced in the given order."""
     fin = basis.commutator_table(a.coords, b.coords, order=[g.coords for g in interior_order])
@@ -288,18 +288,18 @@ def _untwisted_tables(ars, basis, ordered, signs, excluded_pairs):
             )
             if not interiors:
                 continue
-            raw = _chevalley_affine_table(ars, basis, a, b, interiors)
+            raw = _chevalley_affine_table(basis, a, b, interiors)
             tables[(a, b)] = tuple(chevalley.apply_signs(raw, signs, a, b))
     return tables
 
 
-def _solve_display_orientation(ars, basis, targets):
+def _solve_display_orientation(basis, targets):
     """Every choice of signs per affine root achieving the displayed tables.
 
     `targets`: dict pair -> list of (root, coeff, (i, j)) in display order.
     """
     raw_tables = {
-        (a, b): _chevalley_affine_table(ars, basis, a, b, [g for g, _, _ in want])
+        (a, b): _chevalley_affine_table(basis, a, b, [g for g, _, _ in want])
         for (a, b), want in targets.items()
     }
     try:
@@ -575,7 +575,7 @@ def case_configuration(case_id: int, eps: int = 1, eps_prime: int = 1) -> CaseDa
     tables = _resolve_relations(root, case.relations)
     if ars.superscript is None:
         basis = chevalley.build_chevalley_basis(ars.finite)
-        signs = _solve_display_orientation(ars, basis, tables)[0]
+        signs = _solve_display_orientation(basis, tables)[0]
         tables = _untwisted_tables(ars, basis, ordered, signs, excluded)
         for (x, y, n), factor in zip(case.epsilons, (eps, eps_prime)):
             ((g, m, ij),) = tables[root[x], root[y]]

@@ -379,7 +379,10 @@ FINITE_UP_TO_RANK_8 = (
 @pytest.mark.parametrize("family,n", FINITE_UP_TO_RANK_8)
 def test_table_from_triples_matches_all_pairs_scan(family, n):
     sys = system(family, n)
-    assert C.build_chevalley_basis(sys)._n == _ScannedBasis(sys)._n
+    basis = C.build_chevalley_basis(sys)
+    assert basis._n == _ScannedBasis(sys)._n
+    # the listing ranked by the sorted roots is the plain sort of the pairs
+    assert basis.constants() == sorted(basis._n.items())
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +424,7 @@ def _case_problem(case_id):
     basis = C.build_chevalley_basis(ars.finite)
     targets = K._resolve_relations(root, case.relations)
     tables = {
-        (a, b): K._chevalley_affine_table(ars, basis, a, b, [g for g, _, _ in want])
+        (a, b): K._chevalley_affine_table(basis, a, b, [g for g, _, _ in want])
         for (a, b), want in targets.items()
     }
     return tables, targets

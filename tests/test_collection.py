@@ -247,7 +247,7 @@ def test_case4_orientation_pins_epsilons():
     # two remaining constants at +3 and +1 (the argument's conclusion)
     ars, basis, root, targets = _untwisted_case(4)
     excluded = frozenset({frozenset((root["alpha"], root["beta"]))})
-    solutions = C._solve_display_orientation(ars, basis, targets)
+    solutions = C._solve_display_orientation(basis, targets)
     assert solutions
     for signs in solutions:
         tables = C._untwisted_tables(ars, basis, tuple(root.values()), signs, excluded)
@@ -279,12 +279,12 @@ def test_sign_parameters_rejected_outside_case4():
 def test_display_orientation_rejects_unreachable_target():
     # case 2 displays [x_sigma(t), x_lambda(u)] = x_{s+l}(-tu) x_{2s+l}(t^2 u);
     # magnitude 2 on the second factor is out of reach of any sign choice
-    ars, basis, _, targets = _untwisted_case(2)
-    assert C._solve_display_orientation(ars, basis, targets)
+    _, basis, _, targets = _untwisted_case(2)
+    assert C._solve_display_orientation(basis, targets)
     ((pair, (first, (g, n, ij))),) = targets.items()
     assert abs(n) == 1
     with pytest.raises(C.ConfigurationError):
-        C._solve_display_orientation(ars, basis, {pair: [first, (g, 2 * n, ij)]})
+        C._solve_display_orientation(basis, {pair: [first, (g, 2 * n, ij)]})
 
 
 # ---------------------------------------------------------------------------
