@@ -9,13 +9,13 @@ relation as an exact matrix identity in a Laurent-polynomial loop model.
 Submodules load on first use (``steinberg.loopmodel`` imports it then), so a
 command pays at start-up only for the modules it reaches: only ``verify``
 loads the loop model and only ``replay`` the collection engine.
-``steinberg.cli`` itself loads only ``diagrams`` and ``rings``.  ``json`` is
-loaded only by the commands that print JSON, so not by ``replay``,
-``constants`` or ``present --format native``; ``presentation`` only by
-``present``, ``amalgam`` and ``verify``; and ``roots`` only by the commands
-that need root data or are given an affine diagram, whose matrix is built
-from its roots.  So ``classify``, ``names`` and ``hypotheses`` never load
-``presentation``, and ``classify`` of a finite diagram loads no ``roots``.
+``steinberg.cli`` itself loads only ``diagrams`` and ``rings``.  No command
+loads ``json``: the commands that print JSON write it with ``jsonout``.
+``presentation`` is loaded only by ``present``, ``amalgam`` and ``verify``,
+and ``roots`` only by the commands that need root data (``roots``,
+``pairs``, ``theta``, ``constants``, ``replay`` and ``verify``); the matrix
+of an affine label comes from the label's recipe, with no roots.  So
+``classify``, ``names`` and ``hypotheses`` load neither.
 The records are named tuples or plain classes and ratios are integer pairs,
 so no command loads ``inspect`` or ``fractions`` (nor ``decimal``, which it
 imports).
@@ -27,6 +27,7 @@ __all__ = [
     "chevalley",
     "collection",
     "diagrams",
+    "jsonout",
     "loopmodel",
     "presentation",
     "rings",

@@ -19,6 +19,9 @@ monomial t^i u^j whose exponents its position already fixes (see
 
 from __future__ import annotations
 
+from functools import cached_property
+from operator import mul
+
 from .roots import (
     FiniteRootSystem, _vec_add, _vec_scale, _vec_sub, root_combinations, string_length,
 )
@@ -149,25 +152,31 @@ class ChevalleyBasis:
     def pairing(self, x, y) -> int:
         return self.system.pairing(x, y)
 
+    @cached_property
+    def _bracket_rows(self) -> dict:
+        """gamma -> ((row of e_(gamma + delta), column of e_delta, N(gamma, delta)), ...)
+        over the delta with gamma + delta a root: the root part of ad e_gamma,
+        read off the constants table once for every gamma."""
+        index, rows = self._root_index, {}
+        for (x, y), n in self._n.items():
+            rows.setdefault(x, []).append((index[_vec_add(x, y)], index[y], n))
+        return rows
+
     def _adjoint_entries(self, gamma) -> dict:
         """ad e_gamma on (h_1..h_r, e_delta...) as the sparse matrix
         {(row, col): value}; columns act on the basis."""
-        sys = self.system
         row = self._root_index[gamma]
         out = {}
-        for i in range(self.rank):
+        for i, cartan_row in enumerate(self.system.cartan.rows):
             # [e_gamma, h_i] = -<alpha_i^vee, gamma> e_gamma
-            c = -sys.pairing(sys.simple(i), gamma)
-            if c:
+            if c := -sum(map(mul, cartan_row, gamma)):
                 out[row, i] = c
         col = self._root_index[self._negated[gamma]]
         for i, c in enumerate(self.coroot_vector(gamma)):
             if c:
                 out[i, col] = c
-        for delta in self.roots_order:
-            n = self._n.get((gamma, delta))
-            if n:
-                out[self._root_index[_vec_add(gamma, delta)], self._root_index[delta]] = n
+        for target, source, n in self._bracket_rows.get(gamma, ()):
+            out[target, source] = n
         return out
 
     def adjoint_matrix(self, gamma) -> tuple[tuple[int, ...], ...]:
@@ -181,23 +190,25 @@ class ChevalleyBasis:
         """(ad e_gamma)^k / k! for k = 0.. until zero, each as the sparse
         matrix {(row, col): value} of its nonzero entries.
 
-        Each division is checked to be exact.  ad e_gamma is nilpotent with
+        D_1 is ad e_gamma itself, and D_k = D_(k-1) ad e_gamma / k, each
+        product walking one row index of ad e_gamma built for gamma; each
+        division is checked to be exact.  ad e_gamma is nilpotent with
         (ad e_gamma)^4 = 0, because the sl_2 of gamma acts on the adjoint
         representation with strings of at most four weights.
 
-        Not cached: exp_matrix keeps the powers that commutator tables reuse,
-        and the loop model keeps only their nonzero entries mod n.
+        Not cached here: its two callers keep what they reuse, exp_matrix
+        the powers that commutator tables multiply, and the loop model only
+        their nonzero entries mod n.
         """
         ad = self._adjoint_entries(tuple(gamma))
+        ad_rows = _row_index(ad)
         out = [_identity(self.dim)]
-        while True:
-            power = {
-                key: _exact_div(value, len(out), "divided power is not integral")
-                for key, value in _matmul(out[-1], ad).items()
-            }
-            if not power:
-                return out
+        power = ad
+        while power:
             out.append(power)
+            power = {key: _exact_div(value, len(out), "divided power is not integral")
+                     for key, value in _matmul(power, ad_rows).items()}
+        return out
 
     # -- commutator tables via exact peeling -------------------------------
 
@@ -246,12 +257,12 @@ class ChevalleyBasis:
                 raise ValueError("order must list exactly the interior roots")
         m = self.exp_matrix(a, 1)
         for factor in (self.exp_matrix(b, 1), self.exp_matrix(a, -1), self.exp_matrix(b, -1)):
-            m = _matmul(m, factor)
+            m = _matmul(m, _row_index(factor))
         entries = []
         for gamma in ordered:
             n = self._peel_coefficient(m, gamma)
             if n:
-                m = _matmul(self.exp_matrix(gamma, -n), m)
+                m = _matmul(self.exp_matrix(gamma, -n), _row_index(m))
                 entries.append((gamma, n, by_root[gamma]))
         if m != _identity(self.dim):
             raise ValueError("unipotent factorization failed in the given order")
@@ -288,11 +299,18 @@ def _identity(dim: int) -> dict:
     return {(i, i): 1 for i in range(dim)}
 
 
-def _matmul(a: dict, b: dict) -> dict:
-    """The product of two sparse matrices {(row, col): value}, zeros dropped."""
-    b_rows: dict = {}
+def _row_index(b: dict) -> dict:
+    """mid -> [(col, value), ...] of the sparse matrix b, the index _matmul
+    walks."""
+    rows: dict = {}
     for (mid, col), value in b.items():
-        b_rows.setdefault(mid, []).append((col, value))
+        rows.setdefault(mid, []).append((col, value))
+    return rows
+
+
+def _matmul(a: dict, b_rows: dict) -> dict:
+    """The product of two sparse matrices {(row, col): value}, the right one
+    given by its _row_index, zeros dropped."""
     out: dict = {}
     for (row, mid), value in a.items():
         for col, other in b_rows.get(mid, ()):

@@ -8,10 +8,10 @@ Importing this module loads only `diagrams` and `rings`; each subcommand
 imports the rest of what it uses: `roots` for `roots`, `pairs`, `theta` and
 `constants`, `presentation` for `present`, `amalgam` and `verify`,
 `chevalley` for `constants`, `collection` (with `chevalley` and `roots`)
-for `replay`, `loopmodel` for `verify`, and `json` for the JSON outputs
-(`presentation` imports it for `--format json`).  The matrix of an affine
-label is built from its affine roots, so any subcommand given an affine
-diagram also loads `roots`.
+for `replay`, `loopmodel` (with `roots`) for `verify`, and `jsonout` for the
+JSON outputs (`presentation` imports it for `--format json`).  No command
+loads `json`.  The matrix of an affine label comes from the label's recipe
+(diagrams.affine_cartan), so naming an affine diagram loads no `roots`.
 """
 
 from __future__ import annotations
@@ -51,9 +51,9 @@ def _emit(args, text: str) -> None:
 
 
 def _json(payload) -> str:
-    import json
+    from .jsonout import dumps
 
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return dumps(payload) + "\n"
 
 
 def _require_affine_system(args):

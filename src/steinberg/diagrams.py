@@ -2,17 +2,18 @@
 
 Recognition works by graph-isomorphism against a generated catalog of the
 finite and affine diagrams (the affine ones are produced from their
-simple-root recipes, so the catalog is self-checking).  It is rank-local:
-only catalog entries with as many nodes as the input are built, one at a
-time in catalog order until one matches, so the first match and its node
-permutation are those of a scan over the full catalog.  The tests still
-build and check the full catalog.  Also houses the Coxeter edge orders, the
+simple-root recipes by affine_cartan, with no root system built).  It is
+rank-local: only catalog entries with as many nodes as the input are built,
+one at a time in catalog order until one matches, so the first match and
+its node permutation are those of a scan over the full catalog.  The tests
+still build and check the full catalog.  Also houses the Coxeter edge orders, the
 affine naming table, and the hypothesis checks for finite presentability.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from functools import lru_cache
 from typing import NamedTuple
@@ -221,20 +222,63 @@ def finite_cartan(family: str, n: int) -> GeneralizedCartanMatrix:
 
 
 def affine_cartan(cls: DiagramClass) -> GeneralizedCartanMatrix:
-    """Affine Cartan matrix built from the simple-root recipe of the label."""
-    from . import roots as _roots
+    """Affine Cartan matrix of the label, from its simple-root recipe.
 
+    The first nodes are those of the finite matrix X of the level-zero
+    system (B_1 = A_1 for BC~1^odd); the last is alpha_0 = delta - c beta
+    (Kac, Infinite-Dimensional Lie Algebras, 3rd ed., Prop. 6.4 and Tables
+    Aff 1-3).  For an untwisted label (Aff 1) beta is theta, the highest
+    root of X, and c = 1; for a twisted one beta is theta_s, the highest
+    short root of X, with c = 1 for the even and 0mod3 labels (Aff 2 and
+    Aff 3) and c = 2 for the odd ones (A_2n^(2) in Aff 2).  The last row is
+    <(-c beta)^vee, alpha_j> = -<beta^vee, alpha_j> / c and the last column
+    <alpha_j^vee, -c beta> = -c sum_i X_ji beta_i.  These are the pairings of
+    roots.simple_affine_roots, in its order, with no root system built."""
     if not cls.is_affine:
         raise ValueError("affine_cartan needs an affine label")
-    ars = _roots.affine_system(cls)
-    simples = _roots.simple_affine_roots(ars)
-    n = len(simples)
-    rows = [
-        [ars.finite.pairing(x.coords, y.coords) for y in simples]
-        for x in simples
-    ]
-    assert all(rows[i][i] == 2 for i in range(n))
-    return gcm(rows)
+    sup = cls.superscript
+    x = finite_cartan("A", 1) if (cls.family, cls.n) == ("BC", 1) else finite_cartan(
+        "B" if sup == "odd" else cls.family, cls.n)
+    c = 2 if sup == "odd" else 1
+    columns = tuple(zip(*x.rows))
+    if x.rows == columns:
+        # one root length: beta = theta, and its coroot has its coordinates
+        beta = beta_vee = _dominant(x.rows, 0)
+    else:
+        # each chain of finite_cartan has a root of either length at an end;
+        # theta is the higher of the two dominant roots, theta_s the lower
+        (theta, k_long), (theta_s, k_short) = sorted(
+            ((_dominant(x.rows, k), k) for k in (0, x.rank - 1)), key=lambda f: -sum(f[0]))
+        beta, k = (theta, k_long) if sup is None else (theta_s, k_short)
+        # the coroots form the system of the transposed matrix, in which
+        # w(alpha_k^vee) = (w alpha_k)^vee, and beta^vee is dominant there
+        beta_vee = _dominant(columns, k)
+    last = [-sum(map(operator.mul, beta_vee, column)) // c for column in columns]
+    rows = [list(row) + [-c * sum(map(operator.mul, row, beta))] for row in x.rows]
+    return gcm(rows + [last + [2]])
+
+
+def _dominant(rows, k: int) -> tuple:
+    """The dominant root of the Weyl orbit of the simple root k of the
+    finite Cartan matrix rows, in simple-root coordinates: the highest root
+    of its length.  Reflecting a root in a simple root it pairs negatively
+    with raises its height, so the walk ends, at the one dominant root of
+    the orbit."""
+    n = len(rows)
+    root = [0] * n
+    root[k] = 1
+    pairings = [row[k] for row in rows]  # <alpha_i^vee, root>
+    i = 0
+    while i < n:
+        p = pairings[i]
+        if p >= 0:
+            i += 1
+            continue
+        root[i] -= p
+        for j, row in enumerate(rows):
+            pairings[j] -= p * row[i]
+        i = 0
+    return tuple(root)
 
 
 # --------------------------------------------------------------------------
@@ -243,26 +287,21 @@ def affine_cartan(cls: DiagramClass) -> GeneralizedCartanMatrix:
 
 @lru_cache(maxsize=None)
 def _catalog_classes(max_rank: int) -> tuple[DiagramClass, ...]:
-    """Labels of the catalog in recognition order: finite, then affine."""
-    labels = []
-    for family, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
-        labels += [f"{family}{n}" for n in range(lo, max_rank + 1)]
-    labels += ["E6", "E7", "E8", "F4", "G2"]
-    for family, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
-        labels += [f"{family}~{n}" for n in range(lo, max_rank)]
-    labels += ["E~6", "E~7", "E~8", "F~4", "G~2"]
-    labels += [f"B~{n}^even" for n in range(2, max_rank)]
-    labels += [f"C~{n}^even" for n in range(2, max_rank)]
-    labels += [f"BC~{n}^odd" for n in range(1, max_rank)]
-    labels += ["F~4^even", "G~2^0mod3"]
-    out = []
-    for text in labels:
-        cls = parse_label(text)
-        if (cls.family, cls.n, cls.superscript, cls.is_affine) in _SKIP_IN_CATALOG:
-            continue
-        if cls.rank <= max_rank:
-            out.append(cls)
-    return tuple(out)
+    """Classes of the catalog in recognition order: finite, then untwisted,
+    then twisted affine; the canonical labels only."""
+    chains = (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+    exceptional = [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+    finite = [(f, n) for f, lo in chains for n in range(lo, max_rank + 1)] + exceptional
+    untwisted = [(f, n) for f, lo in chains for n in range(lo, max_rank)] + exceptional
+    twisted = ([("B", n, "even") for n in range(2, max_rank)]
+               + [("C", n, "even") for n in range(2, max_rank)]
+               + [("BC", n, "odd") for n in range(1, max_rank)]
+               + [("F", 4, "even"), ("G", 2, "0mod3")])
+    classes = ([DiagramClass("finite", f, n, None, n) for f, n in finite]
+               + [DiagramClass("affine-untwisted", f, n, None, n + 1) for f, n in untwisted]
+               + [DiagramClass("affine-twisted", f, n, sup, n + 1) for f, n, sup in twisted])
+    return tuple(cls for cls in classes if cls.rank <= max_rank and
+                 (cls.family, cls.n, cls.superscript, cls.is_affine) not in _SKIP_IN_CATALOG)
 
 
 @lru_cache(maxsize=None)
@@ -449,8 +488,6 @@ def parse_diagram(text: str) -> GeneralizedCartanMatrix:
     """Accept either a family label (`A~2`, `BC~3^odd`, `B3`) or matrix text."""
     stripped = text.strip()
     if _LABEL_RE.match(stripped):
-        cls = parse_label(stripped)
-        if cls.is_affine:
-            return affine_cartan(cls)
-        return finite_cartan(cls.family, cls.n)
+        # kept per class, so recognising the label's own matrix rebuilds nothing
+        return _catalog_matrix(parse_label(stripped))
     return parse_matrix_text(text)

@@ -11,7 +11,10 @@ most of the basis, so the products along a word stay sparse as well.
 
 The product is the only kernel of word evaluation.  It walks the entries of
 the left factor against a row index of the right factor, built once per
-value, and reduces the sums mod n when the product is done.  Entries are
+value, and reduces the sums mod n when the product is done.  A right factor
+that differs from the identity in fewer entries than it has, such as a
+root-group letter I + N, is indexed by those entries instead: the product
+is then the left factor plus its product with N.  Entries are
 Python ints, which cannot overflow, so every product is exact for every n;
 exponentials use the integral divided powers of the adjoint basis, so no
 division mod n ever happens.  The model still refuses rings with
@@ -33,9 +36,12 @@ by plain products.  A leading htilde_i(p) or S_i S_i and a trailing
 htilde_i(p)^-1 or S_i^-1 S_i^-1 are kept by the packing under their letters,
 so the conjugators of the torus-action and s2 families are multiplied out
 once per node, not once per (i, j).  They are torus elements, diagonal with
-one term per row, so only the letters between them are multiplied out, and
-the kept head scales the rows of that product and the kept tail its columns
-(_scaled), each in one pass.
+one term per row, so only the run of letters between them is multiplied
+out, and the kept head scales the rows of that product and the kept tail
+its columns, both in a single pass over its entries (_scaled).  A run of
+two or more letters that two or more words of one verify_relators call
+share, such as the S_j X_j(t) S_j^-1 of torus-action-2 for every i, is
+multiplied out once and kept by the packing beside its letters (runs).
 
 The Weyl and torus actions on root groups are proved on the coefficients of
 u, by conjugating divided powers entry by entry (see verify_morita_rehmann).
@@ -60,6 +66,7 @@ every presentation relation must pass.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import operator
@@ -106,13 +113,39 @@ class LoopMatrix:
             index.setdefault(col, []).append((row, degree, value))
         return index
 
+    @cached_property
+    def _offset_rows(self) -> dict | None:
+        """The _rows index of self - I when that has fewer entries than self,
+        as for a root-group letter I + N; else None."""
+        entries, index, count = self.entries, {}, 0
+        for i in range(self.dim):
+            if (value := entries.get((i, i, 0), 0) - 1) % self.n:
+                index[i] = [(i, 0, value)]
+                count += 1
+        for (row, col, degree), value in entries.items():
+            if row != col or degree:
+                index.setdefault(row, []).append((col, degree, value))
+                count += 1
+        return index if count < len(entries) else None
+
     def __mul__(self, other: "LoopMatrix") -> "LoopMatrix":
-        rows, sums = other._rows, {}
+        n, offset = self.n, other._offset_rows
+        rows = other._rows if offset is None else offset
+        sums: dict = {}
         for (row, mid, degree), value in self.entries.items():
             for col, other_degree, other_value in rows.get(mid, ()):
                 key = row, col, degree + other_degree
                 sums[key] = sums.get(key, 0) + value * other_value
-        return LoopMatrix(_reduced(sums, self.n), self.n, self.dim)
+        if offset is None:
+            return LoopMatrix(_reduced(sums, n), n, self.dim)
+        # self other = self + self (other - I); self's entries are reduced
+        entries = dict(self.entries)
+        for key, total in sums.items():
+            if value := (entries.get(key, 0) + total) % n:
+                entries[key] = value
+            else:
+                entries.pop(key, None)
+        return LoopMatrix(entries, n, self.dim)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LoopMatrix):
@@ -145,19 +178,30 @@ def _reduced(sums: dict, n: int) -> dict:
     return {key: value for key, total in sums.items() if (value := total % n)}
 
 
-def _scaled(g: LoopMatrix, m: LoopMatrix, left: bool) -> LoopMatrix:
-    """g m if left, else m g.  For g diagonal with one term c t^d per row,
-    g m scales row i of m by c_i t^(d_i) and m g scales its column i, in one
-    pass that drops the entries c_i v = 0 mod n; any other g is multiplied."""
-    diagonal = g._diagonal
-    if diagonal is None:
-        return g * m if left else m * g
-    n, side, entries = m.n, 0 if left else 1, {}
-    for key, value in m.entries.items():
-        scale = diagonal.get(key[side])
-        if scale is not None and (v := scale[1] * value % n):
-            row, col, degree = key
-            entries[row, col, degree + scale[0]] = v
+def _scaled(head: LoopMatrix | None, m: LoopMatrix, tail: LoopMatrix | None) -> LoopMatrix:
+    """head m tail, a missing factor (None) read as I.  A head or tail
+    diagonal with one term c t^d per row scales the rows or the columns of
+    m; both are applied in one pass over m's entries, which drops the
+    entries that become 0 mod n.  Any other head or tail is multiplied."""
+    rows = cols = None
+    if head is not None and (rows := head._diagonal) is None:
+        m = head * m
+    if tail is not None and (cols := tail._diagonal) is None:
+        m = m * tail
+    if rows is None and cols is None:
+        return m
+    n, entries = m.n, {}
+    for (row, col, degree), value in m.entries.items():
+        if rows is not None:
+            if (scale := rows.get(row)) is None:
+                continue
+            degree, value = degree + scale[0], value * scale[1]
+        if cols is not None:
+            if (scale := cols.get(col)) is None:
+                continue
+            degree, value = degree + scale[0], value * scale[1]
+        if value := value % n:
+            entries[row, col, degree] = value
     return LoopMatrix(entries, n, m.dim)
 
 
@@ -265,9 +309,17 @@ class LoopModel:
         and e the |exponent| of any variable in its entries (see _box).  With
         kmax the largest k with D_k != 0 mod n at the node's simple root
         (beta, m) or at (-beta, -m), X_i(u) has z-degrees k m with k <= kmax,
-        and S_i, a product of three root elements, at most 3 kmax |m|; a
-        formal X_i(p) has e = kmax times the largest |exponent| in p.  Kept
-        on the model, per generator."""
+        and so has S_i; a formal X_i(p) has e = kmax times the largest
+        |exponent| in p.  Kept on the model, per generator.
+
+        S_i.  A term of exp(e) exp(-f) exp(e), e = z^m ad e_beta and
+        f = z^-m ad e_-beta, sends the weight space of lambda to that of
+        lambda + k beta at z-degree k m, and S_i sends the weight space of
+        lambda onto that of s_beta(lambda) (Steinberg, Lectures on Chevalley
+        Groups, section 3).  So its z-degrees are k m with
+        k = -<beta^vee, lambda>, lambda a root or 0, and |k| <= kmax: the
+        beta-string mu, ..., mu + L beta through lambda has L >= |k|, and
+        D_L sends e_mu to +-e_(mu + L beta), so D_L != 0 mod n."""
         cached = self._box_shares.get(gen)
         if cached is None:
             root = self.simple_of_node[gen.node]
@@ -278,8 +330,7 @@ class LoopModel:
             if gen.kind == "X" and gen.param.desc != self.ring:
                 top = max((abs(x) for exps, _ in _monomials(gen.param, 1) for x in exps),
                           default=0)
-            cached = self._box_shares[gen] = (
-                kmax * abs(root.level) * (3 if gen.kind == "S" else 1), kmax * top)
+            cached = self._box_shares[gen] = (kmax * abs(root.level), kmax * top)
         return cached
 
     def s_matrix(self, i: int) -> LoopMatrix:
@@ -367,11 +418,14 @@ class _Packing:
     each variable| <= top: the radices 2 span + 1 and 2 top + 1 each hold a
     balanced digit, negative exponents of r and u included.  A concrete value
     is the digit d alone, so concrete letters are their own packed values.
-    values keeps the formal X letters and the segments of _value of the
-    words evaluated with this packing, keyed by their letters."""
+    values keeps the formal X letters and the kept heads and tails of _value
+    of the words evaluated with this packing, keyed by their letters; runs
+    keeps the shared runs of verify_relators, beside them.  Both go with
+    the packing when _cover widens it."""
 
     def __init__(self, span: int, top: int):
         self.span, self.top, self.values = span, top, {}
+        self.runs: dict = {}  # shared run -> its value, None until first multiplied
         self.radices = (2 * span + 1, *[2 * top + 1] * len(presentation._NAMES))
         self.strides = tuple(itertools.accumulate(self.radices[:-1], operator.mul, initial=1))
 
@@ -431,21 +485,29 @@ def _kept_length(letters) -> int:
     return 0
 
 
-def _value(model: LoopModel, w) -> LoopMatrix:
-    """The packed value of a word, multiplied out letter by letter but for a
-    leading htilde_i(p) or S_i S_i and a trailing htilde_i(p)^-1 or
-    S_i^-1 S_i^-1, kept by the packing: the letters between them are
-    multiplied out, and the kept head and tail, torus elements, scale the
-    rows and the columns of that product (_scaled)."""
+def _ends(w) -> tuple:
+    """(head, tail): the lengths of the leading htilde_i(p) or S_i S_i and
+    of the trailing htilde_i(p)^-1 or S_i^-1 S_i^-1 of a word, 0 for none."""
     head = _kept_length(w)
-    tail = next((k for k in (_H, 2) if len(w) >= head + k
-                 and _kept_length(presentation.winv(w[-k:])) == k), 0)
-    value = model._times([model.letter(gen, exp) for gen, exp in w[head:len(w) - tail]])
-    if head:
-        value = _scaled(model._kept(w[:head]), value, left=True)
-    if tail:
-        value = _scaled(model._kept(w[-tail:]), value, left=False)
-    return value
+    return head, next((k for k in (_H, 2) if len(w) >= head + k
+                       and _kept_length(presentation.winv(w[-k:])) == k), 0)
+
+
+def _value(model: LoopModel, w, head: int, tail: int) -> LoopMatrix:
+    """The packed value of a word with the ends _ends(w), multiplied out
+    letter by letter but for the kept head and tail: the run of letters
+    between them is multiplied out, or read from the packing's runs if it is
+    a shared one, and the head and tail, torus elements, scale the rows and
+    the columns of its value in one pass (_scaled)."""
+    run = w[head:len(w) - tail]
+    runs = model._packing.runs
+    value = runs.get(run)
+    if value is None:
+        value = model._times([model.letter(gen, exp) for gen, exp in run])
+        if run in runs:
+            runs[run] = value
+    return _scaled(model._kept(w[:head]) if head else None, value,
+                   model._kept(w[-tail:]) if tail else None)
 
 
 def verify_relators(model: LoopModel, relators) -> list:
@@ -457,9 +519,21 @@ def verify_relators(model: LoopModel, relators) -> list:
     empty cache, if its box does not hold the words (see _box).  It is
     injective on the box, so the verdict compares the two formal values:
     exact for a concrete relator, and for a schema the identity that
-    verify_presentation carries to every instance."""
-    model._cover([w for rel in relators for w in (rel.left, rel.right)])
-    return [_value(model, rel.left) == _value(model, rel.right) for rel in relators]
+    verify_presentation carries to every instance.
+
+    A run, the letters of a word between its kept head and tail (_value),
+    of two or more letters that is the run of two or more of the words is
+    shared: the packing keeps its value, multiplied out once, in its runs."""
+    words = [w for rel in relators for w in (rel.left, rel.right)]
+    model._cover(words)
+    spans = [(w, *_ends(w)) for w in words]
+    counts = collections.Counter(w[head:len(w) - tail] for w, head, tail in spans)
+    runs = model._packing.runs
+    for run, count in counts.items():
+        if count > 1 and len(run) > 1:
+            runs.setdefault(run, None)
+    pairs = iter(spans)
+    return [_value(model, *left) == _value(model, *right) for left, right in zip(pairs, pairs)]
 
 
 def verify_presentation(
@@ -511,9 +585,12 @@ def _families(model: LoopModel, schemas) -> list:
     families: dict[str, dict] = {}
     for schema, values, ok in zip(schemas, domains, verify_relators(model, schemas)):
         entry = families.setdefault(schema.family, _entry(schema.family))
-        rels = [] if ok else presentation.instances(model.ring, schema, values)
-        failed = sorted((rel for rel, good in zip(rels, verify_relators(model, rels)) if not good),
-                        key=presentation.Relator.render_params)
+        failed = []
+        if not ok:
+            rels = presentation.instances(model.ring, schema, values)
+            verdicts = verify_relators(model, rels)
+            failed = sorted((rel for rel, good in zip(rels, verdicts) if not good),
+                            key=presentation.Relator.render_params)
         count = math.prod(map(len, values))
         entry["instances"] += count
         entry["passed"] += count - len(failed)

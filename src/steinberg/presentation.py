@@ -534,7 +534,7 @@ def emit(p: Presentation, fmt: str = "native") -> str:
 
 
 def _emit_json(p: Presentation) -> str:
-    import json
+    from .jsonout import dumps
 
     payload = {
         "ring": str(p.ring),
@@ -552,7 +552,7 @@ def _emit_json(p: Presentation) -> str:
             for rel in p.relators
         ],
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return dumps(payload) + "\n"
 
 
 def _emit_native(p: Presentation) -> str:

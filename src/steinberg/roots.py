@@ -57,9 +57,11 @@ class FiniteRootSystem:
         d: tuple[int, ...],
         nonreduced: bool = False,
     ):
-        # _coroot_rows: root coords -> (<x^vee, alpha_j>)_j, filled by pairing
+        # _coroot_rows: root coords -> (<x^vee, alpha_j>)_j, filled by pairing;
+        # _reflections: (in_root, x) -> (reflected x, <in_root^vee, x>), filled
+        # by _reflection
         self.__dict__.update(cartan=cartan, family=family, roots=roots, d=d,
-                             nonreduced=nonreduced, _coroot_rows={})
+                             nonreduced=nonreduced, _coroot_rows={}, _reflections={})
 
     def _key(self) -> tuple:
         return self.cartan, self.family, self.roots, self.d, self.nonreduced
@@ -154,8 +156,14 @@ class FiniteRootSystem:
         """i x + j y."""
         return tuple(i * a + j * b for a, b in zip(x, y))
 
-    def reflect(self, x, in_root) -> tuple[int, ...]:
-        return self.combine(1, x, -self.pairing(in_root, x), in_root)
+    def _reflection(self, x, in_root) -> tuple:
+        """(x - p in_root, p) for p = <in_root^vee, x>: the image of x under
+        the reflection in in_root, kept per pair."""
+        found = self._reflections.get((in_root, x))
+        if found is None:
+            p = self.pairing(in_root, x)
+            found = self._reflections[in_root, x] = (self.combine(1, x, -p, in_root), p)
+        return found
 
     def positive(self, x) -> bool:
         return any(c > 0 for c in x)
@@ -325,9 +333,6 @@ class AffineRootSystem:
             return root.level > 0
         return self.finite.positive(root.coords)
 
-    def pairing(self, x: AffineRoot, y: AffineRoot) -> int:
-        return self.finite.pairing(x.coords, y.coords)
-
     def combine(self, i: int, x: AffineRoot, j: int, y: AffineRoot) -> AffineRoot:
         """i x + j y."""
         return AffineRoot(self.finite.combine(i, x.coords, j, y.coords), i * x.level + j * y.level)
@@ -390,10 +395,13 @@ def real_roots_up_to_level(ars: AffineRootSystem, bound: int) -> list[AffineRoot
 
 
 def reflect(ars: AffineRootSystem, x: AffineRoot, in_root: AffineRoot) -> AffineRoot:
-    """Image of x under the reflection in `in_root` (affine action)."""
+    """Image of x under the reflection in `in_root` (affine action): the
+    finite image of the projections, kept per pair by the finite system, at
+    the level shifted by the same multiple of in_root's."""
     if x not in ars or in_root not in ars:
         raise ValueError("reflect requires roots of the system")
-    image = ars.combine(1, x, -ars.pairing(in_root, x), in_root)
+    coords, p = ars.finite._reflection(tuple(x.coords), tuple(in_root.coords))
+    image = AffineRoot(coords, x.level - p * in_root.level)
     assert image in ars
     return image
 

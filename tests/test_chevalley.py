@@ -209,6 +209,39 @@ def _dense_divided_powers(bs, gamma) -> list:
     return out
 
 
+def _scanned_divided_powers(bs, gamma) -> list:
+    # ad e_gamma with its root part found by scanning every delta, then
+    # D_k = D_(k-1) ad / k from D_0 = I
+    sys_, row = bs.system, bs._root_index[gamma]
+    ad = {(row, i): -sys_.pairing(sys_.simple(i), gamma) for i in range(bs.rank)}
+    col = bs._root_index[tuple(-x for x in gamma)]
+    ad.update(((i, col), c) for i, c in enumerate(bs.coroot_vector(gamma)))
+    for delta in bs.roots_order:
+        if bs.n(gamma, delta):
+            target = tuple(map(operator.add, gamma, delta))
+            ad[bs._root_index[target], bs._root_index[delta]] = bs.n(gamma, delta)
+    ad = {key: value for key, value in ad.items() if value}
+    out = [{(i, i): 1 for i in range(bs.dim)}]
+    while power := C._matmul(out[-1], C._row_index(ad)):
+        assert all(value % len(out) == 0 for value in power.values())
+        out.append({key: value // len(out) for key, value in power.items()})
+    return out
+
+
+FINITE_UP_TO_8 = ([("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 9)]
+                  + [("C", n) for n in range(3, 9)] + [("D", n) for n in range(4, 9)]
+                  + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
+
+@pytest.mark.parametrize("family,n", FINITE_UP_TO_8)
+def test_divided_powers_match_the_scanned_chain_from_the_identity(family, n):
+    # D_1 = ad e_gamma read off gamma's own constants, against the scan of
+    # every root and the chain I, I ad, ..., on every root of the type
+    bs = basis(family, n)
+    for gamma in bs.roots_order:
+        assert bs.divided_powers(gamma) == _scanned_divided_powers(bs, gamma), gamma
+
+
 @pytest.mark.parametrize("family,n", [("G", 2), ("F", 4)])
 def test_divided_powers_match_dense_powers(family, n):
     bs = basis(family, n)

@@ -36,6 +36,21 @@ def test_classify_rank3_double_double_chain():
     assert cls.label() == "B~2^even"
 
 
+def _matrix_from_roots(label):
+    # the pairings of the simple affine roots of the enumerated root system
+    from steinberg import roots as R
+
+    ars = R.affine_system(label)
+    simples = R.simple_affine_roots(ars)
+    return D.gcm([[ars.finite.pairing(x.coords, y.coords) for y in simples] for x in simples])
+
+
+@pytest.mark.parametrize("label", [cls.label() for cls, _ in D.catalog(12) if cls.is_affine]
+                         + ["A~35", "B~25", "C~25", "D~26", "B~2", "D~3", "C~2^even"])
+def test_recipe_matrix_matches_the_root_system(label):
+    assert D.affine_cartan(D.parse_label(label)) == _matrix_from_roots(label)
+
+
 def test_classify_unknown_is_other():
     a = D.gcm([[2, -5], [-1, 2]])
     assert D.classify(a).kind == "other"
@@ -46,6 +61,13 @@ def test_classify_permutation_invariant():
     for perm in itertools.permutations(range(3)):
         rows = [[base.rows[perm[i]][perm[j]] for j in range(3)] for i in range(3)]
         assert D.classify(D.gcm(rows)).label() == "C~2"
+
+
+def test_catalog_classes_are_their_parsed_labels():
+    classes = D._catalog_classes(12)
+    assert len(set(classes)) == len(classes)
+    for cls in classes:
+        assert D.parse_label(cls.label()) == cls
 
 
 def test_catalog_round_trip():

@@ -17,7 +17,7 @@ import sys
 
 import pytest
 
-from steinberg import cli
+from steinberg import cli, jsonout
 
 GOLDEN = pathlib.Path(__file__).with_name("golden") / "cli.json"
 
@@ -93,6 +93,21 @@ def test_golden(call):
 
 def test_corpus_is_recorded():
     assert sorted(json.loads(GOLDEN.read_text())) == sorted(CORPUS)
+
+
+def test_json_writer_matches_json_dumps_on_every_golden_payload(monkeypatch):
+    # every payload a golden call prints as JSON, written by jsonout and by json
+    payloads, dumps = [], jsonout.dumps
+    monkeypatch.setattr(jsonout, "dumps", lambda p: payloads.append(p) or dumps(p))
+    printed = 0
+    for call in CORPUS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            cli.main(call.split())
+        printed += out.getvalue().startswith(("{", "["))
+    assert payloads and len(payloads) == printed
+    for payload in payloads:
+        assert dumps(payload) == json.dumps(payload, indent=2, sort_keys=True)
 
 
 def _subparsers(parser) -> dict:

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from steinberg import collection as C
+from steinberg import diagrams as D
 from steinberg import loopmodel as L
 from steinberg import presentation as P
 from steinberg import rings
@@ -353,6 +354,29 @@ def test_product_matches_exact_reference_at_the_int64_bound(left_k, right_k, rig
         # a zero row, so the support is not everything
         right = _random_matrix(rng, n, dim, range(right_low, right_low + right_k), zero_row=1)
         assert _dense(left * right) == _dense_product(_dense(left), _dense(right), n)
+
+
+@pytest.mark.parametrize("n", [4, 6, 2**64 + 13])
+def test_product_by_a_near_identity_factor_matches_the_reference(n):
+    # right factors I + N that the kernel indexes by their difference from I:
+    # N off the diagonal and at other degrees, a diagonal entry c != 1, a
+    # missing one, and products that cancel entries of the left factor
+    dim, rng = 6, random.Random(n)
+    for _ in range(20):
+        left = L.LoopMatrix({(r, c, k): rng.randrange(1, n) for r in range(dim) if r != 4
+                             for c in range(dim) for k in range(-1, 2) if rng.random() < 0.7},
+                            n, dim)
+        entries = {(i, i, 0): 1 for i in range(dim) if i != 3}
+        entries[0, 0, 0] = rng.randrange(2, n)
+        for _ in range(4):
+            entries[rng.randrange(dim), rng.randrange(dim), rng.randrange(-1, 2)] = rng.randrange(1, n)
+        entries[1, 2, 0] = n - 1
+        right = L.LoopMatrix(entries, n, dim)
+        assert right._offset_rows is not None
+        assert _dense(left * right) == _dense_product(_dense(left), _dense(right), n)
+    cancelling = L.LoopMatrix({(0, 0, 0): 1, (1, 1, 0): 1, (0, 1, 0): n - 1}, n, 2)
+    assert (cancelling * cancelling).entries == {(0, 0, 0): 1, (1, 1, 0): 1, (0, 1, 0): n - 2}
+    assert (L.LoopMatrix({(0, 1, 0): 1}, n, 2) * cancelling).entries == {(0, 1, 0): 1}
 
 
 def _perturbed(rel, ring):
@@ -785,8 +809,10 @@ def test_scaling_by_a_diagonal_matches_the_product(n):
     assert diagonal._diagonal is not None and dropping._diagonal is not None
     assert off._diagonal is None and twice._diagonal is None
     for g in (diagonal, dropping, off, twice, L.identity_matrix(n, dim)):
-        assert L._scaled(g, m, left=True) == g * m
-        assert L._scaled(g, m, left=False) == m * g
+        assert L._scaled(g, m, None) == g * m
+        assert L._scaled(None, m, g) == m * g
+        for h in (diagonal, dropping, off, twice):
+            assert L._scaled(g, m, h) == g * m * h
     assert len((dropping * m).entries) < len(m.entries)
 
 
@@ -932,6 +958,48 @@ def test_wrong_kept_conjugator_fails_exactly_the_relators_that_contain_it():
     assert failed == [rel for rel in rels if contains(rel.left) or contains(rel.right)]
     assert {rel.family for rel in failed} == {"torus-action-1", "torus-action-2"}
     assert len(failed) == 2 * model.gcm.rank * 7
+
+
+def _runs(rel) -> tuple:
+    """The runs of the two words of a relator: the letters between the kept
+    head and tail."""
+    return tuple(w[head:len(w) - tail]
+                 for w in (rel.left, rel.right) for head, tail in [L._ends(w)])
+
+
+def test_a_tampered_shared_run_fails_exactly_the_relators_whose_words_have_it():
+    # the packing keeps exactly the runs of two or more letters that two or
+    # more words share, each multiplied out once; one of them replaced by a
+    # wrong matrix fails the relators with that run and no other
+    model = L.build_model("A~2", Z7)
+    options = P.PresentationOptions(include_torus_action=True)
+    schemas = P.relators_for(model.gcm, rings.integers(), options).relators
+    assert all(L.verify_relators(model, schemas))
+    counts = collections.Counter(run for rel in schemas for run in _runs(rel))
+    runs = model._packing.runs
+    assert set(runs) == {run for run, count in counts.items() if count > 1 and len(run) > 1}
+    assert any(count == 1 and len(run) > 1 for run, count in counts.items())
+    assert len(runs) == 2 * model.gcm.rank and None not in runs.values()
+    for run, value in list(runs.items()):
+        runs[run] = _bumped(value, (0, 1, 0))
+        failed = [rel for rel, ok in zip(schemas, L.verify_relators(model, schemas)) if not ok]
+        assert failed == [rel for rel in schemas if run in _runs(rel)] and len(failed) >= 2
+        runs[run] = value
+    assert all(L.verify_relators(model, schemas))
+
+
+@pytest.mark.parametrize(
+    "label", [cls.label() for cls, _ in D.catalog(6) if cls.kind == "affine-untwisted"])
+def test_weyl_letters_reach_their_z_degree_share_and_no_further(label):
+    # the share kmax |m| of an S letter (LoopModel._box_share) is the largest
+    # |z-degree| of S_i and of S_i^-1, at every node and modulus
+    for n in (2, 3, 4):
+        model = L.build_model(label, rings.integers_mod(n))
+        for i in range(model.gcm.rank):
+            share, _ = model._box_share(P.S(i))
+            assert share == max(abs(degree) for m in (model.s_matrix(i), model.s_inverse(i))
+                                for _, _, degree in m.entries)
+        assert any(model._box_share(P.S(i))[0] for i in range(model.gcm.rank))
 
 
 def _record_instances(monkeypatch) -> list:
@@ -1131,7 +1199,7 @@ def test_packing_round_trips_its_corners_and_widens_with_the_words():
         for d in (-packing.span, packing.span):
             for exps in itertools.product((-packing.top, packing.top), repeat=4):
                 assert _unpack(packing, packing.degree(d, exps)) == (d, exps)
-        formal = L._value(model, w)
+        formal = L._value(model, w, *L._ends(w))
         assert any(_unpack(packing, degree)[1][0] < 0 for _, _, degree in formal.entries)
         for rv, tv, uv in [(1, 1, 1), (2, 3, 4), (4, 2, 0), (3, 4, 2)]:
             concrete = P.word(P.X(j, rings.from_int(Z5, pow(rv, -1, 5) * tv)), P.S(i),
