@@ -52,6 +52,11 @@ CORPUS = [
     "present --diagram G~2 --ring GF(5) --torus --format native",
     "amalgam --diagram C~2 --ring Z/9 --km-torus --format native",
     "amalgam --diagram A~2 --ring Z/3 --format json",
+    # towers of polynomial and Laurent rings, and schema parameters with
+    # negative exponents (r^-1*t, u^-1*v^-1) in JSON
+    "present --diagram A~2 --ring Z[t][r^+-1] --format native",
+    "amalgam --diagram G~2 --ring Z/5[t^+-1] --km-torus --format json",
+    "present --diagram C~2 --ring Z --torus --km-torus --format json",
     "replay --case 1",
     "replay --case 2",
     "replay --case 3",
