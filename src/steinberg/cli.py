@@ -24,14 +24,19 @@ from . import diagrams, rings
 
 
 def _read_diagram(text: str) -> diagrams.GeneralizedCartanMatrix:
+    """A label, matrix text, or the path of a file holding either.  Text in
+    label syntax that names no diagram and no file reports why the label is
+    invalid."""
     try:
         return diagrams.parse_diagram(text)
-    except ValueError:
-        try:
-            with open(text) as fh:
-                return diagrams.parse_diagram(fh.read())
-        except OSError:
-            raise ValueError(f"cannot interpret diagram {text!r}") from None
+    except ValueError as exc:
+        error = exc if diagrams._LABEL_RE.match(text.strip()) else ValueError(
+            f"cannot interpret diagram {text!r}")
+    try:
+        with open(text) as fh:
+            return diagrams.parse_diagram(fh.read())
+    except OSError:
+        raise error from None
 
 
 def _parse_root(text: str):

@@ -438,10 +438,7 @@ class _Packing:
 def _monomials(p: rings.RingElement, k: int) -> tuple:
     """((exponents of r, t, u, v), coefficient) of the terms of p^k, p in
     the schema ring."""
-    power = rings.one(p.desc)
-    for _ in range(k):
-        power = power * p
-    return tuple(rings._flat_terms(p.desc, power.data))
+    return rings.power(p, k).data
 
 
 def _box(model: LoopModel, words) -> tuple:

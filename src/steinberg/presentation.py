@@ -24,7 +24,7 @@ from .diagrams import GeneralizedCartanMatrix
 
 
 SCHEMA_RING = rings.parse_descriptor("Z[r^+-1][t][u^+-1][v^+-1]")
-_NAMES = rings._variables(SCHEMA_RING)  # ("r", "t", "u", "v")
+_NAMES = SCHEMA_RING.names  # ("r", "t", "u", "v")
 _VARIABLE = {name: rings.parse_element(SCHEMA_RING, name) for name in _NAMES}
 
 
@@ -513,10 +513,9 @@ def _polynomial(p: rings.RingElement) -> tuple:
     """(support, terms) of p in the schema ring: support the positions in
     _NAMES of its variables, and terms ((c, ((k, e), ...)), ...) its terms
     c * prod x_k^e, k indexing support."""
-    flat = rings._flat_terms(p.desc, p.data)
-    support = tuple(j for j in range(len(_NAMES)) if any(exps[j] for exps, _ in flat))
+    support = tuple(j for j in range(len(_NAMES)) if any(exps[j] for exps, _ in p.data))
     return support, tuple((c, tuple((k, exps[j]) for k, j in enumerate(support) if exps[j]))
-                          for exps, c in flat)
+                          for exps, c in p.data)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 """Exact commutative ring arithmetic.
 
-Supported rings: the integers, integers mod n, prime fields, multivariate
-polynomial rings over any of these, and Laurent polynomial rings in one
-variable.  Every element is kept in a canonical form so that equality is
-representation equality and printing is byte-stable:
+Supported rings: the integers, integers mod n, prime fields, and towers of
+multivariate polynomial and one-variable Laurent rings over any of these.
+A tower such as Z[r^+-1][t] is stored as one ring in all of its variables,
+innermost first: its descriptor derives `names` (r, t), `laurent` (which of
+them may carry a negative exponent) and its scalar ring `scalar` with
+`modulus` (None for Z).  Every element is kept in a canonical form so that
+equality is representation equality and printing is byte-stable:
 
-* residues are stored as least nonnegative representatives,
-* polynomial coefficient maps never store zeros,
+* a scalar is an int, a residue its least nonnegative representative,
+* an element of a tower is the sorted tuple of its terms
+  (exponents over `names`, nonzero scalar),
 * printed monomials are ordered graded-lexicographically over all variables
   in declaration order, innermost ring first.
 """
@@ -14,6 +18,7 @@ representation equality and printing is byte-stable:
 from __future__ import annotations
 
 import math
+import operator
 import re
 from typing import Iterator
 
@@ -33,12 +38,22 @@ class RingDescriptor:
     params: () for Z, (n,) for Zmod, (p,) for GF,
             (base, vars_tuple) for poly, (base, var) for laurent.
 
-    Immutable, equal by value to another descriptor only.
+    Derived from these (see the module docstring): names, laurent, scalar,
+    modulus.  Immutable, equal by value to another descriptor only.
     """
 
     def __init__(self, kind: str, params: tuple):
+        if kind in ("poly", "laurent"):
+            base, new = params
+            new = new if kind == "poly" else (new,)
+            derived = dict(names=base.names + new,
+                           laurent=base.laurent + (kind == "laurent",) * len(new),
+                           scalar=base.scalar, modulus=base.modulus)
+        else:
+            derived = dict(names=(), laurent=(), scalar=self,
+                           modulus=params[0] if params else None)
         # the hash is computed once: every element hash hashes the descriptor
-        self.__dict__.update(kind=kind, params=params, _hash=hash((kind, params)))
+        self.__dict__.update(kind=kind, params=params, _hash=hash((kind, params)), **derived)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -140,87 +155,54 @@ def parse_descriptor(text: str) -> RingDescriptor:
 # canonical data layer (plain hashable python data, dispatched on descriptor)
 
 
-def _zero(desc: RingDescriptor):
-    if desc.kind in ("Z", "Zmod", "GF"):
-        return 0
-    return ()
+def _reduce(desc: RingDescriptor, c: int) -> int:
+    return c if desc.modulus is None else c % desc.modulus
+
+
+def _term(desc: RingDescriptor, exps: tuple, c: int):
+    """The data of the scalar c times the monomial with exponents exps."""
+    c = _reduce(desc, c)
+    if not desc.names:
+        return c
+    return ((exps, c),) if c else ()
 
 
 def _one(desc: RingDescriptor):
-    if desc.kind in ("Z", "Zmod", "GF"):
-        return 1 % desc.params[0] if desc.kind != "Z" else 1
-    base = desc.params[0]
-    if desc.kind == "poly":
-        nvars = len(desc.params[1])
-        return (((0,) * nvars, _one(base)),)
-    return ((0, _one(base)),)
+    return _term(desc, (0,) * len(desc.names), 1)
 
 
-def _from_int(desc: RingDescriptor, k: int):
-    if desc.kind == "Z":
-        return k
-    if desc.kind in ("Zmod", "GF"):
-        return k % desc.params[0]
-    base = desc.params[0]
-    c = _from_int(base, k)
-    if _data_is_zero(base, c):
-        return ()
-    if desc.kind == "poly":
-        return (((0,) * len(desc.params[1]), c),)
-    return ((0, c),)
-
-
-def _data_is_zero(desc: RingDescriptor, a) -> bool:
-    return a == 0 if desc.kind in ("Z", "Zmod", "GF") else a == ()
-
-
-def _trim(desc: RingDescriptor, mapping: dict):
-    base = desc.params[0]
-    items = [(k, v) for k, v in mapping.items() if not _data_is_zero(base, v)]
-    items.sort(key=lambda kv: kv[0])
-    return tuple(items)
+def _canonical(desc: RingDescriptor, acc: dict) -> tuple:
+    """The terms of acc, exponents -> scalar, reduced, without zeros, sorted."""
+    n = desc.modulus
+    if n is not None:
+        acc = {k: v % n for k, v in acc.items()}
+    return tuple(sorted(kv for kv in acc.items() if kv[1]))
 
 
 def _add(desc: RingDescriptor, a, b):
-    if desc.kind == "Z":
-        return a + b
-    if desc.kind in ("Zmod", "GF"):
-        return (a + b) % desc.params[0]
-    base = desc.params[0]
+    if not desc.names:
+        return _reduce(desc, a + b)
     acc = dict(a)
     for k, v in b:
-        acc[k] = _add(base, acc.get(k, _zero(base)), v)
-    return _trim(desc, acc)
+        acc[k] = acc.get(k, 0) + v
+    return _canonical(desc, acc)
 
 
 def _neg(desc: RingDescriptor, a):
-    if desc.kind == "Z":
-        return -a
-    if desc.kind in ("Zmod", "GF"):
-        return (-a) % desc.params[0]
-    base = desc.params[0]
-    return tuple((k, _neg(base, v)) for k, v in a)
+    if not desc.names:
+        return _reduce(desc, -a)
+    return tuple((k, _reduce(desc, -v)) for k, v in a)
 
 
 def _mul(desc: RingDescriptor, a, b):
-    if desc.kind == "Z":
-        return a * b
-    if desc.kind in ("Zmod", "GF"):
-        return (a * b) % desc.params[0]
-    base = desc.params[0]
+    if not desc.names:
+        return _reduce(desc, a * b)
     acc: dict = {}
     for k1, v1 in a:
         for k2, v2 in b:
-            if desc.kind == "poly":
-                k = tuple(x + y for x, y in zip(k1, k2))
-            else:
-                k = k1 + k2
-            prod = _mul(base, v1, v2)
-            if k in acc:
-                acc[k] = _add(base, acc[k], prod)
-            else:
-                acc[k] = prod
-    return _trim(desc, acc)
+            k = tuple(map(operator.add, k1, k2))
+            acc[k] = acc.get(k, 0) + v1 * v2
+    return _canonical(desc, acc)
 
 
 # --------------------------------------------------------------------------
@@ -270,7 +252,7 @@ class RingElement:
         return RingElement(self.desc, _mul(self.desc, self.data, other.data))
 
     def is_zero(self) -> bool:
-        return _data_is_zero(self.desc, self.data)
+        return not self.data
 
     def is_one(self) -> bool:
         return self.data == _one(self.desc)
@@ -292,7 +274,7 @@ _set_data = RingElement.data.__set__
 
 
 def zero(desc: RingDescriptor) -> RingElement:
-    return RingElement(desc, _zero(desc))
+    return RingElement(desc, () if desc.names else 0)
 
 
 def one(desc: RingDescriptor) -> RingElement:
@@ -300,64 +282,38 @@ def one(desc: RingDescriptor) -> RingElement:
 
 
 def from_int(desc: RingDescriptor, k: int) -> RingElement:
-    return RingElement(desc, _from_int(desc, k))
+    return RingElement(desc, _term(desc, (0,) * len(desc.names), k))
 
 
 def variable(desc: RingDescriptor, name: str) -> RingElement:
-    """The generator `name` of a polynomial or Laurent ring."""
-    if desc.kind == "poly":
-        base, names = desc.params
-        if name not in names:
-            raise ValueError(f"{name!r} is not a variable of {desc}")
-        exps = tuple(1 if v == name else 0 for v in names)
-        return RingElement(desc, ((exps, _one(base)),))
-    if desc.kind == "laurent":
-        base, var = desc.params
-        if name != var:
-            raise ValueError(f"{name!r} is not the variable of {desc}")
-        return RingElement(desc, ((1, _one(base)),))
-    raise ValueError(f"{desc} has no variables")
+    """The generator `name` of a polynomial or Laurent ring, of the outermost
+    level of a tower that has one."""
+    if name not in desc.names:
+        raise ValueError(f"{name!r} is not a variable of {desc}")
+    return _parse_term(desc, 1, name)
 
 
 def units(desc: RingDescriptor) -> list[RingElement]:
     """Complete unit list of a finite ring."""
-    if desc.kind == "Zmod":
-        n = desc.params[0]
-        return [RingElement(desc, a) for a in range(1, n) if math.gcd(a, n) == 1]
-    if desc.kind == "GF":
-        p = desc.params[0]
-        return [RingElement(desc, a) for a in range(1, p)]
-    raise ValueError(f"units({desc}): ring is not finite")
+    n = desc.modulus
+    if desc.names or n is None:
+        raise ValueError(f"units({desc}): ring is not finite")
+    return [RingElement(desc, a) for a in range(1, n) if math.gcd(a, n) == 1]
 
 
 def inverse(a: RingElement) -> RingElement:
-    """Multiplicative inverse; raises ValueError on non-units."""
-    desc = a.desc
-    if desc.kind == "Z":
-        if a.data in (1, -1):
-            return a
-        raise ValueError(f"{a.data} is not a unit of Z")
-    if desc.kind in ("Zmod", "GF"):
-        n = desc.params[0]
-        try:
-            return RingElement(desc, pow(a.data, -1, n))
-        except ValueError:
-            raise ValueError(f"{a.data} is not a unit of {desc}") from None
-    if desc.kind == "poly":
-        base = desc.params[0]
-        nvars = len(desc.params[1])
-        if len(a.data) == 1 and a.data[0][0] == (0,) * nvars:
-            c = inverse(RingElement(base, a.data[0][1]))
-            return RingElement(desc, (((0,) * nvars, c.data),))
-        raise ValueError("non-constant polynomial is not a unit")
-    if desc.kind == "laurent":
-        base = desc.params[0]
-        if len(a.data) == 1:
-            e, c = a.data[0]
-            cinv = inverse(RingElement(base, c))
-            return RingElement(desc, ((-e, cinv.data),))
-        raise ValueError("Laurent element with several terms is not a unit")
-    raise ValueError(f"unknown ring kind {desc.kind!r}")
+    """Multiplicative inverse; raises ValueError on non-units.  The units
+    are the single terms whose scalar is a unit and whose polynomial (not
+    Laurent) variables all have exponent 0."""
+    desc, n = a.desc, a.desc.modulus
+    terms = a.data if desc.names else [((), a.data)]
+    if len(terms) == 1:
+        (exps, c), = terms
+        unit = c in (1, -1) if n is None else math.gcd(c, n) == 1
+        if unit and not any(e for e, laurent in zip(exps, desc.laurent) if not laurent):
+            c = c if n is None else pow(c, -1, n)
+            return RingElement(desc, _term(desc, tuple(-e for e in exps), c))
+    raise ValueError(f"{render_element(a)} is not a unit of {desc}")
 
 
 def power(a: RingElement, k: int) -> RingElement:
@@ -373,20 +329,19 @@ def power(a: RingElement, k: int) -> RingElement:
 
 def elements(desc: RingDescriptor) -> Iterator[RingElement]:
     """All elements of a finite ring, in residue order."""
-    if desc.kind in ("Zmod", "GF"):
-        for a in range(desc.params[0]):
-            yield RingElement(desc, a)
-    else:
+    if desc.names or desc.modulus is None:
         raise ValueError(f"cannot enumerate elements of {desc}")
+    yield from (RingElement(desc, a) for a in range(desc.modulus))
 
 
 def substitute(a: RingElement, assignment: dict) -> RingElement:
-    """Evaluate a polynomial or Laurent element, nested to any depth, by
-    substituting ring elements for its variables.
+    """Evaluate an element of a polynomial or Laurent ring by substituting
+    ring elements for its variables.
 
     The result lives in the ring of the substituted values; integer
-    coefficients are mapped there canonically.  A variable needs a value
-    only where its exponent is nonzero, and a unit where it is negative.
+    coefficients are mapped there canonically, residues only into their own
+    ring.  A variable needs a value only where its exponent is nonzero, and
+    a unit where it is negative.
     """
     if not assignment:
         raise ValueError("substitute needs at least one value")
@@ -396,15 +351,12 @@ def substitute(a: RingElement, assignment: dict) -> RingElement:
     desc = a.desc
     if desc == ring:
         return a
-    if desc.kind == "Z":
-        return from_int(ring, a.data)
-    if desc.kind not in ("poly", "laurent"):
-        raise ValueError(f"cannot map {desc} coefficients into {ring}")
-    base, names = desc.params
+    if desc.modulus is not None and desc.scalar != ring:
+        raise ValueError(f"cannot map {desc.scalar} coefficients into {ring}")
     total = zero(ring)
-    for mono, coeff in a.data:
-        term = substitute(RingElement(base, coeff), assignment)
-        for name, e in zip(names, mono) if desc.kind == "poly" else [(names, mono)]:
+    for exps, c in a.data if desc.names else [((), a.data)]:
+        term = from_int(ring, c)
+        for name, e in zip(desc.names, exps):
             if e:
                 if name not in assignment:
                     raise ValueError(f"no value given for {name!r}")
@@ -427,17 +379,14 @@ def _monomial_str(names: tuple[str, ...], exps) -> str:
 
 
 def render_element(a: RingElement) -> str:
-    """a in expanded form, so that a coefficient from a polynomial base ring
-    is multiplied out, as in t*r + r for (t + 1) r in Z[t][r^+-1].  The terms
-    are ordered graded-lexicographically over all variables of a nested
-    ring, innermost ring first."""
-    if a.desc.kind in ("Z", "Zmod", "GF"):
+    """a in expanded form, as in t*r + r for (t + 1) r in Z[t][r^+-1].  The
+    terms are ordered graded-lexicographically over all variables of a
+    tower, innermost ring first."""
+    if not a.desc.names:
         return str(a.data)
-    names = _variables(a.desc)
-    terms = sorted(_flat_terms(a.desc, a.data), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
     out = []
-    for exps, coeff in terms:
-        mstr = _monomial_str(names, exps)
+    for exps, coeff in sorted(a.data, key=lambda kv: (sum(kv[0]), kv[0]), reverse=True):
+        mstr = _monomial_str(a.desc.names, exps)
         body = str(abs(coeff))
         if mstr:
             body = mstr if body == "1" else f"{body}*{mstr}"
@@ -448,34 +397,13 @@ def render_element(a: RingElement) -> str:
     return " ".join(out) if out else "0"
 
 
-def _variables(desc: RingDescriptor) -> tuple:
-    """The variable names of a nested ring, innermost ring first."""
-    if desc.kind in ("Z", "Zmod", "GF"):
-        return ()
-    base, names = desc.params
-    return _variables(base) + (names if desc.kind == "poly" else (names,))
-
-
-def _flat_terms(desc: RingDescriptor, data) -> list:
-    """[(exponents, scalar), ...] of the nonzero terms, with exponents over
-    _variables(desc)."""
-    if desc.kind in ("Z", "Zmod", "GF"):
-        return [((), data)] if data else []
-    base = desc.params[0]
-    out = []
-    for mono, coeff in data:
-        mono = mono if desc.kind == "poly" else (mono,)
-        out += [(exps + mono, c) for exps, c in _flat_terms(base, coeff)]
-    return out
-
-
 # --------------------------------------------------------------------------
 # element parsing (grammar documented in the README)
 
 def parse_element(desc: RingDescriptor, text: str) -> RingElement:
     """Parse an element per the file/CLI grammar, e.g. ``3*t^2*u - t + 1``."""
     text = text.strip()
-    if desc.kind in ("Z", "Zmod", "GF"):
+    if not desc.names:
         return from_int(desc, int(text))
     compact = text.replace(" ", "")
     if not compact:
@@ -506,14 +434,10 @@ def parse_element(desc: RingDescriptor, text: str) -> RingElement:
 
 
 def _parse_term(desc: RingDescriptor, sign: int, term: str) -> RingElement:
-    base = desc.params[0]
-    if desc.kind == "poly":
-        names = desc.params[1]
-    else:
-        names = (desc.params[1],)
-    coeff = 1
-    exps = {name: 0 for name in names}
-    inner = []  # factors in the variables of a polynomial or Laurent base
+    # a name used at two levels of a tower means the outer one
+    position = {name: k for k, name in enumerate(desc.names)}
+    coeff = sign
+    exps = [0] * len(desc.names)
     for factor in term.split("*"):
         if not factor:
             raise ValueError(f"bad term {term!r}")
@@ -525,21 +449,9 @@ def _parse_term(desc: RingDescriptor, sign: int, term: str) -> RingElement:
             e = int(etext)
         else:
             var, e = factor, 1
-        if var not in exps:
-            if base.kind in ("poly", "laurent"):
-                inner.append(factor)
-                continue
+        if var not in position:
             raise ValueError(f"unknown variable {var!r} for {desc}")
-        if e < 0 and desc.kind != "laurent":
+        if e < 0 and not desc.laurent[position[var]]:
             raise ValueError("negative exponents only in Laurent rings")
-        exps[var] += e
-    if inner:
-        cdata = _parse_term(base, sign * coeff, "*".join(inner)).data
-    else:
-        cdata = _from_int(base, sign * coeff)
-    if _data_is_zero(base, cdata):
-        return zero(desc)
-    if desc.kind == "poly":
-        mono = tuple(exps[name] for name in names)
-        return RingElement(desc, ((mono, cdata),))
-    return RingElement(desc, ((exps[names[0]], cdata),))
+        exps[position[var]] += e
+    return RingElement(desc, _term(desc, tuple(exps), coeff))

@@ -179,6 +179,21 @@ def test_verify_int64_overflow_unsupported(capsys, monkeypatch):
     assert "too large" in err
 
 
+@pytest.mark.parametrize("label,reason", [
+    ("E9", "no finite diagram E9"),
+    ("A~0", "no affine diagram A~0"),
+    ("G~3", "no affine diagram G~3"),
+])
+def test_invalid_label_reports_why(capsys, tmp_path, monkeypatch, label, reason):
+    code, out, err = run(capsys, "classify", "--diagram", label)
+    assert (code, out, err) == (2, "", f"error: {reason}\n")
+    # a file of that name is still read
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / label).write_text("rank 3\n2 -1 -1\n-1 2 -1\n-1 -1 2\n")
+    code, out, _ = run(capsys, "classify", "--diagram", label)
+    assert code == 0 and json.loads(out)["label"] == "A~2"
+
+
 def test_usage_errors(capsys):
     code, _, err = run(capsys, "classify", "--diagram", "H9")
     assert code == 2 and "error:" in err

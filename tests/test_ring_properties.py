@@ -16,25 +16,23 @@ bounded = settings(derandomize=True, max_examples=60, database=None, deadline=No
 
 def elements(desc: rings.RingDescriptor):
     """Elements of desc: small integers and residues, and sums of up to
-    three terms with small exponents and coefficients from the base ring."""
-    if desc.kind == "Z":
-        return st.integers(-20, 20).map(lambda k: rings.from_int(desc, k))
-    if desc.kind in ("Zmod", "GF"):
-        return st.integers(0, desc.params[0] - 1).map(lambda k: rings.from_int(desc, k))
-    base, names = desc.params
-    if desc.kind == "poly":
-        monomials = st.tuples(*[st.integers(0, 3)] * len(names))
-    else:
-        monomials = st.integers(-3, 3)
+    three of their multiples of products of small powers of the variables,
+    negative ones only of Laurent variables.  They are built by ring
+    operations alone, whatever the layout of the data."""
+    scalars = st.integers(-20, 20)
+    if not desc.names:
+        return scalars.map(lambda k: rings.from_int(desc, k))
+    variables = [rings.parse_element(desc, name) for name in desc.names]
+    exponents = st.tuples(*[st.integers(-3 if laurent else 0, 3) for laurent in desc.laurent])
 
-    def summed(terms: dict) -> rings.RingElement:
-        total = rings.zero(desc)
-        for monomial, coeff in terms.items():
-            if not coeff.is_zero():
-                total = total + rings.RingElement(desc, ((monomial, coeff.data),))
-        return total
+    def term(k: int, exps: tuple) -> rings.RingElement:
+        out = rings.from_int(desc, k)
+        for x, e in zip(variables, exps):
+            out = out * rings.power(x, e)
+        return out
 
-    return st.dictionaries(monomials, elements(base), max_size=3).map(summed)
+    terms = st.builds(term, scalars, exponents)
+    return st.lists(terms, max_size=3).map(lambda ts: sum(ts, rings.zero(desc)))
 
 
 def triples(name: str):

@@ -81,31 +81,30 @@ def test_canonical_form_idempotent():
 
 def test_evaluation_homomorphism_random():
     rng = random.Random(7)
-    ztu = R.polynomial_ring(R.integers_mod(9), ("t", "u"))
     z9 = R.integers_mod(9)
-    t, u = R.variable(ztu, "t"), R.variable(ztu, "u")
+    units = R.units(z9)
+    for name in ["Z/9[t,u]", "Z[r^+-1][t][u^+-1][v^+-1]", "Z[t][r^+-1]"]:
+        desc = R.parse_descriptor(name)
+        laurent = dict(zip(desc.names, desc.laurent))
+        variables = {x: R.parse_element(desc, x) for x in desc.names}
 
-    def rand_poly():
-        acc = R.zero(ztu)
-        for _ in range(rng.randrange(1, 5)):
-            term = R.from_int(ztu, rng.randrange(-8, 9))
-            for _ in range(rng.randrange(0, 3)):
-                term = term * (t if rng.random() < 0.5 else u)
-            acc = acc + term
-        return acc
+        def rand_poly():
+            acc = R.zero(desc)
+            for _ in range(rng.randrange(1, 5)):
+                term = R.from_int(desc, rng.randrange(-8, 9))
+                for _ in range(rng.randrange(0, 3)):
+                    x = rng.choice(desc.names)
+                    term = term * R.power(variables[x], rng.choice([-1, 1]) if laurent[x] else 1)
+                acc = acc + term
+            return acc
 
-    for _ in range(60):
-        a, b = rand_poly(), rand_poly()
-        point = {
-            "t": R.from_int(z9, rng.randrange(9)),
-            "u": R.from_int(z9, rng.randrange(9)),
-        }
-        assert R.substitute(a + b, point) == R.substitute(a, point) + R.substitute(
-            b, point
-        )
-        assert R.substitute(a * b, point) == R.substitute(a, point) * R.substitute(
-            b, point
-        )
+        for _ in range(60):
+            a, b = rand_poly(), rand_poly()
+            # units at the Laurent variables, any residue elsewhere
+            point = {x: rng.choice(units) if laurent[x] else R.from_int(z9, rng.randrange(9))
+                     for x in desc.names}
+            assert R.substitute(a + b, point) == R.substitute(a, point) + R.substitute(b, point)
+            assert R.substitute(a * b, point) == R.substitute(a, point) * R.substitute(b, point)
 
 
 def test_nested_rings_render_in_one_graded_lex_order():
