@@ -30,13 +30,12 @@ def _read_diagram(text: str) -> diagrams.GeneralizedCartanMatrix:
     try:
         return diagrams.parse_diagram(text)
     except ValueError as exc:
-        error = exc if diagrams._LABEL_RE.match(text.strip()) else ValueError(
-            f"cannot interpret diagram {text!r}")
+        label_error = exc if diagrams._LABEL_RE.match(text.strip()) else None
     try:
         with open(text) as fh:
             return diagrams.parse_diagram(fh.read())
     except OSError:
-        raise error from None
+        raise label_error or ValueError(f"cannot interpret diagram {text!r}") from None
 
 
 def _parse_root(text: str):

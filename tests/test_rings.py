@@ -68,6 +68,22 @@ def test_inverse_examples():
         R.inverse(R.zero(z7))
     with pytest.raises(ValueError):
         R.inverse(R.from_int(R.integers_mod(6), 2))
+    # in a tower: one term, a unit scalar, no polynomial variable
+    schema = R.parse_descriptor("Z[r^+-1][t][u^+-1][v^+-1]")
+    a = R.parse_element(schema, "-r^2*u^-1*v")
+    assert R.inverse(a) == R.parse_element(schema, "-r^-2*u*v^-1")
+    for text in ["t*r", "2*r", "r + u", "0"]:
+        with pytest.raises(ValueError):
+            R.inverse(R.parse_element(schema, text))
+    z5t = R.parse_descriptor("Z/5[t^+-1]")
+    assert R.inverse(R.parse_element(z5t, "2*t^3")) == R.parse_element(z5t, "3*t^-3")
+    # a name used at two levels means the outer one, here not Laurent
+    twice = R.parse_descriptor("Z/3[t^+-1][t]")
+    assert twice.names == ("t", "t") and twice.laurent == (True, False)
+    with pytest.raises(ValueError):
+        R.inverse(R.parse_element(twice, "t"))
+    with pytest.raises(ValueError):
+        R.parse_element(twice, "t^-1")
 
 
 def test_canonical_form_idempotent():
