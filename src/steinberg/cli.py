@@ -12,13 +12,19 @@ for `replay`, `loopmodel` (with `roots`) for `verify`, and `jsonout` for the
 JSON outputs (`presentation` imports it for `--format json`).  No command
 loads `json`.  The matrix of an affine label comes from the label's recipe
 (diagrams.affine_cartan), so naming an affine diagram loads no `roots`.
+
+Each subcommand's options are written once, in `_SUBCOMMANDS`.  A
+well-formed command line is parsed by `parse_exact` over that table, which
+returns what argparse would, and loads no `argparse`, `gettext` or
+`locale`.  Help (`-h`) and malformed input go through argparse
+(`build_parser`), which prints the same help, usage and error text as
+always.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
-from functools import partial
+from types import SimpleNamespace
 
 from . import diagrams, rings
 
@@ -30,7 +36,7 @@ def _read_diagram(text: str) -> diagrams.GeneralizedCartanMatrix:
     try:
         return diagrams.parse_diagram(text)
     except ValueError as exc:
-        label_error = exc if diagrams._LABEL_RE.match(text.strip()) else None
+        label_error = exc if diagrams.is_label(text) else None
     try:
         with open(text) as fh:
             return diagrams.parse_diagram(fh.read())
@@ -208,83 +214,67 @@ def _cmd_hypotheses(args) -> int:
     return 0
 
 
-def _common(p, diagram=True, ring=False, level=False):
-    if diagram:
-        p.add_argument("--diagram", required=True,
-                       help="family label (A~2, BC~3^odd, B3, ...) or matrix file")
-    if ring:
-        p.add_argument("--ring", required=True,
-                       help="ring descriptor (Z, Z/5, GF(7), Z[t,u], Z/5[t^+-1])")
-    if level:
-        p.add_argument("--level-bound", type=int, default=2)
-    p.add_argument("--out", help="write output to a file instead of stdout")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker budget; outputs never depend on it")
+_FLAG = {"action": "store_true"}
+_DIAGRAM = ("--diagram", {"required": True,
+                          "help": "family label (A~2, BC~3^odd, B3, ...) or matrix file"})
+_RING = ("--ring", {"required": True,
+                    "help": "ring descriptor (Z, Z/5, GF(7), Z[t,u], Z/5[t^+-1])"})
+_LEVEL = ("--level-bound", {"type": int, "default": 2})
+_OUTPUT = (("--out", {"help": "write output to a file instead of stdout"}),
+           ("--jobs", {"type": int, "default": 1,
+                       "help": "worker budget; outputs never depend on it"}))
+_FORMAT = ("--format", {"choices": ("native", "gap", "json"), "default": "native"})
 
-
-def _theta_arguments(p):
-    _common(p)
-    p.add_argument("--alpha", required=True,
-                   help="root as coords@level, e.g. 1,0@0; a negative root "
-                        "needs the = form, e.g. --alpha=-1,0@0")
-    p.add_argument("--beta", required=True,
-                   help="root as coords@level; a negative root needs the = form, "
-                        "e.g. --beta=-1,0@0")
-
-
-def _present_arguments(p):
-    _common(p, ring=True)
-    p.add_argument("--format", choices=("native", "gap", "json"), default="native")
-    p.add_argument("--torus", action="store_true", help="force the torus-action families")
-    p.add_argument("--no-torus", action="store_true", help="omit the torus-action families")
-    p.add_argument("--km-torus", action="store_true",
-                   help="adjoin the torus relations of the Kac-Moody quotient")
-
-
-def _amalgam_arguments(p):
-    _common(p, ring=True)
-    p.add_argument("--format", choices=("native", "gap", "json"), default="native")
-    p.add_argument("--torus", action="store_true")
-    p.add_argument("--no-torus", action="store_true")
-    p.add_argument("--km-torus", action="store_true")
-
-
-def _replay_arguments(p):
-    # collection.CASE_IDS, named here so that only replay loads collection
-    p.add_argument("--case", type=int, required=True, choices=range(1, 9),
-                   help="1-7, or 8 for the 0mod3 variant of case 4")
-    p.add_argument("--eps", type=int, default=1, choices=(1, -1))
-    p.add_argument("--eps-prime", type=int, default=1, choices=(1, -1))
-    p.add_argument("--out")
-    p.add_argument("--jobs", type=int, default=1)
-
-
-def _hypotheses_arguments(p):
-    _common(p)
-    p.add_argument("--fg-ring", action="store_true",
-                   help="assert: the ring is finitely generated as a ring")
-    p.add_argument("--module-finite", action="store_true",
-                   help="assert: finitely generated module over a unit-generated subring")
-    p.add_argument("--units-fg", action="store_true",
-                   help="assert: the unit group is finitely generated")
-
-
-# name -> (help, command, adds its arguments), in the order of the help
+# name -> (help, command, options), in the order of the help; each option is
+# a flag and the keyword arguments of its add_argument, which both parsers
+# read (build_parser for argparse, parse_exact for well-formed argv)
 _SUBCOMMANDS = {
-    "classify": ("recognize a diagram", _cmd_classify, _common),
-    "names": ("Moody-Pianzola and Kac names of an affine label", _cmd_names, _common),
-    "roots": ("real roots up to a level bound, as JSON", _cmd_roots, partial(_common, level=True)),
-    "pairs": ("pair classification report, as JSON", _cmd_pairs, partial(_common, level=True)),
-    "theta": ("the root string (N a + N b) of a pair", _cmd_theta, _theta_arguments),
-    "constants": ("structure constant table of a finite diagram", _cmd_constants, _common),
-    "present": ("emit the full presentation", _cmd_present, _present_arguments),
-    "amalgam": ("emit the rank-at-most-2 amalgam presentation", _cmd_amalgam,
-                _amalgam_arguments),
-    "replay": ("replay one of the commutation arguments", _cmd_replay, _replay_arguments),
+    "classify": ("recognize a diagram", _cmd_classify, (_DIAGRAM, *_OUTPUT)),
+    "names": ("Moody-Pianzola and Kac names of an affine label", _cmd_names,
+              (_DIAGRAM, *_OUTPUT)),
+    "roots": ("real roots up to a level bound, as JSON", _cmd_roots,
+              (_DIAGRAM, _LEVEL, *_OUTPUT)),
+    "pairs": ("pair classification report, as JSON", _cmd_pairs,
+              (_DIAGRAM, _LEVEL, *_OUTPUT)),
+    "theta": ("the root string (N a + N b) of a pair", _cmd_theta, (
+        _DIAGRAM, *_OUTPUT,
+        ("--alpha", {"required": True,
+                     "help": "root as coords@level, e.g. 1,0@0; a negative root "
+                             "needs the = form, e.g. --alpha=-1,0@0"}),
+        ("--beta", {"required": True,
+                    "help": "root as coords@level; a negative root needs the = form, "
+                            "e.g. --beta=-1,0@0"}),
+    )),
+    "constants": ("structure constant table of a finite diagram", _cmd_constants,
+                  (_DIAGRAM, *_OUTPUT)),
+    "present": ("emit the full presentation", _cmd_present, (
+        _DIAGRAM, _RING, *_OUTPUT, _FORMAT,
+        ("--torus", {**_FLAG, "help": "force the torus-action families"}),
+        ("--no-torus", {**_FLAG, "help": "omit the torus-action families"}),
+        ("--km-torus", {**_FLAG, "help": "adjoin the torus relations of the Kac-Moody quotient"}),
+    )),
+    "amalgam": ("emit the rank-at-most-2 amalgam presentation", _cmd_amalgam, (
+        _DIAGRAM, _RING, *_OUTPUT, _FORMAT,
+        ("--torus", _FLAG), ("--no-torus", _FLAG), ("--km-torus", _FLAG),
+    )),
+    "replay": ("replay one of the commutation arguments", _cmd_replay, (
+        # collection.CASE_IDS, named here so that only replay loads collection
+        ("--case", {"type": int, "required": True, "choices": range(1, 9),
+                    "help": "1-7, or 8 for the 0mod3 variant of case 4"}),
+        ("--eps", {"type": int, "default": 1, "choices": (1, -1)}),
+        ("--eps-prime", {"type": int, "default": 1, "choices": (1, -1)}),
+        ("--out", {}),
+        ("--jobs", {"type": int, "default": 1}),
+    )),
     "verify": ("verify every relation instance in the loop model", _cmd_verify,
-               partial(_common, ring=True, level=True)),
-    "hypotheses": ("finite-presentability hypothesis check", _cmd_hypotheses,
-                   _hypotheses_arguments),
+               (_DIAGRAM, _RING, _LEVEL, *_OUTPUT)),
+    "hypotheses": ("finite-presentability hypothesis check", _cmd_hypotheses, (
+        _DIAGRAM, *_OUTPUT,
+        ("--fg-ring", {**_FLAG, "help": "assert: the ring is finitely generated as a ring"}),
+        ("--module-finite", {**_FLAG, "help": "assert: finitely generated module over a "
+                                              "unit-generated subring"}),
+        ("--units-fg", {**_FLAG, "help": "assert: the unit group is finitely generated"}),
+    )),
 }
 
 
@@ -292,6 +282,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every subcommand, or one that holds only the named
     subcommand: it parses that subcommand's arguments, and prints its help
     and usage errors, as the full parser does."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="steinberg",
         description="Affine Steinberg/Kac-Moody presentations: roots, constants, "
@@ -301,23 +293,84 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     # parser keeps it so (an unrecognized argument prints it)
     metavar = "{" + ",".join(_SUBCOMMANDS) + "}" if command else None
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, (text, fn, add_arguments) in _SUBCOMMANDS.items():
+    for name, (text, fn, options) in _SUBCOMMANDS.items():
         if command in (None, name):
             p = sub.add_parser(name, help=text)
-            add_arguments(p)
+            for flag, kwargs in options:
+                p.add_argument(flag, **kwargs)
             p.set_defaults(fn=fn)
     return parser
 
 
+def _is_negative_number(token: str) -> bool:
+    # the one kind of token starting with - that argparse reads as a value
+    # here: none of the options looks like a negative number
+    digits = token[1:]
+    return token[:1] == "-" and digits.isascii() and digits.isdigit()
+
+
+def parse_exact(argv) -> SimpleNamespace | None:
+    """The arguments argparse returns for a well-formed argv: an exact
+    subcommand, then exact options as --name value or --name=value, flags
+    without =, valid ints and choices, every required option; a repeated
+    option keeps its last value.  None for anything else (help, --,
+    abbreviations, unknown or missing tokens, invalid values), which
+    argparse then parses, or reports."""
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    _, fn, options = _SUBCOMMANDS[argv[0]]
+    table = dict(options)
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        kwargs = table.get(flag)
+        if kwargs is None:
+            return None
+        if kwargs.get("action") == "store_true":
+            if eq:
+                return None
+            value = True
+        elif not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("-") and not _is_negative_number(value):
+                return None
+        elif value == "--":  # argparse drops it from the values
+            return None
+        if "type" in kwargs:
+            try:
+                value = kwargs["type"](value)
+            except ValueError:
+                return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        given[flag] = value
+    args = SimpleNamespace(command=argv[0], fn=fn)
+    for flag, kwargs in options:
+        if flag in given:
+            value = given[flag]
+        elif kwargs.get("required"):
+            return None
+        elif kwargs.get("action") == "store_true":
+            value = False
+        else:
+            value = kwargs.get("default")
+        setattr(args, flag[2:].replace("-", "_"), value)
+    return args
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # a named subcommand needs only its own subparser; -h and unknown or
-    # missing commands take the full parser
-    parser = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code else 0
+    args = parse_exact(argv)
+    if args is None:
+        # help and malformed input go through argparse; a named subcommand
+        # needs only its own subparser, -h and unknown or missing commands
+        # take the full parser
+        parser = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code else 0
     if args.jobs < 1:
         print("error: --jobs must be at least 1", file=sys.stderr)
         return 2

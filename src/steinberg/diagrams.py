@@ -133,6 +133,12 @@ class DiagramClass(NamedTuple):
 _LABEL_RE = re.compile(r"^(BC|[A-G])(~?)(\d+)(?:\^(even|odd|0mod3))?$")
 
 
+def is_label(text: str) -> bool:
+    """Whether the text, stripped, has label syntax; it may still name no
+    diagram (E9, A~0)."""
+    return _LABEL_RE.match(text.strip()) is not None
+
+
 def parse_label(text: str) -> DiagramClass:
     m = _LABEL_RE.match(text.strip())
     if not m:
@@ -486,8 +492,7 @@ def parse_matrix_text(text: str) -> GeneralizedCartanMatrix:
 
 def parse_diagram(text: str) -> GeneralizedCartanMatrix:
     """Accept either a family label (`A~2`, `BC~3^odd`, `B3`) or matrix text."""
-    stripped = text.strip()
-    if _LABEL_RE.match(stripped):
+    if is_label(text):
         # kept per class, so recognising the label's own matrix rebuilds nothing
-        return _catalog_matrix(parse_label(stripped))
+        return _catalog_matrix(parse_label(text))
     return parse_matrix_text(text)

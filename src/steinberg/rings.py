@@ -98,16 +98,23 @@ def prime_field(p: int) -> RingDescriptor:
     return RingDescriptor("GF", (p,))
 
 
+def _check_new_names(base: RingDescriptor, names) -> None:
+    # a tower names each variable once: parse_element reads a name as one variable
+    for name in names:
+        if name in base.names:
+            raise ValueError(f"variable {name!r} is already a variable of {base}")
+
+
 def polynomial_ring(base: RingDescriptor, names) -> RingDescriptor:
     names = tuple(names)
     if len(set(names)) != len(names) or not names:
         raise ValueError("polynomial variables must be distinct and nonempty")
+    _check_new_names(base, names)
     return RingDescriptor("poly", (base, names))
 
 
 def laurent_ring(base: RingDescriptor, name: str) -> RingDescriptor:
-    if base.kind == "laurent" and base.params[1] == name:
-        raise ValueError(f"base ring is already Laurent in {name!r}")
+    _check_new_names(base, (name,))
     return RingDescriptor("laurent", (base, name))
 
 

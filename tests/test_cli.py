@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import random
 
 import pytest
 
@@ -288,6 +291,7 @@ def test_verify_over_composite_rings(capsys, diagram, ring):
         (2, "constants --diagram BC~2^odd"),
         (2, "present --diagram A~2 --ring Q/5"),
         (2, "amalgam --diagram A~2 --ring Z[t"),
+        (2, "amalgam --diagram A~2 --ring Z[t][t]"),
         (2, "verify --diagram A~2 --ring Z/1"),
         (2, "theta --diagram A~2 --alpha x --beta 0,1@0"),
         (2, "theta --diagram A~2 --alpha 1,0@y --beta 0,1@0"),
@@ -303,3 +307,85 @@ def test_error_exit_codes(capsys, code, argv):
     got, out, err = run(capsys, *argv.split())
     assert (got, out) == (code, "")
     assert err.startswith("error:")
+
+
+def _argparse_vars(parser, argv):
+    """vars() of what argparse parses argv to, or None where it exits (help
+    or a usage error)."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(parser.parse_args(argv))
+    except SystemExit:
+        return None
+
+
+# values and tokens argparse reads in other ways than as a plain value
+ODD_VALUES = ["-1", "-12", "-1,0@0", "-x", "", "1.5", "9", "0", "xml", "--", "-", "- 1",
+              "--diag", "--help", "1_0", " 3", "\u0663", "-\u0663", "-\u00b2"]
+ODD_TOKENS = ["-h", "--help", "--", "--diag", "-x", "", "extra", "--torus=1", "--out",
+              "--jobs=", "--diagram=", "-1", "classify"]
+
+
+def _plain_value(kwargs, rng) -> str:
+    if "choices" in kwargs:
+        return str(rng.choice(list(kwargs["choices"])))
+    if kwargs.get("type") is int:
+        return str(rng.randint(-2, 3))
+    return rng.choice(["A~2", "Z/5", "1,0@0", "out.txt", "a=b"])
+
+
+def _random_argv(rng, command) -> list[str]:
+    """An option subset in any order, each in either value form, with
+    repeats, odd values and odd tokens mixed in."""
+    options = cli._SUBCOMMANDS[command][2]
+    argv = [command]
+    picked = rng.sample(options, len(options)) + rng.choices(options, k=rng.randint(0, 2))
+    for flag, kwargs in picked:
+        if rng.random() < 0.15:
+            continue
+        if kwargs.get("action") == "store_true":
+            argv.append(flag if rng.random() < 0.9 else flag + "=1")
+            continue
+        value = _plain_value(kwargs, rng) if rng.random() < 0.8 else rng.choice(ODD_VALUES)
+        argv += [flag, value] if rng.random() < 0.5 else [f"{flag}={value}"]
+    if rng.random() < 0.2:
+        argv.insert(rng.randint(0, len(argv)), rng.choice(ODD_TOKENS))
+    return argv
+
+
+@pytest.mark.parametrize("command", list(cli._SUBCOMMANDS))
+def test_exact_parser_returns_what_argparse_returns(command):
+    # every argv the exact parser takes, argparse takes and parses alike
+    rng = random.Random(f"exact parser {command}")
+    parser = cli.build_parser(command)
+    taken = 0
+    for _ in range(300):
+        argv = _random_argv(rng, command)
+        exact = cli.parse_exact(argv)
+        if exact is not None:
+            taken += 1
+            assert vars(exact) == _argparse_vars(parser, argv), argv
+    # the generator reaches both parsers' paths
+    assert 60 <= taken <= 270
+
+
+@pytest.mark.parametrize("argv", [
+    "",
+    "-h",
+    "classify -h",
+    "classify --help",
+    "classify --diag A~2",
+    "classify -- --diagram A~2",
+    "classify --diagram A~2 extra",
+    "classify --diagram",
+    "classify --jobs 2",
+    "present --diagram A~2 --ring Z --torus=1",
+    "theta --diagram A~2 --alpha 1,0@0 --beta -1,0@0",
+    "replay --case 9",
+    "replay --case x",
+    "replay --case 4 --eps -2",
+    "present --diagram A~2 --ring Z --format xml",
+    "nope --diagram A~2",
+])
+def test_exact_parser_leaves_help_and_malformed_input_to_argparse(argv):
+    assert cli.parse_exact(argv.split()) is None

@@ -79,6 +79,8 @@ CORPUS = [
     # exit 2: usage errors
     "present --diagram A~2 --ring Z/x",
     "roots --diagram A2",
+    # a ring tower that names a variable twice
+    "present --diagram A~2 --ring Z/3[t^+-1][t]",
     # exit 3: configurations the loop model cannot handle exactly
     "verify --diagram A~1 --ring Z/3",
     "verify --diagram A~2 --ring Z",
@@ -139,12 +141,18 @@ def _subparsers(parser) -> dict:
 
 
 def test_one_subcommand_parser_matches_the_full_parser():
-    # cli.main builds only the subcommand that argv[0] names
+    # cli.main builds only the subcommand that argv[0] names, and only for
+    # argv that its exact parser leaves to argparse
     full = cli.build_parser()
     for call in CORPUS:
         argv = call.split()
-        if "-h" not in argv:
-            assert cli.build_parser(argv[0]).parse_args(argv) == full.parse_args(argv)
+        if "-h" in argv:
+            assert cli.parse_exact(argv) is None
+            continue
+        parsed = cli.build_parser(argv[0]).parse_args(argv)
+        assert parsed == full.parse_args(argv)
+        # every golden call that argparse accepts takes the exact parser
+        assert vars(cli.parse_exact(argv)) == vars(parsed)
     for name, subparser in _subparsers(full).items():
         one = cli.build_parser(name)
         assert list(_subparsers(one)) == [name]

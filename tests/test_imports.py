@@ -6,7 +6,8 @@ the loop model.  No command loads `dataclasses` (and with it `inspect`) or
 `steinberg.collection`.  No command loads `json`.  `import steinberg.cli`
 loads neither `steinberg.jsonout` nor `steinberg.roots` nor
 `steinberg.presentation`; each command loads only those of them that it
-uses.
+uses.  Only help and usage errors load `argparse`, and with it `gettext`
+and `locale`.
 """
 
 import functools
@@ -29,6 +30,10 @@ WATCHED = ["numpy", "dataclasses", "inspect", "fractions", "decimal", "steinberg
 # modules that only the commands using them may load; json is listed so
 # that the budget below shows it is never loaded
 LAZY = ["json", "steinberg.jsonout", "steinberg.presentation", "steinberg.roots"]
+
+# argparse and what it loads to print help and errors; a well-formed command
+# line is parsed without them
+ARGPARSE = ["argparse", "gettext", "locale"]
 
 # the snapshot comes first: the harness imports json only to report
 CALL = """
@@ -54,9 +59,17 @@ def _run(source: str) -> str:
 
 
 @functools.lru_cache(maxsize=None)
+def _call(argv: str) -> tuple[int, list[str]]:
+    """The exit code of the command, and the modules of WATCHED, LAZY and
+    ARGPARSE that it loads, sorted."""
+    code, loaded = json.loads(
+        _run(CALL.format(argv=argv.split(), watched=WATCHED + LAZY + ARGPARSE))
+    )
+    return code, loaded
+
+
 def _loaded_by(argv: str) -> list[str]:
-    """The modules of WATCHED and LAZY that the command loads, sorted."""
-    code, loaded = json.loads(_run(CALL.format(argv=argv.split(), watched=WATCHED + LAZY)))
+    code, loaded = _call(argv)
     assert code == 0, argv
     return loaded
 
@@ -78,7 +91,7 @@ def test_cli_import_loads_no_watched_module():
         "import sys\n"
         "before = set(sys.modules)\n"
         "import steinberg.cli\n"
-        f"print(sorted(set({WATCHED + LAZY!r}) & set(sys.modules) - before))"
+        f"print(sorted(set({WATCHED + LAZY + ARGPARSE!r}) & set(sys.modules) - before))"
     )
     assert out.split() == ["[]"]
 
@@ -143,6 +156,16 @@ LAZY_LOADS = {
 @pytest.mark.parametrize("argv", sorted(LAZY_LOADS))
 def test_command_loads_only_the_lazy_modules_it_uses(argv):
     assert [name for name in _loaded_by(argv) if name in LAZY] == LAZY_LOADS[argv]
+
+
+@pytest.mark.parametrize("argv", sorted(LAZY_LOADS))
+def test_command_loads_no_argparse(argv):
+    assert [name for name in _loaded_by(argv) if name in ARGPARSE] == []
+
+
+@pytest.mark.parametrize("argv,code", [("-h", 0), ("classify -h", 0), ("replay --case 9", 2)])
+def test_help_and_usage_errors_go_through_argparse(argv, code):
+    assert _call(argv) == (code, ARGPARSE)
 
 
 def test_verify_passes_with_numpy_blocked():

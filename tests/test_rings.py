@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -77,13 +78,9 @@ def test_inverse_examples():
             R.inverse(R.parse_element(schema, text))
     z5t = R.parse_descriptor("Z/5[t^+-1]")
     assert R.inverse(R.parse_element(z5t, "2*t^3")) == R.parse_element(z5t, "3*t^-3")
-    # a name used at two levels means the outer one, here not Laurent
-    twice = R.parse_descriptor("Z/3[t^+-1][t]")
-    assert twice.names == ("t", "t") and twice.laurent == (True, False)
-    with pytest.raises(ValueError):
-        R.inverse(R.parse_element(twice, "t"))
-    with pytest.raises(ValueError):
-        R.parse_element(twice, "t^-1")
+    # a tower names each variable once
+    with pytest.raises(ValueError, match=re.escape("'t' is already a variable of Z/3[t^+-1]")):
+        R.parse_descriptor("Z/3[t^+-1][t]")
 
 
 def test_canonical_form_idempotent():
@@ -170,6 +167,28 @@ def test_parse_descriptor_round_trip():
     for text in ["Z", "Z/6", "GF(7)", "Z[t,u]", "GF(5)[t]", "Z/5[t^+-1]"]:
         d = R.parse_descriptor(text)
         assert R.parse_descriptor(str(d)) == d
+
+
+@pytest.mark.parametrize("text,name", [
+    ("Z[t][t]", "t"),
+    ("Z[t^+-1][t^+-1]", "t"),
+    ("Z[t,u][u^+-1]", "u"),
+    ("Z/3[t][r^+-1][t]", "t"),
+    ("GF(5)[r^+-1][t][u,r]", "r"),
+])
+def test_tower_repeating_a_variable_rejected(text, name):
+    # at any level below, not only the immediate base
+    with pytest.raises(ValueError, match=f"'{name}' is already a variable of"):
+        R.parse_descriptor(text)
+
+
+def test_ring_constructors_reject_a_variable_of_the_base():
+    base = R.parse_descriptor("Z[t][u^+-1]")
+    message = re.escape("'t' is already a variable of Z[t][u^+-1]")
+    with pytest.raises(ValueError, match=message):
+        R.polynomial_ring(base, ("v", "t"))
+    with pytest.raises(ValueError, match=message):
+        R.laurent_ring(base, "t")
 
 
 def test_descriptor_mismatch_rejected():
