@@ -303,8 +303,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def _is_negative_number(token: str) -> bool:
-    # the one kind of token starting with - that argparse reads as a value
-    # here: none of the options looks like a negative number
+    # - and ASCII digits: argparse reads it as a value, not as an option, since
+    # no option looks like a negative number (other such tokens, e.g. -1.5,
+    # go to argparse)
     digits = token[1:]
     return token[:1] == "-" and digits.isascii() and digits.isdigit()
 

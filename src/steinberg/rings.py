@@ -2,8 +2,8 @@
 
 Supported rings: the integers, integers mod n, prime fields, and towers of
 multivariate polynomial and one-variable Laurent rings over any of these.
-A tower such as Z[r^+-1][t] is stored as one ring in all of its variables,
-innermost first: its descriptor derives `names` (r, t), `laurent` (which of
+A tower such as Z[r^+-1][t] names each variable once and is stored as one
+ring in all of its variables, innermost first: its descriptor derives `names` (r, t), `laurent` (which of
 them may carry a negative exponent) and its scalar ring `scalar` with
 `modulus` (None for Z).  Every element is kept in a canonical form so that
 equality is representation equality and printing is byte-stable:
@@ -293,8 +293,8 @@ def from_int(desc: RingDescriptor, k: int) -> RingElement:
 
 
 def variable(desc: RingDescriptor, name: str) -> RingElement:
-    """The generator `name` of a polynomial or Laurent ring, of the outermost
-    level of a tower that has one."""
+    """The generator `name` of a polynomial or Laurent ring, at any level of
+    a tower."""
     if name not in desc.names:
         raise ValueError(f"{name!r} is not a variable of {desc}")
     return _parse_term(desc, 1, name)
@@ -441,7 +441,6 @@ def parse_element(desc: RingDescriptor, text: str) -> RingElement:
 
 
 def _parse_term(desc: RingDescriptor, sign: int, term: str) -> RingElement:
-    # a name used at two levels of a tower means the outer one
     position = {name: k for k, name in enumerate(desc.names)}
     coeff = sign
     exps = [0] * len(desc.names)
