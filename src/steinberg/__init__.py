@@ -8,7 +8,10 @@ relation as an exact matrix identity in a Laurent-polynomial loop model.
 
 Submodules load on first use (``steinberg.loopmodel`` imports it then), so a
 command pays at start-up only for the modules it reaches: only ``verify``
-loads the loop model and only ``replay`` the collection engine.
+loads the loop model and only ``replay`` the collection engine.  They load
+through ``__import__``, the import statement's own machinery, also when
+``from . import x`` reaches them through ``__getattr__``, so
+``python -X importtime`` lists and times every module a command loads.
 ``steinberg.cli`` itself loads only ``diagrams`` and ``rings``.  No command
 loads ``json``: the commands that print JSON write it with ``jsonout``.
 ``presentation`` is loaded only by ``present``, ``amalgam`` and ``verify``,
@@ -20,8 +23,6 @@ The records are named tuples or plain classes and ratios are integer pairs,
 so no command loads ``inspect`` or ``fractions`` (nor ``decimal``, which it
 imports).
 """
-
-from importlib import import_module
 
 __all__ = [
     "chevalley",
@@ -37,5 +38,6 @@ __all__ = [
 
 def __getattr__(name: str):
     if name in __all__:
-        return import_module(f".{name}", __name__)
+        __import__(f"{__name__}.{name}")
+        return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

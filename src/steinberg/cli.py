@@ -4,6 +4,14 @@ Every subcommand is deterministic: identical inputs and flags produce
 byte-identical output.  Exit codes: 0 success, 1 verification failure,
 2 usage error, 3 unsupported configuration.
 
+`main` returns the exit code and never ends the process, so it can be
+called in-process.  `run` is the process entry point (`python -m steinberg`
+and the `steinberg` script): it calls `main`, flushes stdout and stderr,
+and ends the process with `os._exit`, skipping the interpreter teardown
+that would free every module and object one at a time.  A stdout that
+cannot be written (a closed pipe, a full disk) still exits 120 with the
+interpreter's "Exception ignored ..." report.
+
 Importing this module loads only `diagrams` and `rings`; each subcommand
 imports the rest of what it uses: `roots` for `roots`, `pairs`, `theta` and
 `constants`, `presentation` for `present`, `amalgam` and `verify`,
@@ -23,6 +31,7 @@ always.
 
 from __future__ import annotations
 
+import os
 import sys
 from types import SimpleNamespace
 
@@ -388,5 +397,35 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> None:
+    """Run `main` on the process's argv, flush its output and end the
+    process with `main`'s exit code, without interpreter teardown; never
+    returns.  An exception that escapes `main` propagates as usual.
+
+    The flushes do what the interpreter's exit does: a standard stream that
+    cannot be written makes the exit code 120, and a failed stdout is
+    reported on stderr in the interpreter's words.  The report cannot be
+    left to the interpreter: a failed flush can drop the text it held, so
+    a second flush at exit would succeed."""
+    code = main()
+    report = ""
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        code = 120
+        # the words of the interpreter's exit, which changed in Python 3.13
+        where = ("on flushing sys.stdout:" if sys.version_info >= (3, 13)
+                 else f"in: {sys.stdout!r}")
+        report = f"Exception ignored {where}\n{type(exc).__qualname__}: {exc}\n"
+    try:
+        if sys.stderr is not None:
+            sys.stderr.write(report)
+            sys.stderr.flush()
+    except OSError:
+        code = 120
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -7,7 +7,8 @@ the loop model.  No command loads `dataclasses` (and with it `inspect`) or
 loads neither `steinberg.jsonout` nor `steinberg.roots` nor
 `steinberg.presentation`; each command loads only those of them that it
 uses.  Only help and usage errors load `argparse`, and with it `gettext`
-and `locale`.
+and `locale`.  `python -X importtime` lists every `steinberg` module that
+a call loads.
 """
 
 import functools
@@ -49,13 +50,16 @@ print(json.dumps([code, loaded]))
 """
 
 
-def _run(source: str) -> str:
+def _python(*argv: str) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    done = subprocess.run(
-        [sys.executable, "-c", source], env=env, capture_output=True, text=True, check=True
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, check=True
     )
-    return done.stdout
+
+
+def _run(source: str) -> str:
+    return _python("-c", source).stdout
 
 
 @functools.lru_cache(maxsize=None)
@@ -167,6 +171,29 @@ def test_command_loads_no_argparse(argv):
 def test_help_and_usage_errors_go_through_argparse(argv, code):
     got, loaded = _call(argv)
     assert (got, "argparse" in loaded) == (code, True)
+
+
+# every steinberg module in sys.modules after the call
+LOADED = """
+import contextlib, io, sys
+from steinberg import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main({argv!r})
+print(*sorted(name for name in sys.modules if name.partition(".")[0] == "steinberg"))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv", ["classify --diagram A~2", "verify --diagram A~2 --ring Z/2 --level-bound 0"]
+)
+def test_importtime_lists_every_module_the_call_loads(argv):
+    # submodules load through the import statement, not importlib, so that
+    # -X importtime times each one rather than booking it to its importer
+    stderr = _python("-X", "importtime", "-m", "steinberg", *argv.split()).stderr
+    listed = [line.rpartition("|")[2].strip() for line in stderr.splitlines()
+              if line.startswith("import time:")]
+    listed = sorted(name for name in listed if name.partition(".")[0] == "steinberg")
+    assert listed == _run(LOADED.format(argv=argv.split())).split()
 
 
 def test_verify_passes_with_numpy_blocked():
