@@ -149,9 +149,6 @@ class ChevalleyBasis:
             for i, a in enumerate(gamma)
         )
 
-    def pairing(self, x, y) -> int:
-        return self.system.pairing(x, y)
-
     @cached_property
     def _bracket_rows(self) -> dict:
         """gamma -> ((row of e_(gamma + delta), column of e_delta, N(gamma, delta)), ...)

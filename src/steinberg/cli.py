@@ -8,9 +8,11 @@ byte-identical output.  Exit codes: 0 success, 1 verification failure,
 called in-process.  `run` is the process entry point (`python -m steinberg`
 and the `steinberg` script): it calls `main`, flushes stdout and stderr,
 and ends the process with `os._exit`, skipping the interpreter teardown
-that would free every module and object one at a time.  A stdout that
-cannot be written (a closed pipe, a full disk) still exits 120 with the
-interpreter's "Exception ignored ..." report.
+that would free every module and object one at a time.  Each subcommand
+returns its exit code and its output, which `main` writes to the `--out`
+file or to stdout.  A stdout that cannot be written (a closed pipe, a full
+disk) exits 120 with the interpreter's "Exception ignored ..." report,
+whatever the output's size and the buffering.
 
 Importing this module loads only `diagrams` and `rings`; each subcommand
 imports the rest of what it uses: `roots` for `roots`, `pairs`, `theta` and
@@ -61,14 +63,6 @@ def _parse_root(text: str):
     return AffineRoot(coords, int(level_text or "0"))
 
 
-def _emit(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _json(payload) -> str:
     from .jsonout import dumps
 
@@ -85,49 +79,44 @@ def _require_affine_system(args):
     return R.affine_system(cls)
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> tuple[int, str]:
     cls = diagrams.classify(_read_diagram(args.diagram))
-    _emit(args, _json({"label": cls.label(), "kind": cls.kind, "rank": cls.rank}))
-    return 0
+    return 0, _json({"label": cls.label(), "kind": cls.kind, "rank": cls.rank})
 
 
-def _cmd_names(args) -> int:
+def _cmd_names(args) -> tuple[int, str]:
     cls = diagrams.classify(_read_diagram(args.diagram))
     ours, mp, kac = diagrams.name_conversions(cls)
-    _emit(args, _json({"ours": ours, "moody_pianzola": mp, "kac": kac}))
-    return 0
+    return 0, _json({"ours": ours, "moody_pianzola": mp, "kac": kac})
 
 
-def _cmd_roots(args) -> int:
+def _cmd_roots(args) -> tuple[int, str]:
     from . import roots as R
 
     ars = _require_affine_system(args)
     out = [R.root_json(ars, r) for r in R.real_roots_up_to_level(ars, args.level_bound)]
-    _emit(args, _json(out))
-    return 0
+    return 0, _json(out)
 
 
-def _cmd_pairs(args) -> int:
+def _cmd_pairs(args) -> tuple[int, str]:
     from . import roots as R
 
     ars = _require_affine_system(args)
     roots = R.real_roots_up_to_level(ars, args.level_bound)
     out = [R.classification_json(ars, a, b) for a in roots for b in roots]
-    _emit(args, _json(out))
-    return 0
+    return 0, _json(out)
 
 
-def _cmd_theta(args) -> int:
+def _cmd_theta(args) -> tuple[int, str]:
     from . import roots as R
 
     ars = _require_affine_system(args)
     alpha, beta = _parse_root(args.alpha), _parse_root(args.beta)
     roots = sorted(R.theta(ars, alpha, beta))
-    _emit(args, _json([R.root_json(ars, r) for r in roots]))
-    return 0
+    return 0, _json([R.root_json(ars, r) for r in roots])
 
 
-def _cmd_constants(args) -> int:
+def _cmd_constants(args) -> tuple[int, str]:
     from . import chevalley
     from . import roots as R
 
@@ -139,53 +128,28 @@ def _cmd_constants(args) -> int:
     basis = chevalley.build_chevalley_basis(system)
     label = {r: ",".join(map(str, r)) for r in system.roots}
     lines = [f"N {label[x]} {label[y]} {n}" for (x, y), n in basis.constants()]
-    _emit(args, "\n".join(lines) + "\n")
-    return 0
+    return 0, "\n".join(lines) + "\n"
 
 
-def _presentation_options(args):
+def _cmd_present(args) -> tuple[int, str]:
+    """present, or amalgam: the full presentation or the rank-at-most-2 one."""
     from . import presentation
 
-    include_torus = None
-    if getattr(args, "torus", False):
-        include_torus = True
-    if getattr(args, "no_torus", False):
-        include_torus = False
-    return presentation.PresentationOptions(
-        include_torus_action=include_torus,
-        include_kacmoody_torus=getattr(args, "km_torus", False),
-    )
+    build = presentation.relators_for if args.command == "present" else presentation.amalgam
+    torus = False if args.no_torus else True if args.torus else None
+    pres = build(_read_diagram(args.diagram), rings.parse_descriptor(args.ring),
+                 presentation.PresentationOptions(torus, args.km_torus))
+    return 0, presentation.emit(pres, args.format)
 
 
-def _cmd_present(args) -> int:
-    from . import presentation
-
-    a = _read_diagram(args.diagram)
-    ring = rings.parse_descriptor(args.ring)
-    pres = presentation.relators_for(a, ring, _presentation_options(args))
-    _emit(args, presentation.emit(pres, args.format))
-    return 0
-
-
-def _cmd_amalgam(args) -> int:
-    from . import presentation
-
-    a = _read_diagram(args.diagram)
-    ring = rings.parse_descriptor(args.ring)
-    pres = presentation.amalgam(a, ring, _presentation_options(args))
-    _emit(args, presentation.emit(pres, args.format))
-    return 0
-
-
-def _cmd_replay(args) -> int:
+def _cmd_replay(args) -> tuple[int, str]:
     from . import collection
 
     result = collection.replay_case(args.case, args.eps, args.eps_prime)
-    _emit(args, str(result) + "\n" + collection.verdict(result) + "\n")
-    return 0
+    return 0, str(result) + "\n" + collection.verdict(result) + "\n"
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, str]:
     from . import loopmodel, presentation
 
     a = _read_diagram(args.diagram)
@@ -198,11 +162,10 @@ def _cmd_verify(args) -> int:
     report["families"] += mr["families"]
     report["level_bound"] = args.level_bound
     report["all_passed"] = report["all_passed"] and mr["all_passed"]
-    _emit(args, _json(report))
-    return 0 if report["all_passed"] else 1
+    return 0 if report["all_passed"] else 1, _json(report)
 
 
-def _cmd_hypotheses(args) -> int:
+def _cmd_hypotheses(args) -> tuple[int, str]:
     a = _read_diagram(args.diagram)
     profile = diagrams.RingProfile(
         finitely_generated_ring=args.fg_ring,
@@ -210,17 +173,11 @@ def _cmd_hypotheses(args) -> int:
         units_finitely_generated=args.units_fg,
     )
     verdict = diagrams.finite_presentability_hypotheses(a, profile)
-    _emit(
-        args,
-        _json(
-            {
-                "verdict": verdict.verdict,
-                "used_special_covering": verdict.used_special_covering,
-                "spherical_covering_holds": diagrams.spherical_covering_holds(a),
-            }
-        ),
-    )
-    return 0
+    return 0, _json({
+        "verdict": verdict.verdict,
+        "used_special_covering": verdict.used_special_covering,
+        "spherical_covering_holds": diagrams.spherical_covering_holds(a),
+    })
 
 
 _FLAG = {"action": "store_true"}
@@ -262,7 +219,7 @@ _SUBCOMMANDS = {
         ("--no-torus", {**_FLAG, "help": "omit the torus-action families"}),
         ("--km-torus", {**_FLAG, "help": "adjoin the torus relations of the Kac-Moody quotient"}),
     )),
-    "amalgam": ("emit the rank-at-most-2 amalgam presentation", _cmd_amalgam, (
+    "amalgam": ("emit the rank-at-most-2 amalgam presentation", _cmd_present, (
         _DIAGRAM, _RING, *_OUTPUT, _FORMAT,
         ("--torus", _FLAG), ("--no-torus", _FLAG), ("--km-torus", _FLAG),
     )),
@@ -388,36 +345,52 @@ def main(argv=None) -> int:
         print("error: --level-bound must be at least 0", file=sys.stderr)
         return 2
     try:
-        return args.fn(args)
+        code, text = args.fn(args)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
     except rings.UnsupportedModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if not args.out:
+        # past the handlers: a failed write to stdout is no usage error, and
+        # escapes to the caller (run exits 120)
+        sys.stdout.write(text)
+    return code
 
 
 def run() -> None:
     """Run `main` on the process's argv, flush its output and end the
     process with `main`'s exit code, without interpreter teardown; never
-    returns.  An exception that escapes `main` propagates as usual.
+    returns.  An exception that escapes `main` propagates as usual, but for
+    an OSError, which can only be a failed write to stdout (or to stderr,
+    where no report can appear): `main` handles every other.
 
-    The flushes do what the interpreter's exit does: a standard stream that
-    cannot be written makes the exit code 120, and a failed stdout is
-    reported on stderr in the interpreter's words.  The report cannot be
-    left to the interpreter: a failed flush can drop the text it held, so
-    a second flush at exit would succeed."""
-    code = main()
-    report = ""
+    A stdout that cannot be written, whether `main`'s write or the flush
+    fails, exits 120 with the report of the interpreter's exit, once,
+    whatever the output's size and the buffering; a failed stderr flush
+    also exits 120, as the interpreter does.  The report cannot be left to
+    the interpreter: a failed flush can drop the text it held, so a second
+    flush at exit would succeed."""
+    failure = None
+    try:
+        code = main()
+    except OSError as exc:
+        code, failure = 120, exc
     try:
         if sys.stdout is not None:
             sys.stdout.flush()
     except OSError as exc:
-        code = 120
+        code, failure = 120, failure or exc
+    report = ""
+    if failure is not None:
         # the words of the interpreter's exit, which changed in Python 3.13
         where = ("on flushing sys.stdout:" if sys.version_info >= (3, 13)
                  else f"in: {sys.stdout!r}")
-        report = f"Exception ignored {where}\n{type(exc).__qualname__}: {exc}\n"
+        report = f"Exception ignored {where}\n{type(failure).__qualname__}: {failure}\n"
     try:
         if sys.stderr is not None:
             sys.stderr.write(report)

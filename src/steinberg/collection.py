@@ -1,6 +1,7 @@
 """Symbolic collection in unipotent subgroups spanned by finitely many root
-groups, and mechanical replays of the seven commutation arguments for
-prenilpotent pairs that are not classically prenilpotent.
+groups, and mechanical replays of the commutation arguments for prenilpotent
+pairs that are not classically prenilpotent: the seven cases of the paper's
+argument, and case 8, the 0mod3 variant of case 4.
 
 A `NilpotentRootSet` fixes finitely many affine roots, a total order graded
 by height in the case generators, and an integer commutator table per
@@ -17,7 +18,9 @@ declares its whole table: the displayed relations and the few remaining
 entries, whose magnitudes come from root strings and whose signs are the
 only ones that make collection associative; the configuration checks that
 associativity when it is built.  The pair (alpha, beta) under scrutiny never
-receives a table entry: its relation is exactly what a replay derives.
+receives a table entry: its relation is exactly what a replay derives, and
+`verdict` names it: COMMUTE, CONSTANT C=n for one factor X_gamma(n t u) (the
+constant of case 4 under each sign choice), or NONTRIVIAL.
 """
 
 from __future__ import annotations
@@ -644,22 +647,6 @@ def replay(case: CaseData) -> NormalProduct:
 
 def replay_case(case_id: int, eps: int = 1, eps_prime: int = 1) -> NormalProduct:
     return replay(case_configuration(case_id, eps, eps_prime))
-
-
-def case4_constant(eps: int, eps_prime: int) -> int:
-    """The coefficient C with [X_alpha(t), X_beta(u)] = X_{alpha+2 sigma+lambda}(C t u)."""
-    result = replay_case(4, eps, eps_prime)
-    if result.is_empty():
-        return 0
-    if len(result.factors) != 1:
-        raise ConfigurationError(f"unexpected replay value {result}")
-    root, coeff = result.factors[0]
-    if case_configuration(4, eps, eps_prime).nrs.name(root) != "alpha+2*sigma+lambda":
-        raise ConfigurationError(f"unexpected replay root {result}")
-    data = coeff.data
-    if len(data) != 1 or data[0][0] != (1, 1):
-        raise ConfigurationError(f"coefficient is not a multiple of t*u: {coeff}")
-    return data[0][1]
 
 
 def verdict(result: NormalProduct) -> str:

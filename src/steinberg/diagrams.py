@@ -2,7 +2,8 @@
 
 Recognition works by graph-isomorphism against a generated catalog of the
 finite and affine diagrams (the affine ones are produced from their
-simple-root recipes by affine_cartan, with no root system built).  It is
+simple-root recipes, affine_recipe, by affine_cartan, with no root system
+built; roots.simple_affine_roots reads alpha_0 from the same recipe).  It is
 rank-local: only catalog entries with as many nodes as the input are built,
 one at a time in catalog order until one matches, so the first match and
 its node permutation are those of a scan over the full catalog.  The tests
@@ -35,9 +36,6 @@ class GeneralizedCartanMatrix(NamedTuple):
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i][j]
 
     def submatrix(self, nodes) -> "GeneralizedCartanMatrix":
         nodes = tuple(nodes)
@@ -227,25 +225,23 @@ def finite_cartan(family: str, n: int) -> GeneralizedCartanMatrix:
     return gcm(rows)
 
 
-def affine_cartan(cls: DiagramClass) -> GeneralizedCartanMatrix:
-    """Affine Cartan matrix of the label, from its simple-root recipe.
+@lru_cache(maxsize=None)
+def affine_recipe(cls: DiagramClass) -> tuple:
+    """(X, beta, beta^vee, c) of the affine label: alpha_0 = delta - c beta.
 
-    The first nodes are those of the finite matrix X of the level-zero
-    system (B_1 = A_1 for BC~1^odd); the last is alpha_0 = delta - c beta
-    (Kac, Infinite-Dimensional Lie Algebras, 3rd ed., Prop. 6.4 and Tables
-    Aff 1-3).  For an untwisted label (Aff 1) beta is theta, the highest
-    root of X, and c = 1; for a twisted one beta is theta_s, the highest
-    short root of X, with c = 1 for the even and 0mod3 labels (Aff 2 and
-    Aff 3) and c = 2 for the odd ones (A_2n^(2) in Aff 2).  The last row is
-    <(-c beta)^vee, alpha_j> = -<beta^vee, alpha_j> / c and the last column
-    <alpha_j^vee, -c beta> = -c sum_i X_ji beta_i.  These are the pairings of
-    roots.simple_affine_roots, in its order, with no root system built."""
+    X is the finite Cartan matrix of the level-zero system (B_1 = A_1 for
+    BC~1^odd), and beta and beta^vee are in simple-root and simple-coroot
+    coordinates of X (Kac, Infinite-Dimensional Lie Algebras, 3rd ed., Prop.
+    6.4 and Tables Aff 1-3).  For an untwisted label (Aff 1) beta is theta,
+    the highest root of X, and c = 1; for a twisted one beta is theta_s, the
+    highest short root of X, with c = 1 for the even and 0mod3 labels (Aff 2
+    and Aff 3) and c = 2 for the odd ones (A_2n^(2) in Aff 2).  No root
+    system is built."""
     if not cls.is_affine:
-        raise ValueError("affine_cartan needs an affine label")
+        raise ValueError("an affine recipe needs an affine label")
     sup = cls.superscript
     x = finite_cartan("A", 1) if (cls.family, cls.n) == ("BC", 1) else finite_cartan(
         "B" if sup == "odd" else cls.family, cls.n)
-    c = 2 if sup == "odd" else 1
     columns = tuple(zip(*x.rows))
     if x.rows == columns:
         # one root length: beta = theta, and its coroot has its coordinates
@@ -259,6 +255,16 @@ def affine_cartan(cls: DiagramClass) -> GeneralizedCartanMatrix:
         # the coroots form the system of the transposed matrix, in which
         # w(alpha_k^vee) = (w alpha_k)^vee, and beta^vee is dominant there
         beta_vee = _dominant(columns, k)
+    return x, beta, beta_vee, 2 if sup == "odd" else 1
+
+
+def affine_cartan(cls: DiagramClass) -> GeneralizedCartanMatrix:
+    """Affine Cartan matrix of the label from its recipe: the nodes of X,
+    then alpha_0.  The last row is <(-c beta)^vee, alpha_j> = -<beta^vee,
+    alpha_j> / c and the last column <alpha_j^vee, -c beta> = -c sum_i X_ji
+    beta_i, the pairings of roots.simple_affine_roots in its order."""
+    x, beta, beta_vee, c = affine_recipe(cls)
+    columns = zip(*x.rows)
     last = [-sum(map(operator.mul, beta_vee, column)) // c for column in columns]
     rows = [list(row) + [-c * sum(map(operator.mul, row, beta))] for row in x.rows]
     return gcm(rows + [last + [2]])

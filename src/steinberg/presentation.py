@@ -218,41 +218,42 @@ def _schemas(a, nodes, include_torus, include_km_torus):
             )
 
 
-def _edge_families(a, i, j, m, t, u):
-    if m == 2:
-        yield Relator("artin-2", (i, j), (), word(S(i), S(j)), word(S(j), S(i)))
-        for x, y in ((i, j), (j, i)):
-            yield Relator(
-                "interaction-2", (x, y), (("t", t),),
-                word(S(x), X(y, t)), word(X(y, t), S(x)),
-            )
-        yield Relator(
-            "chevalley-2", (i, j), (("t", t), ("u", u)),
-            word(X(i, t), X(j, u)), word(X(j, u), X(i, t)),
-        )
-        return
+def _alternating(x: int, y: int, length: int) -> Word:
+    """S_x S_y S_x ..., with length letters."""
+    return word(*(S((x, y)[k % 2]) for k in range(length)))
 
-    if m == 3:
+
+def _commuting(family, nodes, params, a: Word, b: Word) -> Relator:
+    """The family a b = b a."""
+    return Relator(family, nodes, params, a + b, b + a)
+
+
+def _edge_families(a, i, j, m, t, u):
+    """The families of the edge (i, j) of order m.  Artin-m is the braid
+    relation; for m != 3, interaction-m says that the braid of length m - 1
+    commutes with X_y(t)."""
+    tu = (("t", t), ("u", u))
+    yield Relator(f"artin-{m}", (i, j), (), _alternating(i, j, m), _alternating(j, i, m))
+    for x, y in ((i, j), (j, i)):
+        if m != 3:
+            yield _commuting(f"interaction-{m}", (x, y), (("t", t),),
+                             _alternating(x, y, m - 1), word(X(y, t)))
+            continue
         yield Relator(
-            "artin-3", (i, j), (),
-            word(S(i), S(j), S(i)), word(S(j), S(i), S(j)),
+            "interaction-3", (x, y), (("t", t),),
+            word(S(y), S(x), X(y, t)),
+            word(X(x, t), S(y), S(x)),
         )
-        for x, y in ((i, j), (j, i)):
-            yield Relator(
-                "interaction-3", (x, y), (("t", t),),
-                word(S(y), S(x), X(y, t)),
-                word(X(x, t), S(y), S(x)),
-            )
-            close = conj(word(S(x)), word(X(y, u)))
-            yield Relator(
-                "chevalley-3-close", (x, y), (("t", t), ("u", u)),
-                word(X(x, t)) + close, close + word(X(x, t)),
-            )
-            yield Relator(
-                "chevalley-3-distant", (x, y), (("t", t), ("u", u)),
-                commutator_word(word(X(x, t)), word(X(y, u))),
-                conj(word(S(x)), word(X(y, _mono(1, t, u)))),
-            )
+        yield _commuting("chevalley-3-close", (x, y), tu,
+                         word(X(x, t)), conj(word(S(x)), word(X(y, u))))
+        yield Relator(
+            "chevalley-3-distant", (x, y), tu,
+            commutator_word(word(X(x, t)), word(X(y, u))),
+            conj(word(S(x)), word(X(y, _mono(1, t, u)))),
+        )
+    if m == 2:
+        yield _commuting("chevalley-2", (i, j), tu, word(X(i, t)), word(X(j, u)))
+    if m < 4:
         return
 
     s, l = _short_long(a, i, j)
@@ -260,33 +261,17 @@ def _edge_families(a, i, j, m, t, u):
     wsl, wls = word(S(s), S(l)), word(S(l), S(s))
 
     if m == 4:
+        yield _commuting("chevalley-4-close", (s, l), tu,
+                         conj(ws, word(X(l, t))), conj(wl, word(X(s, u))))
+        yield _commuting("chevalley-4-orthogonal-long", (s, l), tu,
+                         word(X(l, t)), conj(ws, word(X(l, u))))
         yield Relator(
-            "artin-4", (i, j), (),
-            word(S(i), S(j), S(i), S(j)), word(S(j), S(i), S(j), S(i)),
-        )
-        for x, y in ((i, j), (j, i)):
-            braid = word(S(x), S(y), S(x))
-            yield Relator(
-                "interaction-4", (x, y), (("t", t),),
-                braid + word(X(y, t)), word(X(y, t)) + braid,
-            )
-        lhs, rhs = conj(ws, word(X(l, t))), conj(wl, word(X(s, u)))
-        yield Relator(
-            "chevalley-4-close", (s, l), (("t", t), ("u", u)),
-            lhs + rhs, rhs + lhs,
-        )
-        lhs, rhs = word(X(l, t)), conj(ws, word(X(l, u)))
-        yield Relator(
-            "chevalley-4-orthogonal-long", (s, l), (("t", t), ("u", u)),
-            lhs + rhs, rhs + lhs,
-        )
-        yield Relator(
-            "chevalley-4-orthogonal-short", (s, l), (("t", t), ("u", u)),
+            "chevalley-4-orthogonal-short", (s, l), tu,
             commutator_word(word(X(s, t)), conj(wl, word(X(s, u)))),
             conj(ws, word(X(l, _mono(-2, t, u)))),
         )
         yield Relator(
-            "chevalley-4-distant", (s, l), (("t", t), ("u", u)),
+            "chevalley-4-distant", (s, l), tu,
             commutator_word(word(X(s, t)), word(X(l, u))),
             conj(wl, word(X(s, _mono(-1, t, u))))
             + conj(ws, word(X(l, _mono(1, t, t, u)))),
@@ -294,51 +279,31 @@ def _edge_families(a, i, j, m, t, u):
         return
 
     # m == 6
+    yield _commuting("chevalley-6-close-long", (s, l), tu,
+                     word(X(l, t)), conj(wls, word(X(l, u))))
+    yield _commuting("chevalley-6-adjacent", (s, l), tu,
+                     conj(wsl, word(X(s, t))), conj(wls, word(X(l, u))))
+    yield _commuting("chevalley-6-orthogonal", (s, l), tu,
+                     conj(ws, word(X(l, t))), conj(wl, word(X(s, u))))
     yield Relator(
-        "artin-6", (i, j), (),
-        word(S(i), S(j), S(i), S(j), S(i), S(j)),
-        word(S(j), S(i), S(j), S(i), S(j), S(i)),
-    )
-    for x, y in ((i, j), (j, i)):
-        braid = word(S(x), S(y), S(x), S(y), S(x))
-        yield Relator(
-            "interaction-6", (x, y), (("t", t),),
-            braid + word(X(y, t)), word(X(y, t)) + braid,
-        )
-    lhs, rhs = word(X(l, t)), conj(wls, word(X(l, u)))
-    yield Relator(
-        "chevalley-6-close-long", (s, l), (("t", t), ("u", u)),
-        lhs + rhs, rhs + lhs,
-    )
-    lhs, rhs = conj(wsl, word(X(s, t))), conj(wls, word(X(l, u)))
-    yield Relator(
-        "chevalley-6-adjacent", (s, l), (("t", t), ("u", u)),
-        lhs + rhs, rhs + lhs,
-    )
-    lhs, rhs = conj(ws, word(X(l, t))), conj(wl, word(X(s, u)))
-    yield Relator(
-        "chevalley-6-orthogonal", (s, l), (("t", t), ("u", u)),
-        lhs + rhs, rhs + lhs,
-    )
-    yield Relator(
-        "chevalley-6-distant-long", (s, l), (("t", t), ("u", u)),
+        "chevalley-6-distant-long", (s, l), tu,
         commutator_word(word(X(l, t)), conj(ws, word(X(l, u)))),
         conj(wls, word(X(l, _mono(1, t, u)))),
     )
     yield Relator(
-        "chevalley-6-close-short", (s, l), (("t", t), ("u", u)),
+        "chevalley-6-close-short", (s, l), tu,
         commutator_word(word(X(s, t)), conj(wsl, word(X(s, u)))),
         conj(ws, word(X(l, _mono(3, t, u)))),
     )
     yield Relator(
-        "chevalley-6-distant-short", (s, l), (("t", t), ("u", u)),
+        "chevalley-6-distant-short", (s, l), tu,
         commutator_word(word(X(s, t)), conj(wl, word(X(s, u)))),
         conj(wsl, word(X(s, _mono(-2, t, u))))
         + conj(ws, word(X(l, _mono(-3, t, t, u))))
         + conj(wls, word(X(l, _mono(-3, t, u, u)))),
     )
     yield Relator(
-        "chevalley-6-distant", (s, l), (("t", t), ("u", u)),
+        "chevalley-6-distant", (s, l), tu,
         commutator_word(word(X(s, t)), word(X(l, u))),
         conj(wsl, word(X(s, _mono(1, t, t, u))))
         + conj(wl, word(X(s, _mono(-1, t, u))))

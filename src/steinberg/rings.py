@@ -261,9 +261,6 @@ class RingElement:
     def is_zero(self) -> bool:
         return not self.data
 
-    def is_one(self) -> bool:
-        return self.data == _one(self.desc)
-
     def scale(self, k: int) -> "RingElement":
         return self if k == 1 else from_int(self.desc, k) * self
 

@@ -181,19 +181,6 @@ class FiniteRootSystem:
         name = self._length_of.get(tuple(x))
         return name if name is not None else self._norm_names[self.norm(x)]
 
-    def length_classes(self) -> dict:
-        return dict(self._norm_names)
-
-    def highest_root(self) -> tuple[int, ...]:
-        return max(self.roots, key=lambda r: (self.height(r), r))
-
-    def highest_short_root(self) -> tuple[int, ...]:
-        shortest = self._norm_names[min(self._norm_names)]
-        return max(
-            (r for r, name in self._length_of.items() if name == shortest),
-            key=lambda r: (self.height(r), r),
-        )
-
 
 def _ratio(num: int, den: int) -> tuple[int, int]:
     """num/den as a coprime pair (p, q) with q > 0."""
@@ -321,9 +308,6 @@ class AffineRootSystem:
             return level % 2 == 1
         return level % 3 == 0  # 0mod3
 
-    def level_condition(self, coords, level: int) -> bool:
-        return self.finite.length_class(coords) != "long" or self._long_level_ok(level)
-
     def __contains__(self, root: AffineRoot) -> bool:
         name = self.finite._length_of.get(tuple(root.coords))
         return name is not None and (name != "long" or self._long_level_ok(root.level))
@@ -367,29 +351,22 @@ def affine_system_for_matrix(a: GeneralizedCartanMatrix):
 
 
 def simple_affine_roots(ars: AffineRootSystem) -> list[AffineRoot]:
-    """Simple roots of the level-zero subsystem plus the distinguished last
-    root at level one (lowest root, twice the lowest short root, or lowest
-    short root, according to the superscript)."""
-    simples = [
-        AffineRoot(ars.phi0.simple(i), 0) for i in range(ars.phi0.rank)
-    ]
-    if ars.superscript is None:
-        extra = _vec_scale(-1, ars.phi0.highest_root())
-    elif ars.superscript == "odd":
-        extra = _vec_scale(-2, ars.phi0.highest_short_root())
-    else:
-        extra = _vec_scale(-1, ars.phi0.highest_short_root())
-    last = AffineRoot(extra, 1)
+    """Simple roots of the level-zero subsystem, then alpha_0 = delta - c beta
+    at level one, with beta and c from the label's recipe
+    (diagrams.affine_recipe): the lowest root, twice the lowest short root,
+    or the lowest short root, according to the superscript."""
+    _, beta, _, c = diagrams.affine_recipe(ars.cls)
+    last = AffineRoot(_vec_scale(-c, beta), 1)
     assert last in ars
-    return simples + [last]
+    return [AffineRoot(ars.phi0.simple(i), 0) for i in range(ars.phi0.rank)] + [last]
 
 
 def real_roots_up_to_level(ars: AffineRootSystem, bound: int) -> list[AffineRoot]:
     out = [
-        AffineRoot(coords, m)
+        root
         for coords in ars.finite.roots
         for m in range(-bound, bound + 1)
-        if ars.level_condition(coords, m)
+        if (root := AffineRoot(coords, m)) in ars
     ]
     return sorted(out)
 
@@ -543,42 +520,30 @@ def _witnesses(ars, case: int, alpha: AffineRoot, beta: AffineRoot):
         if ybar not in phi or not test(phi, alpha.coords, xbar, ybar):
             continue
         try:
-            x, y = _lift(ars, beta, xbar, ybar, c)
+            x, y = _lift(ars, beta, xbar, c)
         except ValueError:
             continue
         return (y, x) if case in (6, 7) else (x, y)
     raise ValueError(f"no case-{case} witness found")
 
 
-def _levels(bound: int):
-    yield 0
-    for k in range(1, bound + 1):
-        yield k
-        yield -k
+def _lift(ars, beta: AffineRoot, xbar, cx: int):
+    """Lifts (x, y) with x over xbar and y = beta - cx*x, both roots, with x
+    at the first of the levels 0, 1, -1 that admits them.
 
-
-def _lift(ars, beta: AffineRoot, xbar, ybar, cx: int):
-    """Lifts (x, y) with x over xbar, y over ybar and cx*x + y = beta."""
-    span = abs(beta.level) + 4
-    for k in _levels(span):
+    No other level can be needed.  Whether the lift at level k is a pair of
+    roots depends only on k mod p, where p = 1, 2 or 3 is the period of
+    _long_level_ok: a long root needs level 0 mod p for the even and 0mod3
+    labels and 1 mod 2 for the odd ones, and any level otherwise, and y's
+    level is beta.level - cx*k.  The levels 0, 1, -1 meet every residue mod
+    p, so the first valid level of 0, 1, -1, 2, -2, ... is among them, and
+    lifting y first and dividing for x finds no residue class they miss."""
+    for k in (0, 1, -1):
         x = AffineRoot(xbar, k)
-        if x not in ars:
-            continue
         y = ars.combine(1, beta, -cx, x)
-        if y in ars:
+        if x in ars and y in ars:
             return x, y
-    # second attempt: choose the y lift first and divide for x
-    for k in _levels(span):
-        y = AffineRoot(ybar, k)
-        if y not in ars:
-            continue
-        lvl = beta.level - k
-        if lvl % cx:
-            continue
-        x = AffineRoot(xbar, lvl // cx)
-        if x in ars:
-            return x, y
-    raise ValueError("no lift found (level span exhausted)")
+    raise ValueError("no lift found")
 
 
 # --------------------------------------------------------------------------

@@ -95,10 +95,14 @@ def test_criterion_3_case6_constant():
 
 def test_criterion_4_case4_sign_table():
     expected = {(1, 1): 0, (1, -1): 6, (-1, 1): 12, (-1, -1): -6}
-    got = {
-        (e, ep): collection.case4_constant(e, ep)
-        for e, ep in itertools.product((1, -1), repeat=2)
-    }
+    got = {}
+    for e, ep in itertools.product((1, -1), repeat=2):
+        result = collection.replay_case(4, e, ep)
+        names = [collection.case_configuration(4, e, ep).nrs.name(r) for r, _ in result.factors]
+        # X_{alpha+2 sigma+lambda}(C t u), or the empty product for C = 0
+        assert names in ([], ["alpha+2*sigma+lambda"])
+        verdict = collection.verdict(result)
+        got[e, ep] = int(verdict.removeprefix("CONSTANT C=")) if names else 0
     assert got == expected
     assert collection.replay_case(4, 1, 1).is_empty()
     _report(4, f"case-4 constants {got} match 3+3e'-6ee'; (1,1) replay is empty")

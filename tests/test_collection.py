@@ -206,7 +206,12 @@ def test_case4_constants():
         (-1, -1): -6,
     }
     for (e, ep), expected in table.items():
-        assert C.case4_constant(e, ep) == expected == 3 + 3 * ep - 6 * e * ep
+        result = C.replay_case(4, e, ep)
+        # one factor X_{alpha+2 sigma+lambda}(C t u), or none when C = 0
+        assert C.verdict(result) == (f"CONSTANT C={expected}" if expected else "COMMUTE")
+        names = [C.case_configuration(4, e, ep).nrs.name(root) for root, _ in result.factors]
+        assert names == (["alpha+2*sigma+lambda"] if expected else [])
+        assert expected == 3 + 3 * ep - 6 * e * ep
     assert C.replay_case(4, 1, 1).is_empty()
 
 

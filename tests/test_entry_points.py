@@ -5,7 +5,8 @@
 call through either entry point prints the same stdout, with the same exit
 code, as `cli.main` in-process (the golden corpus), writes `--out` files
 completely, and reports a stdout that cannot be written as the interpreter's
-own exit does: exit 120 and "Exception ignored ...".
+own exit does: exit 120 and "Exception ignored ...", whether the final flush
+or an earlier write fails, buffered or not.
 """
 
 import hashlib
@@ -47,20 +48,22 @@ CALLS = [
 ]
 
 
-def _env() -> dict:
+def _env(unbuffered: bool = False) -> dict:
     # stdout block-buffered, as for any caller that does not ask otherwise,
-    # so that the output is written by the final flush; argparse wraps help
-    # to COLUMNS, as in the golden corpus
+    # so that the output is written by the final flush, unless unbuffered;
+    # argparse wraps help to COLUMNS, as in the golden corpus
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path, COLUMNS="80")
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return env
 
 
-def _spawn(entry: list[str], call: str, **kwargs) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, *entry, *call.split()], env=_env(), stderr=subprocess.PIPE, **kwargs
-    )
+def _spawn(entry: list[str], call: str, unbuffered: bool = False,
+           **kwargs) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *entry, *call.split()], env=_env(unbuffered),
+                          stderr=subprocess.PIPE, **kwargs)
 
 
 def _digest(data: bytes, code: int) -> dict:
@@ -111,39 +114,66 @@ def test_out_writes_the_complete_file(entry, tmp_path):
 # what the interpreter's own exit does with text it cannot flush
 LEFT_PENDING = ["-c", "import sys; sys.stdout.write('x')"]
 
-# a 64-byte output, which the final flush writes whole, and a 6,963-byte one,
+# a 64-byte output, which the final flush writes whole, a 6,963-byte one,
 # which it writes past a 4,096-byte binary buffer, so that the failed write
-# also drops the text (the interpreter's exit then has nothing to flush)
-UNWRITABLE = ["classify --diagram A~2", "present --diagram A~2 --ring Z/2 --format native"]
+# also drops the text (the interpreter's exit then has nothing to flush), and
+# a 72,909-byte one, larger than the text layer's 8 KB chunk, which fails in
+# the command's own write.  Unbuffered, every one fails in that write.
+UNWRITABLE = [
+    "classify --diagram A~2",
+    "present --diagram A~2 --ring Z/2 --format native",
+    "pairs --diagram B~2^even --level-bound 1",
+]
 
 
-def _unwritable(entry: list[str], call: str, stdout) -> tuple[int, bytes]:
-    done = _spawn(entry, call, stdout=stdout)
+def _unwritable(entry: list[str], call: str, stdout, unbuffered=False) -> tuple[int, bytes]:
+    done = _spawn(entry, call, unbuffered, stdout=stdout)
     return done.returncode, done.stderr
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-@pytest.mark.parametrize("entry", ENTRY_POINTS)
-@pytest.mark.parametrize("call", UNWRITABLE)
-def test_a_full_stdout_exits_120_with_the_interpreters_report(entry, call):
+def _assert_full_stdout_report(entry: str, call: str, unbuffered: bool) -> None:
     with open("/dev/full", "wb") as full:
-        got = _unwritable(ENTRY_POINTS[entry], call, full)
+        got = _unwritable(ENTRY_POINTS[entry], call, full, unbuffered)
         expected = _unwritable(LEFT_PENDING, "", full)
     assert got == expected
     assert expected[0] == 120 and len(expected[1].splitlines()) == 2
     assert expected[1].endswith(b"[Errno 28] No space left on device\n")
 
 
-@pytest.mark.parametrize("entry", ENTRY_POINTS)
-@pytest.mark.parametrize("call", UNWRITABLE)
-def test_a_closed_pipe_exits_120_with_the_interpreters_report(entry, call):
+def _assert_closed_pipe_report(entry: str, call: str, unbuffered: bool) -> None:
     read, write = os.pipe()
     os.close(read)
     try:
-        got = _unwritable(ENTRY_POINTS[entry], call, write)
+        got = _unwritable(ENTRY_POINTS[entry], call, write, unbuffered)
         expected = _unwritable(LEFT_PENDING, "", write)
     finally:
         os.close(write)
     assert got == expected
     assert expected[0] == 120 and len(expected[1].splitlines()) == 2
     assert expected[1].endswith(b"BrokenPipeError: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("call", UNWRITABLE)
+def test_a_full_stdout_exits_120_with_the_interpreters_report(entry, call):
+    _assert_full_stdout_report(entry, call, unbuffered=False)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("call", UNWRITABLE)
+def test_an_unbuffered_full_stdout_exits_120_with_the_same_report(entry, call):
+    _assert_full_stdout_report(entry, call, unbuffered=True)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("call", UNWRITABLE)
+def test_a_closed_pipe_exits_120_with_the_interpreters_report(entry, call):
+    _assert_closed_pipe_report(entry, call, unbuffered=False)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("call", UNWRITABLE)
+def test_an_unbuffered_closed_pipe_exits_120_with_the_same_report(entry, call):
+    _assert_closed_pipe_report(entry, call, unbuffered=True)

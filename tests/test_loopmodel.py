@@ -1217,3 +1217,28 @@ def test_packing_round_trips_its_corners_and_widens_with_the_words():
     monomials = [_unpack(packing, degree) for _, _, degree in formal.entries]
     assert max(abs(d) for d, _ in monomials) > spans[0]
     assert min(exps[0] for _, exps in monomials) < -tops[0]
+
+
+def _first_right_x_negated(rel: P.Relator) -> P.Relator | None:
+    """The relator with the parameter p of the first X letter of its right
+    side replaced by -p, or None if that side has no X letter."""
+    k = next((k for k, (gen, _) in enumerate(rel.right) if gen.kind == "X"), None)
+    if k is None:
+        return None
+    gen, exp = rel.right[k]
+    return rel._replace(right=rel.right[:k] + ((gen._replace(param=-gen.param), exp),)
+                        + rel.right[k + 1:])
+
+
+def test_z2_cannot_see_a_sign_and_z3_can():
+    # the negative control behind verifying over Z/3 as well as Z/2: a sign
+    # flipped in any D~4 schema is invisible mod 2, since -p = p there
+    options = P.PresentationOptions(include_torus_action=True)
+    schemas = P.relators_for(D.affine_cartan(D.parse_label("D~4")), rings.integers(),
+                             options).relators
+    mutants = [m for m in map(_first_right_x_negated, schemas) if m is not None]
+    assert len(mutants) == 127
+    for n, passed in ((2, 127), (3, 0)):
+        model = L.build_model("D~4", rings.integers_mod(n))
+        assert all(L.verify_relators(model, schemas))
+        assert sum(L.verify_relators(model, mutants)) == passed

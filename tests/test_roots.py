@@ -55,7 +55,7 @@ def euclid_g2():
 def test_finite_root_counts_against_euclidean_oracles():
     a2 = R.enumerate_finite_roots(D.finite_cartan("A", 2))
     assert len(a2.roots) == len(EUCLID["A2"]) == 6
-    assert set(a2.length_classes().values()) == {"long"}
+    assert {a2.length_class(r) for r in a2.roots} == {"long"}
 
     b2 = R.enumerate_finite_roots(D.finite_cartan("B", 2))
     assert len(b2.roots) == len(euclid_b2()) == 8
@@ -220,6 +220,73 @@ def test_simple_affine_roots():
     assert low_short.level == 1
     assert g2t.finite.length_class(low_short.coords) == "short"
     assert low_short.coords == (-2, -1)
+
+
+def _highest(roots) -> tuple:
+    return max(roots, key=lambda r: (sum(r), r))
+
+
+def test_simple_affine_roots_match_the_highest_root_construction():
+    # the reference: alpha_0 at level one over minus the highest root of the
+    # level-zero system (max by height, then coordinates), or over minus one
+    # or two times its highest short root for a twisted label
+    for cls, _ in D.catalog(12):
+        if not cls.is_affine:
+            continue
+        ars = R.affine_system(cls)
+        phi0 = ars.phi0
+        shortest = min(phi0.norm(r) for r in phi0.roots)
+        if ars.superscript is None:
+            c, beta = 1, _highest(phi0.roots)
+        else:
+            c = 2 if ars.superscript == "odd" else 1
+            beta = _highest(r for r in phi0.roots if phi0.norm(r) == shortest)
+        simples = [AffineRoot(phi0.simple(i), 0) for i in range(phi0.rank)]
+        last = AffineRoot(tuple(-c * b for b in beta), 1)
+        assert R.simple_affine_roots(ars) == simples + [last], cls.label()
+
+
+def _two_attempt_lift(ars, beta, xbar, cx):
+    """The lift before the three-level proof: x at the levels 0, 1, -1, 2,
+    -2, ... up to |beta.level| + 4, then y at those levels and x divided
+    out."""
+    ybar = tuple(b - cx * x for b, x in zip(beta.coords, xbar))
+    span = abs(beta.level) + 4
+    levels = [0] + [s * k for k in range(1, span + 1) for s in (1, -1)]
+    for k in levels:
+        x = AffineRoot(xbar, k)
+        if x in ars and (y := ars.combine(1, beta, -cx, x)) in ars:
+            return x, y
+    for k in levels:
+        y, level = AffineRoot(ybar, k), beta.level - k
+        if y in ars and level % cx == 0 and AffineRoot(xbar, level // cx) in ars:
+            return AffineRoot(xbar, level // cx), y
+    raise ValueError("no lift found (level span exhausted)")
+
+
+def test_three_level_lift_classifies_as_the_two_attempt_lift(monkeypatch):
+    def classified(ars, roots):
+        out = []
+        for a in roots:
+            for b in roots:
+                try:
+                    out.append(R.classify_pair(ars, a, b))
+                except ValueError as exc:
+                    out.append(str(exc))
+        return out
+
+    nonclassical = 0
+    for cls, _ in D.catalog(5):
+        if not cls.is_affine:
+            continue
+        ars = R.affine_system(cls)
+        roots = R.real_roots_up_to_level(ars, 2)
+        got = classified(ars, roots)
+        with monkeypatch.context() as m:
+            m.setattr(R, "_lift", _two_attempt_lift)
+            assert got == classified(ars, roots), cls.label()
+        nonclassical += sum(getattr(c, "kind", None) == "nonclassical" for c in got)
+    assert nonclassical == 8_388
 
 
 def test_affine_catalog_gcm_round_trip():
