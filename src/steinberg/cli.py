@@ -26,13 +26,15 @@ loads `json`.  The matrix of an affine label comes from the label's recipe
 Each subcommand's options are written once, in `_SUBCOMMANDS`.  A
 well-formed command line is parsed by `parse_exact` over that table, which
 returns what argparse would, and loads no `argparse`, `gettext` or
-`locale`.  Help (`-h`) and malformed input go through argparse
-(`build_parser`), which prints the same help, usage and error text as
-always.
+`locale`.  Help (`-h`) and malformed input go through argparse, which
+builds one parser of every subcommand (`build_parser`) and prints the same
+help, usage and error text as always.  The help is written as any output
+is, so an unwritable stdout exits 120 for it too.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import sys
 from types import SimpleNamespace
@@ -173,10 +175,13 @@ def _cmd_hypotheses(args) -> tuple[int, str]:
         units_finitely_generated=args.units_fg,
     )
     verdict = diagrams.finite_presentability_hypotheses(a, profile)
+    # above rank 3 the verdict used the special covering iff this one fails
+    covering = (not verdict.used_special_covering if a.rank > 3
+                else diagrams.spherical_covering_holds(a))
     return 0, _json({
         "verdict": verdict.verdict,
         "used_special_covering": verdict.used_special_covering,
-        "spherical_covering_holds": diagrams.spherical_covering_holds(a),
+        "spherical_covering_holds": covering,
     })
 
 
@@ -244,10 +249,8 @@ _SUBCOMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or one that holds only the named
-    subcommand: it parses that subcommand's arguments, and prints its help
-    and usage errors, as the full parser does."""
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of every subcommand."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -255,16 +258,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         description="Affine Steinberg/Kac-Moody presentations: roots, constants, "
         "relation files and exact verification.",
     )
-    # the full parser's usage line names every subcommand; a one-subcommand
-    # parser keeps it so (an unrecognized argument prints it)
-    metavar = "{" + ",".join(_SUBCOMMANDS) + "}" if command else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (text, fn, options) in _SUBCOMMANDS.items():
-        if command in (None, name):
-            p = sub.add_parser(name, help=text)
-            for flag, kwargs in options:
-                p.add_argument(flag, **kwargs)
-            p.set_defaults(fn=fn)
+        p = sub.add_parser(name, help=text)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(fn=fn)
     return parser
 
 
@@ -330,31 +329,31 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = parse_exact(argv)
     if args is None:
-        # help and malformed input go through argparse; a named subcommand
-        # needs only its own subparser, -h and unknown or missing commands
-        # take the full parser
-        parser = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
+        # help and malformed input go through argparse; its help is kept and
+        # written as any output is, since argparse swallows a failed write
+        from contextlib import redirect_stdout
+
+        shown = io.StringIO()
         try:
-            args = parser.parse_args(argv)
+            with redirect_stdout(shown):
+                args = build_parser().parse_args(argv)
         except SystemExit as exc:
-            return 2 if exc.code else 0
-    if args.jobs < 1:
-        print("error: --jobs must be at least 1", file=sys.stderr)
-        return 2
-    if getattr(args, "level_bound", 0) < 0:
-        print("error: --level-bound must be at least 0", file=sys.stderr)
-        return 2
+            if exc.code:
+                return 2
+            sys.stdout.write(shown.getvalue())
+            return 0
     try:
+        if args.jobs < 1:
+            raise ValueError("--jobs must be at least 1")
+        if getattr(args, "level_bound", 0) < 0:
+            raise ValueError("--level-bound must be at least 0")
         code, text = args.fn(args)
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text)
-    except rings.UnsupportedModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, rings.UnsupportedModelError) else 2
     if not args.out:
         # past the handlers: a failed write to stdout is no usage error, and
         # escapes to the caller (run exits 120)
@@ -374,7 +373,14 @@ def run() -> None:
     whatever the output's size and the buffering; a failed stderr flush
     also exits 120, as the interpreter does.  The report cannot be left to
     the interpreter: a failed flush can drop the text it held, so a second
-    flush at exit would succeed."""
+    flush at exit would succeed.  An unbuffered stdout gets a buffered binary
+    layer, with the name, mode and encoding the report prints: its own text
+    layer ignores a short write, so a pipe closed early would lose output."""
+    out = sys.stdout
+    if isinstance(getattr(out, "buffer", None), io.RawIOBase):
+        sys.stdout = io.TextIOWrapper(io.BufferedWriter(out.buffer), out.encoding,
+                                      out.errors, write_through=True)
+        sys.stdout.mode = out.mode
     failure = None
     try:
         code = main()

@@ -11,6 +11,9 @@ swaps; corrections carry strictly larger grades, so collection terminates.
 `CASES` declares each case once, as the paper displays it: its diagram, three
 generators, every other root by name and decomposition over the generators,
 its relations and the expansion of X_beta(u), all written with root names.
+A display that two cases share is declared once: case 8 refers to case 4's
+four-term relation and expansion, case 7 to case 6's (sigma, mu), (alpha,
+sigma) and (sigma, beta) relations and expansion.
 `case_configuration` builds every case from its declaration.  An untwisted
 case draws its tables from the finite Chevalley constants, with a sign
 choice solved to match the displayed relations.  A non-reduced or mod-3 case
@@ -43,29 +46,15 @@ class ConfigurationError(ValueError):
 # nilpotent root sets and the collection engine
 
 
-class NilpotentRootSet:
+class NilpotentRootSet(rings.Record):
     """Finitely many affine roots in collection order, with the commutator
-    table of each interacting pair.  Immutable and equal by value.
+    table of each interacting pair.  A Record of the fields below.
 
     ``tables``: (x, y) -> ((root, int, (i, j)), ...); ``commuting``: the
     frozensets {x, y} with empty commutator; ``names``: root -> display name.
     """
 
-    def __init__(self, ars: R.AffineRootSystem, roots: tuple[AffineRoot, ...],
-                 tables: dict, commuting: frozenset, names: dict):
-        self.__dict__.update(ars=ars, roots=roots, tables=tables, commuting=commuting, names=names)
-
-    def _key(self) -> tuple:
-        return self.ars, self.roots, self.tables, self.commuting, self.names
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
+    _fields = ("ars", "roots", "tables", "commuting", "names")
     __hash__ = None  # the tables are dicts
 
     def with_tables(self, tables: dict) -> "NilpotentRootSet":
@@ -157,9 +146,12 @@ def inverse_word(letters):
     return [(r, -c) for r, c in reversed(letters)]
 
 
-class NormalProduct:
+class NormalProduct(rings.Record):
     """A product of root-group letters in the collection order of ``nrs``,
-    with no zero coefficient.  Immutable and equal by value."""
+    with no zero coefficient.  A Record of the fields nrs and factors."""
+
+    _fields = ("nrs", "factors")
+    __hash__ = None  # the root set's tables are dicts
 
     def __init__(self, nrs: NilpotentRootSet, factors: tuple):
         last = -1
@@ -170,20 +162,7 @@ class NormalProduct:
             last = k
             if coeff.is_zero():
                 raise ValueError("zero coefficients are not stored")
-        self.__dict__.update(nrs=nrs, factors=factors)
-
-    def _key(self) -> tuple:
-        return self.nrs, self.factors
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    __hash__ = None  # the root set's tables are dicts
+        super().__init__(nrs, factors)
 
     def is_empty(self) -> bool:
         return not self.factors
@@ -400,6 +379,29 @@ def _one(u):
     return rings.one(u.desc)
 
 
+# the displays that case 8 shares with case 4, and case 7 with case 6
+_SIGMA_LAMBDA = (  # the four-term relation, in its displayed order
+    ("2*sigma+lambda", 1, (2, 1)),
+    ("beta", -1, (1, 1)),
+    ("3*sigma+lambda", 1, (3, 1)),
+    ("3*sigma+2*lambda", -1, (3, 2)),
+)
+_G2_EXPANSION = (
+    ("x", ("3*sigma+lambda", _u)),
+    ("x", ("3*sigma+2*lambda", lambda u: -(u * u))),
+    ("comm", ("lambda", _u), ("sigma", _one)),
+    ("x", ("2*sigma+lambda", _u)),
+)
+_SIGMA_MU = {
+    ("sigma", "mu"): (("beta", -1, (1, 1)), ("2*sigma+mu", 1, (2, 1))),
+    # the displayed relation is [X_alpha(t), X_sigma(u)] = X(-2tu)
+    ("alpha", "sigma"): (("alpha+sigma", -2, (1, 1)),),
+    # the remaining entry, magnitude 2 from the sigma-string
+    ("sigma", "beta"): (("2*sigma+mu", -2, (1, 1)),),
+}
+_BC_EXPANSION = (("x", ("2*sigma+mu", _u)), ("comm", ("mu", _u), ("sigma", _one)))
+
+
 CASES = {
     1: CaseDeclaration(
         "A~2",
@@ -432,12 +434,7 @@ CASES = {
             "3*sigma+2*lambda": (0, 3, 2),
         },
         {
-            ("sigma", "lambda"): (
-                ("2*sigma+lambda", 1, (2, 1)),
-                ("beta", -1, (1, 1)),
-                ("3*sigma+lambda", 1, (3, 1)),
-                ("3*sigma+2*lambda", -1, (3, 2)),
-            ),
+            ("sigma", "lambda"): _SIGMA_LAMBDA,
             ("alpha", "2*sigma+lambda"): (("alpha+2*sigma+lambda", 3, (1, 1)),),
             ("sigma", "alpha"): (
                 ("alpha+sigma", -2, (1, 1)),
@@ -445,12 +442,7 @@ CASES = {
                 ("2*alpha+sigma", -3, (1, 2)),
             ),
         },
-        (
-            ("x", ("3*sigma+lambda", _u)),
-            ("x", ("3*sigma+2*lambda", lambda u: -(u * u))),
-            ("comm", ("lambda", _u), ("sigma", _one)),
-            ("x", ("2*sigma+lambda", _u)),
-        ),
+        _G2_EXPANSION,
         # the displayed signs pin both constants; eps and eps_prime scale them
         (("sigma", "alpha+sigma", 3), ("lambda", "alpha+2*sigma", 1)),
     ),
@@ -472,26 +464,15 @@ CASES = {
             "beta": (0, 1, 1), "alpha+sigma": (1, 1, 0), "2*sigma+mu": (0, 2, 1),
             "alpha+beta": (1, 1, 1),
         },
-        {
-            ("sigma", "mu"): (("beta", -1, (1, 1)), ("2*sigma+mu", 1, (2, 1))),
-            # the displayed relation is [X_alpha(t), X_sigma(u)] = X(-2tu)
-            ("alpha", "sigma"): (("alpha+sigma", -2, (1, 1)),),
-            ("mu", "alpha+sigma"): (("alpha+beta", -2, (1, 1)),),
-            # the remaining entry, magnitude 2 from the sigma-string
-            ("sigma", "beta"): (("2*sigma+mu", -2, (1, 1)),),
-        },
-        (("x", ("2*sigma+mu", _u)), ("comm", ("mu", _u), ("sigma", _one))),
+        {**_SIGMA_MU, ("mu", "alpha+sigma"): (("alpha+beta", -2, (1, 1)),)},
+        _BC_EXPANSION,
     ),
     7: CaseDeclaration(
         "BC~2^odd",
         {"alpha": ((1, 1), 0), "sigma": ((0, 1), 2), "mu": ((1, 0), 0)},
         {"beta": (0, 1, 1), "alpha+sigma": (1, 1, 0), "2*sigma+mu": (0, 2, 1)},
-        {
-            ("sigma", "mu"): (("beta", -1, (1, 1)), ("2*sigma+mu", 1, (2, 1))),
-            ("alpha", "sigma"): (("alpha+sigma", -2, (1, 1)),),
-            ("sigma", "beta"): (("2*sigma+mu", -2, (1, 1)),),
-        },
-        (("x", ("2*sigma+mu", _u)), ("comm", ("mu", _u), ("sigma", _one))),
+        _SIGMA_MU,
+        _BC_EXPANSION,
     ),
     # the 0mod3 variant of case 4
     8: CaseDeclaration(
@@ -502,13 +483,7 @@ CASES = {
             "3*sigma+lambda": (0, 3, 1), "3*sigma+2*lambda": (0, 3, 2),
         },
         {
-            # the four-term relation, in its displayed order
-            ("sigma", "lambda"): (
-                ("2*sigma+lambda", 1, (2, 1)),
-                ("beta", -1, (1, 1)),
-                ("3*sigma+lambda", 1, (3, 1)),
-                ("3*sigma+2*lambda", -1, (3, 2)),
-            ),
+            ("sigma", "lambda"): _SIGMA_LAMBDA,
             # altered short-root relation: single term with coefficient 1
             ("sigma", "alpha"): (("alpha+sigma", 1, (1, 1)),),
             # the remaining entries: magnitudes p + 1 from the root strings;
@@ -523,12 +498,7 @@ CASES = {
             ("lambda", "3*sigma+lambda"): (("3*sigma+2*lambda", 1, (1, 1)),),
             ("beta", "2*sigma+lambda"): (("3*sigma+2*lambda", 3, (1, 1)),),
         },
-        (
-            ("x", ("3*sigma+lambda", _u)),
-            ("x", ("3*sigma+2*lambda", lambda u: -(u * u))),
-            ("comm", ("lambda", _u), ("sigma", _one)),
-            ("x", ("2*sigma+lambda", _u)),
-        ),
+        _G2_EXPANSION,
     ),
 }
 

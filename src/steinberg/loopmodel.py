@@ -78,16 +78,19 @@ from .rings import UnsupportedModelError
 from .roots import AffineRoot
 
 
-class LoopMatrix:
+class LoopMatrix(rings.Record):
     """A square matrix over (Z/n)[t^(+-1)]: ``entries[row, col, degree]`` is
-    the nonzero coefficient of t^degree at (row, col), reduced mod n.
-    Immutable and equal by value."""
+    the nonzero coefficient of t^degree at (row, col), reduced mod n.  A
+    Record of entries, n and dim, compared shape first, that hashes its shape
+    only, since its entries are a dict."""
+
+    _fields = ("n", "dim", "entries")
 
     def __init__(self, entries: dict, n: int, dim: int):
         self.__dict__.update(entries=entries, n=n, dim=dim)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+    def __hash__(self):
+        return hash((self.n, self.dim, len(self.entries)))
 
     @cached_property
     def blocks(self) -> tuple:
@@ -146,14 +149,6 @@ class LoopMatrix:
             else:
                 entries.pop(key, None)
         return LoopMatrix(entries, n, self.dim)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LoopMatrix):
-            return NotImplemented
-        return (self.n, self.dim) == (other.n, other.dim) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.n, self.dim, len(self.entries)))
 
     def is_identity(self) -> bool:
         return self == identity_matrix(self.n, self.dim)
@@ -571,6 +566,14 @@ def _entry(family: str) -> dict:
     return {"family": family, "instances": 0, "passed": 0, "failed": 0, "counterexamples": []}
 
 
+def _tally(entry: dict, count: int, counterexamples: list) -> None:
+    """Add count instances to a family entry, one failing per counterexample."""
+    entry["instances"] += count
+    entry["passed"] += count - len(counterexamples)
+    entry["failed"] += len(counterexamples)
+    entry["counterexamples"] += counterexamples
+
+
 def _families(model: LoopModel, schemas) -> list:
     """The per-family entries of verify_presentation for a list of schemas in
     relator order, in family order.  A family's count comes from the value
@@ -588,14 +591,10 @@ def _families(model: LoopModel, schemas) -> list:
             verdicts = verify_relators(model, rels)
             failed = sorted((rel for rel, good in zip(rels, verdicts) if not good),
                             key=presentation.Relator.render_params)
-        count = math.prod(map(len, values))
-        entry["instances"] += count
-        entry["passed"] += count - len(failed)
-        entry["failed"] += len(failed)
-        entry["counterexamples"] += [
+        _tally(entry, math.prod(map(len, values)), [
             {**dict(zip(("i", "j"), rel.nodes)),
              **{name: rings.render_element(value) for name, value in rel.params}}
-            for rel in failed]
+            for rel in failed])
     return [families[k] for k in sorted(families, key=presentation.FAMILY_ORDER.index)]
 
 
@@ -613,15 +612,15 @@ def verify_morita_rehmann(model: LoopModel, level_bound: int) -> dict:
     t^(k m) D_k, so g X_beta(u) g^-1 = g g^-1 + sum_k u^k g t^(k m) D_k g^-1.
     Once g g^-1 = I (the identity term), g t^(k m) D_k g^-1 = c^k t^(k m') D'_k
     for every k gives g X_beta(u) g^-1 = X_image(c u) for every u, with
-    c = +1 or -1 for the Weyl check and c = r^<alpha_i^vee, beta> for the torus
-    check.  A root proven for one sign passes the per-parameter rule too:
-    were the other sign tried first and to fit at u = 1, then
-    c^k D'_k = c'^k D'_k for every k, since the D'_k of different k never
-    share a position, and the two signs agree at every u.  So a proven root
-    passes, and every root the proof leaves open, including all of them when
-    g g^-1 != I, is decided by enumerating u.  Only that enumeration reports
-    failures, so the counterexamples are exactly those of the per-parameter
-    check.
+    c = +1 or -1 for the Weyl check (_proven) and c = r^<alpha_i^vee, beta>
+    for the torus check.  A root proven for one sign passes the
+    per-parameter rule too: were the other sign tried first and to fit at
+    u = 1, then c^k D'_k = c'^k D'_k for every k, since the D'_k of
+    different k never share a position, and the two signs agree at every u.
+    So a proven root passes, and every root the proof leaves open, including
+    all of them when g g^-1 != I, is decided by enumerating u.  Only that
+    enumeration reports failures, so the counterexamples are exactly those
+    of the per-parameter check.
 
     The torus check of node i is first proved once for every unit, with the
     formal htilde_i(r) and htilde_i(r)^-1 over (Z/n)[z^(+-1)][r^(+-1)], kept
@@ -641,8 +640,11 @@ def verify_morita_rehmann(model: LoopModel, level_bound: int) -> dict:
     (Z/n)[x^(+-stride_r)], where x^(e stride_r) -> r^e is injective for
     every e, so no box argument is needed for the conjugates.  When the
     proof holds, node i adds |units| |roots| passing instances and no
-    concrete htilde_i(r) is evaluated; when it fails, node i is checked unit
-    by unit, as below, and reports the same counterexamples.
+    concrete htilde_i(r) is evaluated.  When it fails, node i is decided by
+    enumeration alone: for each unit r, a concrete htilde_i(r) that is not
+    diagonal is one failure, and otherwise every root is decided by
+    enumerating u.  Only the enumeration reports a root, so a proof first
+    would change no counterexample.
 
     Since t is central, _proven proves each (beta, image root, level offset,
     candidates) once, at level 0, for every level: raising level_bound adds
@@ -666,34 +668,21 @@ def verify_morita_rehmann(model: LoopModel, level_bound: int) -> dict:
                          [[c.data for c in signs]] * len(all_roots))
         for beta, image, ok in zip(all_roots, images, proven):
             ok = ok or _enumerated(model, s_mat, s_inv, beta, image, signs, elements)
-            weyl["instances"] += 1
-            weyl["passed" if ok else "failed"] += 1
-            if not ok:
-                weyl["counterexamples"].append({"i": i, "beta": R.root_json(ars, beta)})
+            _tally(weyl, 1, [] if ok else [{"i": i, "beta": R.root_json(ars, beta)}])
         if _torus_proven(model, i, all_roots):
-            torus["instances"] += len(units) * len(all_roots)
-            torus["passed"] += len(units) * len(all_roots)
+            _tally(torus, len(units) * len(all_roots), [])
             continue
         for r in units:
             h_word = presentation.htilde(i, r)
             h_mat = model.evaluate_word(h_word)
             h_inv = model.evaluate_word(presentation.winv(h_word))
             if not h_mat.is_diagonal():
-                torus["failed"] += 1
-                torus["instances"] += 1
-                torus["counterexamples"].append({"i": i, "r": str(r), "reason": "not diagonal"})
+                _tally(torus, 1, [{"i": i, "r": str(r), "reason": "not diagonal"}])
                 continue
-            scales = [rings.power(r, _torus_exponent(model, i, beta)) for beta in all_roots]
-            proven = _proven(model, h_mat, h_inv, all_roots, all_roots,
-                             [[scale.data] for scale in scales])
-            for beta, scale, ok in zip(all_roots, scales, proven):
-                ok = ok or _enumerated(model, h_mat, h_inv, beta, beta, [scale], elements)
-                torus["instances"] += 1
-                torus["passed" if ok else "failed"] += 1
-                if not ok:
-                    torus["counterexamples"].append(
-                        {"i": i, "r": str(r), "beta": R.root_json(ars, beta)}
-                    )
+            _tally(torus, len(all_roots), [
+                {"i": i, "r": str(r), "beta": R.root_json(ars, beta)} for beta in all_roots
+                if not _enumerated(model, h_mat, h_inv, beta, beta,
+                                   [rings.power(r, _torus_exponent(model, i, beta))], elements)])
     return {
         "diagram": ars.cls.label(),
         "ring": str(ring),

@@ -31,7 +31,37 @@ class UnsupportedModelError(ValueError):
 # descriptors
 
 
-class RingDescriptor:
+class Record:
+    """An immutable record, equal by value to a record of its own class only
+    and hashed as the tuple of its fields, which ``_fields`` names.  The
+    fields live in ``__dict__``, which ``__init__`` fills past the refusing
+    ``__setattr__``; a subclass may write its own ``__init__`` and hash."""
+
+    _fields: tuple = ()
+
+    def __init_subclass__(cls, **kwargs):
+        # written out, as in dataclasses: __eq__ then runs as fast as one
+        # written by hand, where comparing attrgetter tuples takes twice as long
+        super().__init_subclass__(**kwargs)
+        values = "".join(f"self.{name}, " for name in cls._fields)
+        equal = " and ".join(f"self.{name} == other.{name}" for name in cls._fields)
+        exec(f"def _values(self):\n    return {values}\n"
+             f"def __eq__(self, other):\n"
+             f"    if other.__class__ is not self.__class__:\n        return NotImplemented\n"
+             f"    return self is other or {equal}\n", namespace := {})
+        cls._values, cls.__eq__ = namespace["_values"], namespace["__eq__"]
+
+    def __init__(self, *values):
+        self.__dict__.update(zip(self._fields, values, strict=True))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+class RingDescriptor(Record):
     """Identifies a ring; `params` depends on `kind`.
 
     kind: "Z" | "Zmod" | "GF" | "poly" | "laurent"
@@ -39,8 +69,10 @@ class RingDescriptor:
             (base, vars_tuple) for poly, (base, var) for laurent.
 
     Derived from these (see the module docstring): names, laurent, scalar,
-    modulus.  Immutable, equal by value to another descriptor only.
+    modulus.  A Record of the fields kind and params.
     """
+
+    _fields = ("kind", "params")
 
     def __init__(self, kind: str, params: tuple):
         if kind in ("poly", "laurent"):
@@ -54,14 +86,6 @@ class RingDescriptor:
                            modulus=params[0] if params else None)
         # the hash is computed once: every element hash hashes the descriptor
         self.__dict__.update(kind=kind, params=params, _hash=hash((kind, params)), **derived)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not RingDescriptor:
-            return NotImplemented
-        return self is other or (self.kind, self.params) == (other.kind, other.params)
 
     def __hash__(self) -> int:
         return self._hash
@@ -218,7 +242,9 @@ def _mul(desc: RingDescriptor, a, b):
 
 class RingElement:
     """Immutable ring element in canonical form, equal by value to another
-    element only."""
+    element only.  Not a Record: it is the most often built record, and two
+    slots, filled by their own setters, build it faster and smaller than a
+    ``__dict__``."""
 
     __slots__ = ("desc", "data")
 

@@ -18,8 +18,8 @@ from functools import cached_property, lru_cache
 from operator import add, mul, sub
 from typing import NamedTuple
 
-from . import diagrams
-from .diagrams import DiagramClass, GeneralizedCartanMatrix
+from . import diagrams, rings
+from .diagrams import GeneralizedCartanMatrix
 
 
 class AffineRoot(NamedTuple):
@@ -43,39 +43,22 @@ def _vec_scale(k, x):
 # finite systems
 
 
-class FiniteRootSystem:
-    """The roots of a finite Cartan matrix (or BC_n), as coordinate tuples.
-
-    Immutable and equal by value; ``d`` is the symmetrizer,
+class FiniteRootSystem(rings.Record):
+    """The roots of a finite Cartan matrix (or BC_n, nonreduced), as a sorted
+    tuple of coordinate tuples.  A Record; ``d`` is the symmetrizer,
     (alpha_i, alpha_j) = d_i A_ij."""
 
-    def __init__(
-        self,
-        cartan: GeneralizedCartanMatrix,
-        family: str | None,
-        roots: tuple[tuple[int, ...], ...],
-        d: tuple[int, ...],
-        nonreduced: bool = False,
-    ):
-        # _coroot_rows: root coords -> (<x^vee, alpha_j>)_j, filled by pairing;
-        # _reflections: (in_root, x) -> (reflected x, <in_root^vee, x>), filled
-        # by _reflection
-        self.__dict__.update(cartan=cartan, family=family, roots=roots, d=d,
-                             nonreduced=nonreduced, _coroot_rows={}, _reflections={})
+    _fields = ("cartan", "family", "roots", "d", "nonreduced")
 
-    def _key(self) -> tuple:
-        return self.cartan, self.family, self.roots, self.d, self.nonreduced
+    @cached_property
+    def _coroot_rows(self) -> dict:
+        """Root coords -> (<x^vee, alpha_j>)_j, filled by pairing."""
+        return {}
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+    @cached_property
+    def _reflections(self) -> dict:
+        """(in_root, x) -> (reflected x, <in_root^vee, x>), filled by _reflection."""
+        return {}
 
     @property
     def rank(self) -> int:
@@ -241,7 +224,7 @@ def enumerate_finite_roots(a: GeneralizedCartanMatrix, family: str | None = None
             raise ValueError("reflection closure did not stay finite; not finite type")
         frontier = nxt
     roots |= {tuple(-c for c in r) for r in roots}
-    return FiniteRootSystem(a, family, tuple(sorted(roots)), d)
+    return FiniteRootSystem(a, family, tuple(sorted(roots)), d, False)
 
 
 @lru_cache(maxsize=None)
@@ -263,36 +246,21 @@ def _bc_system(n: int) -> FiniteRootSystem:
     short_norm = min(b.norm(r) for r in b.roots)
     doubles = {_vec_scale(2, r) for r in b.roots if b.norm(r) == short_norm}
     roots = tuple(sorted(set(b.roots) | doubles))
-    return FiniteRootSystem(b.cartan, "BC", roots, b.d, nonreduced=True)
+    return FiniteRootSystem(b.cartan, "BC", roots, b.d, True)
 
 
 # --------------------------------------------------------------------------
 # affine systems
 
 
-class AffineRootSystem:
+class AffineRootSystem(rings.Record):
     """The real roots of an affine diagram class; ``root in ars`` is root
-    membership.  Immutable and equal by value.
+    membership.  A Record of the fields below.
 
     ``finite`` carries the projections (BC_n for the odd case), ``phi0`` is
     the level-zero subsystem (B_n for the odd case)."""
 
-    def __init__(self, cls: DiagramClass, finite: FiniteRootSystem, phi0: FiniteRootSystem):
-        self.__dict__.update(cls=cls, finite=finite, phi0=phi0)
-
-    def _key(self) -> tuple:
-        return self.cls, self.finite, self.phi0
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+    _fields = ("cls", "finite", "phi0")
 
     @property
     def superscript(self) -> str | None:
@@ -320,9 +288,6 @@ class AffineRootSystem:
     def combine(self, i: int, x: AffineRoot, j: int, y: AffineRoot) -> AffineRoot:
         """i x + j y."""
         return AffineRoot(self.finite.combine(i, x.coords, j, y.coords), i * x.level + j * y.level)
-
-    def length_class(self, root: AffineRoot) -> str:
-        return self.finite.length_class(root.coords)
 
 
 def affine_system(label) -> AffineRootSystem:

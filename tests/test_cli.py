@@ -217,6 +217,18 @@ def test_hypotheses(capsys):
     assert got["spherical_covering_holds"] is False
 
 
+@pytest.mark.parametrize("label", ["A~2", "C~3", "A~4", "D~4"])
+def test_hypotheses_decides_the_covering_once(monkeypatch, capsys, label):
+    from steinberg import diagrams
+
+    holds, calls = diagrams.spherical_covering_holds, []
+    monkeypatch.setattr(diagrams, "spherical_covering_holds",
+                        lambda a: calls.append(a) or holds(a))
+    code, out, _ = run(capsys, "hypotheses", "--diagram", label)
+    assert code == 0 and len(calls) == 1
+    assert json.loads(out)["spherical_covering_holds"] is holds(calls[0])
+
+
 def test_out_flag(tmp_path, capsys):
     target = tmp_path / "roots.json"
     code, out, _ = run(
@@ -357,7 +369,7 @@ def _random_argv(rng, command) -> list[str]:
 def test_exact_parser_returns_what_argparse_returns(command):
     # every argv the exact parser takes, argparse takes and parses alike
     rng = random.Random(f"exact parser {command}")
-    parser = cli.build_parser(command)
+    parser = cli.build_parser()
     taken = 0
     for _ in range(300):
         argv = _random_argv(rng, command)

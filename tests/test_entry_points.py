@@ -167,6 +167,39 @@ def test_an_unbuffered_full_stdout_exits_120_with_the_same_report(entry, call):
     _assert_full_stdout_report(entry, call, unbuffered=True)
 
 
+# argparse writes help itself and swallows a failed write; main keeps the
+# help and writes it as any output
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("call", ["-h", "classify -h"])
+def test_help_on_a_full_stdout_exits_120_with_the_same_report(entry, call, unbuffered):
+    _assert_full_stdout_report(entry, call, unbuffered)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_a_pipe_closed_mid_output_exits_120_with_the_same_report(entry, unbuffered):
+    # 3,113,283 bytes, far more than a pipe holds: the reader takes one byte
+    # and closes, while the call is still writing.  Unbuffered, the text
+    # layer would drop the rest of a short raw write and exit 0
+    call = "pairs --diagram BC~3^odd --level-bound 2"
+    with subprocess.Popen([sys.executable, *ENTRY_POINTS[entry], *call.split()],
+                          env=_env(unbuffered), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(1)) == 1
+        proc.stdout.close()
+        got = proc.wait(), proc.stderr.read()
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        expected = _unwritable(LEFT_PENDING, "", write)
+    finally:
+        os.close(write)
+    assert got == expected
+    assert expected[0] == 120 and len(expected[1].splitlines()) == 2
+
+
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
 @pytest.mark.parametrize("call", UNWRITABLE)
 def test_a_closed_pipe_exits_120_with_the_interpreters_report(entry, call):
