@@ -435,20 +435,16 @@ class PresentabilityVerdict(NamedTuple):
 
 def spherical_covering_holds(a: GeneralizedCartanMatrix) -> bool:
     """True iff every unordered node pair lies in an irreducible finite-type
-    full subdiagram on at least 3 nodes."""
-    cls = classify(a)
-    if not cls.is_affine:
+    full subdiagram on at least 3 nodes: a connected proper one, as every
+    proper principal submatrix of an indecomposable affine matrix is of finite
+    type (Kac, Infinite-Dimensional Lie Algebras, 3rd ed., Lemma 4.4)."""
+    if not classify(a).is_affine:
         raise ValueError("covering predicate is defined for affine diagrams")
     n = a.rank
     good_subsets: list[frozenset[int]] = []
-    for mask in range(1, 1 << n):
+    for mask in range(1, (1 << n) - 1):
         nodes = [i for i in range(n) if mask >> i & 1]
-        if len(nodes) < 3:
-            continue
-        sub = a.submatrix(nodes)
-        if len(sub.components()) != 1:
-            continue
-        if classify(sub).kind == "finite":
+        if len(nodes) >= 3 and len(a.submatrix(nodes).components()) == 1:
             good_subsets.append(frozenset(nodes))
     for i in range(n):
         for j in range(i + 1, n):

@@ -646,10 +646,10 @@ def verify_morita_rehmann(model: LoopModel, level_bound: int) -> dict:
     enumerating u.  Only the enumeration reports a root, so a proof first
     would change no counterexample.
 
-    Since t is central, _proven proves each (beta, image root, level offset,
-    candidates) once, at level 0, for every level: raising level_bound adds
-    no conjugation, and a root whose image is wrong or off by a power of t
-    has a key of its own and is still decided alone."""
+    Since t is central, _proven proves each (beta, image root, level offset)
+    once, at level 0, for every level: raising level_bound adds no
+    conjugation, and a root whose image is wrong or off by a power of t has a
+    key of its own and is still decided alone."""
     ars = model.ars
     ring = model.ring
     all_roots = R.real_roots_up_to_level(ars, level_bound)
@@ -664,8 +664,7 @@ def verify_morita_rehmann(model: LoopModel, level_bound: int) -> dict:
         s_mat = model.evaluate_word(s_word)
         s_inv = model.evaluate_word(presentation.winv(s_word))
         images = [R.reflect(ars, beta, simple) for beta in all_roots]
-        proven = _proven(model, s_mat, s_inv, all_roots, images,
-                         [[c.data for c in signs]] * len(all_roots))
+        proven = _proven(model, s_mat, s_inv, all_roots, images, [c.data for c in signs])
         for beta, image, ok in zip(all_roots, images, proven):
             ok = ok or _enumerated(model, s_mat, s_inv, beta, image, signs, elements)
             _tally(weyl, 1, [] if ok else [{"i": i, "beta": R.root_json(ars, beta)}])
@@ -738,25 +737,25 @@ def _torus_proven(model: LoopModel, i: int, roots) -> bool:
 
 def _proven(model: LoopModel, g: LoopMatrix, g_inv: LoopMatrix, roots, images,
             candidates) -> list:
-    """Per root: whether g g_inv = I and, for some candidate coefficient c
-    of the root, g t^(k m) D_k g_inv = c^k t^(k m') D'_k for every k, where
+    """Per root: whether g g_inv = I and, for some coefficient c of
+    candidates, g t^(k m) D_k g_inv = c^k t^(k m') D'_k for every k, where
     D_k and D'_k are the divided powers of the root (beta, m) and its image
     (beta', m').  t is central, so the left side is t^(k m) g D_k g_inv, and
     the relation holds exactly when g D_k g_inv = c^k t^(k delta) D'_k,
-    delta = m' - m.  That depends only on (beta, beta', delta, the
-    candidates), so each such key is proved once, at level 0, and its
-    verdict holds for every root with that key."""
+    delta = m' - m.  That depends only on (beta, beta', delta), so each such
+    key is proved once, at level 0, and its verdict holds for every root
+    with that key."""
     if not (g * g_inv).is_identity():
         return [False] * len(roots)
     verdicts, proven = {}, []
-    for beta, image, cs in zip(roots, images, candidates):
+    for beta, image in zip(roots, images):
         delta = image.level - beta.level
-        key = beta.coords, image.coords, delta, tuple(cs)
+        key = beta.coords, image.coords, delta
         if key not in verdicts:
             terms = _graded_terms(model, AffineRoot(beta.coords, 0))
             conjugates = {k: _conjugate(g, g_inv, term) for k, term in terms.items()}
             target = AffineRoot(image.coords, delta)
-            verdicts[key] = any(conjugates == _graded_terms(model, target, c) for c in cs)
+            verdicts[key] = any(conjugates == _graded_terms(model, target, c) for c in candidates)
         proven.append(verdicts[key])
     return proven
 

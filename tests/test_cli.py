@@ -200,6 +200,9 @@ def test_invalid_label_reports_why(capsys, tmp_path, monkeypatch, label, reason)
 def test_usage_errors(capsys):
     code, _, err = run(capsys, "classify", "--diagram", "H9")
     assert code == 2 and "error:" in err
+    # an odd composite is no prime field
+    assert run(capsys, "present", "--diagram", "A~2", "--ring", "GF(9)") == (
+        2, "", "error: 9 is not prime\n")
     code, _, _ = run(capsys, "verify", "--diagram", "A~2", "--ring", "Z")
     assert code == 3  # infinite coefficient ring is an unsupported model
 

@@ -139,18 +139,26 @@ def test_replay_case6_negative_control():
 
 
 @pytest.mark.parametrize(
-    "cid,pair",
-    [(4, ("alpha", "2*sigma+lambda")), (8, ("sigma", "2*sigma+lambda"))],
+    "cid,pair,perturbed",
+    [
+        (4, ("alpha", "2*sigma+lambda"), ("CONSTANT C=-6", "X_{alpha+2*sigma+lambda}(-6*t*u)")),
+        (8, ("sigma", "2*sigma+lambda"),
+         ("NONTRIVIAL", "X_{3*sigma+lambda}(12*u) X_{3*sigma+2*lambda}(-6*u^2)")),
+    ],
 )
-def test_replay_negative_control(cid, pair):
-    # a sign error in one table coefficient the replay consults must show;
-    # the factors are compared, since a NormalProduct also carries its tables
+def test_replay_negative_control(cid, pair, perturbed):
+    # a sign error in one table coefficient the replay consults must show, in
+    # the product and in the verdict; the factors are compared, since a
+    # NormalProduct also carries its tables
     cfg = C.case_configuration(cid)
     good = C.replay_case(cid)
     by_name = {cfg.nrs.name(r): r for r in cfg.nrs.roots}
     ((_, n, _),) = cfg.nrs.tables[by_name[pair[0]], by_name[pair[1]]]
+    assert n == 3
     assert C.replay(C.override_coefficient(cfg, pair, n)).factors == good.factors
-    assert C.replay(C.override_coefficient(cfg, pair, -n)).factors != good.factors
+    bad = C.replay(C.override_coefficient(cfg, pair, -n))
+    assert bad.factors != good.factors
+    assert (C.verdict(bad), str(bad)) == perturbed
 
 
 @pytest.mark.parametrize("cid", [1, 2, 3, 5, 7])

@@ -146,6 +146,8 @@ def test_name_conversions():
         "G~2^0mod3", "G_2^(3)", "D_4^(3)")
     assert D.name_conversions(D.parse_label("B~4^even")) == (
         "B~4^even", "B_4^(2)", "D_5^(2)")
+    assert D.name_conversions(D.parse_label("C~3^even")) == (
+        "C~3^even", "C_3^(2)", "A_5^(2)")
     assert D.name_conversions(D.parse_label("A~2")) == ("A~2", "A_2^(1)", "A_2^(1)")
     with pytest.raises(ValueError):
         D.name_conversions(D.parse_label("B3"))

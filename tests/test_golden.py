@@ -36,6 +36,10 @@ CORPUS = [
     "pairs --diagram G~2 --level-bound 1",
     "pairs --diagram A~3 --level-bound 1",
     "pairs --diagram BC~3^odd --level-bound 1",
+    # the twisted witnesses of cases 2, 3 and 4
+    "pairs --diagram C~3^even --level-bound 1",
+    "pairs --diagram F~4^even --level-bound 1",
+    "pairs --diagram G~2^0mod3 --level-bound 1",
     "theta --diagram G~2 --alpha 1,0@0 --beta 0,1@0",
     "theta --diagram BC~2^odd --alpha 0,1@0 --beta 0,1@1",
     "constants --diagram G2",

@@ -519,18 +519,19 @@ def test_conjugations_do_not_grow_with_the_level_bound(monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
-def test_proven_keeps_apart_roots_with_other_candidates():
-    # one finite root at two levels, one of them offered a wrong scale: each
-    # level keeps its own verdict
+def test_proven_keeps_apart_roots_with_other_images():
+    # one finite root at two levels, the image of the second off by a power of
+    # t (level 2 instead of 1): each level keeps its own verdict, and a wrong
+    # scale fails both
     model = L.build_model("A~2", Z7)
     i, r = 1, rings.from_int(Z7, 3)
     h_word = P.htilde(i, r)
     h, h_inv = model.evaluate_word(h_word), model.evaluate_word(P.winv(h_word))
     coords = model.simple_of_node[i].coords
     roots = [AffineRoot(coords, 0), AffineRoot(coords, 1)]
-    right, wrong = [rings.power(r, 2).data], [1]
-    assert L._proven(model, h, h_inv, roots, roots, [right, wrong]) == [True, False]
-    assert L._proven(model, h, h_inv, roots, roots, [wrong, right]) == [False, True]
+    images = [AffineRoot(coords, 0), AffineRoot(coords, 2)]
+    assert L._proven(model, h, h_inv, roots, images, [rings.power(r, 2).data]) == [True, False]
+    assert L._proven(model, h, h_inv, roots, images, [1]) == [False, False]
 
 
 def test_graded_terms_are_built_once_per_model(monkeypatch):
@@ -627,6 +628,22 @@ def test_a_shifted_torus_exponent_matches_reference_loop(monkeypatch):
     ]
     assert torus["instances"] == model.gcm.rank * len(units) * len(roots)
     assert report == _reference_morita_rehmann(model, 1, shifted)
+
+
+def test_a_concrete_htilde_that_is_not_diagonal_is_one_failure_per_unit(monkeypatch):
+    # the kept S_0 multiplied by X_1(1): node 0's torus proof fails, and each
+    # concrete htilde_0(r) is reported as not diagonal, with no root decided
+    model = L.build_model("A~2", Z7)
+    model._s_cache[0, 1] = model.s_matrix(0) * model.x_matrix(1, rings.one(Z7))
+    fallbacks = _record_concrete_htilde(monkeypatch, model)
+    units = rings.units(Z7)
+    report = L.verify_morita_rehmann(model, 1)
+    assert fallbacks == [(0, r) for r in units]
+    torus = report["families"][1]
+    assert torus["counterexamples"] == [
+        {"i": 0, "r": str(r), "reason": "not diagonal"} for r in units]
+    assert torus["failed"] == len(units) == 6
+    assert not report["all_passed"]
 
 
 def test_the_torus_proof_reads_every_finite_root(monkeypatch):

@@ -63,7 +63,7 @@ RECORDS = {
     "AffineRootSystem": (
         lambda: R.affine_system("A~2"),
         lambda: R.affine_system("C~2"),
-        ("cls", "finite", "phi0"),
+        ("cls", "finite"),
     ),
     "AffineRoot": (
         lambda: R.AffineRoot((1, 0), 0),

@@ -234,7 +234,7 @@ def test_simple_affine_roots_match_the_highest_root_construction():
         if not cls.is_affine:
             continue
         ars = R.affine_system(cls)
-        phi0 = ars.phi0
+        phi0 = R.enumerate_finite_roots(D.affine_recipe(cls)[0])
         shortest = min(phi0.norm(r) for r in phi0.roots)
         if ars.superscript is None:
             c, beta = 1, _highest(phi0.roots)
@@ -524,6 +524,86 @@ def test_witnesses_satisfy_case_recipes():
                     assert plus(y, y, x) in phi and plus(al, y) in phi
                     assert all(plus(al, v) not in phi for v in (x, plus(y, y), plus(y, y, x)))
     assert seen == {1, 2, 3, 4, 5, 6, 7}
+
+
+def _plus(*vectors):
+    return tuple(map(sum, zip(*vectors)))
+
+
+def _display_holds(phi, case, abar, xbar, ybar) -> bool:
+    """The paper's full display of a case on the projections, clause by
+    clause: the reference that _WITNESS_CASES's one root is held to."""
+    def avoids(*vectors):  # alpha + v is a root for none of them
+        return all(_plus(abar, v) not in phi for v in vectors)
+
+    if case == 1:  # (gamma, delta)
+        return R._proportionality(xbar, abar) is None and avoids(xbar, ybar)
+    if case in (2, 5):  # (sigma, lambda)
+        return _plus(xbar, ybar) in phi and avoids(xbar, ybar, _plus(xbar, ybar))
+    if case == 3:  # (sigma, lambda)
+        return _plus(xbar, xbar, ybar) in phi and avoids(ybar, _plus(xbar, xbar, ybar))
+    if case == 4:  # (sigma, lambda) in G_2
+        return phi.length_class(xbar) == "short" and phi.length_class(ybar) == "long"
+    two_x = _plus(xbar, xbar)  # 6 and 7: (sigma, mu)
+    return (_plus(two_x, ybar) in phi and _plus(abar, xbar) in phi
+            and avoids(ybar, two_x, _plus(two_x, ybar)))
+
+
+# every plane of two roots of a classical family occurs at rank <= 4
+CENSUS_LABELS = (
+    [f"A~{n}" for n in range(2, 7)] + [f"B~{n}" for n in range(2, 6)]
+    + [f"C~{n}" for n in range(2, 6)] + [f"D~{n}" for n in range(3, 7)]
+    + ["E~6", "E~7", "E~8", "F~4", "G~2"] + [f"BC~{n}^odd" for n in range(2, 6)])
+
+
+def _witness_census(table) -> dict:
+    """case -> [candidates xbar with ybar = beta - c xbar a root, those that
+    meet the full display, those whose top root i xbar + j ybar is a root,
+    those where the two tests differ], for every (alpha, beta) that
+    classify_pair puts in the case in the census systems."""
+    counts = {}
+    for label in CENSUS_LABELS:
+        ars = R.affine_system(label)
+        phi = ars.finite
+        assigned = set()  # (case, alpha, beta): beta projects to alpha or 2 alpha
+        for abar in phi.roots:
+            for bbar in (abar, _plus(abar, abar)):
+                for k in (0, 1):
+                    for m in (k + 1, k + 2):
+                        a, b = AffineRoot(abar, k), AffineRoot(bbar, m)
+                        if a in ars and b in ars:
+                            assigned.add((R.classify_pair(ars, a, b).case, abar, bbar))
+        for case, abar, bbar in assigned:
+            c, (i, j) = table[case]
+            for xbar in phi.roots:
+                ybar = phi.combine(1, bbar, -c, xbar)
+                if ybar in phi:
+                    full = _display_holds(phi, case, abar, xbar, ybar)
+                    one = phi.combine(i, xbar, j, ybar) in phi
+                    tally = counts.setdefault(case, [0, 0, 0, 0])
+                    for n, hit in enumerate((True, full, one, full != one)):
+                        tally[n] += hit
+    return counts
+
+
+def test_one_root_decides_each_witness_case():
+    # the census behind _WITNESS_CASES: the case's top root accepts exactly
+    # the candidates that the paper's full display accepts
+    assert _witness_census(R._WITNESS_CASES) == {
+        1: [21_456, 21_456, 21_456, 0],
+        2: [784, 624, 624, 0],
+        3: [3_040, 624, 624, 0],
+        4: [36, 12, 12, 0],
+        5: [188, 160, 160, 0],
+        6: [376, 160, 160, 0],
+        7: [376, 160, 160, 0],
+    }
+
+
+def test_witness_census_sees_a_wrong_top_root():
+    # negative control: case 3 tested on sigma + lambda instead of 2 sigma + lambda
+    table = {**R._WITNESS_CASES, 3: (1, (1, 1))}
+    assert _witness_census(table)[3][3] > 0
 
 
 def test_root_json():
