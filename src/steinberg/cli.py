@@ -174,15 +174,7 @@ def _cmd_hypotheses(args) -> tuple[int, str]:
         module_finite_over_unit_subring=args.module_finite,
         units_finitely_generated=args.units_fg,
     )
-    verdict = diagrams.finite_presentability_hypotheses(a, profile)
-    # above rank 3 the verdict used the special covering iff this one fails
-    covering = (not verdict.used_special_covering if a.rank > 3
-                else diagrams.spherical_covering_holds(a))
-    return 0, _json({
-        "verdict": verdict.verdict,
-        "used_special_covering": verdict.used_special_covering,
-        "spherical_covering_holds": covering,
-    })
+    return 0, _json(diagrams.finite_presentability_hypotheses(a, profile)._asdict())
 
 
 _FLAG = {"action": "store_true"}

@@ -1,14 +1,13 @@
 """Generalized Cartan matrices and Dynkin diagram recognition.
 
-Recognition works by graph-isomorphism against a generated catalog of the
-finite and affine diagrams (the affine ones are produced from their
-simple-root recipes, affine_recipe, by affine_cartan, with no root system
-built; roots.simple_affine_roots reads alpha_0 from the same recipe).  It is
-rank-local: only catalog entries with as many nodes as the input are built,
-one at a time in catalog order until one matches, so the first match and
-its node permutation are those of a scan over the full catalog.  The tests
-still build and check the full catalog.  Also houses the Coxeter edge orders, the
-affine naming table, and the hypothesis checks for finite presentability.
+One table, _LABELS, says which labels exist and which are canonical.
+Recognition is graph-isomorphism against the catalog of canonical diagrams,
+whose affine matrices come from their simple-root recipes (affine_recipe,
+which roots.simple_affine_roots also reads), with no root system built.
+Only catalog entries with as many nodes as the input are built, in catalog
+order until one matches.  Also houses the Coxeter edge orders, the affine
+names, and the finite presentability hypotheses, whose covering predicate
+is read off the diagram's shape.
 """
 
 from __future__ import annotations
@@ -21,17 +20,9 @@ from typing import NamedTuple
 
 INFINITE = math.inf
 
-# canonical representatives of the duplicated diagrams: A~3 = D~3,
-# C~2 = B~2, B~2^even = C~2^even (same convention as the usual tables),
-# and finite A_3 = D_3, B_2 = C_2.
-_SKIP_IN_CATALOG = {("B", 2, None, True), ("D", 3, None, True),
-                    ("C", 2, "even", True), ("C", 2, None, False),
-                    ("D", 3, None, False)}
-
 
 class GeneralizedCartanMatrix(NamedTuple):
     rows: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...]
 
     @property
     def rank(self) -> int:
@@ -39,10 +30,7 @@ class GeneralizedCartanMatrix(NamedTuple):
 
     def submatrix(self, nodes) -> "GeneralizedCartanMatrix":
         nodes = tuple(nodes)
-        return GeneralizedCartanMatrix(
-            tuple(tuple(self.rows[i][j] for j in nodes) for i in nodes),
-            tuple(self.labels[i] for i in nodes),
-        )
+        return GeneralizedCartanMatrix(tuple(tuple(self.rows[i][j] for j in nodes) for i in nodes))
 
     def components(self) -> list[tuple[int, ...]]:
         seen: set[int] = set()
@@ -63,7 +51,7 @@ class GeneralizedCartanMatrix(NamedTuple):
         return comps
 
 
-def gcm(rows, labels=None) -> GeneralizedCartanMatrix:
+def gcm(rows) -> GeneralizedCartanMatrix:
     """Validate and freeze a generalized Cartan matrix."""
     rows = tuple(tuple(int(x) for x in row) for row in rows)
     n = len(rows)
@@ -78,9 +66,7 @@ def gcm(rows, labels=None) -> GeneralizedCartanMatrix:
                     raise ValueError(f"off-diagonal entry ({i},{j}) must be <= 0")
                 if (rows[i][j] == 0) != (rows[j][i] == 0):
                     raise ValueError(f"entries ({i},{j}) and ({j},{i}) must vanish together")
-    if labels is None:
-        labels = tuple(str(i) for i in range(n))
-    return GeneralizedCartanMatrix(rows, tuple(labels))
+    return GeneralizedCartanMatrix(rows)
 
 
 def coxeter_order(a: GeneralizedCartanMatrix, i: int, j: int):
@@ -128,6 +114,24 @@ class DiagramClass(NamedTuple):
         return self.label()
 
 
+# kind -> (family, superscript) -> (smallest n, largest n or None, smallest n
+# in the catalog or None), in catalog order.  Below the third column a label
+# repeats a canonical one (C2 = B2, D3 = A3, B~2 = C~2, D~3 = A~3, C~2^even =
+# B~2^even); finite BC names no Dynkin diagram.
+_LABELS = {
+    "finite": {("A", None): (1, None, 1), ("B", None): (2, None, 2),
+               ("C", None): (2, None, 3), ("D", None): (3, None, 4),
+               ("E", None): (6, 8, 6), ("F", None): (4, 4, 4),
+               ("G", None): (2, 2, 2), ("BC", None): (1, None, None)},
+    "affine-untwisted": {("A", None): (1, None, 1), ("B", None): (2, None, 3),
+                         ("C", None): (2, None, 2), ("D", None): (3, None, 4),
+                         ("E", None): (6, 8, 6), ("F", None): (4, 4, 4),
+                         ("G", None): (2, 2, 2)},
+    "affine-twisted": {("B", "even"): (2, None, 2), ("C", "even"): (2, None, 3),
+                       ("BC", "odd"): (1, None, 1), ("F", "even"): (4, 4, 4),
+                       ("G", "0mod3"): (2, 2, 2)},
+}
+
 _LABEL_RE = re.compile(r"^(BC|[A-G])(~?)(\d+)(?:\^(even|odd|0mod3))?$")
 
 
@@ -142,39 +146,19 @@ def parse_label(text: str) -> DiagramClass:
     if not m:
         raise ValueError(f"cannot parse diagram label {text!r}")
     family, tilde, n, sup = m.group(1), m.group(2), int(m.group(3)), m.group(4)
-    if not tilde:
-        if sup:
-            raise ValueError("superscripts only occur on affine labels")
-        _check_finite_conditions(family, n)
-        return DiagramClass("finite", family, n, None, n)
-    _check_affine_conditions(family, n, sup)
-    kind = "affine-twisted" if sup else "affine-untwisted"
-    return DiagramClass(kind, family, n, sup, n + 1)
+    if sup and not tilde:
+        raise ValueError("superscripts only occur on affine labels")
+    kind = "affine-twisted" if sup else "affine-untwisted" if tilde else "finite"
+    return _checked(DiagramClass(kind, family, n, sup, n + 1 if tilde else n))
 
 
-def _check_finite_conditions(family: str, n: int) -> None:
-    ok = {
-        "A": n >= 1, "B": n >= 2, "C": n >= 2, "D": n >= 3,
-        "E": n in (6, 7, 8), "F": n == 4, "G": n == 2, "BC": n >= 1,
-    }.get(family, False)
-    if not ok:
-        raise ValueError(f"no finite diagram {family}{n}")
-
-
-def _check_affine_conditions(family: str, n: int, sup: str | None) -> None:
-    if sup is None:
-        ok = {
-            "A": n >= 1, "B": n >= 2, "C": n >= 2, "D": n >= 3,
-            "E": n in (6, 7, 8), "F": n == 4, "G": n == 2,
-        }.get(family, False)
-    elif sup == "even":
-        ok = (family in ("B", "C") and n >= 2) or (family, n) == ("F", 4)
-    elif sup == "odd":
-        ok = family == "BC" and n >= 1
-    else:  # 0mod3
-        ok = (family, n) == ("G", 2)
-    if not ok:
-        raise ValueError(f"no affine diagram {family}~{n}" + (f"^{sup}" if sup else ""))
+def _checked(cls: DiagramClass) -> DiagramClass:
+    """The class, if _LABELS has its family and n."""
+    row = _LABELS[cls.kind].get((cls.family, cls.superscript))
+    if row is None or cls.n < row[0] or (row[1] is not None and cls.n > row[1]):
+        kind = "affine" if cls.is_affine else "finite"
+        raise ValueError(f"no {kind} diagram {cls.label()}")
+    return cls
 
 
 # --------------------------------------------------------------------------
@@ -182,46 +166,24 @@ def _check_affine_conditions(family: str, n: int, sup: str | None) -> None:
 
 
 def finite_cartan(family: str, n: int) -> GeneralizedCartanMatrix:
-    """Cartan matrix of the irreducible finite diagram.
-
-    Chains are numbered 0..n-1.  B_n ends in the short root, C_n in the long
-    root, D_n forks at node n-3, E_n attaches its last node to node 2,
-    F_4 is long-long-short-short, G_2 is (short, long).
-    """
-    _check_finite_conditions(family, n)
+    """Cartan matrix of the irreducible finite diagram: the chain A_n on
+    nodes 0..n-1, edges (i, j, a_ij, a_ji), with one edge changed.  B_n ends
+    in the short root, C_n in the long root, D_n forks at node n-3, E_n
+    attaches its last node to node 2, F_4 is long-long-short-short, G_2 is
+    (short, long)."""
+    _checked(DiagramClass("finite", family, n, None, n))
     if family == "BC":
         raise ValueError("BC is not a Dynkin diagram family; use the B_n matrix")
+    edges = [(i, i + 1, -1, -1) for i in range(n - 1)]
+    changed = {"B": (-1, (n - 2, n - 1, -1, -2)), "C": (-1, (n - 2, n - 1, -2, -1)),
+               "D": (-1, (n - 3, n - 1, -1, -1)), "E": (-1, (2, n - 1, -1, -1)),
+               "F": (1, (1, 2, -1, -2)), "G": (0, (0, 1, -3, -1))}
+    if family in changed:
+        k, edge = changed[family]
+        edges[k] = edge
     rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def chain_edge(i, j, aij=-1, aji=-1):
+    for i, j, aij, aji in edges:
         rows[i][j], rows[j][i] = aij, aji
-
-    if family == "A":
-        for i in range(n - 1):
-            chain_edge(i, i + 1)
-    elif family == "B":
-        for i in range(n - 2):
-            chain_edge(i, i + 1)
-        chain_edge(n - 2, n - 1, -1, -2)
-    elif family == "C":
-        for i in range(n - 2):
-            chain_edge(i, i + 1)
-        chain_edge(n - 2, n - 1, -2, -1)
-    elif family == "D":
-        for i in range(n - 3):
-            chain_edge(i, i + 1)
-        chain_edge(n - 3, n - 2)
-        chain_edge(n - 3, n - 1)
-    elif family == "E":
-        for i in range(n - 2):
-            chain_edge(i, i + 1)
-        chain_edge(2, n - 1)
-    elif family == "F":
-        chain_edge(0, 1)
-        chain_edge(1, 2, -1, -2)
-        chain_edge(2, 3)
-    elif family == "G":
-        chain_edge(0, 1, -3, -1)
     return gcm(rows)
 
 
@@ -299,21 +261,18 @@ def _dominant(rows, k: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _catalog_classes(max_rank: int) -> tuple[DiagramClass, ...]:
-    """Classes of the catalog in recognition order: finite, then untwisted,
-    then twisted affine; the canonical labels only."""
-    chains = (("A", 1), ("B", 2), ("C", 2), ("D", 3))
-    exceptional = [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
-    finite = [(f, n) for f, lo in chains for n in range(lo, max_rank + 1)] + exceptional
-    untwisted = [(f, n) for f, lo in chains for n in range(lo, max_rank)] + exceptional
-    twisted = ([("B", n, "even") for n in range(2, max_rank)]
-               + [("C", n, "even") for n in range(2, max_rank)]
-               + [("BC", n, "odd") for n in range(1, max_rank)]
-               + [("F", 4, "even"), ("G", 2, "0mod3")])
-    classes = ([DiagramClass("finite", f, n, None, n) for f, n in finite]
-               + [DiagramClass("affine-untwisted", f, n, None, n + 1) for f, n in untwisted]
-               + [DiagramClass("affine-twisted", f, n, sup, n + 1) for f, n, sup in twisted])
-    return tuple(cls for cls in classes if cls.rank <= max_rank and
-                 (cls.family, cls.n, cls.superscript, cls.is_affine) not in _SKIP_IN_CATALOG)
+    """Classes of the catalog in recognition order: the canonical labels of
+    _LABELS with at most max_rank nodes, in the table's order."""
+    classes = []
+    for kind, rows in _LABELS.items():
+        extra = 0 if kind == "finite" else 1  # the affine node
+        for (family, sup), (_, largest, first) in rows.items():
+            if first is None:
+                continue
+            last = max_rank - extra if largest is None else min(largest, max_rank - extra)
+            for n in range(first, last + 1):
+                classes.append(DiagramClass(kind, family, n, sup, n + extra))
+    return tuple(classes)
 
 
 @lru_cache(maxsize=None)
@@ -395,25 +354,23 @@ def classify(a: GeneralizedCartanMatrix) -> DiagramClass:
 # Table-1 name conversions
 
 
+# the Kac name X_N^(order) of each twisted label, as X and N from n
+_TWISTED_KAC = {("B", "even"): lambda n: ("D", n + 1), ("C", "even"): lambda n: ("A", 2 * n - 1),
+                ("F", "even"): lambda n: ("E", 6), ("BC", "odd"): lambda n: ("A", 2 * n),
+                ("G", "0mod3"): lambda n: ("D", 4)}
+
+
 def name_conversions(cls: DiagramClass) -> tuple[str, str, str]:
     """(our name, Moody-Pianzola name, Kac name) for an affine label."""
     if not cls.is_affine:
         raise ValueError("name conversions are defined for affine labels only")
-    fam, n, sup = cls.family, cls.n, cls.superscript
-    if sup is None:
-        mp = kac = f"{fam}_{n}^(1)"
-    elif sup == "even":
-        if fam == "B":
-            mp, kac = f"B_{n}^(2)", f"D_{n + 1}^(2)"
-        elif fam == "C":
-            mp, kac = f"C_{n}^(2)", f"A_{2 * n - 1}^(2)"
-        else:
-            mp, kac = "F_4^(2)", "E_6^(2)"
-    elif sup == "odd":
-        mp, kac = f"BC_{n}^(2)", f"A_{2 * n}^(2)"
-    else:
-        mp, kac = "G_2^(3)", "D_4^(3)"
-    return cls.label(), mp, kac
+    sup = cls.superscript
+    order = 1 if sup is None else 3 if sup == "0mod3" else 2
+    mp = f"{cls.family}_{cls.n}^({order})"
+    if order == 1:
+        return cls.label(), mp, mp
+    family, big_n = _TWISTED_KAC[cls.family, sup](cls.n)
+    return cls.label(), mp, f"{family}_{big_n}^({order})"
 
 
 # --------------------------------------------------------------------------
@@ -431,44 +388,46 @@ class RingProfile(NamedTuple):
 class PresentabilityVerdict(NamedTuple):
     verdict: str  # "FinitelyPresentedCase_i" | "FinitelyPresentedCase_ii" | "HypothesesNotMet"
     used_special_covering: bool
+    spherical_covering_holds: bool
 
 
 def spherical_covering_holds(a: GeneralizedCartanMatrix) -> bool:
-    """True iff every unordered node pair lies in an irreducible finite-type
-    full subdiagram on at least 3 nodes: a connected proper one, as every
-    proper principal submatrix of an indecomposable affine matrix is of finite
-    type (Kac, Infinite-Dimensional Lie Algebras, 3rd ed., Lemma 4.4)."""
+    """Whether every node pair lies in a connected finite-type subdiagram of >= 3 nodes."""
     if not classify(a).is_affine:
         raise ValueError("covering predicate is defined for affine diagrams")
-    n = a.rank
-    good_subsets: list[frozenset[int]] = []
-    for mask in range(1, (1 << n) - 1):
-        nodes = [i for i in range(n) if mask >> i & 1]
-        if len(nodes) >= 3 and len(a.submatrix(nodes).components()) == 1:
-            good_subsets.append(frozenset(nodes))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not any(i in s and j in s for s in good_subsets):
-                return False
-    return True
+    return _covering_holds(a)
 
 
-def finite_presentability_hypotheses(
-    a: GeneralizedCartanMatrix, profile: RingProfile
-) -> PresentabilityVerdict:
+def _covering_holds(a: GeneralizedCartanMatrix) -> bool:
+    """The covering predicate of an affine diagram: rank >= 4 and not a path.
+    Every proper connected subdiagram of an affine diagram is of finite type
+    (Kac, Infinite-Dimensional Lie Algebras, 3rd ed., Lemma 4.4).  A shortest
+    path between i and j is a smallest connected subdiagram holding both: if
+    it has >= 3 nodes and is proper, it covers the pair; if it has 2 and
+    n >= 4, it grows by one neighbour into a cover.  It takes every node only
+    if the diagram is that path (a chord would shorten it), and for n <= 3 no
+    proper subset has 3 nodes.  A connected diagram is a path iff it has n - 1
+    edges and no node of degree above 2."""
+    degrees = [len(pairs) for pairs in _node_invariants(a)]  # one pair per neighbour
+    is_path = sum(degrees) == 2 * (a.rank - 1) and max(degrees) <= 2
+    return a.rank >= 4 and not is_path
+
+
+def finite_presentability_hypotheses(a: GeneralizedCartanMatrix,
+                                     profile: RingProfile) -> PresentabilityVerdict:
     cls = classify(a)
     if not cls.is_affine:
         raise ValueError("hypotheses apply to affine diagrams")
     if cls.rank < 3:
         raise ValueError("theorem hypotheses exclude rank 2")
-    used_special = cls.rank > 3 and not spherical_covering_holds(a)
+    covering = _covering_holds(a)
     if cls.rank > 3 and profile.finitely_generated_ring:
         verdict = "FinitelyPresentedCase_i"
     elif cls.rank == 3 and profile.module_finite_over_unit_subring:
         verdict = "FinitelyPresentedCase_ii"
     else:
         verdict = "HypothesesNotMet"
-    return PresentabilityVerdict(verdict, used_special)
+    return PresentabilityVerdict(verdict, cls.rank > 3 and not covering, covering)
 
 
 # --------------------------------------------------------------------------
@@ -476,16 +435,17 @@ def finite_presentability_hypotheses(
 
 
 def parse_matrix_text(text: str) -> GeneralizedCartanMatrix:
-    """Parse the exchange format: line `rank n`, then n rows of n integers.
-    `#` starts a comment."""
+    """Parse the exchange format: line `rank n` with n >= 1, then n rows of
+    n integers.  `#` starts a comment."""
     lines = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if line:
             lines.append(line)
-    if not lines or not lines[0].lower().startswith("rank"):
+    header = re.fullmatch(r"rank\s+\+?(\d+)", lines[0], re.IGNORECASE) if lines else None
+    if header is None or int(header.group(1)) < 1:
         raise ValueError("diagram file must start with a `rank n` line")
-    n = int(lines[0].split()[1])
+    n = int(header.group(1))
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} matrix rows, found {len(lines) - 1}")
     rows = [[int(x) for x in line.split()] for line in lines[1:]]

@@ -174,11 +174,11 @@ def parse_descriptor(text: str) -> RingDescriptor:
     else:
         desc = integers()
     for ext in re.findall(r"\[([^\[\]]+)\]", m.group(4) or ""):
-        if ext.endswith("^+-1") or ext.endswith("^±1"):
-            var = ext.split("^")[0]
-            desc = laurent_ring(desc, var)
-        else:
-            desc = polynomial_ring(desc, ext.split(","))
+        laurent = re.fullmatch(r"(.*)\^(?:\+-|±)1", ext)
+        names = [laurent.group(1)] if laurent else ext.split(",")
+        if not all(name.isidentifier() for name in names):
+            raise ValueError(f"cannot parse ring descriptor {text!r}")
+        desc = laurent_ring(desc, names[0]) if laurent else polynomial_ring(desc, names)
     return desc
 
 

@@ -224,12 +224,12 @@ def test_hypotheses(capsys):
 def test_hypotheses_decides_the_covering_once(monkeypatch, capsys, label):
     from steinberg import diagrams
 
-    holds, calls = diagrams.spherical_covering_holds, []
-    monkeypatch.setattr(diagrams, "spherical_covering_holds",
-                        lambda a: calls.append(a) or holds(a))
+    classify, calls = diagrams.classify, []
+    monkeypatch.setattr(diagrams, "classify", lambda a: calls.append(a) or classify(a))
     code, out, _ = run(capsys, "hypotheses", "--diagram", label)
     assert code == 0 and len(calls) == 1
-    assert json.loads(out)["spherical_covering_holds"] is holds(calls[0])
+    holds = diagrams.spherical_covering_holds(calls[0])
+    assert json.loads(out)["spherical_covering_holds"] is holds
 
 
 def test_out_flag(tmp_path, capsys):

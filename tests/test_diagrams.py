@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -233,6 +234,19 @@ def test_covering_matches_oracle_on_catalog():
         assert D.spherical_covering_holds(matrix) == _covering_oracle(matrix), cls
 
 
+# expected values from an exhaustive search over node subsets, which takes
+# 2.5-6.4 s per label
+@pytest.mark.parametrize("label,holds", [
+    ("A~17", True), ("B~17", True), ("D~17", True), ("C~16^even", True),
+    ("C~17", False), ("B~16^even", False), ("BC~16^odd", False),
+])
+def test_covering_at_large_rank(label, holds):
+    a = D.affine_cartan(D.parse_label(label))
+    assert D.spherical_covering_holds(a) is holds
+    v = D.finite_presentability_hypotheses(a, D.RingProfile(finitely_generated_ring=True))
+    assert v == ("FinitelyPresentedCase_i", not holds, holds)
+
+
 def test_finite_presentability_verdicts():
     a4 = D.affine_cartan(D.parse_label("A~4"))
     v = D.finite_presentability_hypotheses(a4, D.RingProfile(finitely_generated_ring=True))
@@ -266,9 +280,25 @@ def test_parse_matrix_text():
     assert D.classify(D.parse_matrix_text(text)).label() == "A2"
     assert D.classify(D.parse_diagram("A~2")).label() == "A~2"
     assert D.classify(D.parse_diagram(text)).label() == "A2"
+    assert D.classify(D.parse_matrix_text("RANK\t2\n2 -1\n-1 2\n")).label() == "A2"
+    # the header is `rank` and one integer n >= 1, nothing else
+    for header in ["rank", "rank 0", "rank -1", "rank 2 3", "ranking 2", "rank x", "2"]:
+        with pytest.raises(ValueError, match="must start with a `rank n` line"):
+            D.parse_matrix_text(header + "\n2 -1\n-1 2\n")
+    with pytest.raises(ValueError, match="must start with a `rank n` line"):
+        D.parse_matrix_text("# only a comment\n")
 
 
 def test_label_parsing_errors():
     for bad in ["H3", "B1", "G~3", "BC~2", "BC~2^even", "A~2^odd", "F~5"]:
         with pytest.raises(ValueError):
             D.parse_label(bad)
+    # the edges of the label table, each with its message
+    for bad in ["A0", "D2", "E9"]:
+        with pytest.raises(ValueError, match=f"^no finite diagram {re.escape(bad)}$"):
+            D.parse_label(bad)
+    for bad in ["A~0", "B~1", "D~2", "E~9", "B~1^even", "F~3^even", "BC~0^odd", "G~3^0mod3"]:
+        with pytest.raises(ValueError, match=f"^no affine diagram {re.escape(bad)}$"):
+            D.parse_label(bad)
+    with pytest.raises(ValueError, match="^superscripts only occur on affine labels$"):
+        D.parse_label("A2^even")

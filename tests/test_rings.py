@@ -182,6 +182,16 @@ def test_tower_repeating_a_variable_rejected(text, name):
         R.parse_descriptor(text)
 
 
+@pytest.mark.parametrize("text", [
+    "Z[t^2]", "Z[1]", "Z[t*u]", "Z[t,]", "Z[^+-1]", "Z[t^+-1,u]", "Z[t^+-1^+-1]",
+    "Z[t,u^+-1]", "Z/5[t^±1^±1]", "Z[t][]",
+])
+def test_descriptor_variables_must_be_names(text):
+    # each variable is an identifier; a Laurent bracket is exactly name^+-1
+    with pytest.raises(ValueError, match=re.escape(f"cannot parse ring descriptor {text!r}")):
+        R.parse_descriptor(text)
+
+
 def test_ring_constructors_reject_a_variable_of_the_base():
     base = R.parse_descriptor("Z[t][u^+-1]")
     message = re.escape("'t' is already a variable of Z[t][u^+-1]")
