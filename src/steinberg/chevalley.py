@@ -176,13 +176,6 @@ class ChevalleyBasis:
             out[target, source] = n
         return out
 
-    def adjoint_matrix(self, gamma) -> tuple[tuple[int, ...], ...]:
-        """Matrix of ad e_gamma on (h_1..h_r, e_delta...); columns act on basis."""
-        mat = [[0] * self.dim for _ in range(self.dim)]
-        for (row, col), value in self._adjoint_entries(tuple(gamma)).items():
-            mat[row][col] = value
-        return tuple(tuple(row) for row in mat)
-
     def divided_powers(self, gamma) -> list[dict]:
         """(ad e_gamma)^k / k! for k = 0.. until zero, each as the sparse
         matrix {(row, col): value} of its nonzero entries.

@@ -172,7 +172,6 @@ def _cmd_hypotheses(args) -> tuple[int, str]:
     profile = diagrams.RingProfile(
         finitely_generated_ring=args.fg_ring,
         module_finite_over_unit_subring=args.module_finite,
-        units_finitely_generated=args.units_fg,
     )
     return 0, _json(diagrams.finite_presentability_hypotheses(a, profile)._asdict())
 
@@ -245,12 +244,17 @@ def build_parser() -> argparse.ArgumentParser:
     """The argparse parser of every subcommand."""
     import argparse
 
+    # the usage is written out as Python 3.10-3.12 wrap it, which 3.13 would
+    # join onto two lines; the subcommands' prog is given, or argparse would
+    # build it from that usage
+    indent = "\n" + " " * len("usage: steinberg ")
     parser = argparse.ArgumentParser(
         prog="steinberg",
+        usage="steinberg [-h]" + indent + "{" + ",".join(_SUBCOMMANDS) + "}" + indent + "...",
         description="Affine Steinberg/Kac-Moody presentations: roots, constants, "
         "relation files and exact verification.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, prog="steinberg")
     for name, (text, fn, options) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=text)
         for flag, kwargs in options:

@@ -57,10 +57,6 @@ class NilpotentRootSet(rings.Record):
     _fields = ("ars", "roots", "tables", "commuting", "names")
     __hash__ = None  # the tables are dicts
 
-    def with_tables(self, tables: dict) -> "NilpotentRootSet":
-        """The same set with other commutator tables."""
-        return NilpotentRootSet(self.ars, self.roots, tables, self.commuting, self.names)
-
     @cached_property
     def positions(self) -> dict:
         """Root -> its place in the collection order."""
@@ -175,20 +171,6 @@ class NormalProduct(rings.Record):
 
 def normal_product(nrs: NilpotentRootSet, letters) -> NormalProduct:
     return NormalProduct(nrs, collect(nrs, letters))
-
-
-def multiply(nrs: NilpotentRootSet, a: NormalProduct, b: NormalProduct) -> NormalProduct:
-    return normal_product(nrs, list(a.factors) + list(b.factors))
-
-
-def commutator(nrs: NilpotentRootSet, a: NormalProduct, b: NormalProduct) -> NormalProduct:
-    word = (
-        list(a.factors)
-        + list(b.factors)
-        + inverse_word(a.factors)
-        + inverse_word(b.factors)
-    )
-    return normal_product(nrs, word)
 
 
 # ---------------------------------------------------------------------------
@@ -563,19 +545,6 @@ def case_configuration(case_id: int, eps: int = 1, eps_prime: int = 1) -> CaseDa
         (kind, *((root[name], fn) for name, fn in letters)) for kind, *letters in case.expansion
     )
     return CaseData(case_id, nrs, alpha, beta, expansion, signs, basis)
-
-
-def override_coefficient(case: CaseData, pair_names: tuple[str, str], value: int) -> CaseData:
-    """Copy a configuration with one single-entry table coefficient replaced
-    (used by the negative controls)."""
-    by_name = {case.nrs.name(r): r for r in case.nrs.roots}
-    key = (by_name[pair_names[0]], by_name[pair_names[1]])
-    if key not in case.nrs.tables or len(case.nrs.tables[key]) != 1:
-        raise ValueError("override expects a single-entry table")
-    g, _, ij = case.nrs.tables[key][0]
-    tables = dict(case.nrs.tables)
-    tables[key] = ((g, value, ij),)
-    return case._replace(nrs=case.nrs.with_tables(tables))
 
 
 # ---------------------------------------------------------------------------

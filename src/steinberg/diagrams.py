@@ -28,10 +28,6 @@ class GeneralizedCartanMatrix(NamedTuple):
     def rank(self) -> int:
         return len(self.rows)
 
-    def submatrix(self, nodes) -> "GeneralizedCartanMatrix":
-        nodes = tuple(nodes)
-        return GeneralizedCartanMatrix(tuple(tuple(self.rows[i][j] for j in nodes) for i in nodes))
-
     def components(self) -> list[tuple[int, ...]]:
         seen: set[int] = set()
         comps = []
@@ -282,12 +278,6 @@ def _catalog_matrix(cls: DiagramClass) -> GeneralizedCartanMatrix:
     return finite_cartan(cls.family, cls.n)
 
 
-@lru_cache(maxsize=None)
-def catalog(max_rank: int = 12) -> tuple[tuple[DiagramClass, GeneralizedCartanMatrix], ...]:
-    """All irreducible finite and affine diagrams up to the given node count."""
-    return tuple((cls, _catalog_matrix(cls)) for cls in _catalog_classes(max_rank))
-
-
 def _node_invariants(a: GeneralizedCartanMatrix) -> list:
     inv = []
     for i in range(a.rank):
@@ -382,7 +372,6 @@ class RingProfile(NamedTuple):
 
     finitely_generated_ring: bool = False
     module_finite_over_unit_subring: bool = False
-    units_finitely_generated: bool = False
 
 
 class PresentabilityVerdict(NamedTuple):

@@ -385,18 +385,6 @@ class LoopModel:
         return reduce(operator.mul, values) if values else identity_matrix(self.n, self.dim)
 
 
-def build_model(a, ring: rings.RingDescriptor) -> LoopModel:
-    if isinstance(a, str):
-        a = diagrams.parse_diagram(a)
-    return LoopModel(a, ring)
-
-
-def model_for_system(ars: R.AffineRootSystem, ring: rings.RingDescriptor) -> LoopModel:
-    """Model over a given affine system, keeping its own simple-root order."""
-    a = diagrams.affine_cartan(ars.cls)
-    return LoopModel(a, ring, ars=ars, node_map={i: i for i in range(a.rank)})
-
-
 # ---------------------------------------------------------------------------
 # reports
 

@@ -566,68 +566,3 @@ def _emit_gap(p: Presentation) -> str:
     lines.append("];")
     lines.append("G := F / rels;")
     return "\n".join(lines) + "\n"
-
-
-_LETTER_ERR = "cannot parse word letter {!r}"
-
-
-def _parse_letter(token: str, ring):
-    exp = 1
-    if token.endswith("^-1"):
-        exp = -1
-        token = token[:-3]
-    if token.startswith("S"):
-        return (S(int(token[1:])), exp)
-    if token.startswith("X"):
-        node_text, _, rest = token.partition("(")
-        if not rest.endswith(")"):
-            raise ValueError(_LETTER_ERR.format(token))
-        return (X(int(node_text[1:]), rings.parse_element(ring, rest[:-1])), exp)
-    raise ValueError(_LETTER_ERR.format(token))
-
-
-def parse_native(text: str) -> Presentation:
-    """Parse the native format; symbolic parameters are read in SCHEMA_RING."""
-    ring = param_ring = None
-    symbolic = False
-    rows = {}
-    gens = []
-    rels = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(" ")
-        if head == "ring":
-            ring = rings.parse_descriptor(rest.strip())
-            param_ring = SCHEMA_RING if symbolic else ring
-        elif head == "symbolic":
-            symbolic = True
-            param_ring = SCHEMA_RING
-        elif head == "node":
-            parts = rest.split()
-            rows[int(parts[0])] = [int(x) for x in parts[1:]]
-        elif head == "gen":
-            parts = rest.split()
-            if parts[0] == "S":
-                gens.append(S(int(parts[1])))
-            else:
-                gens.append(X(int(parts[1]), rings.parse_element(param_ring, parts[2])))
-        elif head == "rel":
-            header, _, body = rest.partition(":")
-            tokens = header.split()
-            family = tokens[0]
-            nodes = tuple(int(x) for x in tokens[1:] if "=" not in x)
-            params = []
-            for tok in tokens[1:]:
-                if "=" in tok:
-                    name, _, value = tok.partition("=")
-                    params.append((name, rings.parse_element(param_ring, value)))
-            left_text, _, right_text = body.partition("=")
-            left = tuple(_parse_letter(tok, param_ring) for tok in left_text.split())
-            right = tuple(_parse_letter(tok, param_ring) for tok in right_text.split())
-            rels.append(Relator(family, nodes, tuple(params), left, right))
-        else:
-            raise ValueError(f"unknown line {line!r}")
-    matrix = diagrams.gcm([rows[i] for i in sorted(rows)])
-    return Presentation(matrix, ring, symbolic, tuple(gens), tuple(rels))

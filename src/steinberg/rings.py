@@ -364,37 +364,6 @@ def elements(desc: RingDescriptor) -> Iterator[RingElement]:
     yield from (RingElement(desc, a) for a in range(desc.modulus))
 
 
-def substitute(a: RingElement, assignment: dict) -> RingElement:
-    """Evaluate an element of a polynomial or Laurent ring by substituting
-    ring elements for its variables.
-
-    The result lives in the ring of the substituted values; integer
-    coefficients are mapped there canonically, residues only into their own
-    ring.  A variable needs a value only where its exponent is nonzero, and
-    a unit where it is negative.
-    """
-    if not assignment:
-        raise ValueError("substitute needs at least one value")
-    ring = next(iter(assignment.values())).desc
-    if any(v.desc != ring for v in assignment.values()):
-        raise ValueError("substituted values must share one ring")
-    desc = a.desc
-    if desc == ring:
-        return a
-    if desc.modulus is not None and desc.scalar != ring:
-        raise ValueError(f"cannot map {desc.scalar} coefficients into {ring}")
-    total = zero(ring)
-    for exps, c in a.data if desc.names else [((), a.data)]:
-        term = from_int(ring, c)
-        for name, e in zip(desc.names, exps):
-            if e:
-                if name not in assignment:
-                    raise ValueError(f"no value given for {name!r}")
-                term = term * power(assignment[name], e)
-        total = total + term
-    return total
-
-
 # --------------------------------------------------------------------------
 # printing
 

@@ -361,20 +361,6 @@ def _proportionality(x, y) -> tuple[int, int] | None:
     raise ValueError("zero vector is not a root")
 
 
-def prenilpotent_geometric(ars: AffineRootSystem, a: AffineRoot, b: AffineRoot) -> bool:
-    """Euclidean criterion: bounding hyperplanes non-parallel, or parallel
-    with one open halfspace containing the other."""
-    if a not in ars or b not in ars:
-        raise ValueError("roots must lie in the system")
-    q = _proportionality(a.coords, b.coords)
-    if q is None:
-        return True  # hyperplanes cross: chambers on all four sides exist
-    # parallel: halfspace of (coords, m) is {x : (coords, x) + m > 0}; for
-    # b = (q*abar, m_b) the halfspace is {(abar, x) > -m_b/q}, same direction
-    # as a's iff q > 0, in which case one threshold interval contains the other.
-    return q[0] > 0
-
-
 def classify_pair(ars: AffineRootSystem, a: AffineRoot, b: AffineRoot) -> PairClassification:
     if a not in ars or b not in ars:
         raise ValueError("roots must lie in the system")
@@ -496,37 +482,6 @@ def theta(ars: AffineRootSystem, a: AffineRoot, b: AffineRoot) -> set[AffineRoot
     if kind == "not-prenilpotent":
         raise ValueError("theta is infinite for this pair")
     return {gamma for _, _, gamma in root_combinations(ars, a, b, lowest=0)}
-
-
-def prenilpotent_by_weyl_search(
-    ars: AffineRootSystem, a: AffineRoot, b: AffineRoot, max_length: int = 8
-):
-    """Search the affine Weyl group for witnesses making both roots positive
-    and both negative.  Returns True when both witnesses are found within the
-    word-length bound and None otherwise (inconclusive: the bound was reached
-    first); it never returns False."""
-    simples = simple_affine_roots(ars)
-    seen = {(a, b)}
-    frontier = [(a, b)]
-    found_pos = ars.positive(a) and ars.positive(b)
-    found_neg = not ars.positive(a) and not ars.positive(b)
-    for _ in range(max_length):
-        nxt = []
-        for x, y in frontier:
-            for s in simples:
-                img = (reflect(ars, x, s), reflect(ars, y, s))
-                if img in seen:
-                    continue
-                seen.add(img)
-                nxt.append(img)
-                if ars.positive(img[0]) and ars.positive(img[1]):
-                    found_pos = True
-                if not ars.positive(img[0]) and not ars.positive(img[1]):
-                    found_neg = True
-                if found_pos and found_neg:
-                    return True
-        frontier = nxt
-    return True if (found_pos and found_neg) else None
 
 
 # --------------------------------------------------------------------------

@@ -11,6 +11,8 @@ from steinberg import collection as K
 from steinberg import diagrams as D
 from steinberg import roots as R
 
+from oracles import adjoint_matrix
+
 
 def system(family, n):
     return R.enumerate_finite_roots(D.finite_cartan(family, n), family)
@@ -119,7 +121,7 @@ def _ad_of_basis_element(bs, idx):
                 bs.system.simple(idx), root
             )
         return tuple(tuple(row) for row in mat)
-    return bs.adjoint_matrix(bs.roots_order[idx - bs.rank])
+    return adjoint_matrix(bs, bs.roots_order[idx - bs.rank])
 
 
 def _bracket_matrix(bs, idx, jdx):
@@ -138,7 +140,7 @@ def _bracket_matrix(bs, idx, jdx):
     if idx < bs.rank:
         root = bs.roots_order[jdx - bs.rank]
         k = bs.system.pairing(bs.system.simple(idx), root)
-        return scale(k, bs.adjoint_matrix(root))
+        return scale(k, adjoint_matrix(bs, root))
     if jdx < bs.rank:
         return scale(-1, _bracket_matrix(bs, jdx, idx))
     x = bs.roots_order[idx - bs.rank]
@@ -151,7 +153,7 @@ def _bracket_matrix(bs, idx, jdx):
                 out = add(out, scale(c, _ad_of_basis_element(bs, i)))
         return out
     if total in bs.system:
-        return scale(bs.n(x, y), bs.adjoint_matrix(total))
+        return scale(bs.n(x, y), adjoint_matrix(bs, total))
     return zero
 
 
@@ -181,7 +183,7 @@ def test_adjoint_is_a_lie_homomorphism(family, n):
 def test_adjoint_basics():
     bs = basis("G", 2)
     for gamma in bs.system.roots:
-        ad = bs.adjoint_matrix(gamma)
+        ad = adjoint_matrix(bs, gamma)
         col = bs._root_index[gamma]
         assert all(ad[i][col] == 0 for i in range(bs.dim))  # [x, x] = 0
         # Cartan action: (ad e_gamma)(h_i) = -<alpha_i^vee, gamma> e_gamma
@@ -195,7 +197,7 @@ def test_adjoint_basics():
 def _dense_divided_powers(bs, gamma) -> list:
     # (ad e_gamma)^k / k! from dense powers over Python ints, as dicts of the
     # nonzero entries, k = 0 until the power vanishes
-    ad = bs.adjoint_matrix(gamma)
+    ad = adjoint_matrix(bs, gamma)
     columns = list(zip(*ad))
     power = [[int(i == j) for j in range(bs.dim)] for i in range(bs.dim)]
     out, factorial = [], 1

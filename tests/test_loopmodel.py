@@ -13,12 +13,14 @@ from steinberg import rings
 from steinberg import roots as R
 from steinberg.roots import AffineRoot
 
+from oracles import build_model, catalog, model_for_system, substitute
+
 Z5 = rings.integers_mod(5)
 Z7 = rings.integers_mod(7)
 
 
 def test_root_element_basics():
-    model = L.build_model("A~2", Z5)
+    model = build_model("A~2", Z5)
     gamma = AffineRoot((1, 0), 0)
     assert model.root_element(gamma, rings.zero(Z5)).is_identity()
     u, v = rings.from_int(Z5, 2), rings.from_int(Z5, 4)
@@ -31,7 +33,7 @@ def test_root_element_basics():
 
 
 def test_commutator_of_root_elements_matches_structure_constant():
-    model = L.build_model("A~2", Z5)
+    model = build_model("A~2", Z5)
     a, b = AffineRoot((1, 0), 0), AffineRoot((0, 1), 1)
     one = rings.one(Z5)
     x, y = model.root_element(a, one), model.root_element(b, one)
@@ -44,27 +46,27 @@ def test_commutator_of_root_elements_matches_structure_constant():
 
 
 def test_stilde_word_evaluates_to_weyl_representative():
-    model = L.build_model("A~2", Z5)
+    model = build_model("A~2", Z5)
     for i in range(3):
         w = P.stilde(i, rings.one(Z5))
         assert model.evaluate_word(w) == model.s_matrix(i)
 
 
 def test_htilde_at_one_is_identity():
-    model = L.build_model("A~2", Z5)
+    model = build_model("A~2", Z5)
     for i in range(3):
         assert model.evaluate_word(P.htilde(i, rings.one(Z5))).is_identity()
 
 
 def test_htilde_is_diagonal():
-    model = L.build_model("A~2", Z5)
+    model = build_model("A~2", Z5)
     for i in range(3):
         for r in rings.units(Z5):
             assert model.evaluate_word(P.htilde(i, r)).is_diagonal()
 
 
 def test_m3_distant_relation_instance():
-    model = L.build_model("A~2", Z5)
+    model = build_model("A~2", Z5)
     t, u = rings.from_int(Z5, 2), rings.from_int(Z5, 3)
     lhs = P.commutator_word(P.word(P.X(0, t)), P.word(P.X(1, u)))
     rhs = P.conj(P.word(P.S(0)), P.word(P.X(1, t * u)))
@@ -72,7 +74,7 @@ def test_m3_distant_relation_instance():
 
 
 def test_corrupted_relator_fails():
-    model = L.build_model("A~2", Z5)
+    model = build_model("A~2", Z5)
     t, u = rings.from_int(Z5, 2), rings.from_int(Z5, 3)
     lhs = P.commutator_word(P.word(P.X(0, t)), P.word(P.X(1, u)))
     corrupted = P.conj(P.word(P.S(0)), P.word(P.X(1, t * u + rings.one(Z5))))
@@ -80,13 +82,13 @@ def test_corrupted_relator_fails():
 
 
 def test_x_at_zero_is_identity():
-    model = L.build_model("C~2", Z5)
+    model = build_model("C~2", Z5)
     for i in range(3):
         assert model.x_matrix(i, rings.zero(Z5)).is_identity()
 
 
 def test_verify_presentation_small():
-    rep = L.verify_presentation(L.build_model("A~2", rings.prime_field(3)))
+    rep = L.verify_presentation(build_model("A~2", rings.prime_field(3)))
     assert rep["all_passed"]
     fams = {f["family"] for f in rep["families"]}
     assert "torus-action-1" in fams and "additivity" in fams
@@ -96,15 +98,15 @@ def test_verify_presentation_small():
 
 def test_verify_rejects_twisted_and_infinite():
     with pytest.raises(ValueError):
-        L.build_model("BC~2^odd", Z5)
+        build_model("BC~2^odd", Z5)
     with pytest.raises(ValueError):
-        L.build_model("A~2", rings.integers())
+        build_model("A~2", rings.integers())
 
 
 def test_morita_rehmann_example_exponent():
     # over Z/7 with r = 3: conjugation scales the adjacent node's root group
     # by 3^(-1) = 5, its own by 3^2 = 2
-    model = L.build_model("A~2", Z7)
+    model = build_model("A~2", Z7)
     rep = L.verify_morita_rehmann(model, 1)
     assert rep["all_passed"]
     r = rings.from_int(Z7, 3)
@@ -122,7 +124,7 @@ def test_morita_rehmann_example_exponent():
 
 
 def test_weyl_conjugation_fixes_orthogonal_roots():
-    model = L.build_model("C~2", Z5)
+    model = build_model("C~2", Z5)
     # the two long end nodes are orthogonal, so conjugation by the stilde of
     # one leaves the other's root group untouched
     i, j = next(
@@ -146,12 +148,12 @@ def test_collection_normal_forms_match_matrix_products():
     tvar, uvar = rings.variable(tu, "t"), rings.variable(tu, "u")
     for cid in (1, 2, 3, 4):
         cfg = C.case_configuration(cid)
-        model = L.model_for_system(cfg.nrs.ars, Z5)
+        model = model_for_system(cfg.nrs.ars, Z5)
 
         def evaluate(letters, tval, uval):
             out = L.identity_matrix(model.n, model.dim)
             for root, coeff in letters:
-                value = rings.substitute(coeff, {"t": tval, "u": uval})
+                value = substitute(coeff, {"t": tval, "u": uval})
                 sign = cfg.signs.get(root, 1)
                 out = out * model.root_element(root, value.scale(sign))
             return out
@@ -184,7 +186,7 @@ def test_collection_normal_forms_match_matrix_products():
 def test_replay_case4_words_match_matrices():
     # the case-4 replay equality holds as an exact matrix identity too
     cfg = C.case_configuration(4)
-    model = L.model_for_system(cfg.nrs.ars, Z7)
+    model = model_for_system(cfg.nrs.ars, Z7)
     result = C.replay(cfg)
     assert result.is_empty()
     # the commutator of the realized alpha and beta root elements vanishes in
@@ -205,7 +207,7 @@ def test_verify_family_census():
     # nine, on top of the four per-node/ordered-pair families and the two
     # torus actions
     z3 = rings.integers_mod(3)
-    rep = L.verify_presentation(L.build_model("C~2", z3))
+    rep = L.verify_presentation(build_model("C~2", z3))
     fams = {f["family"] for f in rep["families"]}
     assert {f for f in fams if "-4" in f} == {
         "artin-4", "interaction-4", "chevalley-4-close",
@@ -215,7 +217,7 @@ def test_verify_family_census():
     assert rep["all_passed"]
 
     gf2 = rings.prime_field(2)
-    rep = L.verify_presentation(L.build_model("G~2", gf2))
+    rep = L.verify_presentation(build_model("G~2", gf2))
     fams = {f["family"] for f in rep["families"]}
     assert {f for f in fams if "-6" in f} == {
         "artin-6", "interaction-6", "chevalley-6-close-long",
@@ -231,12 +233,12 @@ def test_int64_guard_on_both_sides_of_the_bound():
     # rings with 14 (n - 1)^2 >= 2^63, far too large to enumerate anyway
     largest = math.isqrt((2**63 - 1) // 14) + 1
     assert 14 * (largest - 1) ** 2 < 2**63 <= 14 * largest**2
-    model = L.build_model("G~2", rings.integers_mod(largest))
+    model = build_model("G~2", rings.integers_mod(largest))
     assert model.dim == 14
     for i in range(3):
         assert (model.s_matrix(i) * model.s_inverse(i)).is_identity()
     with pytest.raises(L.UnsupportedModelError, match="too large"):
-        L.build_model("G~2", rings.integers_mod(largest + 1))
+        build_model("G~2", rings.integers_mod(largest + 1))
 
 
 def test_unsupported_model_error_is_shared():
@@ -271,7 +273,7 @@ def _commutator_identity_holds(model, a, b, table) -> bool:
 def test_commutator_tables_are_group_identities(diagram):
     # an oracle independent of the peeling: every ordered non-opposite pair
     # of finite roots, ascending interior order, checked as matrices over Z/5
-    model = L.build_model(diagram, Z5)
+    model = build_model(diagram, Z5)
     basis = model.basis
     for a in basis.roots_order:
         for b in basis.roots_order:
@@ -281,7 +283,7 @@ def test_commutator_tables_are_group_identities(diagram):
 
 
 def test_g2_display_order_table_is_a_group_identity():
-    model = L.build_model("G~2", Z5)
+    model = build_model("G~2", Z5)
     sig, lam = (1, 0), (0, 1)
     table = model.basis.commutator_table(sig, lam, order=[(2, 1), (1, 1), (3, 1), (3, 2)])
     assert [g for g, _, _ in table] == [(2, 1), (1, 1), (3, 1), (3, 2)]
@@ -294,13 +296,13 @@ def test_g2_display_order_table_is_a_group_identity():
 def test_equality_compares_modulus_and_dimension():
     assert L.identity_matrix(5, 8) != L.identity_matrix(7, 8)
     assert L.identity_matrix(5, 8) != L.identity_matrix(5, 10)
-    model = L.build_model("A~2", Z5)
+    model = build_model("A~2", Z5)
     one = model.root_element(AffineRoot((1, 0), 0), rings.zero(Z5))
     assert one == L.identity_matrix(5, 8) and hash(one) == hash(L.identity_matrix(5, 8))
 
 
 def test_root_element_support_is_truncated_by_zero_divisors():
-    model = L.build_model("C~2", rings.integers_mod(4))
+    model = build_model("C~2", rings.integers_mod(4))
     beta = next(root for root in model.simple_of_node.values() if root.level)
     singles = [model.root_element(beta, u) for u in rings.elements(model.ring)]
     # 2^2 = 0 truncates the exponential, so the supports differ
@@ -394,7 +396,7 @@ def _perturbed(rel, ring):
 )
 def test_batched_verdicts_match_single_words(diagram, n):
     ring = rings.integers_mod(n)
-    model = L.build_model(diagram, ring)
+    model = build_model(diagram, ring)
     options = P.PresentationOptions(include_torus_action=True)
     # every third instance is followed by a copy with a shifted right-hand
     # parameter, so one batch mixes true and false instances, and another by
@@ -408,13 +410,13 @@ def test_batched_verdicts_match_single_words(diagram, n):
             rels.append(rel._replace(right=rel.right[:-1]))
     # the reference multiplies every word out letter by letter on a model of
     # its own, so it shares no segment value with the batched path
-    reference = L.build_model(diagram, ring)
+    reference = build_model(diagram, ring)
     expected = [_plain(reference, rel.left) == _plain(reference, rel.right) for rel in rels]
     batched = L.verify_relators(model, rels)
     assert batched == expected
     assert any(batched) and not all(batched)
     # reversed, the runs and sub-runs meet a cold and a warm segment cache
-    for m in (L.build_model(diagram, ring), model):
+    for m in (build_model(diagram, ring), model):
         assert L.verify_relators(m, rels[::-1]) == expected[::-1]
 
 
@@ -496,7 +498,7 @@ def _reference_morita_rehmann(model, level_bound, exponent=_pairing_exponent):
        for d, n in [("A~2", 4), ("G~2", 4), ("C~2", 6)]],
 )
 def test_morita_rehmann_matches_reference_loop(diagram, n, level_bound):
-    model = L.build_model(diagram, rings.integers_mod(n))
+    model = build_model(diagram, rings.integers_mod(n))
     report = L.verify_morita_rehmann(model, level_bound)
     assert report["all_passed"]
     assert report == _reference_morita_rehmann(model, level_bound)
@@ -514,7 +516,7 @@ def test_conjugations_do_not_grow_with_the_level_bound(monkeypatch):
     monkeypatch.setattr(L, "_conjugate", counted)
     for level_bound in (1, 2):
         counts.append(0)
-        model = L.build_model("G~2", rings.integers_mod(4))
+        model = build_model("G~2", rings.integers_mod(4))
         assert L.verify_morita_rehmann(model, level_bound)["all_passed"]
     assert counts[0] == counts[1] > 0
 
@@ -523,7 +525,7 @@ def test_proven_keeps_apart_roots_with_other_images():
     # one finite root at two levels, the image of the second off by a power of
     # t (level 2 instead of 1): each level keeps its own verdict, and a wrong
     # scale fails both
-    model = L.build_model("A~2", Z7)
+    model = build_model("A~2", Z7)
     i, r = 1, rings.from_int(Z7, 3)
     h_word = P.htilde(i, r)
     h, h_inv = model.evaluate_word(h_word), model.evaluate_word(P.winv(h_word))
@@ -535,7 +537,7 @@ def test_proven_keeps_apart_roots_with_other_images():
 
 
 def test_graded_terms_are_built_once_per_model(monkeypatch):
-    model = L.build_model("C~2", rings.integers_mod(6))
+    model = build_model("C~2", rings.integers_mod(6))
     graded_terms, returned, calls = L._graded_terms, {}, []
 
     def recorded(model, root, c=1):
@@ -572,13 +574,13 @@ def test_correct_inputs_never_reach_the_enumeration(monkeypatch, diagram, n):
         raise AssertionError("a correct input was left to the per-parameter check")
 
     monkeypatch.setattr(L, "_enumerated", unreachable)
-    assert L.verify_morita_rehmann(L.build_model(diagram, rings.integers_mod(n)), 1)["all_passed"]
+    assert L.verify_morita_rehmann(build_model(diagram, rings.integers_mod(n)), 1)["all_passed"]
 
 
 def test_forced_enumeration_matches_reference_loop(monkeypatch):
     # neither proof holds: every Weyl root, and every torus root at every
     # unit, is left to the per-parameter check
-    model = L.build_model("A~2", Z7)
+    model = build_model("A~2", Z7)
     monkeypatch.setattr(L, "_proven", lambda model, g, g_inv, roots, *rest: [False] * len(roots))
     monkeypatch.setattr(L, "_torus_proven", lambda model, i, roots: False)
     calls = _record_enumerations(monkeypatch)
@@ -607,7 +609,7 @@ def test_a_shifted_torus_exponent_matches_reference_loop(monkeypatch):
     # r^(a+1): the formal proof fails for node 1 alone, which is checked unit
     # by unit and fails that root at every level, at exactly the units with
     # r^(a+1) != r^a, that is r != 1
-    model = L.build_model("A~2", Z7)
+    model = build_model("A~2", Z7)
     roots = R.real_roots_up_to_level(model.ars, 1)
     node, coords = 1, roots[2].coords
     exponent = L._torus_exponent
@@ -633,7 +635,7 @@ def test_a_shifted_torus_exponent_matches_reference_loop(monkeypatch):
 def test_a_concrete_htilde_that_is_not_diagonal_is_one_failure_per_unit(monkeypatch):
     # the kept S_0 multiplied by X_1(1): node 0's torus proof fails, and each
     # concrete htilde_0(r) is reported as not diagonal, with no root decided
-    model = L.build_model("A~2", Z7)
+    model = build_model("A~2", Z7)
     model._s_cache[0, 1] = model.s_matrix(0) * model.x_matrix(1, rings.one(Z7))
     fallbacks = _record_concrete_htilde(monkeypatch, model)
     units = rings.units(Z7)
@@ -649,7 +651,7 @@ def test_a_concrete_htilde_that_is_not_diagonal_is_one_failure_per_unit(monkeypa
 def test_the_torus_proof_reads_every_finite_root(monkeypatch):
     # the claimed exponent of one finite root at a time moved by one: the
     # proof fails at every node, whichever root it is
-    model = L.build_model("A~2", Z7)
+    model = build_model("A~2", Z7)
     roots = R.real_roots_up_to_level(model.ars, 1)
     nodes = range(model.gcm.rank)
     model._cover([w for i in nodes for w in L._formal_htilde(i)])
@@ -667,7 +669,7 @@ def _formal_control(monkeypatch, tamper, inverse_holds=False):
     report is still the reference loop's.  inverse_holds: whether the pair
     still passes the checks that need no root (one term per row, z-digit 0,
     g g^-1 = I), so that only the entries of the D_k refute it."""
-    model = L.build_model("A~2", Z7)
+    model = build_model("A~2", Z7)
     assert L.verify_morita_rehmann(model, 1)["all_passed"]
     assert L._torus_proven(model, 0, [])
     values, words = model._packing.values, L._formal_htilde(0)
@@ -771,7 +773,7 @@ def test_torus_check_cost_does_not_grow_with_the_units(monkeypatch):
     monkeypatch.setattr(L.LoopMatrix, "__mul__", counted_mul)
     monkeypatch.setattr(L, "_conjugate", counted_conjugate)
     for n in (7, 13, 31):
-        model = L.build_model("A~2", rings.integers_mod(n))
+        model = build_model("A~2", rings.integers_mod(n))
         counts.append([0, 0])
         assert L.verify_morita_rehmann(model, 1)["all_passed"]
     assert counts[0] == counts[1] == counts[2]
@@ -782,7 +784,7 @@ def test_identity_term_control_proves_no_root(monkeypatch):
     # one extra entry in each evaluated stilde_i(1)^-1 breaks S S^-1 = I; it
     # sits in the column of e_(-theta), which ad e_beta kills for every
     # negative beta, so only the identity term shows it for those roots
-    model = L.build_model("A~2", Z7)
+    model = build_model("A~2", Z7)
     one = rings.one(Z7)
     inverses = {P.winv(P.stilde(i, one)) for i in range(model.gcm.rank)}
     evaluate = model.evaluate_word
@@ -863,7 +865,7 @@ def test_sparse_conjugation_is_exact_at_the_int64_bound():
 def _check_weyl_control(monkeypatch, wrong):
     """Patch reflect to send one root to wrong(its image): the Weyl check must
     report exactly that root, at every node, as the reference loop does."""
-    model = L.build_model("A~2", Z7)
+    model = build_model("A~2", Z7)
     target = R.real_roots_up_to_level(model.ars, 1)[5]
     reflect = R.reflect
 
@@ -915,7 +917,7 @@ def test_negative_control_fails_only_the_perturbed_instances(
     monkeypatch, diagram, n, family, perturb, changed
 ):
     ring = rings.integers_mod(n)
-    model = L.build_model(diagram, ring)
+    model = build_model(diagram, ring)
     options = P.PresentationOptions(include_torus_action=True)
     clean = P.relators_for(model.gcm, ring, options).relators
     schemas = P.relators_for(model.gcm, rings.integers(), options).relators
@@ -942,7 +944,7 @@ def test_a_constant_equal_mod_n_shows_only_in_the_schema(monkeypatch):
     # over Z/5 moves and verify cannot see it; the same patched _mono builds
     # the symbolic schema, which shows -2*t*u
     ring = rings.integers_mod(5)
-    gcm = L.build_model("G~2", ring).gcm
+    gcm = build_model("G~2", ring).gcm
 
     def schemas():
         rels = P.relators_for(gcm, rings.integers()).relators
@@ -960,7 +962,7 @@ def test_wrong_kept_conjugator_fails_exactly_the_relators_that_contain_it():
     # the cached values are the checked values: after a passing run, one kept
     # htilde_i(r) replaced by a wrong matrix fails every relator whose words
     # contain that segment, and no other
-    model = L.build_model("A~2", Z7)
+    model = build_model("A~2", Z7)
     options = P.PresentationOptions(include_torus_action=True)
     rels = P.relators_for(model.gcm, Z7, options).relators
     assert all(L.verify_relators(model, rels))
@@ -988,7 +990,7 @@ def test_a_tampered_shared_run_fails_exactly_the_relators_whose_words_have_it():
     # the packing keeps exactly the runs of two or more letters that two or
     # more words share, each multiplied out once; one of them replaced by a
     # wrong matrix fails the relators with that run and no other
-    model = L.build_model("A~2", Z7)
+    model = build_model("A~2", Z7)
     options = P.PresentationOptions(include_torus_action=True)
     schemas = P.relators_for(model.gcm, rings.integers(), options).relators
     assert all(L.verify_relators(model, schemas))
@@ -1006,12 +1008,12 @@ def test_a_tampered_shared_run_fails_exactly_the_relators_whose_words_have_it():
 
 
 @pytest.mark.parametrize(
-    "label", [cls.label() for cls, _ in D.catalog(6) if cls.kind == "affine-untwisted"])
+    "label", [cls.label() for cls, _ in catalog(6) if cls.kind == "affine-untwisted"])
 def test_weyl_letters_reach_their_z_degree_share_and_no_further(label):
     # the share kmax |m| of an S letter (LoopModel._box_share) is the largest
     # |z-degree| of S_i and of S_i^-1, at every node and modulus
     for n in (2, 3, 4):
-        model = L.build_model(label, rings.integers_mod(n))
+        model = build_model(label, rings.integers_mod(n))
         for i in range(model.gcm.rank):
             share, _ = model._box_share(P.S(i))
             assert share == max(abs(degree) for m in (model.s_matrix(i), model.s_inverse(i))
@@ -1035,7 +1037,7 @@ def test_a_tampered_conjugator_sends_exactly_its_schemas_to_enumeration(monkeypa
     # the formal htilde_1(r) is kept once and shared by the torus-action
     # schemas of node 1; tampered, it fails exactly those formally, and their
     # instances, multiplied out with concrete conjugators, still pass
-    model = L.build_model("A~2", Z7)
+    model = build_model("A~2", Z7)
     assert L.verify_presentation(model)["all_passed"]
     values = model._packing.values
     h = P.htilde(1, P._VARIABLE["r"])
@@ -1045,14 +1047,14 @@ def test_a_tampered_conjugator_sends_exactly_its_schemas_to_enumeration(monkeypa
     assert report["all_passed"]
     assert enumerated == [(family, (1, j)) for family in ("torus-action-1", "torus-action-2")
                           for j in range(model.gcm.rank)]
-    assert report == L.verify_presentation(L.build_model("A~2", Z7))
+    assert report == L.verify_presentation(build_model("A~2", Z7))
 
 
 def test_a_bumped_kept_square_fails_exactly_the_s2_schemas_of_its_node(monkeypatch):
     # S_1 S_1 is kept once for the s2-on-s and s2-on-x schemas of node 1 and
     # every j; concrete and formal words share its key, so the enumerated
     # instances of those schemas, and only those, fail too
-    model = L.build_model("A~2", Z7)
+    model = build_model("A~2", Z7)
     assert L.verify_presentation(model)["all_passed"]
     square = P.word(P.S(1), P.S(1))
     values = model._packing.values
@@ -1078,7 +1080,7 @@ def test_correct_schemas_never_reach_the_enumeration(monkeypatch, diagram, n):
 
     monkeypatch.setattr(P, "instances", unreachable)
     options = P.PresentationOptions(include_torus_action=True, include_kacmoody_torus=True)
-    assert L.verify_presentation(L.build_model(diagram, rings.integers_mod(n)), options)["all_passed"]
+    assert L.verify_presentation(build_model(diagram, rings.integers_mod(n)), options)["all_passed"]
 
 
 def test_conjugator_cache_keeps_each_htilde_and_its_inverse_once():
@@ -1088,7 +1090,7 @@ def test_conjugator_cache_keeps_each_htilde_and_its_inverse_once():
     # and s2 families and every j, and the torus check reuses the formal
     # htilde_i(r)
     ring = rings.integers_mod(3)
-    model = L.build_model("F~4", ring)
+    model = build_model("F~4", ring)
     assert L.verify_presentation(model)["all_passed"]
     packing, kept = model._packing, set(model._packing.values)
     r = P._VARIABLE["r"]
@@ -1113,7 +1115,7 @@ def test_an_identity_of_functions_passes_after_enumeration(monkeypatch):
     t = P._VARIABLE["t"]
     schema = _schema("s2-on-x", (("t", t),), [P.X(0, rings.power(t, 5))], [P.X(0, t)])
     enumerated = _record_instances(monkeypatch)
-    [entry] = L._families(L.build_model("A~2", ring), [schema])
+    [entry] = L._families(build_model("A~2", ring), [schema])
     assert enumerated == [("s2-on-x", (0, 0))]
     assert (entry["instances"], entry["passed"], entry["failed"]) == (5, 5, 0)
 
@@ -1122,12 +1124,12 @@ def test_a_formal_mismatch_fails_exactly_the_instances_it_breaks():
     # X_0(t^2) = X_0(t) over Z/4 holds at t = 0, 1 and fails at t = 2, 3
     t = P._VARIABLE["t"]
     schema = _schema("s2-on-x", (("t", t),), [P.X(0, t * t)], [P.X(0, t)])
-    [entry] = L._families(L.build_model("A~2", rings.integers_mod(4)), [schema])
+    [entry] = L._families(build_model("A~2", rings.integers_mod(4)), [schema])
     assert (entry["instances"], entry["failed"]) == (4, 2)
     assert entry["counterexamples"] == [{"i": 0, "j": 0, "t": "2"}, {"i": 0, "j": 0, "t": "3"}]
     # over Z/12 it holds at the idempotents 0, 1, 4, 9; relator order sorts
     # the rendered parameters, so t = 10 comes before t = 2
-    [entry] = L._families(L.build_model("A~2", rings.integers_mod(12)), [schema])
+    [entry] = L._families(build_model("A~2", rings.integers_mod(12)), [schema])
     assert [c["t"] for c in entry["counterexamples"]] == ["10", "11", "2", "3", "5", "6", "7", "8"]
 
 
@@ -1135,7 +1137,7 @@ def test_an_inverted_torus_scale_fails_exactly_the_instances_it_moves(monkeypatc
     # r^(a_ij) -> r^(-a_ij) in the torus-action families of A~2 over Z/7 moves
     # an instance exactly when r^(2 a_ij) t != 0: every schema fails formally,
     # and the enumeration reports exactly the moved instances, in order
-    model = L.build_model("A~2", Z7)
+    model = build_model("A~2", Z7)
     options = P.PresentationOptions(include_torus_action=True)
     clean = P.relators_for(model.gcm, Z7, options).relators
     power, one = rings.power, rings.one(Z7)
@@ -1177,7 +1179,7 @@ def test_schema_counts_match_the_concrete_enumeration(diagram):
     # concrete instances, torus units and zero divisors included, with and
     # without the Kac-Moody torus
     for ring in map(rings.parse_descriptor, ("Z/2", "Z/3", "Z/5", "Z/6", "Z/8", "GF(5)", "GF(7)")):
-        model = L.build_model(diagram, ring)
+        model = build_model(diagram, ring)
         for km_torus in (False, True):
             options = P.PresentationOptions(include_torus_action=True,
                                             include_kacmoody_torus=km_torus)
@@ -1203,7 +1205,7 @@ def test_packing_round_trips_its_corners_and_widens_with_the_words():
     # exponents grow with k, and so does the model's packing.  Every corner of
     # the box round-trips, and the formal value specialises to the plain
     # product at every point, which an aliased degree would break.
-    model = L.build_model("A~2", Z5)
+    model = build_model("A~2", Z5)
     i = next(i for i, root in model.simple_of_node.items() if root.level)
     j, l = (i + 1) % 3, (i + 2) % 3
     r, t, u = (P._VARIABLE[name] for name in "rtu")
@@ -1256,6 +1258,6 @@ def test_z2_cannot_see_a_sign_and_z3_can():
     mutants = [m for m in map(_first_right_x_negated, schemas) if m is not None]
     assert len(mutants) == 127
     for n, passed in ((2, 127), (3, 0)):
-        model = L.build_model("D~4", rings.integers_mod(n))
+        model = build_model("D~4", rings.integers_mod(n))
         assert all(L.verify_relators(model, schemas))
         assert sum(L.verify_relators(model, mutants)) == passed

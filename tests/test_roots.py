@@ -7,6 +7,8 @@ from steinberg import diagrams as D
 from steinberg import roots as R
 from steinberg.roots import AffineRoot
 
+from oracles import catalog, prenilpotent_by_weyl_search, prenilpotent_geometric
+
 
 # ---------------------------------------------------------------------------
 # independent euclidean models used as oracles
@@ -72,10 +74,10 @@ def test_finite_root_counts_against_euclidean_oracles():
 def test_form_and_norm_are_int_on_every_catalog_system():
     systems = [
         R.enumerate_finite_roots(matrix, cls.family)
-        for cls, matrix in D.catalog(12) if cls.kind == "finite"
+        for cls, matrix in catalog(12) if cls.kind == "finite"
     ]
     systems += [
-        R.affine_system(cls).finite for cls, _ in D.catalog(12) if cls.is_affine
+        R.affine_system(cls).finite for cls, _ in catalog(12) if cls.is_affine
     ]
     for phi in systems:
         simples = [phi.simple(i) for i in range(phi.rank)]
@@ -98,9 +100,9 @@ def test_pairing_matches_the_divided_form_on_every_catalog_pair():
     # on the first use and as a tuple after; BC_n comes with the affine ones
     systems = [
         R.enumerate_finite_roots(matrix, cls.family)
-        for cls, matrix in D.catalog(8) if cls.kind == "finite"
+        for cls, matrix in catalog(8) if cls.kind == "finite"
     ]
-    systems += [R.affine_system(cls).finite for cls, _ in D.catalog(8) if cls.is_affine]
+    systems += [R.affine_system(cls).finite for cls, _ in catalog(8) if cls.is_affine]
     assert any(phi.nonreduced for phi in systems)
     for phi in systems:
         for x in phi.roots:
@@ -116,7 +118,7 @@ def _symmetrizes(d, a) -> bool:
 
 
 def test_symmetrizer_is_an_integer_solution_with_gcd_one():
-    cases = [(a, None) for _, a in D.catalog(6)] + [
+    cases = [(a, None) for _, a in catalog(6)] + [
         (D.gcm([[2, -1], [-4, 2]]), (4, 1)),  # a denominator 4 to clear
         (D.gcm([[2, -3, 0], [-1, 2, 0], [0, 0, 2]]), (1, 3, 1)),
         # the denominators of all components share one common multiple
@@ -230,7 +232,7 @@ def test_simple_affine_roots_match_the_highest_root_construction():
     # the reference: alpha_0 at level one over minus the highest root of the
     # level-zero system (max by height, then coordinates), or over minus one
     # or two times its highest short root for a twisted label
-    for cls, _ in D.catalog(12):
+    for cls, _ in catalog(12):
         if not cls.is_affine:
             continue
         ars = R.affine_system(cls)
@@ -276,7 +278,7 @@ def test_three_level_lift_classifies_as_the_two_attempt_lift(monkeypatch):
         return out
 
     nonclassical = 0
-    for cls, _ in D.catalog(5):
+    for cls, _ in catalog(5):
         if not cls.is_affine:
             continue
         ars = R.affine_system(cls)
@@ -394,9 +396,9 @@ def test_classify_pair_case_tags_partition():
 
 def test_prenilpotent_geometric():
     a2 = R.affine_system("A~2")
-    assert R.prenilpotent_geometric(a2, AffineRoot((1, 0), 0), AffineRoot((0, 1), 0))
-    assert not R.prenilpotent_geometric(a2, AffineRoot((1, 0), 0), AffineRoot((-1, 0), 0))
-    assert R.prenilpotent_geometric(a2, AffineRoot((1, 0), 0), AffineRoot((1, 0), 1))
+    assert prenilpotent_geometric(a2, AffineRoot((1, 0), 0), AffineRoot((0, 1), 0))
+    assert not prenilpotent_geometric(a2, AffineRoot((1, 0), 0), AffineRoot((-1, 0), 0))
+    assert prenilpotent_geometric(a2, AffineRoot((1, 0), 0), AffineRoot((1, 0), 1))
 
 
 def test_proportionality_is_a_reduced_ratio():
@@ -471,8 +473,8 @@ def test_weyl_search_agrees_with_geometric():
     roots = R.real_roots_up_to_level(ars, 1)
     for a in roots:
         for b in roots:
-            geo = R.prenilpotent_geometric(ars, a, b)
-            search = R.prenilpotent_by_weyl_search(ars, a, b, max_length=10)
+            geo = prenilpotent_geometric(ars, a, b)
+            search = prenilpotent_by_weyl_search(ars, a, b, max_length=10)
             if search is True:
                 assert geo
             # inconclusive searches must only happen for non-prenilpotent pairs
