@@ -69,11 +69,11 @@ class ChevalleyBasis:
             self._n[(a1, b1)] = string_length(sys, a1, b1) + 1
             for a, b in decomps:
                 if (a, b) != (a1, b1):
-                    self._n[(a, b)] = self._special_pair_constant(a, b, a1, b1, gamma)
+                    self._n[(a, b)] = self._special_pair_constant(a, b, a1, gamma)
                 found.append((a, b, gamma))
         return found
 
-    def _special_pair_constant(self, a, b, a1, b1, gamma) -> int:
+    def _special_pair_constant(self, a, b, a1, gamma) -> int:
         sys = self.system
         total, neg_a1 = 0, self._negated[a1]
         xi = _vec_sub(b, a1)

@@ -126,7 +126,7 @@ def _cmd_constants(args) -> tuple[int, str]:
     cls = diagrams.classify(a)
     if cls.kind != "finite":
         raise ValueError("structure constants are computed for finite diagrams")
-    system = R.enumerate_finite_roots(a, cls.family)
+    system = R.enumerate_finite_roots(a)
     basis = chevalley.build_chevalley_basis(system)
     label = {r: ",".join(map(str, r)) for r in system.roots}
     lines = [f"N {label[x]} {label[y]} {n}" for (x, y), n in basis.constants()]
@@ -137,10 +137,13 @@ def _cmd_present(args) -> tuple[int, str]:
     """present, or amalgam: the full presentation or the rank-at-most-2 one."""
     from . import presentation
 
-    build = presentation.relators_for if args.command == "present" else presentation.amalgam
-    torus = False if args.no_torus else True if args.torus else None
-    pres = build(_read_diagram(args.diagram), rings.parse_descriptor(args.ring),
-                 presentation.PresentationOptions(torus, args.km_torus))
+    a, ring = _read_diagram(args.diagram), rings.parse_descriptor(args.ring)
+    if args.command == "amalgam":
+        pres = presentation.amalgam(a, ring, args.km_torus)
+    else:
+        torus = False if args.no_torus else True if args.torus else None
+        options = presentation.PresentationOptions(torus, args.km_torus)
+        pres = presentation.relators_for(a, ring, options)
     return 0, presentation.emit(pres, args.format)
 
 
@@ -152,14 +155,12 @@ def _cmd_replay(args) -> tuple[int, str]:
 
 
 def _cmd_verify(args) -> tuple[int, str]:
-    from . import loopmodel, presentation
+    from . import loopmodel
 
     a = _read_diagram(args.diagram)
     ring = rings.parse_descriptor(args.ring)
     model = loopmodel.LoopModel(a, ring)
-    report = loopmodel.verify_presentation(
-        model, presentation.PresentationOptions(include_torus_action=True)
-    )
+    report = loopmodel.verify_presentation(model)
     mr = loopmodel.verify_morita_rehmann(model, args.level_bound)
     report["families"] += mr["families"]
     report["level_bound"] = args.level_bound
@@ -182,42 +183,44 @@ _DIAGRAM = ("--diagram", {"required": True,
 _RING = ("--ring", {"required": True,
                     "help": "ring descriptor (Z, Z/5, GF(7), Z[t,u], Z/5[t^+-1])"})
 _LEVEL = ("--level-bound", {"type": int, "default": 2})
-_OUTPUT = (("--out", {"help": "write output to a file instead of stdout"}),
-           ("--jobs", {"type": int, "default": 1,
-                       "help": "worker budget; outputs never depend on it"}))
+_OUTPUT = ("--out", {"help": "write output to a file instead of stdout"})
 _FORMAT = ("--format", {"choices": ("native", "gap", "json"), "default": "native"})
+# flags that no command line may give together
+_EXCLUSIVE = {"--torus", "--no-torus"}
 
 # name -> (help, command, options), in the order of the help; each option is
 # a flag and the keyword arguments of its add_argument, which both parsers
 # read (build_parser for argparse, parse_exact for well-formed argv)
 _SUBCOMMANDS = {
-    "classify": ("recognize a diagram", _cmd_classify, (_DIAGRAM, *_OUTPUT)),
+    "classify": ("recognize a diagram", _cmd_classify, (_DIAGRAM, _OUTPUT)),
     "names": ("Moody-Pianzola and Kac names of an affine label", _cmd_names,
-              (_DIAGRAM, *_OUTPUT)),
+              (_DIAGRAM, _OUTPUT)),
     "roots": ("real roots up to a level bound, as JSON", _cmd_roots,
-              (_DIAGRAM, _LEVEL, *_OUTPUT)),
+              (_DIAGRAM, _LEVEL, _OUTPUT)),
     "pairs": ("pair classification report, as JSON", _cmd_pairs,
-              (_DIAGRAM, _LEVEL, *_OUTPUT)),
+              (_DIAGRAM, _LEVEL, _OUTPUT)),
     "theta": ("the root string (N a + N b) of a pair", _cmd_theta, (
-        _DIAGRAM, *_OUTPUT,
+        _DIAGRAM,
         ("--alpha", {"required": True,
                      "help": "root as coords@level, e.g. 1,0@0; a negative root "
                              "needs the = form, e.g. --alpha=-1,0@0"}),
         ("--beta", {"required": True,
                     "help": "root as coords@level; a negative root needs the = form, "
                             "e.g. --beta=-1,0@0"}),
+        # last: before Python 3.13 the usage would wrap between --beta and BETA
+        _OUTPUT,
     )),
     "constants": ("structure constant table of a finite diagram", _cmd_constants,
-                  (_DIAGRAM, *_OUTPUT)),
+                  (_DIAGRAM, _OUTPUT)),
     "present": ("emit the full presentation", _cmd_present, (
-        _DIAGRAM, _RING, *_OUTPUT, _FORMAT,
+        _DIAGRAM, _RING, _OUTPUT, _FORMAT,
         ("--torus", {**_FLAG, "help": "force the torus-action families"}),
         ("--no-torus", {**_FLAG, "help": "omit the torus-action families"}),
         ("--km-torus", {**_FLAG, "help": "adjoin the torus relations of the Kac-Moody quotient"}),
     )),
     "amalgam": ("emit the rank-at-most-2 amalgam presentation", _cmd_present, (
-        _DIAGRAM, _RING, *_OUTPUT, _FORMAT,
-        ("--torus", _FLAG), ("--no-torus", _FLAG), ("--km-torus", _FLAG),
+        _DIAGRAM, _RING, _OUTPUT, _FORMAT,
+        ("--km-torus", _FLAG),
     )),
     "replay": ("replay one of the commutation arguments", _cmd_replay, (
         # collection.CASE_IDS, named here so that only replay loads collection
@@ -225,13 +228,12 @@ _SUBCOMMANDS = {
                     "help": "1-7, or 8 for the 0mod3 variant of case 4"}),
         ("--eps", {"type": int, "default": 1, "choices": (1, -1)}),
         ("--eps-prime", {"type": int, "default": 1, "choices": (1, -1)}),
-        ("--out", {}),
-        ("--jobs", {"type": int, "default": 1}),
+        _OUTPUT,
     )),
     "verify": ("verify every relation instance in the loop model", _cmd_verify,
-               (_DIAGRAM, _RING, _LEVEL, *_OUTPUT)),
+               (_DIAGRAM, _RING, _LEVEL, _OUTPUT)),
     "hypotheses": ("finite-presentability hypothesis check", _cmd_hypotheses, (
-        _DIAGRAM, *_OUTPUT,
+        _DIAGRAM, _OUTPUT,
         ("--fg-ring", {**_FLAG, "help": "assert: the ring is finitely generated as a ring"}),
         ("--module-finite", {**_FLAG, "help": "assert: finitely generated module over a "
                                               "unit-generated subring"}),
@@ -257,8 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, prog="steinberg")
     for name, (text, fn, options) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=text)
+        # argparse cannot format an empty group
+        exclusive = p.add_mutually_exclusive_group() if _EXCLUSIVE <= dict(options).keys() else p
         for flag, kwargs in options:
-            p.add_argument(flag, **kwargs)
+            (exclusive if flag in _EXCLUSIVE else p).add_argument(flag, **kwargs)
         p.set_defaults(fn=fn)
     return parser
 
@@ -274,10 +278,10 @@ def _is_negative_number(token: str) -> bool:
 def parse_exact(argv) -> SimpleNamespace | None:
     """The arguments argparse returns for a well-formed argv: an exact
     subcommand, then exact options as --name value or --name=value, flags
-    without =, valid ints and choices, every required option; a repeated
-    option keeps its last value.  None for anything else (help, --,
-    abbreviations, unknown or missing tokens, invalid values), which
-    argparse then parses, or reports."""
+    without =, valid ints and choices, every required option, no excluded
+    pair; a repeated option keeps its last value.  None for anything else
+    (help, --, abbreviations, unknown or missing tokens, invalid values),
+    which argparse then parses, or reports."""
     if not argv or argv[0] not in _SUBCOMMANDS:
         return None
     _, fn, options = _SUBCOMMANDS[argv[0]]
@@ -307,6 +311,8 @@ def parse_exact(argv) -> SimpleNamespace | None:
         if "choices" in kwargs and value not in kwargs["choices"]:
             return None
         given[flag] = value
+    if _EXCLUSIVE <= given.keys():
+        return None
     args = SimpleNamespace(command=argv[0], fn=fn)
     for flag, kwargs in options:
         if flag in given:
@@ -339,8 +345,6 @@ def main(argv=None) -> int:
             sys.stdout.write(shown.getvalue())
             return 0
     try:
-        if args.jobs < 1:
-            raise ValueError("--jobs must be at least 1")
         if getattr(args, "level_bound", 0) < 0:
             raise ValueError("--level-bound must be at least 0")
         code, text = args.fn(args)

@@ -214,7 +214,6 @@ class CaseData(NamedTuple):
     (the inverse half of a conjugated commutator is the free inverse of the
     conjugated first half)."""
 
-    case_id: int
     nrs: NilpotentRootSet
     alpha: AffineRoot
     beta: AffineRoot
@@ -544,7 +543,7 @@ def case_configuration(case_id: int, eps: int = 1, eps_prime: int = 1) -> CaseDa
     expansion = tuple(
         (kind, *((root[name], fn) for name, fn in letters)) for kind, *letters in case.expansion
     )
-    return CaseData(case_id, nrs, alpha, beta, expansion, signs, basis)
+    return CaseData(nrs, alpha, beta, expansion, signs, basis)
 
 
 # ---------------------------------------------------------------------------

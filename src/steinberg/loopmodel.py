@@ -228,7 +228,6 @@ class LoopModel:
         self.ring = ring
         self.n = ring.params[0]
         self.ars = ars
-        self.node_map = node_map
         self.basis = chevalley.build_chevalley_basis(ars.finite)
         self.dim = self.basis.dim
         if self.dim * (self.n - 1) ** 2 >= 2**63:

@@ -114,7 +114,6 @@ class Presentation(NamedTuple):
     symbolic: bool
     generators: tuple
     relators: tuple
-    options: PresentationOptions = PresentationOptions()
 
 
 FAMILY_ORDER = [
@@ -348,12 +347,6 @@ def _generators(ring, symbolic, nodes):
     return tuple([S(i) for i in nodes] + [X(i, t) for i in nodes for t in values])
 
 
-def _resolve_torus_flag(a, options: PresentationOptions) -> bool:
-    if options.include_torus_action is not None:
-        return options.include_torus_action
-    return not diagrams.two_spherical_no_a1(a)
-
-
 def relators_for(
     a: GeneralizedCartanMatrix,
     ring: rings.RingDescriptor,
@@ -362,15 +355,17 @@ def relators_for(
     """Every relation-family instance of the presentation on the diagram:
     over a finite ring the instances of the schemas, over any other ring the
     schemas themselves (the symbolic form)."""
-    schemas = _schemas(a, range(a.rank), _resolve_torus_flag(a, options),
-                       options.include_kacmoody_torus)
-    return _presentation(a, ring, list(schemas), options)
+    torus = options.include_torus_action
+    if torus is None:
+        torus = not diagrams.two_spherical_no_a1(a)
+    schemas = _schemas(a, range(a.rank), torus, options.include_kacmoody_torus)
+    return _presentation(a, ring, list(schemas))
 
 
 def amalgam(
     a: GeneralizedCartanMatrix,
     ring: rings.RingDescriptor,
-    options: PresentationOptions = PresentationOptions(),
+    include_kacmoody_torus: bool = False,
 ) -> Presentation:
     """Union of the presentations of all rank-1 and rank-2 subdiagrams, with
     generators identified across subdiagrams by node label.  The torus-action
@@ -379,12 +374,12 @@ def amalgam(
     pieces = [(i,) for i in range(a.rank)] + list(combinations(range(a.rank), 2))
     schemas = dict.fromkeys(
         schema for nodes in pieces
-        for schema in _schemas(a, nodes, False, options.include_kacmoody_torus)
+        for schema in _schemas(a, nodes, False, include_kacmoody_torus)
     )
-    return _presentation(a, ring, list(schemas), options)
+    return _presentation(a, ring, list(schemas))
 
 
-def _presentation(a, ring, schemas: list, options) -> Presentation:
+def _presentation(a, ring, schemas: list) -> Presentation:
     """The presentation with the schemas as relators, or over a finite ring
     their instances, in relator order."""
     symbolic = not _is_finite_ring(ring)
@@ -392,7 +387,7 @@ def _presentation(a, ring, schemas: list, options) -> Presentation:
         rel for schema, values in zip(schemas, instance_domains(a, ring, schemas))
         for rel in instances(ring, schema, values)]
     return Presentation(a, ring, symbolic, _generators(ring, symbolic, range(a.rank)),
-                        tuple(_sorted_relators(rels)), options)
+                        tuple(_sorted_relators(rels)))
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ class FiniteRootSystem(rings.Record):
     tuple of coordinate tuples.  A Record; ``d`` is the symmetrizer,
     (alpha_i, alpha_j) = d_i A_ij."""
 
-    _fields = ("cartan", "family", "roots", "d", "nonreduced")
+    _fields = ("cartan", "roots", "d", "nonreduced")
 
     @cached_property
     def _coroot_rows(self) -> dict:
@@ -197,7 +197,7 @@ def _symmetrizer(a: GeneralizedCartanMatrix) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
-def enumerate_finite_roots(a: GeneralizedCartanMatrix, family: str | None = None) -> FiniteRootSystem:
+def enumerate_finite_roots(a: GeneralizedCartanMatrix) -> FiniteRootSystem:
     """All roots as the closure of the simple roots under simple reflections."""
     n = a.rank
     d = _symmetrizer(a)
@@ -224,12 +224,12 @@ def enumerate_finite_roots(a: GeneralizedCartanMatrix, family: str | None = None
             raise ValueError("reflection closure did not stay finite; not finite type")
         frontier = nxt
     roots |= {tuple(-c for c in r) for r in roots}
-    return FiniteRootSystem(a, family, tuple(sorted(roots)), d, False)
+    return FiniteRootSystem(a, tuple(sorted(roots)), d, False)
 
 
 @lru_cache(maxsize=None)
 def _finite_system(family: str, n: int) -> FiniteRootSystem:
-    return enumerate_finite_roots(diagrams.finite_cartan(family, n), family)
+    return enumerate_finite_roots(diagrams.finite_cartan(family, n))
 
 
 @lru_cache(maxsize=None)
@@ -239,7 +239,7 @@ def _bc_system(n: int) -> FiniteRootSystem:
     short_norm = min(b.norm(r) for r in b.roots)
     doubles = {_vec_scale(2, r) for r in b.roots if b.norm(r) == short_norm}
     roots = tuple(sorted(set(b.roots) | doubles))
-    return FiniteRootSystem(b.cartan, "BC", roots, b.d, True)
+    return FiniteRootSystem(b.cartan, roots, b.d, True)
 
 
 # --------------------------------------------------------------------------

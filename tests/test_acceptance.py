@@ -231,7 +231,7 @@ def _string_p(system, a, b):
 
 def test_criterion_9_structure_constants():
     for family, n in (("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3)):
-        system = R.enumerate_finite_roots(diagrams.finite_cartan(family, n), family)
+        system = R.enumerate_finite_roots(diagrams.finite_cartan(family, n))
         basis = chevalley.build_chevalley_basis(system)
         for a in system.roots:
             for b in system.roots:
@@ -261,7 +261,7 @@ def test_criterion_9_structure_constants():
 
     # displayed coefficient signs after the computed orientation adjustment
     b2 = chevalley.build_chevalley_basis(
-        R.enumerate_finite_roots(diagrams.finite_cartan("B", 2), "B")
+        R.enumerate_finite_roots(diagrams.finite_cartan("B", 2))
     )
     s, l = (0, 1), (1, 0)
     table = b2.commutator_table(s, l)
@@ -272,7 +272,7 @@ def test_criterion_9_structure_constants():
     ] == [(g, v) for g, v, _ in target]
 
     g2 = chevalley.build_chevalley_basis(
-        R.enumerate_finite_roots(diagrams.finite_cartan("G", 2), "G")
+        R.enumerate_finite_roots(diagrams.finite_cartan("G", 2))
     )
     sig, lam = (1, 0), (0, 1)
     order = [(2, 1), (1, 1), (3, 1), (3, 2)]

@@ -15,7 +15,7 @@ from oracles import adjoint_matrix
 
 
 def system(family, n):
-    return R.enumerate_finite_roots(D.finite_cartan(family, n), family)
+    return R.enumerate_finite_roots(D.finite_cartan(family, n))
 
 
 def basis(family, n):

@@ -248,6 +248,55 @@ def test_amalgam_emits(capsys):
     assert "torus-action" not in out
 
 
+# a well-formed call of every subcommand
+CALLS = {
+    "classify": "classify --diagram A~2",
+    "names": "names --diagram A~2",
+    "roots": "roots --diagram A~2 --level-bound 0",
+    "pairs": "pairs --diagram A~2 --level-bound 0",
+    "theta": "theta --diagram A~2 --alpha 1,0@0 --beta 0,1@0",
+    "constants": "constants --diagram A2",
+    "present": "present --diagram A~2 --ring Z/2",
+    "amalgam": "amalgam --diagram A~2 --ring Z/2",
+    "replay": "replay --case 1",
+    "verify": "verify --diagram A~2 --ring Z/2 --level-bound 0",
+    "hypotheses": "hypotheses --diagram A~2",
+}
+
+
+@pytest.mark.parametrize("command", list(cli._SUBCOMMANDS))
+def test_no_subcommand_takes_jobs(capsys, command):
+    assert run(capsys, *CALLS[command].split())[0] == 0
+    argv = [*CALLS[command].split(), "--jobs", "2"]
+    assert cli.parse_exact(argv) is None
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: --jobs 2\n")
+
+
+@pytest.mark.parametrize("flag", ["--torus", "--no-torus"])
+def test_amalgam_takes_no_torus_flags(capsys, flag):
+    # the amalgam never has the torus-action families, so neither flag selects
+    argv = [*CALLS["amalgam"].split(), flag]
+    assert cli.parse_exact(argv) is None
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: unrecognized arguments: {flag}\n")
+
+
+@pytest.mark.parametrize("first,second", [("--torus", "--no-torus"), ("--no-torus", "--torus")])
+def test_torus_and_no_torus_exclude_each_other(capsys, first, second):
+    argv = [*CALLS["present"].split(), first, second]
+    assert cli.parse_exact(argv) is None
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument {second}: not allowed with argument {first}\n")
+    # either flag alone, or repeated, is still a well-formed call
+    for flags in ([first], [first, first]):
+        assert cli.parse_exact([*CALLS["present"].split(), *flags]) is not None
+        assert run(capsys, *CALLS["present"].split(), *flags)[0] == 0
+
+
 def test_negative_level_bound_rejected(capsys):
     for argv in (
         ("verify", "--diagram", "A~2", "--ring", "Z/2", "--level-bound", "-1"),
@@ -355,6 +404,10 @@ def _random_argv(rng, command) -> list[str]:
     options = cli._SUBCOMMANDS[command][2]
     argv = [command]
     picked = rng.sample(options, len(options)) + rng.choices(options, k=rng.randint(0, 2))
+    # flags that exclude each other are malformed input, so mostly only one
+    if cli._EXCLUSIVE <= dict(options).keys() and rng.random() < 0.8:
+        dropped = rng.choice(sorted(cli._EXCLUSIVE))
+        picked = [option for option in picked if option[0] != dropped]
     for flag, kwargs in picked:
         if rng.random() < 0.15:
             continue
@@ -395,6 +448,7 @@ def test_exact_parser_returns_what_argparse_returns(command):
     "classify --diagram",
     "classify --jobs 2",
     "present --diagram A~2 --ring Z --torus=1",
+    "present --diagram A~2 --ring Z --torus --no-torus",
     "theta --diagram A~2 --alpha 1,0@0 --beta -1,0@0",
     "replay --case 9",
     "replay --case x",

@@ -109,7 +109,7 @@ def test_symmetric_difference_property():
     # the amalgam by exactly those instances; otherwise they coincide
     opts = P.PresentationOptions(include_torus_action=True)
     full = P.relators_for(A2, GF2, opts)
-    am = P.amalgam(A2, GF2, opts)
+    am = P.amalgam(A2, GF2)
     diff = set(full.relators) - set(am.relators)
     assert diff == {r for r in full.relators if r.family in P.TORUS_ACTION_FAMILIES}
     assert set(am.relators) <= set(full.relators)

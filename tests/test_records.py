@@ -56,9 +56,9 @@ RECORDS = {
         D.PresentabilityVerdict._fields,
     ),
     "FiniteRootSystem": (
-        lambda: R.enumerate_finite_roots(D.finite_cartan("B", 2), "B"),
-        lambda: R.enumerate_finite_roots(D.finite_cartan("G", 2), "G"),
-        ("cartan", "family", "roots", "d", "nonreduced"),
+        lambda: R.enumerate_finite_roots(D.finite_cartan("B", 2)),
+        lambda: R.enumerate_finite_roots(D.finite_cartan("G", 2)),
+        ("cartan", "roots", "d", "nonreduced"),
     ),
     "AffineRootSystem": (
         lambda: R.affine_system("A~2"),

@@ -73,7 +73,7 @@ def test_finite_root_counts_against_euclidean_oracles():
 
 def test_form_and_norm_are_int_on_every_catalog_system():
     systems = [
-        R.enumerate_finite_roots(matrix, cls.family)
+        R.enumerate_finite_roots(matrix)
         for cls, matrix in catalog(12) if cls.kind == "finite"
     ]
     systems += [
@@ -99,7 +99,7 @@ def test_pairing_matches_the_divided_form_on_every_catalog_pair():
     # the kept row of each root against 2 (x, y) / (x, x), with x as a list
     # on the first use and as a tuple after; BC_n comes with the affine ones
     systems = [
-        R.enumerate_finite_roots(matrix, cls.family)
+        R.enumerate_finite_roots(matrix)
         for cls, matrix in catalog(8) if cls.kind == "finite"
     ]
     systems += [R.affine_system(cls).finite for cls, _ in catalog(8) if cls.is_affine]
@@ -642,7 +642,7 @@ def test_root_combinations_and_strings_match_brute_force(label):
 
 
 def test_root_combinations_finite_coordinates():
-    g2 = R.enumerate_finite_roots(D.finite_cartan("G", 2), "G")
+    g2 = R.enumerate_finite_roots(D.finite_cartan("G", 2))
     got = R.root_combinations(g2, (1, 0), (0, 1))
     assert got == [(1, 1, (1, 1)), (2, 1, (2, 1)), (3, 1, (3, 1)), (3, 2, (3, 2))]
     assert R.string_length(g2, (1, 0), (3, 1)) == 3
