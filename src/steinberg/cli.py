@@ -28,8 +28,10 @@ well-formed command line is parsed by `parse_exact` over that table, which
 returns what argparse would, and loads no `argparse`, `gettext` or
 `locale`.  Help (`-h`) and malformed input go through argparse, which
 builds one parser of every subcommand (`build_parser`) and prints the same
-help, usage and error text as always.  The help is written as any output
-is, so an unwritable stdout exits 120 for it too.
+help, usage and error text as always, but for a token the subcommand does
+not take: that is reported with the subcommand's usage, not the top-level
+one.  The help is written as any output is, so an unwritable stdout exits
+120 for it too.
 """
 
 from __future__ import annotations
@@ -335,10 +337,14 @@ def main(argv=None) -> int:
         # written as any output is, since argparse swallows a failed write
         from contextlib import redirect_stdout
 
-        shown = io.StringIO()
+        shown, parser = io.StringIO(), build_parser()
         try:
             with redirect_stdout(shown):
-                args = build_parser().parse_args(argv)
+                args, extra = parser.parse_known_args(argv)
+                if extra:
+                    # reported with the subcommand's usage, not the top-level one
+                    sub = next(a for a in parser._actions if a.dest == "command")
+                    sub.choices[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
         except SystemExit as exc:
             if exc.code:
                 return 2

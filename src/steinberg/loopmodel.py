@@ -32,16 +32,14 @@ computed in the schema ring, and a balanced Kronecker substitution
 above is also the kernel of these formal words.  Equal formal values pass
 every instance of the family (verify_presentation says why this is exact);
 only a schema whose values differ has its instances enumerated and decided
-by plain products.  A leading htilde_i(p) or S_i S_i and a trailing
-htilde_i(p)^-1 or S_i^-1 S_i^-1 are kept by the packing under their letters,
-so the conjugators of the torus-action and s2 families are multiplied out
-once per node, not once per (i, j).  They are torus elements, diagonal with
-one term per row, so only the run of letters between them is multiplied
-out, and the kept head scales the rows of that product and the kept tail
-its columns, both in a single pass over its entries (_scaled).  A run of
-two or more letters that two or more words of one verify_relators call
-share, such as the S_j X_j(t) S_j^-1 of torus-action-2 for every i, is
-multiplied out once and kept by the packing beside its letters (runs).
+by plain products.  A leading htilde_i(p) or S_i S_i is kept by the
+packing under its letters, so the conjugators of the torus-action and s2
+families are multiplied out once per node, not once per (i, j).  They are
+torus elements, diagonal with one unit term c x^d per row, so only the run
+of letters between the head and its trailing inverse is multiplied out: the
+inverse is c^-1 x^-d, read off the head's diagonal (_inverse), and the head
+scales the rows of the run's value and its inverse the columns, both in a
+single pass over its entries (_scaled).
 
 The Weyl and torus actions on root groups are proved on the coefficients of
 u, by conjugating divided powers entry by entry (see verify_morita_rehmann).
@@ -55,7 +53,7 @@ conjugator.  The torus action is proved once per node, with
 the formal htilde_i(r) kept by the packing as the conjugator: it is diagonal
 over (Z/n)[r^(+-1)], and r^<alpha_i^vee, beta> is a shift of the packed
 degree, so no unit is ever substituted unless that proof fails.  Being
-diagonal, it is proved on its diagonal and that of its inverse, entry by
+diagonal with unit terms, it is proved on its diagonal alone, entry by
 entry of each D_k, with no conjugate built (_torus_proven).  The term
 dicts c^k t^(k m) D_k of each (root, candidate) are built once per model.
 
@@ -66,7 +64,6 @@ every presentation relation must pass.
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 import operator
@@ -166,6 +163,17 @@ class LoopMatrix(rings.Record):
                 return None
             diagonal[row] = degree, value
         return diagonal
+
+    @cached_property
+    def _inverse(self) -> LoopMatrix | None:
+        """self^-1 read off the diagonal, c^-1 t^-d where self has c t^d, when
+        self is diagonal with one unit term in each row; else None."""
+        diagonal, n = self._diagonal, self.n
+        if diagonal is None or len(diagonal) < self.dim or any(
+                math.gcd(c, n) > 1 for _, c in diagonal.values()):
+            return None
+        return LoopMatrix({(row, row, -d): pow(c, -1, n) for row, (d, c) in diagonal.items()},
+                          n, self.dim)
 
 
 def _reduced(sums: dict, n: int) -> dict:
@@ -358,8 +366,8 @@ class LoopModel:
         return self._times([self.letter(gen, exp) for gen, exp in w])
 
     def _kept(self, letters: tuple) -> LoopMatrix:
-        """The value of a formal letter or of a kept segment (see _value),
-        kept by the packing under its letters."""
+        """The value of a formal letter or of a kept head (see _value), kept
+        by the packing under its letters."""
         values = self._packing.values
         value = values.get(letters)
         if value is None:
@@ -400,14 +408,12 @@ class _Packing:
     each variable| <= top: the radices 2 span + 1 and 2 top + 1 each hold a
     balanced digit, negative exponents of r and u included.  A concrete value
     is the digit d alone, so concrete letters are their own packed values.
-    values keeps the formal X letters and the kept heads and tails of _value
-    of the words evaluated with this packing, keyed by their letters; runs
-    keeps the shared runs of verify_relators, beside them.  Both go with
+    values keeps the formal X letters and the kept heads of _value of the
+    words evaluated with this packing, keyed by their letters; it goes with
     the packing when _cover widens it."""
 
     def __init__(self, span: int, top: int):
         self.span, self.top, self.values = span, top, {}
-        self.runs: dict = {}  # shared run -> its value, None until first multiplied
         self.radices = (2 * span + 1, *[2 * top + 1] * len(presentation._NAMES))
         self.strides = tuple(itertools.accumulate(self.radices[:-1], operator.mul, initial=1))
 
@@ -454,7 +460,7 @@ def _htilde(gen: presentation.Generator):
 
 
 def _kept_length(letters) -> int:
-    """The length of the kept segment letters starts with: htilde_i(p) or
+    """The length of the kept head letters starts with: htilde_i(p) or
     S_i S_i, 0 for neither."""
     if _is_htilde(letters[:_H]):
         return _H
@@ -465,28 +471,25 @@ def _kept_length(letters) -> int:
 
 
 def _ends(w) -> tuple:
-    """(head, tail): the lengths of the leading htilde_i(p) or S_i S_i and
-    of the trailing htilde_i(p)^-1 or S_i^-1 S_i^-1 of a word, 0 for none."""
+    """(head, tail): the length of the leading htilde_i(p) or S_i S_i of a
+    word, 0 for none, and that of its inverse if the word ends with it, else
+    0."""
     head = _kept_length(w)
-    return head, next((k for k in (_H, 2) if len(w) >= head + k
-                       and _kept_length(presentation.winv(w[-k:])) == k), 0)
+    return head, head if len(w) >= 2 * head and w[-head:] == presentation.winv(w[:head]) else 0
 
 
 def _value(model: LoopModel, w, head: int, tail: int) -> LoopMatrix:
     """The packed value of a word with the ends _ends(w), multiplied out
-    letter by letter but for the kept head and tail: the run of letters
-    between them is multiplied out, or read from the packing's runs if it is
-    a shared one, and the head and tail, torus elements, scale the rows and
-    the columns of its value in one pass (_scaled)."""
-    run = w[head:len(w) - tail]
-    runs = model._packing.runs
-    value = runs.get(run)
-    if value is None:
-        value = model._times([model.letter(gen, exp) for gen, exp in run])
-        if run in runs:
-            runs[run] = value
-    return _scaled(model._kept(w[:head]) if head else None, value,
-                   model._kept(w[-tail:]) if tail else None)
+    letter by letter but for the kept head and its inverse: the run of
+    letters between them is multiplied out, and the head, a torus element,
+    scales the rows of its value and the inverse, read off the head's
+    diagonal (_inverse), its columns, in one pass (_scaled).  Only a head
+    that is not diagonal with one unit term per row, as in a tampered model,
+    has its inverse word multiplied out."""
+    run = model._times([model.letter(gen, exp) for gen, exp in w[head:len(w) - tail]])
+    g = model._kept(w[:head]) if head else None
+    g_inv = (g._inverse or model.evaluate_word(w[-tail:])) if tail else None
+    return _scaled(g, run, g_inv)
 
 
 def verify_relators(model: LoopModel, relators) -> list:
@@ -498,26 +501,14 @@ def verify_relators(model: LoopModel, relators) -> list:
     empty cache, if its box does not hold the words (see _box).  It is
     injective on the box, so the verdict compares the two formal values:
     exact for a concrete relator, and for a schema the identity that
-    verify_presentation carries to every instance.
-
-    A run, the letters of a word between its kept head and tail (_value),
-    of two or more letters that is the run of two or more of the words is
-    shared: the packing keeps its value, multiplied out once, in its runs."""
+    verify_presentation carries to every instance."""
     words = [w for rel in relators for w in (rel.left, rel.right)]
     model._cover(words)
-    spans = [(w, *_ends(w)) for w in words]
-    counts = collections.Counter(w[head:len(w) - tail] for w, head, tail in spans)
-    runs = model._packing.runs
-    for run, count in counts.items():
-        if count > 1 and len(run) > 1:
-            runs.setdefault(run, None)
-    pairs = iter(spans)
-    return [_value(model, *left) == _value(model, *right) for left, right in zip(pairs, pairs)]
+    values = iter([_value(model, w, *_ends(w)) for w in words])
+    return [left == right for left, right in zip(values, values)]
 
 
-def verify_presentation(
-    model: LoopModel, options: presentation.PresentationOptions | None = None
-) -> dict:
+def verify_presentation(model: LoopModel) -> dict:
     """Every instance of the presentation of the model's diagram, decided
     from the schemas of relators_for over Z; per-family pass counts with
     counterexample parameter bindings in relator order.
@@ -541,8 +532,7 @@ def verify_presentation(
     its instances enumerated and each decided by plain products; that also
     decides identities that hold as functions on Z/n but not formally, such
     as X_i(t^5) = X_i(t) over GF(5)."""
-    if options is None:
-        options = presentation.PresentationOptions(include_torus_action=True)
+    options = presentation.PresentationOptions(include_torus_action=True)
     families = _families(
         model, presentation.relators_for(model.gcm, rings.integers(), options).relators)
     return {"diagram": model.ars.cls.label(), "ring": str(model.ring), "families": families,
@@ -597,7 +587,9 @@ def verify_morita_rehmann(model: LoopModel, level_bound: int) -> dict:
 
     The checks are proved on coefficients in u.  X_beta(u) = I + sum_k u^k
     t^(k m) D_k, so g X_beta(u) g^-1 = g g^-1 + sum_k u^k g t^(k m) D_k g^-1.
-    Once g g^-1 = I (the identity term), g t^(k m) D_k g^-1 = c^k t^(k m') D'_k
+    Once g g^-1 = I (the identity term, which the Weyl check tests on the
+    multiplied-out stilde_i(1)^-1; a torus element's inverse is read off its
+    diagonal), g t^(k m) D_k g^-1 = c^k t^(k m') D'_k
     for every k gives g X_beta(u) g^-1 = X_image(c u) for every u, with
     c = +1 or -1 for the Weyl check (_proven) and c = r^<alpha_i^vee, beta>
     for the torus check.  A root proven for one sign passes the
@@ -610,28 +602,29 @@ def verify_morita_rehmann(model: LoopModel, level_bound: int) -> dict:
     of the per-parameter check.
 
     The torus check of node i is first proved once for every unit, with the
-    formal htilde_i(r) and htilde_i(r)^-1 over (Z/n)[z^(+-1)][r^(+-1)], kept
-    by the packing, as g and g^-1 (_torus_proven): both diagonal with one
-    term c x^d in each row and z-digit 0, g g^-1 = I, and g D_k g^-1 =
-    r^(k a) D_k for every finite root beta and every k, a = <alpha_i^vee,
-    beta>, that is D_k with its packed degree shifted by k a stride_r.  Both
-    identities are read off the two diagonals, entry by entry of each D_k:
-    g D_k g^-1 has the entry c_row c'_col v at degree d_row + d'_col for an
-    entry v of D_k at (row, col), so no conjugate is built.  Exactness:
-    sending r to a unit is a ring homomorphism and commutes with products,
-    so each identity holds at every unit, for the concrete htilde_i(r),
-    which is then diagonal, and its inverse.  The entries of the formal
-    htilde_i(r)^(+-1) are monomials inside the box of its word, which
-    involves r alone, so they decode uniquely; with z-digit 0 each is
-    c r^e z^0, packed at degree e stride_r.  Every compared entry is then in
-    (Z/n)[x^(+-stride_r)], where x^(e stride_r) -> r^e is injective for
-    every e, so no box argument is needed for the conjugates.  When the
-    proof holds, node i adds |units| |roots| passing instances and no
-    concrete htilde_i(r) is evaluated.  When it fails, node i is decided by
-    enumeration alone: for each unit r, a concrete htilde_i(r) that is not
-    diagonal is one failure, and otherwise every root is decided by
-    enumerating u.  Only the enumeration reports a root, so a proof first
-    would change no counterexample.
+    formal htilde_i(r) over (Z/n)[z^(+-1)][r^(+-1)], kept by the packing, as
+    g (_torus_proven): diagonal with one unit term c x^d in each row and
+    z-digit 0, so g^-1 is c^-1 x^-d in each row, and g D_k g^-1 = r^(k a)
+    D_k for every finite root beta and every k, a = <alpha_i^vee, beta>,
+    that is D_k with its packed degree shifted by k a stride_r.  That
+    identity is read off the diagonal, entry by entry of each D_k: g D_k
+    g^-1 has the entry c_row c_col^-1 v at degree d_row - d_col for an entry
+    v of D_k at (row, col), so no conjugate is built.  Exactness: sending r
+    to a unit is a ring homomorphism and commutes with products, so the
+    identity holds at every unit, for the concrete htilde_i(r), which is
+    then diagonal, and its inverse.  The entries of the formal htilde_i(r)
+    are monomials inside the box of its word, which involves r alone, so
+    they decode uniquely; with z-digit 0 each is c r^e z^0, packed at degree
+    e stride_r.  Every compared entry is then in (Z/n)[x^(+-stride_r)],
+    where x^(e stride_r) -> r^e is injective for every e, so no box argument
+    is needed for the conjugates.  When the proof holds, node i adds |units|
+    |roots| passing instances and no concrete htilde_i(r) is evaluated.
+    When it fails, node i is decided by enumeration alone: for each unit r,
+    a concrete htilde_i(r) that is not diagonal is one failure, and
+    otherwise every root is decided by enumerating u, with the inverse read
+    off the diagonal, or multiplied out from the inverse word if a row is
+    zero or not a unit.  Only the enumeration reports a root, so a proof
+    first would change no counterexample.
 
     Since t is central, _proven proves each (beta, image root, level offset)
     once, at level 0, for every level: raising level_bound adds no
@@ -644,7 +637,7 @@ def verify_morita_rehmann(model: LoopModel, level_bound: int) -> dict:
     elements = [x for x in rings.elements(ring) if not x.is_zero()]
     signs = [rings.one(ring), -rings.one(ring)]
     weyl, torus = _entry("weyl-conjugation"), _entry("torus-scaling")
-    model._cover([w for i in range(model.gcm.rank) for w in _formal_htilde(i)])
+    model._cover([_formal_htilde(i) for i in range(model.gcm.rank)])
     for i in range(model.gcm.rank):
         simple = model.simple_of_node[i]
         s_word = presentation.stilde(i, rings.one(ring))
@@ -661,10 +654,10 @@ def verify_morita_rehmann(model: LoopModel, level_bound: int) -> dict:
         for r in units:
             h_word = presentation.htilde(i, r)
             h_mat = model.evaluate_word(h_word)
-            h_inv = model.evaluate_word(presentation.winv(h_word))
             if not h_mat.is_diagonal():
                 _tally(torus, 1, [{"i": i, "r": str(r), "reason": "not diagonal"}])
                 continue
+            h_inv = h_mat._inverse or model.evaluate_word(presentation.winv(h_word))
             _tally(torus, len(all_roots), [
                 {"i": i, "r": str(r), "beta": R.root_json(ars, beta)} for beta in all_roots
                 if not _enumerated(model, h_mat, h_inv, beta, beta,
@@ -679,9 +672,8 @@ def verify_morita_rehmann(model: LoopModel, level_bound: int) -> dict:
 
 
 def _formal_htilde(i: int) -> tuple:
-    """The words htilde_i(r) and htilde_i(r)^-1, r the schema variable."""
-    h_word = presentation.htilde(i, presentation._VARIABLE["r"])
-    return h_word, presentation.winv(h_word)
+    """The word htilde_i(r), r the schema variable."""
+    return presentation.htilde(i, presentation._VARIABLE["r"])
 
 
 def _torus_exponent(model: LoopModel, i: int, beta: AffineRoot) -> int:
@@ -691,33 +683,28 @@ def _torus_exponent(model: LoopModel, i: int, beta: AffineRoot) -> int:
 
 
 def _torus_proven(model: LoopModel, i: int, roots) -> bool:
-    """Whether the formal htilde_i(r) and its inverse, kept by the model's
-    packing, prove the torus action on every root for every unit r.  Both
-    must be diagonal with one term in each of the dim rows and z-digit 0:
-    c x^d in row j of g, c' x^d' in that of g_inv.  Then g g_inv = I iff
-    d + d' = 0 and c c' = 1 mod n in every row, and g D_k g_inv =
+    """Whether the formal htilde_i(r), kept by the model's packing, proves
+    the torus action on every root for every unit r.  It must be diagonal
+    with one unit term c x^d in each of the dim rows and z-digit 0, so that
+    its inverse g^-1 has c^-1 x^-d in that row (_inverse).  Then g D_k g^-1 =
     x^(k a stride_r) D_k, a = <alpha_i^vee, beta>, iff every entry
-    (row, col, v) of D_k has d_row + d'_col = k a stride_r and
-    (c_row c'_col - 1) v = 0 mod n: the comparison of g D_k g_inv with
-    D_k shifted by k a stride_r, entry by entry, once per finite root.  The
-    packing must hold both words."""
-    g, g_inv = (model._kept(w) for w in _formal_htilde(i))
-    diagonal, inverse = g._diagonal, g_inv._diagonal
-    if diagonal is None or inverse is None or not len(diagonal) == len(inverse) == model.dim:
+    (row, col, v) of D_k has d_row - d_col = k a stride_r and
+    (c_row - c_col) v = 0 mod n, c_col being a unit: the comparison of
+    g D_k g^-1 with D_k shifted by k a stride_r, entry by entry, once per
+    finite root.  The packing must hold the word."""
+    g = model._kept(_formal_htilde(i))
+    if g._inverse is None:
         return False
-    n, stride = model.n, model._packing.strides[1]
+    diagonal, n, stride = g._diagonal, model.n, model._packing.strides[1]
     # a multiple of the stride of r is a packed degree with z-digit 0
-    if any(d % stride for m in (diagonal, inverse) for d, _ in m.values()):
-        return False
-    if any(d + inverse[row][0] or (c * inverse[row][1] - 1) % n
-           for row, (d, c) in diagonal.items()):
+    if any(d % stride for d, _ in diagonal.values()):
         return False
     for beta in {beta.coords: beta for beta in roots}.values():
         shift = _torus_exponent(model, i, beta) * stride
         for k, power in model._divided_powers(beta.coords):
             for row, col, value in power:
-                (d, c), (d_inv, c_inv) = diagonal[row], inverse[col]
-                if d + d_inv != k * shift or (c * c_inv - 1) * value % n:
+                (d, c), (d_col, c_col) = diagonal[row], diagonal[col]
+                if d - d_col != k * shift or (c - c_col) * value % n:
                     return False
     return True
 

@@ -24,9 +24,8 @@ def _report(n: int, text: str) -> None:
 def test_criterion_1_full_relation_verification():
     start = time.time()
     z5 = rings.integers_mod(5)
-    opts = presentation.PresentationOptions(include_torus_action=True)
     for label in ("A~2", "C~2", "G~2"):
-        report = loopmodel.verify_presentation(build_model(label, z5), opts)
+        report = loopmodel.verify_presentation(build_model(label, z5))
         assert report["all_passed"], (label, [f for f in report["families"] if f["failed"]])
         assert sum(f["instances"] for f in report["families"]) > 0
         assert any(f["family"] == "torus-action-1" for f in report["families"])

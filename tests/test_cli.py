@@ -272,6 +272,11 @@ def test_no_subcommand_takes_jobs(capsys, command):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.endswith("error: unrecognized arguments: --jobs 2\n")
+    # reported with the subcommand's usage, not the top-level one
+    assert err.startswith(f"usage: steinberg {command} [-h]")
+    if command == "classify":
+        first = err.splitlines()[0]
+        assert first == "usage: steinberg classify [-h] --diagram DIAGRAM [--out OUT]"
 
 
 @pytest.mark.parametrize("flag", ["--torus", "--no-torus"])
@@ -282,6 +287,7 @@ def test_amalgam_takes_no_torus_flags(capsys, flag):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.endswith(f"error: unrecognized arguments: {flag}\n")
+    assert err.startswith("usage: steinberg amalgam [-h]")
 
 
 @pytest.mark.parametrize("first,second", [("--torus", "--no-torus"), ("--no-torus", "--torus")])
@@ -295,6 +301,34 @@ def test_torus_and_no_torus_exclude_each_other(capsys, first, second):
     for flags in ([first], [first, first]):
         assert cli.parse_exact([*CALLS["present"].split(), *flags]) is not None
         assert run(capsys, *CALLS["present"].split(), *flags)[0] == 0
+
+
+def _usage_breaks(text: str) -> list:
+    """The continuation lines of the usage that opens a help text which
+    start with a metavar, not an option: a usage wrapped between an option
+    and its value, as Python 3.10-3.12 can wrap it and 3.13 does not."""
+    usage = text.split("\n\n", 1)[0].splitlines()
+    return [line for line in usage[1:] if not line.lstrip().startswith(("[", "-"))]
+
+
+@pytest.mark.parametrize("command", list(cli._SUBCOMMANDS))
+def test_no_usage_line_starts_with_a_metavar(monkeypatch, command):
+    # the subcommand -h goldens are the same bytes on every Python only if
+    # no usage line breaks inside an option
+    monkeypatch.setenv("COLUMNS", "80")
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    text = sub.choices[command].format_help()
+    assert text.startswith(f"usage: steinberg {command} [-h]")
+    assert _usage_breaks(text) == []
+
+
+def test_the_usage_break_detector_sees_a_metavar_on_its_own_line():
+    # theta's usage when --out came before --beta, as Python 3.11 wraps it
+    text = ("usage: steinberg theta [-h] --diagram DIAGRAM --alpha ALPHA [--out OUT] --beta\n"
+            "                       BETA\n\noptions:\n  -h, --help\n")
+    assert _usage_breaks(text) == ["                       BETA"]
+    assert _usage_breaks(text.replace(" --beta\n                       BETA",
+                                      "\n                       --beta BETA")) == []
 
 
 def test_negative_level_bound_rejected(capsys):

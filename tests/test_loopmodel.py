@@ -654,7 +654,7 @@ def test_the_torus_proof_reads_every_finite_root(monkeypatch):
     model = build_model("A~2", Z7)
     roots = R.real_roots_up_to_level(model.ars, 1)
     nodes = range(model.gcm.rank)
-    model._cover([w for i in nodes for w in L._formal_htilde(i)])
+    model._cover([L._formal_htilde(i) for i in nodes])
     assert all(L._torus_proven(model, i, roots) for i in nodes)
     exponent = L._torus_exponent
     for coords in sorted({beta.coords for beta in roots}):
@@ -663,56 +663,93 @@ def test_the_torus_proof_reads_every_finite_root(monkeypatch):
         assert not any(L._torus_proven(model, i, roots) for i in nodes)
 
 
-def _formal_control(monkeypatch, tamper, inverse_holds=False):
-    """Tamper with the kept formal htilde_0(r) and its inverse of a checked
-    A~2 model over Z/7: node 0 alone falls back to the per-unit check, and the
-    report is still the reference loop's.  inverse_holds: whether the pair
-    still passes the checks that need no root (one term per row, z-digit 0,
-    g g^-1 = I), so that only the entries of the D_k refute it."""
-    model = build_model("A~2", Z7)
+def _formal_control(monkeypatch, tamper, shape_holds=False, ring=Z7):
+    """Tamper with the kept formal htilde_0(r) of a checked A~2 model: node 0
+    alone falls back to the per-unit check, and the report is still the
+    reference loop's.  shape_holds: whether the head still passes the checks
+    that need no root (one unit term per row, z-digit 0), so that only the
+    entries of the D_k refute it."""
+    model = build_model("A~2", ring)
     assert L.verify_morita_rehmann(model, 1)["all_passed"]
     assert L._torus_proven(model, 0, [])
-    values, words = model._packing.values, L._formal_htilde(0)
-    values[words[0]], values[words[1]] = tamper(model, *(values[w] for w in words))
-    assert L._torus_proven(model, 0, []) == inverse_holds
+    values, word = model._packing.values, L._formal_htilde(0)
+    values[word] = tamper(model, values[word])
+    assert L._torus_proven(model, 0, []) == shape_holds
     assert not L._torus_proven(model, 0, R.real_roots_up_to_level(model.ars, 1))
     fallbacks = _record_concrete_htilde(monkeypatch, model)
     report = L.verify_morita_rehmann(model, 1)
-    assert fallbacks == [(0, r) for r in rings.units(Z7)]
+    assert fallbacks == [(0, r) for r in rings.units(ring)]
     assert report["all_passed"]
     assert report == _reference_morita_rehmann(model, 1)
 
 
 def test_a_bumped_formal_htilde_falls_back_to_the_units(monkeypatch):
-    # a diagonal entry raised by one: g g^-1 is no longer I
-    def bumped(model, g, g_inv):
-        key = next(k for k in sorted(g.entries) if k[2])
-        return _bumped(g, key), g_inv
+    # a diagonal entry raised by one: its row still holds one unit term, so
+    # only the check on the entries of each D_k tells g from htilde_0(r)
+    def bumped(model, g):
+        g = _bumped(g, next(k for k in sorted(g.entries) if k[2]))
+        assert g._inverse is not None
+        return g
 
-    _formal_control(monkeypatch, bumped)
+    _formal_control(monkeypatch, bumped, shape_holds=True)
 
 
-@pytest.mark.parametrize("coeff,strides,with_inverse", [
-    pytest.param(3, 0, True, id="coefficient-with-inverse"),
-    pytest.param(1, 1, False, id="degree-alone"),
-    pytest.param(1, 1, True, id="degree-with-inverse"),
+@pytest.mark.parametrize("coeff,strides", [
+    pytest.param(3, 0, id="coefficient"),
+    pytest.param(1, 1, id="degree"),
+    pytest.param(3, 1, id="coefficient-and-degree"),
 ])
 def test_a_rescaled_row_of_the_formal_htilde_falls_back_to_the_units(
-        monkeypatch, coeff, strides, with_inverse):
-    # one diagonal entry of g times coeff and raised by r^strides.  Alone,
-    # g g^-1 is no longer I (a coefficient alone is the bumped control
-    # above).  With that of g^-1 times coeff^-1 mod 7 and lowered as much,
-    # g g^-1 = I still holds, so only the check on the entries of each D_k
-    # tells the pair from htilde_0(r)^(+-1)
-    def rescaled(model, g, g_inv):
-        row, degree = g.dim - 1, strides * model._packing.strides[1]
-        g = _rescaled_row(g, row, coeff, degree)
-        if with_inverse:
-            g_inv = _rescaled_row(g_inv, row, pow(coeff, -1, 7), -degree)
-        assert (g * g_inv).is_identity() == with_inverse
-        return g, g_inv
+        monkeypatch, coeff, strides):
+    # one diagonal entry of g times the unit coeff and raised by r^strides:
+    # still one unit term per row, so the inverse read off the diagonal is
+    # that of the tampered g, and only the check on the entries of each D_k
+    # tells it from htilde_0(r)
+    def rescaled(model, g):
+        g = _rescaled_row(g, g.dim - 1, coeff, strides * model._packing.strides[1])
+        assert (g * g._inverse).is_identity()
+        return g
 
-    _formal_control(monkeypatch, rescaled, inverse_holds=with_inverse)
+    _formal_control(monkeypatch, rescaled, shape_holds=True)
+
+
+def test_a_row_of_the_formal_htilde_times_a_non_unit_falls_back_to_the_units(monkeypatch):
+    # over Z/6 a row times 2 has no inverse, so none is read off the
+    # diagonal and node 0 is left to the units
+    def halved(model, g):
+        g = _rescaled_row(g, g.dim - 1, 2, 0)
+        assert g._diagonal is not None and g._inverse is None
+        return g
+
+    _formal_control(monkeypatch, halved, ring=rings.integers_mod(6))
+
+
+def test_a_concrete_htilde_with_a_non_unit_row_has_its_inverse_word_multiplied_out(
+        monkeypatch):
+    # every htilde_0(r), formal and concrete, with its last row times 2 over
+    # Z/6: still diagonal, but with no inverse to read off, so the fallback
+    # multiplies out the inverse word of each unit and reports what the
+    # reference loop does.  (No g_inv makes g g_inv = I for such a g, so
+    # every root of node 0 fails whatever the inverse.)
+    Z6 = rings.integers_mod(6)
+    model = build_model("A~2", Z6)
+    evaluate, inverses = model.evaluate_word, []
+
+    def halved(w):
+        m = evaluate(w)
+        if L._is_htilde(w) and w[0][0].node == 0:
+            m = _rescaled_row(m, m.dim - 1, 2, 0)
+            assert m._diagonal is not None and m._inverse is None
+        elif L._is_htilde(P.winv(w)):
+            inverses.append(P.winv(w))
+        return m
+
+    monkeypatch.setattr(model, "evaluate_word", halved)
+    report = L.verify_morita_rehmann(model, 1)
+    assert inverses == [P.htilde(0, r) for r in rings.units(Z6)]
+    torus = report["families"][1]
+    assert torus["failed"] and {c["i"] for c in torus["counterexamples"]} == {0}
+    assert report == _reference_morita_rehmann(model, 1)
 
 
 def _rescaled_row(m, row, coeff, degree):
@@ -725,33 +762,31 @@ def _rescaled_row(m, row, coeff, degree):
 
 
 def test_an_off_diagonal_formal_htilde_falls_back_to_the_units(monkeypatch):
-    _formal_control(monkeypatch, lambda model, g, g_inv: (_bumped(g, (0, 1, 0)), g_inv))
+    _formal_control(monkeypatch, lambda model, g: _bumped(g, (0, 1, 0)))
 
 
 def test_a_formal_htilde_with_a_zero_row_falls_back_to_the_units(monkeypatch):
-    # the last diagonal entry dropped from g: g has a zero row, so the rows
-    # left are one term each, but g g^-1 is not I
-    def dropped(model, g, g_inv):
+    # the last diagonal entry dropped from g: the rows left are one term
+    # each, but g has no inverse
+    def dropped(model, g):
         row = g.dim - 1
-        entries = {key: v for key, v in g.entries.items() if key[0] != row}
-        return L.LoopMatrix(entries, g.n, g.dim), g_inv
+        return L.LoopMatrix({key: v for key, v in g.entries.items() if key[0] != row},
+                            g.n, g.dim)
 
     _formal_control(monkeypatch, dropped)
 
 
 def test_a_formal_htilde_off_by_a_power_of_z_falls_back_to_the_units(monkeypatch):
-    # z g and z^-1 g^-1: diagonal, inverse to each other and, z being
-    # central, with the same conjugates, so only the decoded z-digit of
-    # their degrees tells them from htilde_0(r)^(+-1)
-    def moved(model, g, g_inv):
-        up, down = ({(row, col, degree + d): v for (row, col, degree), v in m.entries.items()}
-                    for m, d in ((g, 1), (g_inv, -1)))
-        pair = L.LoopMatrix(up, g.n, g.dim), L.LoopMatrix(down, g.n, g.dim)
-        assert (pair[0] * pair[1]).is_identity()
+    # z g: diagonal with unit terms and, z being central, with the same
+    # conjugates as g, so only the decoded z-digit of its degrees tells it
+    # from htilde_0(r)
+    def moved(model, g):
+        up = L.LoopMatrix({(row, col, d + 1): v for (row, col, d), v in g.entries.items()},
+                          g.n, g.dim)
         for beta in R.real_roots_up_to_level(model.ars, 1):
             for term in L._graded_terms(model, beta).values():
-                assert L._conjugate(*pair, term) == L._conjugate(g, g_inv, term)
-        return pair
+                assert L._conjugate(up, up._inverse, term) == L._conjugate(g, g._inverse, term)
+        return up
 
     _formal_control(monkeypatch, moved)
 
@@ -932,7 +967,7 @@ def test_negative_control_fails_only_the_perturbed_instances(
     # the same patch reaches the symbolic schemas, and only this family's
     patched_schemas = P.relators_for(model.gcm, rings.integers(), options).relators
     assert {new.family for new, old in zip(patched_schemas, schemas) if new != old} == {family}
-    report = L.verify_presentation(model, options)
+    report = L.verify_presentation(model)
     failing = [f for f in report["families"] if f["failed"]]
     assert [f["family"] for f in failing] == [family]
     assert failing[0]["failed"] == changed
@@ -977,34 +1012,6 @@ def test_wrong_kept_conjugator_fails_exactly_the_relators_that_contain_it():
     assert failed == [rel for rel in rels if contains(rel.left) or contains(rel.right)]
     assert {rel.family for rel in failed} == {"torus-action-1", "torus-action-2"}
     assert len(failed) == 2 * model.gcm.rank * 7
-
-
-def _runs(rel) -> tuple:
-    """The runs of the two words of a relator: the letters between the kept
-    head and tail."""
-    return tuple(w[head:len(w) - tail]
-                 for w in (rel.left, rel.right) for head, tail in [L._ends(w)])
-
-
-def test_a_tampered_shared_run_fails_exactly_the_relators_whose_words_have_it():
-    # the packing keeps exactly the runs of two or more letters that two or
-    # more words share, each multiplied out once; one of them replaced by a
-    # wrong matrix fails the relators with that run and no other
-    model = build_model("A~2", Z7)
-    options = P.PresentationOptions(include_torus_action=True)
-    schemas = P.relators_for(model.gcm, rings.integers(), options).relators
-    assert all(L.verify_relators(model, schemas))
-    counts = collections.Counter(run for rel in schemas for run in _runs(rel))
-    runs = model._packing.runs
-    assert set(runs) == {run for run, count in counts.items() if count > 1 and len(run) > 1}
-    assert any(count == 1 and len(run) > 1 for run, count in counts.items())
-    assert len(runs) == 2 * model.gcm.rank and None not in runs.values()
-    for run, value in list(runs.items()):
-        runs[run] = _bumped(value, (0, 1, 0))
-        failed = [rel for rel, ok in zip(schemas, L.verify_relators(model, schemas)) if not ok]
-        assert failed == [rel for rel in schemas if run in _runs(rel)] and len(failed) >= 2
-        runs[run] = value
-    assert all(L.verify_relators(model, schemas))
 
 
 @pytest.mark.parametrize(
@@ -1080,29 +1087,33 @@ def test_correct_schemas_never_reach_the_enumeration(monkeypatch, diagram, n):
 
     monkeypatch.setattr(P, "instances", unreachable)
     options = P.PresentationOptions(include_torus_action=True, include_kacmoody_torus=True)
-    assert L.verify_presentation(build_model(diagram, rings.integers_mod(n)), options)["all_passed"]
+    model = build_model(diagram, rings.integers_mod(n))
+    families = L._families(model, P.relators_for(model.gcm, rings.integers(), options).relators)
+    assert all(f["failed"] == 0 for f in families)
 
 
-def test_conjugator_cache_keeps_each_htilde_and_its_inverse_once():
+def test_conjugator_cache_keeps_each_htilde_once_and_no_inverse(monkeypatch):
     # after a full verify of F~4 over Z/3 the packing keeps the formal X
-    # letters and, for each node, the formal htilde_i(r) and its inverse and
-    # S_i S_i and S_i^-1 S_i^-1: one conjugator per node for the torus-action
-    # and s2 families and every j, and the torus check reuses the formal
-    # htilde_i(r)
+    # letters and, for each node, the formal htilde_i(r) and S_i S_i: one
+    # conjugator per node for the torus-action and s2 families and every j,
+    # whose inverse is read off its diagonal, and the torus check reuses the
+    # formal htilde_i(r).  No inverse of either is ever multiplied out
     ring = rings.integers_mod(3)
     model = build_model("F~4", ring)
+    r, rank = P._VARIABLE["r"], model.gcm.rank
+    heads = {w for i in range(rank) for w in (P.htilde(i, r), P.word(P.S(i), P.S(i)))}
+    inverses = {P.winv(w) for w in heads}
+    evaluated, evaluate = [], model.evaluate_word
+    monkeypatch.setattr(model, "evaluate_word", lambda w: evaluated.append(w) or evaluate(w))
     assert L.verify_presentation(model)["all_passed"]
     packing, kept = model._packing, set(model._packing.values)
-    r = P._VARIABLE["r"]
-    square = [P.word(P.S(i), P.S(i)) for i in range(model.gcm.rank)]
-    assert {key for key in kept if len(key) > 1} == {
-        w for i in range(model.gcm.rank)
-        for w in (P.htilde(i, r), P.winv(P.htilde(i, r)), square[i], P.winv(square[i]))
-    }
+    assert {key for key in kept if len(key) > 1} == heads
     assert L.verify_morita_rehmann(model, 1)["all_passed"]
     assert model._packing is packing and set(packing.values) == kept
     letters = [gen for key in kept if len(key) == 1 for gen, _ in key]
     assert letters and all(gen.kind == "X" and gen.param.desc == P.SCHEMA_RING for gen in letters)
+    assert heads <= set(evaluated) and not inverses & set(evaluated)
+    assert sorted(map(evaluated.count, heads)) == [1] * len(heads)
 
 
 def _schema(family, params, left, right):
@@ -1150,7 +1161,7 @@ def test_an_inverted_torus_scale_fails_exactly_the_instances_it_moves(monkeypatc
         and power(dict(rel.params)["r"], 2 * model.gcm.rows[rel.nodes[0]][rel.nodes[1]]) != one
     ]
     enumerated = _record_instances(monkeypatch)
-    report = L.verify_presentation(model, options)
+    report = L.verify_presentation(model)
     assert enumerated == [(family, (i, j)) for family in ("torus-action-1", "torus-action-2")
                           for i in range(3) for j in range(3)]
     failing = [f for f in report["families"] if f["failed"]]
@@ -1183,10 +1194,11 @@ def test_schema_counts_match_the_concrete_enumeration(diagram):
         for km_torus in (False, True):
             options = P.PresentationOptions(include_torus_action=True,
                                             include_kacmoody_torus=km_torus)
-            report = L.verify_presentation(model, options)
+            families = L._families(
+                model, P.relators_for(model.gcm, rings.integers(), options).relators)
             concrete = collections.Counter(
                 rel.family for rel in P.relators_for(model.gcm, ring, options).relators)
-            assert {f["family"]: f["instances"] for f in report["families"]} == concrete, ring
+            assert {f["family"]: f["instances"] for f in families} == concrete, ring
 
 
 def _unpack(packing, degree) -> tuple:
