@@ -63,8 +63,10 @@ def _parse_root(text: str):
     from .roots import AffineRoot
 
     coords_text, _, level_text = text.partition("@")
-    coords = tuple(int(x) for x in coords_text.split(","))
-    return AffineRoot(coords, int(level_text or "0"))
+    try:
+        return AffineRoot(tuple(int(x) for x in coords_text.split(",")), int(level_text or "0"))
+    except ValueError:
+        raise ValueError(f"root {text!r} is not written coords@level, e.g. 1,0@0") from None
 
 
 def _json(payload) -> str:

@@ -9,7 +9,7 @@ a root-group letter X_i(u) is the identity plus the few entries of the
 divided powers of ad e_beta, and a Weyl letter S_i is a signed permutation on
 most of the basis, so the products along a word stay sparse as well.
 
-The product is the only kernel of word evaluation.  It walks the entries of
+The product is the kernel of word evaluation.  It walks the entries of
 the left factor against a row index of the right factor, built once per
 value, and reduces the sums mod n when the product is done.  A right factor
 that differs from the identity in fewer entries than it has, such as a
@@ -37,9 +37,10 @@ packing under its letters, so the conjugators of the torus-action and s2
 families are multiplied out once per node, not once per (i, j).  They are
 torus elements, diagonal with one unit term c x^d per row, so only the run
 of letters between the head and its trailing inverse is multiplied out: the
-inverse is c^-1 x^-d, read off the head's diagonal (_inverse), and the head
-scales the rows of the run's value and its inverse the columns, both in a
-single pass over its entries (_scaled).
+inverse is c^-1 x^-d, read off the head's diagonal (_inverse), and the run's
+value is conjugated by the head in one pass over its entries.  _conjugate is
+the one kernel of every conjugation g T g^-1, for these heads, the Weyl
+proof and the per-parameter fallback alike.
 
 The Weyl and torus actions on root groups are proved on the coefficients of
 u, by conjugating divided powers entry by entry (see verify_morita_rehmann).
@@ -179,33 +180,6 @@ class LoopMatrix(rings.Record):
 def _reduced(sums: dict, n: int) -> dict:
     """The entries of sums reduced mod n, zeros dropped."""
     return {key: value for key, total in sums.items() if (value := total % n)}
-
-
-def _scaled(head: LoopMatrix | None, m: LoopMatrix, tail: LoopMatrix | None) -> LoopMatrix:
-    """head m tail, a missing factor (None) read as I.  A head or tail
-    diagonal with one term c t^d per row scales the rows or the columns of
-    m; both are applied in one pass over m's entries, which drops the
-    entries that become 0 mod n.  Any other head or tail is multiplied."""
-    rows = cols = None
-    if head is not None and (rows := head._diagonal) is None:
-        m = head * m
-    if tail is not None and (cols := tail._diagonal) is None:
-        m = m * tail
-    if rows is None and cols is None:
-        return m
-    n, entries = m.n, {}
-    for (row, col, degree), value in m.entries.items():
-        if rows is not None:
-            if (scale := rows.get(row)) is None:
-                continue
-            degree, value = degree + scale[0], value * scale[1]
-        if cols is not None:
-            if (scale := cols.get(col)) is None:
-                continue
-            degree, value = degree + scale[0], value * scale[1]
-        if value := value % n:
-            entries[row, col, degree] = value
-    return LoopMatrix(entries, n, m.dim)
 
 
 @lru_cache(maxsize=None)
@@ -481,15 +455,17 @@ def _ends(w) -> tuple:
 def _value(model: LoopModel, w, head: int, tail: int) -> LoopMatrix:
     """The packed value of a word with the ends _ends(w), multiplied out
     letter by letter but for the kept head and its inverse: the run of
-    letters between them is multiplied out, and the head, a torus element,
-    scales the rows of its value and the inverse, read off the head's
-    diagonal (_inverse), its columns, in one pass (_scaled).  Only a head
-    that is not diagonal with one unit term per row, as in a tampered model,
-    has its inverse word multiplied out."""
+    letters between them is multiplied out and conjugated by the head
+    (_conjugate), whose inverse, a torus element's, is read off its
+    diagonal (_inverse).  Only a head that is not diagonal with one unit
+    term per row, as in a tampered model, has its inverse word multiplied
+    out.  A head with no trailing inverse is multiplied."""
     run = model._times([model.letter(gen, exp) for gen, exp in w[head:len(w) - tail]])
-    g = model._kept(w[:head]) if head else None
-    g_inv = (g._inverse or model.evaluate_word(w[-tail:])) if tail else None
-    return _scaled(g, run, g_inv)
+    if not tail:
+        return model._kept(w[:head]) * run if head else run
+    g = model._kept(w[:head])
+    g_inv = g._inverse or model.evaluate_word(w[-tail:])
+    return LoopMatrix(_conjugate(g, g_inv, run.entries), model.n, model.dim)
 
 
 def verify_relators(model: LoopModel, relators) -> list:
@@ -752,8 +728,10 @@ def _graded_terms(model: LoopModel, root: AffineRoot, c: int = 1) -> dict:
 
 def _conjugate(g: LoopMatrix, g_inv: LoopMatrix, term: dict) -> dict:
     """The entries of g T g_inv for the Laurent matrix T given by its entries
-    {(row, col, degree): value}.  An entry of T meets only the entries of g in
-    its row's column and those of g_inv in its column's row."""
+    {(row, col, degree): value}, for any g and g_inv.  An entry of T meets
+    only the entries of g in its row's column and those of g_inv in its
+    column's row: one term each for a torus element and its inverse, so
+    conjugating by one is a single pass over T."""
     cols, rows, sums = g._cols, g_inv._rows, {}
     for (row, col, degree), value in term.items():
         rights = rows.get(col, ())
@@ -771,9 +749,9 @@ def _enumerated(model: LoopModel, g: LoopMatrix, g_inv: LoopMatrix, beta: Affine
     in elements, with c the first candidate that fits the first u."""
     fits = candidates
     for u in elements:
-        conj = g * model.root_element(beta, u) * g_inv
+        conj = _conjugate(g, g_inv, model.root_element(beta, u).entries)
         # the first u keeps only the first candidate that fits it
-        fits = [c for c in fits if conj == model.root_element(image, c * u)][:1]
+        fits = [c for c in fits if conj == model.root_element(image, c * u).entries][:1]
         if not fits:
             return False
     return True

@@ -407,6 +407,13 @@ def test_error_exit_codes(capsys, code, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("alpha,beta,bad", [("x", "0,1@0", "x"), ("1,0@0", "0,1@y", "0,1@y")])
+def test_a_malformed_root_names_the_expected_form(capsys, alpha, beta, bad):
+    got, out, err = run(capsys, "theta", "--diagram", "A~2", "--alpha", alpha, "--beta", beta)
+    assert (got, out) == (2, "")
+    assert err == f"error: root '{bad}' is not written coords@level, e.g. 1,0@0\n"
+
+
 def _argparse_vars(parser, argv):
     """vars() of what argparse parses argv to, or None where it exits (help
     or a usage error)."""

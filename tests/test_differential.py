@@ -42,4 +42,6 @@ def test_the_corpus_holds_every_recorded_call_and_the_grammar_edges():
                  SRC.parent / "bench" / "expected.json"):
         assert set(json.loads(path.read_text())) <= set(calls)
     assert {"", "-h", *cli._SUBCOMMANDS, *differential.EDGE_CALLS} <= set(calls)
+    assert len(set(differential.VERIFY_SWEEP)) == 98
+    assert set(differential.VERIFY_SWEEP) <= set(calls)
     assert list(differential.PLAIN_CALLS) == list(cli._SUBCOMMANDS)

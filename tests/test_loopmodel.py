@@ -850,8 +850,8 @@ def _bumped(m, key):
 @pytest.mark.parametrize("n", [4, 6])
 def test_scaling_by_a_diagonal_matches_the_product(n):
     # zero divisors among the scales (c v = 0 mod n drops an entry), zero
-    # rows, and two factors that are not one term per row, which are
-    # multiplied instead
+    # rows, and two factors that are not one term per row, which meet every
+    # entry of their column or row
     rng, dim = random.Random(n), 6
     m = L.LoopMatrix({(rng.randrange(dim), rng.randrange(dim), rng.randrange(-2, 3)):
                       rng.randrange(1, n) for _ in range(30)}, n, dim)
@@ -863,10 +863,8 @@ def test_scaling_by_a_diagonal_matches_the_product(n):
     assert diagonal._diagonal is not None and dropping._diagonal is not None
     assert off._diagonal is None and twice._diagonal is None
     for g in (diagonal, dropping, off, twice, L.identity_matrix(n, dim)):
-        assert L._scaled(g, m, None) == g * m
-        assert L._scaled(None, m, g) == m * g
         for h in (diagonal, dropping, off, twice):
-            assert L._scaled(g, m, h) == g * m * h
+            assert L._conjugate(g, h, m.entries) == (g * m * h).entries
     assert len((dropping * m).entries) < len(m.entries)
 
 

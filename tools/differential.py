@@ -10,12 +10,13 @@ its exit code, stdout sha256 and stderr are equal in both trees.
 
 The corpus is every call of `tests/golden/cli.json` and `bench/expected.json`,
 help and usage errors (no command, an unknown one, every subcommand bare),
-the command lines at the edges of the grammar in EDGE_CALLS, and each
---expect that names no call of these.  `--expect` names calls whose bytes
-may differ: a call string, or an fnmatch pattern such as '* -h'.  Each difference is printed;
-any difference that no --expect names exits 1, and an expected call that
-stayed equal is reported but does not fail.  Nothing is fetched: the base
-comes from the local repository.
+the command lines at the edges of the grammar in EDGE_CALLS, the verify
+sweep VERIFY_SWEEP (14 untwisted diagrams over 7 small rings at level bound
+1, 98 calls), and each --expect that names no call of these.  `--expect`
+names calls whose bytes may differ: a call string, or an fnmatch pattern
+such as '* -h'.  Each difference is printed; any difference that no --expect
+names exits 1, and an expected call that stayed equal is reported but does
+not fail.  Nothing is fetched: the base comes from the local repository.
 """
 
 from __future__ import annotations
@@ -65,6 +66,12 @@ EDGE_CALLS = [
     "hypotheses --diagram C~3 --units-fg",
 ]
 HELP_CALLS = ["", "-h", "--help", "foo", "replay --case 9", *PLAIN_CALLS]
+# untwisted diagrams of every family A to G, over fields and over rings with
+# zero divisors; A~1 exits 3 on each ring
+VERIFY_SWEEP = [f"verify --diagram {diagram} --ring {ring} --level-bound 1"
+                for diagram in ("A~1", "A~2", "A~3", "A~4", "B~3", "B~4", "C~2", "C~3", "C~4",
+                                "D~4", "D~5", "G~2", "F~4", "E~6")
+                for ring in ("Z/2", "Z/3", "Z/4", "Z/5", "Z/6", "GF(7)", "Z/9")]
 
 
 class Outcome(NamedTuple):
@@ -78,7 +85,7 @@ def corpus() -> list[str]:
     """The default calls, each once, in a fixed order."""
     calls = [*json.loads((ROOT / "tests" / "golden" / "cli.json").read_text()),
              *json.loads((ROOT / "bench" / "expected.json").read_text()),
-             *HELP_CALLS, *EDGE_CALLS]
+             *HELP_CALLS, *EDGE_CALLS, *VERIFY_SWEEP]
     return list(dict.fromkeys(calls))
 
 
